@@ -60,6 +60,14 @@ def _frac(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _frac_list(text: str) -> list[Fraction]:
+    return [Fraction(x) for x in text.split(",")]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def _read_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
@@ -77,13 +85,17 @@ def _read_config(path: str | None) -> dict[str, str]:
 
 def _resolve(args, config, key, cast, default=None, required=False):
     cli_val = getattr(args, key.replace("-", "_"), None)
-    if cli_val is not None:
-        return cli_val if not isinstance(cli_val, str) else cast(cli_val)
-    if key in config:
-        return cast(config[key])
-    if required and default is None:
-        raise PreconditionError(f"missing required parameter --{key}")
-    return default
+    if cli_val is not None and not isinstance(cli_val, str):
+        return cli_val
+    text = cli_val if cli_val is not None else config.get(key)
+    if text is None:
+        if required and default is None:
+            raise PreconditionError(f"missing required parameter --{key}")
+        return default
+    try:
+        return cast(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise PreconditionError(f"--{key}: cannot read {text!r}: {e}") from e
 
 
 def _emit(args, payload: dict, csv_text: str | None = None):
@@ -170,7 +182,7 @@ def cmd_cprime_scan(args, cfg):
     m = _resolve(args, cfg, "m", int, required=True)
     l = _resolve(args, cfg, "l", int, required=True)
     lam = _resolve(args, cfg, "lam", _frac, required=True)
-    grid = [_frac(x) for x in _resolve(args, cfg, "d-grid", str, required=True).split(",")]
+    grid = _resolve(args, cfg, "d-grid", _frac_list, required=True)
     trials = _resolve(args, cfg, "trials", int, required=True)
     seed = _resolve(args, cfg, "seed", int, default=0)
     rep = cayley_mod.cprime_genericity_scan(m, l, lam, grid, trials, seed)
@@ -213,6 +225,8 @@ def cmd_diagrams_enumerate(args, cfg):
 
 
 def _load_diagram(args):
+    if args.diagram is None:
+        raise PreconditionError("missing required parameter --diagram")
     return diagrams_mod.diagram_from_json(Path(args.diagram).read_text())
 
 
@@ -283,9 +297,11 @@ def cmd_fillprob_mc(args, cfg):
 
 def cmd_bounds(args, cfg):
     which = _resolve(args, cfg, "which", str, required=True)
+    if which not in BOUNDS_DISPATCH:
+        raise PreconditionError(f"unknown bound {which!r}")
     m = _resolve(args, cfg, "m", int, default=2)
     l = _resolve(args, cfg, "l", int, default=8)
-    dens = _resolve(args, cfg, "d", _frac, default=None)
+    dens = _resolve(args, cfg, "d", _frac, required=which != "roundtree-lower")
     if which == "rule-out":
         rep = bounds_mod.rule_out_bound(m, l, dens)
         result = rep.to_dict()
@@ -310,7 +326,7 @@ def cmd_bounds(args, cfg):
         }
     elif which == "hyperbolicity":
         result = {"delta_bound": str(cayley_mod.hyperbolicity_delta_bound(l, dens))}
-    elif which == "inductive":
+    else:  # inductive
         d = _load_diagram(args)
         rep = diagrams_mod.belonging(d)
         items = bounds_mod.inductive_fill_bounds(rep, m, l, dens)
@@ -326,8 +342,6 @@ def cmd_bounds(args, cfg):
                 for b in items
             ]
         }
-    else:
-        raise PreconditionError(f"unknown bound {which!r}")
     _emit(args, _payload("bounds", {"which": which, "m": m, "l": l,
                                     "d": None if dens is None else str(dens)}, result))
 
@@ -378,7 +392,7 @@ def cmd_roundtree_probe(args, cfg):
     target = model_mod.load_presentation(args.target)
     which = _resolve(args, cfg, "which", str, required=True)
     if which == "local-geodesic":
-        path = [int(x) for x in _resolve(args, cfg, "path", str, required=True).split(",")]
+        path = _resolve(args, cfg, "path", _int_list, required=True)
         verdict = roundtree_mod.local_geodesic_probe(
             tree, path,
             window=_resolve(args, cfg, "window", int, required=True),

@@ -37,6 +37,7 @@ from .errors import (
     BudgetExceededError,
     DomainError,
     MalformedWordError,
+    ParseError,
     PreconditionError,
 )
 from .words import Alphabet, _infer_alphabet, reduce_word
@@ -1042,23 +1043,28 @@ def diagram_to_json(diagram: Diagram) -> str:
 
 
 def diagram_from_json(text: str) -> Diagram:
-    data = json.loads(text)
-    edges = {e["id"]: Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]}
-    faces = tuple(
-        Face(
-            bears=f["bears"],
-            orientation=f["orientation"],
-            boundary=tuple(f["boundary"]),
-            distinguished=f["distinguished"],
+    """Load a diagram written by `diagram_to_json`; ParseError when the text
+    is not JSON or lacks a field."""
+    try:
+        data = json.loads(text)
+        edges = {e["id"]: Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]}
+        faces = tuple(
+            Face(
+                bears=f["bears"],
+                orientation=f["orientation"],
+                boundary=tuple(f["boundary"]),
+                distinguished=f["distinguished"],
+            )
+            for f in sorted(data["faces"], key=lambda f: f["id"])
         )
-        for f in sorted(data["faces"], key=lambda f: f["id"])
-    )
-    return Diagram(
-        vertices=tuple(data["vertices"]),
-        edges=edges,
-        faces=faces,
-        restrictions={r["edge"]: r["label"] for r in data.get("restrictions", [])},
-    )
+        return Diagram(
+            vertices=tuple(data["vertices"]),
+            edges=edges,
+            faces=faces,
+            restrictions={r["edge"]: r["label"] for r in data.get("restrictions", [])},
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"not a diagram file: {type(e).__name__}: {e}") from e
 
 
 def constraint_report_csv(report: ConstraintReport) -> str:

@@ -27,18 +27,26 @@ FORMAT_HEADER = "gromov-presentation v1"
 
 
 def integer_nth_root(n: int, q: int) -> int:
-    """Largest r with r**q <= n, for n >= 0, q >= 1.  Exact integer Newton."""
+    """Largest r with r**q <= n, for n >= 0, q >= 1.  Exact integer arithmetic."""
     if n < 0 or q < 1:
         raise DomainError("integer_nth_root needs n >= 0, q >= 1")
     if n < 2 or q == 1:
         return n
-    # initial guess from floats, then Newton, then exact adjustment
-    r = int(n ** (1.0 / q)) + 1
-    while True:
-        r2 = ((q - 1) * r + n // r ** (q - 1)) // q
-        if r2 >= r:
-            break
-        r = r2
+    # first guess from log2(n): math.log2 takes an int of any size, so n
+    # never becomes a float, which could overflow.  Below 2**40 the guess is
+    # within one of the root; above, only its top 40 bits are trusted
+    e = math.log2(n) / q
+    shift = max(0, int(e) - 40)
+    r = int(2.0 ** (e - shift)) << shift
+    if shift:
+        # integer Newton: from any start its first step lands at or above
+        # the root (AM-GM), and from there it descends to it
+        r = ((q - 1) * r + n // r ** (q - 1)) // q
+        while True:
+            r2 = ((q - 1) * r + n // r ** (q - 1)) // q
+            if r2 >= r:
+                break
+            r = r2
     while r ** q > n:
         r -= 1
     while (r + 1) ** q <= n:

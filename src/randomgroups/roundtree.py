@@ -14,6 +14,14 @@ by backtracking with the uniformity rule "one offset word and one V-tuple of
 extension words per incoming-edge class, fixed once assigned".  Equal bracket
 labels always reuse the registered cell word, so bracket labels determine
 boundary words by construction.
+
+The candidate cell words form the window index: every rotation of every host
+relator and its inverse, as an int8 row matrix, deduplicated and sorted.  It
+is built by viewing each row as one byte string and sorting those in place
+(`words._sort_rows`), then dropping rows equal to their predecessor; on a
+38 050-relator host that is 1.8 M rows.  A tree builds the index on its first
+`grow_level`, never on `init_round_tree` or `tree_from_json`, so the read-side
+operations (emanating words, probes) never pay for it.
 """
 
 from __future__ import annotations
@@ -22,18 +30,22 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BracketUnfillableError,
     ConstructionObstructedError,
     DomainError,
     EmptyStatisticsError,
+    ParseError,
     PreconditionError,
 )
 from .model import Presentation, parse_presentation
-from .words import Alphabet
+from .words import Alphabet, _encode_rows, _sort_rows
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -136,25 +148,19 @@ class RoundTree:
         self.offset_words: dict[str, tuple[int, ...]] = {}
         self.ext_words: dict[str, list[tuple[int, ...]]] = {}
         self.extension_paths: list[dict] = []  # {u, class, branch, tip, label, level}
-        self._windows = self._relator_windows()
         self._init_base_cell()
 
     # -- construction ------------------------------------------------------
 
-    def _relator_windows(self):
-        """All cell-word candidates: rotations of host relators and inverses,
-        deduplicated, as an (W, l) int8 matrix with a lazy center-gram index."""
-        l = self.host.l
-        base = np.empty((len(self.host.relators), l), dtype=np.int8)
-        for ri, r in enumerate(self.host.relators):
-            base[ri] = np.frombuffer(bytes(self.ab.encode(r)), dtype=np.int8)
-        inv = (base[:, ::-1] ^ 1).astype(np.int8)
-        both = np.concatenate([base, inv], axis=0)
-        rots = np.concatenate(
-            [np.roll(both, -q, axis=1) for q in range(l)], axis=0
-        )
-        self._center_index_cache: dict[int, dict[bytes, np.ndarray]] = {}
-        return np.unique(rots, axis=0)
+    @cached_property
+    def _windows(self) -> np.ndarray:
+        """The cell-word candidates (see `_relator_windows`), built on first
+        use: the first `grow_level`, never on init or load."""
+        return _relator_windows(self.host.relators)
+
+    @cached_property
+    def _center_index_cache(self) -> dict[int, dict[bytes, np.ndarray]]:
+        return {}
 
     def _center_rows(self, plen: int) -> dict[bytes, np.ndarray]:
         """Window rows grouped by the piece slot w[oe : oe+plen]."""
@@ -678,6 +684,22 @@ class RoundTree:
         return [c for c in self.cells if c.level <= n]
 
 
+def _relator_windows(relators: Sequence[str]) -> np.ndarray:
+    """All rotations of the relators and their inverses, deduplicated and in
+    lexicographic order, as a (W, l) int8 matrix.
+
+    The order matters: the window search shuffles row indices, so the rows
+    must come out in the same order for a tree to be reproducible.
+    """
+    base = _encode_rows(relators)
+    l = base.shape[1]
+    both = np.concatenate([base, base[:, ::-1] ^ 1])
+    doubled = np.concatenate([both, both[:, :-1]], axis=1)
+    rots = sliding_window_view(doubled, l, axis=1).copy().reshape(-1, l)
+    repeat = _sort_rows(rots)
+    return rots[np.concatenate(([True], ~repeat))]
+
+
 def init_round_tree(p: Presentation, params: RoundTreeParams) -> RoundTree:
     return RoundTree(p, params)
 
@@ -1162,8 +1184,25 @@ def tree_to_json(tree: RoundTree) -> str:
 
 
 def tree_from_json(text: str) -> RoundTree:
-    data = json.loads(text)
-    host = parse_presentation(data["host"])
+    """Load a tree written by `tree_to_json`.
+
+    Raises ParseError when the text is not such a file or its host does not
+    match the recorded fingerprint, and DomainError when its parameters are
+    invalid for the host.  Like a new tree, a loaded one builds its window
+    index on its first `grow_level`.
+    """
+    try:
+        data = json.loads(text)
+        host = parse_presentation(data["host"])
+        if data["host_fingerprint"] != host.fingerprint():
+            raise ParseError("host_fingerprint does not match the embedded host")
+        tree = _tree_from_payload(data, host)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as e:
+        raise ParseError(f"not a round-tree file: {type(e).__name__}: {e}") from e
+    return tree
+
+
+def _tree_from_payload(data: dict, host: Presentation) -> RoundTree:
     prm = data["params"]
     params = RoundTreeParams(
         V=prm["V"],
@@ -1174,6 +1213,7 @@ def tree_from_json(text: str) -> RoundTree:
         beta=None if prm["beta"] is None else Fraction(prm["beta"]),
         eta=None if prm["eta"] is None else Fraction(prm["eta"]),
     )
+    params.validate(host.l)
     tree = RoundTree.__new__(RoundTree)
     tree.host = host
     tree.params = params
@@ -1218,5 +1258,4 @@ def tree_from_json(text: str) -> RoundTree:
         c: [None if w is None else tree.ab.encode(w) for w in ws]
         for c, ws in data["ext_words"].items()
     }
-    tree._windows = tree._relator_windows()
     return tree

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BudgetExceededError,
@@ -30,6 +31,8 @@ EMPTY_WORD = "1"
 
 _CHARS = "".join(c + c.upper() for c in string.ascii_lowercase)  # "aAbB..."
 _CHAR_TO_INT = {c: i for i, c in enumerate(_CHARS)}
+_CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)
+_CODE_OF_BYTE[np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)] = np.arange(len(_CHARS))
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -462,16 +465,34 @@ def max_piece_length_quadratic(relators: Sequence[str | CyclicWord]) -> int:
     return 0
 
 
+def _encode_rows(words: Sequence[str]) -> np.ndarray:
+    """Validated words of one common length as an (n, l) int8 matrix of
+    letter codes, encoded in one vectorised lookup."""
+    text = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    return _CODE_OF_BYTE[text].reshape(len(words), -1)
+
+
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort the rows of a C-contiguous int8 matrix in place, lexicographically,
+    and return the mask of rows equal to their predecessor (length n - 1).
+
+    Each row is viewed as one opaque byte string, so this is a single
+    `np.sort` of n items for every row width.  Letter codes are
+    non-negative, so byte order is the lexicographic order of the codes.
+    (NumPy's row-wise unique, which sorts a structured view, is about eight
+    times slower on 1.8 M rows of 24 letters.)
+    """
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    keys.sort()
+    return keys[1:] == keys[:-1]
+
+
 def _window_matrix(relators: Sequence[str], ab: Alphabet, L: int) -> np.ndarray:
+    """The length-L window at every slot, one row per slot: 2·R·l rows."""
     texts, l = _relator_texts(relators, ab)
-    rows = np.empty((len(texts) * l, L), dtype=np.int8)
-    k = 0
-    for (_ri, _o, t) in texts:
-        arr = np.array(t, dtype=np.int8)
-        for p in range(l):
-            rows[k] = arr[p : p + L]
-            k += 1
-    return rows
+    doubled = np.array([t for (_ri, _o, t) in texts], dtype=np.int8)
+    windows = sliding_window_view(doubled, L, axis=1)[:, :l]
+    return windows.copy().reshape(-1, L)
 
 
 def has_piece_of_length(relators: Sequence[str | CyclicWord], L: int) -> bool:
@@ -486,8 +507,7 @@ def has_piece_of_length(relators: Sequence[str | CyclicWord], L: int) -> bool:
     rows = _window_matrix(rel, ab, L)
     # distinct rows are distinct slots by construction, so a duplicated row
     # value is exactly a piece of length L
-    _, counts = np.unique(rows, axis=0, return_counts=True)
-    return bool((counts >= 2).any())
+    return bool(_sort_rows(rows).any())
 
 
 def check_c_prime(relators: Sequence[str | CyclicWord], lam: Fraction) -> bool:

@@ -1,15 +1,45 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from randomgroups.cayley import is_dehn_ready
 from randomgroups.model import sample_presentation
 from randomgroups.roundtree import RoundTreeParams, init_round_tree
+from randomgroups.words import Alphabet, inverse_word
 
 # feasible desk-scale round-tree configuration: a dense host makes bracket
 # windows plentiful, and 6-edge segments keep the sector growth rate tame
 TREE_DEMO = dict(m=2, l=24, d=Fraction(2, 5), seg_len=6, V=2, H=4,
                  ext_offset=1, ext_len=1)
+
+
+@st.composite
+def relator_sets(draw):
+    """(m, relators): equal-length cyclically reduced relators on m in {2, 3}
+    generators, with periodic relators (whose rotations coincide) and
+    repeated relators, rotated or inverted, among them."""
+    m = draw(st.sampled_from([2, 3]))
+    period = draw(st.integers(1, 4))
+    l = period * draw(st.integers(1, 3))
+
+    def word(n):
+        w = [draw(st.integers(0, 2 * m - 1))]
+        while len(w) < n:
+            banned = {w[-1] ^ 1} | ({w[0] ^ 1} if len(w) == n - 1 else set())
+            w.append(draw(st.sampled_from([x for x in range(2 * m) if x not in banned])))
+        return w
+
+    ab = Alphabet(m)
+    rels = []
+    for _ in range(draw(st.integers(1, 5))):
+        periodic = draw(st.booleans())
+        rels.append(ab.decode(word(period) * (l // period) if periodic else word(l)))
+    for i in draw(st.lists(st.integers(0, len(rels) - 1), max_size=3)):
+        r = inverse_word(rels[i], ab) if draw(st.booleans()) else rels[i]
+        k = draw(st.integers(0, l - 1))
+        rels.append(r[k:] + r[:k])
+    return m, rels
 
 
 def find_verified_presentation(m, l, d, max_seeds=5000):

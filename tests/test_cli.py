@@ -183,3 +183,33 @@ def test_roundtree_cli_round_trip(tmp_path, capsys, verified_presentation):
                 "--window", "2"]) == 0
     lg = json.loads(capsys.readouterr().out)
     assert lg["result"]["status"] == "pass"
+
+
+# inputs that used to crash with a traceback and exit 1
+BAD_INPUTS = {
+    "rivin-m": "rivin --m abc --l 3",
+    "sample-d": "sample --m 2 --l 4 --d 0.2.1 --seed 1",
+    "scan-grid": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 1/4,x --trials 1",
+    "rule-out-no-d": "bounds --which rule-out",
+    "diagram": "constraint --diagram {bad}",
+    "emanate-tree": "roundtree-emanate --tree {bad} --k 2",
+    "probe-tree": "roundtree-probe --tree {bad} --target {host} --which distortion "
+                  "--radius 2 --samples 5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("this is not JSON\n")
+    host = tmp_path / "host.txt"
+    save_presentation(sample_presentation(2, 4, 0, seed=0), host)
+    assert run(BAD_INPUTS[case].format(bad=bad, host=host).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sample_near_density_one(capsys):
+    assert run(["sample", "--m", "2", "--l", "7", "--d", "99999/100000", "--seed", "0",
+                "--budget", "3000"]) == 0
+    assert "count=2186 " in capsys.readouterr().out

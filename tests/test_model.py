@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomgroups.errors import (
     BudgetExceededError,
@@ -34,6 +36,21 @@ def test_integer_nth_root_oracle():
     big = 3**200 + 12345
     r = integer_nth_root(big, 7)
     assert r**7 <= big < (r + 1) ** 7
+
+
+@given(st.integers(0, 2**5000), st.integers(1, 300))
+@settings(max_examples=300, deadline=None)
+def test_integer_nth_root_big_ints(n, q):
+    # n beyond the float range must not pass through a float
+    r = integer_nth_root(n, q)
+    assert r**q <= n < (r + 1) ** q
+
+
+def test_relator_count_near_density_one():
+    # (2m-1)^(pl) has over a million bits here: the root's first guess used
+    # to overflow a float
+    assert relator_count(2, 1, Fraction(999999, 1000000)) == 2
+    assert relator_count(2, 7, Fraction(99999, 100000)) == 2186
 
 
 def test_relator_count_exact_values():

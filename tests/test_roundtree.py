@@ -1,7 +1,10 @@
 import copy
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from randomgroups.bounds import emanating_bound
 from randomgroups.cayley import is_dehn_ready
@@ -9,11 +12,13 @@ from randomgroups.errors import (
     BracketUnfillableError,
     ConstructionObstructedError,
     DomainError,
+    ParseError,
     PreconditionError,
 )
 from randomgroups.model import Presentation, sample_presentation
 from randomgroups.roundtree import (
     Cell,
+    _relator_windows,
     RoundTreeParams,
     check_round_tree_axioms,
     distortion_probe,
@@ -24,9 +29,9 @@ from randomgroups.roundtree import (
     tree_from_json,
     tree_to_json,
 )
-from randomgroups.words import inverse_word, reduce_word
+from randomgroups.words import Alphabet, inverse_word, reduce_word
 
-from tests.conftest import TREE_DEMO, find_verified_presentation
+from tests.conftest import TREE_DEMO, find_verified_presentation, relator_sets
 
 
 def _level0_tree(p, seg=3):
@@ -42,6 +47,7 @@ def test_init_round_tree(verified_presentation):
     assert tree.base in tree.cells[0].vertices()
     assert tree.cells[0].word == p.relators[0]
     assert tree.levels == 0
+    assert "_windows" not in vars(tree)  # the index waits for grow_level
 
 
 def test_init_requires_relators():
@@ -259,6 +265,55 @@ def test_tree_json_round_trip(demo_tree):
     e1, e2 = enumerate_emanating(demo_tree, 4), enumerate_emanating(tree2, 4)
     assert e1.words == e2.words and e1.path_count == e2.path_count
     assert tree_to_json(tree2) == text
+    # loading and the read-side queries never build the window index
+    assert "_windows" not in vars(tree2)
+
+
+def test_saved_tree_grows_like_direct_build(demo_tree):
+    tree = init_round_tree(demo_tree.host, demo_tree.params)
+    tree.grow_level()
+    saved = tree_to_json(tree)
+    tree.grow_level()
+    loaded = tree_from_json(saved)
+    loaded.grow_level()
+    assert tree_to_json(loaded) == tree_to_json(tree)
+
+
+def test_tree_from_json_rejects_bad_files(verified_presentation):
+    text = tree_to_json(_level0_tree(verified_presentation))
+    assert tree_to_json(tree_from_json(text)) == text
+    data = json.loads(text)
+    with pytest.raises(ParseError):
+        tree_from_json("not json")
+    with pytest.raises(ParseError):
+        tree_from_json("[1, 2]")
+    for key in ("host", "params", "edges", "host_fingerprint"):
+        with pytest.raises(ParseError):
+            tree_from_json(json.dumps({k: v for k, v in data.items() if k != key}))
+    with pytest.raises(ParseError, match="fingerprint"):
+        tree_from_json(json.dumps(dict(data, host_fingerprint="0" * 64)))
+    with pytest.raises(DomainError):
+        tree_from_json(json.dumps(dict(data, params=dict(data["params"], V=1))))
+
+
+def _windows_by_unique(relators, m):
+    # the index as np.unique over every rotation: the order-defining oracle
+    ab = Alphabet(m)
+    l = len(relators[0])
+    base = np.array([ab.encode(r) for r in relators], dtype=np.int8)
+    both = np.concatenate([base, base[:, ::-1] ^ 1])
+    rots = np.concatenate([np.roll(both, -q, axis=1) for q in range(l)])
+    return np.unique(rots, axis=0)
+
+
+@given(relator_sets())
+@settings(max_examples=300, deadline=None)
+def test_relator_windows_match_unique_oracle(case):
+    m, rels = case
+    got = _relator_windows(rels)
+    want = _windows_by_unique(rels, m)
+    assert got.dtype == want.dtype == np.int8
+    assert np.array_equal(got, want)
 
 
 def test_stated_toy_parameters_obstruct_quickly():

@@ -30,6 +30,8 @@ from randomgroups.words import (
     sample_cyclically_reduced_batch,
 )
 
+from tests.conftest import relator_sets
+
 
 def test_alphabet_round_trip():
     ab = Alphabet(2)
@@ -251,6 +253,15 @@ def test_has_piece_of_length_consistent_with_max():
         mp = max_piece_length_quadratic(rels)
         for L in range(1, l):
             assert has_piece_of_length(rels, L) == (mp >= L)
+
+
+@given(relator_sets())
+@settings(max_examples=300, deadline=None)
+def test_has_piece_of_length_matches_quadratic_oracle(case):
+    _m, rels = case
+    mp = max_piece_length_quadratic(rels)
+    for L in range(1, len(rels[0]) + 2):
+        assert has_piece_of_length(rels, L) == (mp >= L)
 
 
 def test_check_c_prime_examples():
