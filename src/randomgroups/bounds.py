@@ -10,6 +10,7 @@ so runs are deterministic and embarrassingly parallel.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -358,9 +359,13 @@ def mc_fillability(
 ) -> FillProbability:
     """Fraction of freshly sampled presentations that fill the diagram with
     distinct relators; Wilson 99% CI.  Trial t uses the derived seed
-    SeedSequence(seed, spawn_key=(t,)), so results are independent of jobs."""
+    SeedSequence(seed, spawn_key=(t,)), so results are independent of jobs.
+    The pool never has more workers than CPUs or trials."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1, trials)
     seeds = [
         int(np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(1)[0])
         for t in range(trials)

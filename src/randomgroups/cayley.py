@@ -31,6 +31,10 @@ from .model import Presentation, sample_presentation
 from .words import (
     Alphabet,
     PieceReport,
+    _reduce_ints,
+    _relator_texts,
+    _slot_windows,
+    _text_length,
     check_c_prime,
     enumerate_cyclically_reduced,
     max_piece_length,
@@ -66,22 +70,16 @@ def ensure_dehn_ready(p: Presentation) -> PieceReport:
 
 
 class _RelatorArcs:
-    """Occurrence index over the cyclic rotations of relators and inverses."""
+    """Occurrence index over the cyclic rotations of relators and inverses:
+    slot (text ti, position q) of `texts` under its length-`gram` window."""
 
-    def __init__(self, p: Presentation, gram: int):
-        self.ab = p.alphabet
-        self.l = p.l
+    def __init__(self, texts: np.ndarray, gram: int):
+        self.l = _text_length(texts)
         self.gram = gram
-        self.texts: list[tuple[int, ...]] = []
-        for r in p.relators:
-            w = self.ab.encode(r)
-            wi = tuple(x ^ 1 for x in reversed(w))
-            self.texts.append(w + w)
-            self.texts.append(wi + wi)
+        self.texts = [tuple(t) for t in texts.tolist()]
         self.index: dict[tuple, list[tuple[int, int]]] = {}
-        for ti, t in enumerate(self.texts):
-            for q in range(self.l):
-                self.index.setdefault(t[q : q + gram], []).append((ti, q))
+        for slot, key in enumerate(map(tuple, _slot_windows(texts, gram).tolist())):
+            self.index.setdefault(key, []).append(divmod(slot, self.l))
 
     def matches(self, word: tuple[int, ...], i: int) -> list[tuple[int, int, int]]:
         """Maximal arc matches (text, q, length) starting at position i."""
@@ -92,7 +90,8 @@ class _RelatorArcs:
         for (ti, q) in self.index.get(key, ()):
             t = self.texts[ti]
             j = self.gram
-            while i + j < len(word) and q + j < 2 * self.l and j < self.l and word[i + j] == t[q + j]:
+            # t has 2l-1 letters and q, j < l, so t[q + j] is always inside it
+            while i + j < len(word) and j < self.l and word[i + j] == t[q + j]:
                 j += 1
             out.append((ti, q, j))
         return out
@@ -102,16 +101,6 @@ class _RelatorArcs:
         t = self.texts[ti]
         c = t[q + j : q + self.l]
         return tuple(x ^ 1 for x in reversed(c))
-
-
-def _freely_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for x in w:
-        if stack and stack[-1] == (x ^ 1):
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 class DehnEngine:
@@ -130,11 +119,9 @@ class DehnEngine:
         self.t_move = max(1, -(-p.l // 2) - 2 * self.pmax)
         self.t_detect = max(1, p.l - self.pmax - p.l // 2)
         self.slack = p.l - 2 * self.t_move
-        self.arcs = _RelatorArcs(p, self.t_move)
-        self._detect_index = set()
-        for t in self.arcs.texts:
-            for q in range(self.l):
-                self._detect_index.add(t[q : q + self.t_detect])
+        texts = _relator_texts(p.relators)
+        self.arcs = _RelatorArcs(texts, self.t_move)
+        self._detect_index = set(map(tuple, _slot_windows(texts, self.t_detect).tolist()))
 
     def has_long_arc(self, w: tuple[int, ...]) -> bool:
         """Does w contain more than half of some relator rotation?"""
@@ -161,10 +148,10 @@ class DehnEngine:
         if found is None:
             return None
         i, ti, q, j = found
-        return _freely_reduce(w[:i] + self.arcs.complement_inverse(ti, q, j) + w[i + j :])
+        return _reduce_ints(w[:i] + self.arcs.complement_inverse(ti, q, j) + w[i + j :])
 
     def dehn_reduce(self, w: tuple[int, ...]) -> tuple[int, ...]:
-        w = _freely_reduce(w)
+        w = _reduce_ints(w)
         while True:
             nxt = self.dehn_step(w)
             if nxt is None:
@@ -191,7 +178,7 @@ class DehnEngine:
                     for (ti, q, j) in self.arcs.matches(u, i):
                         for jj in range(self.t_move, j + 1):
                             repl = self.arcs.complement_inverse(ti, q, jj)
-                            v = _freely_reduce(u[:i] + repl + u[i + jj :])
+                            v = _reduce_ints(u[:i] + repl + u[i + jj :])
                             if len(v) > cap or v in seen:
                                 continue
                             if len(v) < n:
@@ -445,7 +432,7 @@ def distance(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUD
 def is_geodesic(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:
     eng = _engine(p)
     w = eng.ab.encode(word)
-    if _freely_reduce(w) != w:
+    if _reduce_ints(w) != w:
         return False
     return distance(p, word, vertex_budget) == len(w)
 
@@ -580,7 +567,7 @@ class UnverifiedBall:
         return a
 
     def class_of_word(self, word: str) -> int | None:
-        w = _freely_reduce(self.presentation.alphabet.encode(word))
+        w = _reduce_ints(self.presentation.alphabet.encode(word))
         vid = self._index.get(w)
         return None if vid is None else self._find(vid)
 
@@ -599,7 +586,6 @@ def naive_closure_ball(
     passes: int = 3,
 ) -> UnverifiedBall:
     """Bounded congruence closure: no termination or exactness guarantee."""
-    ab = p.alphabet
     m = p.m
     nodes: list[tuple[int, ...]] = [()]
     index: dict[tuple[int, ...], int] = {(): 0}
@@ -638,20 +624,14 @@ def naive_closure_ball(
             return True
         return False
 
-    rotations = []
-    for r in p.relators:
-        w = ab.encode(r)
-        wi = tuple(x ^ 1 for x in reversed(w))
-        for base in (w, wi):
-            for q in range(p.l):
-                rotations.append(base[q:] + base[:q])
+    rotations = [tuple(rho) for rho in _slot_windows(_relator_texts(p.relators), p.l).tolist()]
     saturated = False
     for _ in range(passes):
         changed = False
         for w in nodes:
             a = index[w]
             for rho in rotations:
-                v = _freely_reduce(w + rho)
+                v = _reduce_ints(w + rho)
                 b = index.get(v)
                 if b is not None and union(a, b):
                     changed = True

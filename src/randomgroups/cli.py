@@ -145,8 +145,14 @@ def cmd_sample(args, cfg):
         sys.stdout.write(p.serialize())
 
 
+def _load_presentation(args):
+    if args.infile is None:
+        raise PreconditionError("missing required parameter --in")
+    return model_mod.load_presentation(args.infile)
+
+
 def cmd_extend(args, cfg):
-    base = model_mod.load_presentation(args.infile)
+    base = _load_presentation(args)
     d_t = _resolve(args, cfg, "d-target", _frac, required=True)
     seed = _resolve(args, cfg, "seed", int, required=True)
     p = model_mod.extend_presentation(base, d_t, seed)
@@ -158,7 +164,7 @@ def cmd_extend(args, cfg):
 
 
 def cmd_pieces(args, cfg):
-    p = model_mod.load_presentation(args.infile)
+    p = _load_presentation(args)
     rep = words_mod.max_piece_length(list(p.relators))
     result = {
         "max_piece_length": rep.max_piece_length,
@@ -192,7 +198,7 @@ def cmd_cprime_scan(args, cfg):
 
 
 def cmd_dehn(args, cfg):
-    p = model_mod.load_presentation(args.infile)
+    p = _load_presentation(args)
     word = _resolve(args, cfg, "word", str, required=True)
     reduced = cayley_mod.dehn_reduce(word, p)
     _emit(args, _payload("dehn", {"in": str(args.infile), "word": word},
@@ -200,7 +206,7 @@ def cmd_dehn(args, cfg):
 
 
 def cmd_ball(args, cfg):
-    p = model_mod.load_presentation(args.infile)
+    p = _load_presentation(args)
     radius = _resolve(args, cfg, "radius", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=cayley_mod.DEFAULT_VERTEX_BUDGET)
     ball = cayley_mod.cayley_ball(p, radius, vertex_budget=budget)
@@ -235,7 +241,7 @@ def cmd_fill(args, cfg):
     mode = _resolve(args, cfg, "mode", str, default="all")
     distinct = not bool(getattr(args, "raw", False))
     if args.infile:
-        p = model_mod.load_presentation(args.infile)
+        p = _load_presentation(args)
         relators = list(p.relators)
     else:
         relators = _resolve(args, cfg, "words", str, required=True).split(",")
@@ -353,7 +359,7 @@ def cmd_transfer_params(args, cfg):
 
 
 def cmd_roundtree_build(args, cfg):
-    host = model_mod.load_presentation(args.infile)
+    host = _load_presentation(args)
     params = roundtree_mod.RoundTreeParams(
         V=_resolve(args, cfg, "branching-v", int, required=True),
         H=_resolve(args, cfg, "bigh", int, required=True),

@@ -16,8 +16,9 @@ labels always reuse the registered cell word, so bracket labels determine
 boundary words by construction.
 
 The candidate cell words form the window index: every rotation of every host
-relator and its inverse, as an int8 row matrix, deduplicated and sorted.  It
-is built by viewing each row as one byte string and sorting those in place
+relator and its inverse, read off the shared doubled-text matrix (layout and
+slot order in the `words` module docstring), deduplicated and sorted.  It is
+built by viewing each row as one byte string and sorting those in place
 (`words._sort_rows`), then dropping rows equal to their predecessor; on a
 38 050-relator host that is 1.8 M rows.  A tree builds the index on its first
 `grow_level`, never on `init_round_tree` or `tree_from_json`, so the read-side
@@ -34,7 +35,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BracketUnfillableError,
@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
 )
 from .model import Presentation, parse_presentation
-from .words import Alphabet, _encode_rows, _sort_rows
+from .words import Alphabet, _relator_texts, _slot_windows, _sort_rows, _text_length
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -691,11 +691,8 @@ def _relator_windows(relators: Sequence[str]) -> np.ndarray:
     The order matters: the window search shuffles row indices, so the rows
     must come out in the same order for a tree to be reproducible.
     """
-    base = _encode_rows(relators)
-    l = base.shape[1]
-    both = np.concatenate([base, base[:, ::-1] ^ 1])
-    doubled = np.concatenate([both, both[:, :-1]], axis=1)
-    rots = sliding_window_view(doubled, l, axis=1).copy().reshape(-1, l)
+    texts = _relator_texts(relators)
+    rots = _slot_windows(texts, _text_length(texts))
     repeat = _sort_rows(rots)
     return rots[np.concatenate(([True], ~repeat))]
 

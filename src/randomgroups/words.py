@@ -8,6 +8,16 @@ canonical rotations) is ``a < A < b < B < ...``.
 Internally a word is a tuple of ints ``0 .. 2m-1`` where generator ``k``
 is ``2k``, its inverse ``2k + 1``, so inversion is ``x ^ 1`` and the int
 order coincides with the declared letter order.
+
+Every layer reads the cyclic rotations of relators off one int8 matrix of
+doubled texts, built and validated by `_relator_texts`.  For R relators of
+common length l it has shape (2R, 2l-1): row 2i is rᵢ·rᵢ[:-1] and row 2i+1
+the same for rᵢ⁻¹, so the window of length L <= l starting at position q
+(0 <= q < l) of row t is the subword of length L at slot
+(relator t // 2, orientation ±1, position q).  Slot order is relator, then
+orientation (the relator before its inverse), then position; the piece
+search, the Dehn arc index, the naive closure and the round-tree windows
+all consume slots in that order (`_slot_windows`).
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,11 +125,9 @@ def is_reduced_word(word: str, alphabet: Alphabet | None = None) -> bool:
 
 
 def is_cyclically_reduced_word(word: str, alphabet: Alphabet | None = None) -> bool:
-    ab = alphabet or _infer_alphabet([word])
-    w = ab.encode(word)
-    if not all(w[i + 1] != (w[i] ^ 1) for i in range(len(w) - 1)):
-        return False
-    return len(w) <= 1 or w[-1] != (w[0] ^ 1)
+    # is_reduced_word has validated the letters, and a letter's inverse is
+    # the same letter in the other case
+    return is_reduced_word(word, alphabet) and (len(word) <= 1 or word[-1] != word[0].swapcase())
 
 
 def _canonical_rotation_index(w: tuple[int, ...]) -> int:
@@ -294,25 +303,42 @@ class PieceReport:
 _DEFAULT_LAMBDAS = (Fraction(1, 6), Fraction(1, 8), Fraction(1, 12))
 
 
-def _relator_texts(relators: Sequence[str], ab: Alphabet) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]:
-    """Doubled-minus-last texts for each relator and inverse, with slot metadata."""
-    if not relators:
-        return [], 0
-    words = []
-    for r in relators:
-        w = r.word if isinstance(r, CyclicWord) else r
-        if not is_cyclically_reduced_word(w, ab):
-            raise MalformedWordError(f"relator {w!r} is not cyclically reduced")
-        words.append(ab.encode(w))
-    l = len(words[0])
+def _relator_texts(relators: Sequence[str | CyclicWord]) -> np.ndarray:
+    """The doubled texts of the relators and their inverses, as a (2R, 2l-1)
+    int8 matrix in the layout of the module docstring.
+
+    This is the one place that validates relators for rotation work: every
+    letter must be a valid symbol, all relators must share one length, and
+    each must be cyclically reduced (checked on the code matrix).
+    """
+    words = [r.word if isinstance(r, CyclicWord) else r for r in relators]
+    words = ["" if w == EMPTY_WORD else w for w in words]
+    joined = "".join(words).encode("ascii", errors="replace")
+    codes = _CODE_OF_BYTE[np.frombuffer(joined, dtype=np.uint8)]
+    if (codes < 0).any():
+        _infer_alphabet(words)  # raises, naming the first bad letter
+    l = len(words[0]) if words else 0
     if any(len(w) != l for w in words):
         raise HeterogeneousLengthError("relators of unequal length")
-    texts = []
-    for i, w in enumerate(words):
-        wi = tuple((x ^ 1) for x in reversed(w))
-        texts.append((i, +1, w + w[:-1]))
-        texts.append((i, -1, wi + wi[:-1]))
-    return texts, l
+    codes = codes.reshape(len(words), l)
+    if l > 1:
+        bad = (codes[:, 1:] == codes[:, :-1] ^ 1).any(axis=1) | (codes[:, -1] == codes[:, 0] ^ 1)
+        if bad.any():
+            raise MalformedWordError(f"relator {words[int(bad.argmax())]!r} is not cyclically reduced")
+    both = np.stack([codes, codes[:, ::-1] ^ 1], axis=1).reshape(2 * len(words), l)
+    return np.concatenate([both, both[:, :-1]], axis=1)
+
+
+def _text_length(texts: np.ndarray) -> int:
+    """The relator length l of a `_relator_texts` matrix."""
+    return (texts.shape[1] + 1) // 2
+
+
+def _slot_windows(texts: np.ndarray, L: int) -> np.ndarray:
+    """The length-L window (1 <= L <= l) at every slot, one C-contiguous row
+    per slot in slot order: a (2R·l, L) matrix made with one copy."""
+    l = _text_length(texts)
+    return sliding_window_view(texts, L, axis=1)[:, :l].copy().reshape(-1, L)
 
 
 class _SuffixAutomaton:
@@ -367,16 +393,16 @@ def max_piece_length(
     Default implementation: a generalized suffix automaton over the doubled
     rotations; `max_piece_length_quadratic` is the independent oracle.
     """
-    ab = _infer_alphabet([r.word if isinstance(r, CyclicWord) else r for r in relators]) \
-        if relators else Alphabet(1)
-    texts, l = _relator_texts(relators, ab)
-    report = PieceReport(0, None, {}, _relator_coincidences(relators, ab), l)
-    if texts and l >= 2:
+    texts = _relator_texts(relators)
+    l = _text_length(texts)
+    report = PieceReport(0, None, {}, _relator_coincidences(texts), l)
+    if l >= 2:
+        rows = texts.tolist()
         # one automaton over all texts chained with unique separators: a
         # substring containing a separator occurs exactly once, so it can
         # never witness a repeat and needs no special handling
         sam = _SuffixAutomaton()
-        for tid, (_ri, _o, t) in enumerate(texts):
+        for tid, t in enumerate(rows):
             for pos, c in enumerate(t):
                 sam.extend(c, (tid, pos))
             sam.extend(-1 - tid, None)
@@ -411,65 +437,58 @@ def max_piece_length(
                     best_len, best_v = cand, v
         if best_v >= 0:
             report.max_piece_length = best_len
-            report.witness = _witness_from_state(sam, slots[best_v], texts, l, best_len, ab)
+            report.witness = _witness_from_state(slots[best_v], rows, l, best_len)
     report.lambda_threshold_passed = {lam: report.passes(lam) for lam in lambdas}
     return report
 
 
-def _witness_from_state(sam, d, texts, l, plen, ab) -> PieceWitness:
+def _witness_from_state(d, rows, l, plen) -> PieceWitness:
     occs = list(d.values())[:2]
     slots = []
     sub = None
     for tid, end in occs:
-        ri, orient, t = texts[tid]
         start_in_text = end - plen + 1
         if sub is None:
-            sub = ab.decode(t[start_in_text : end + 1])
-        slots.append((ri, start_in_text % l, orient))
+            sub = "".join(_CHARS[x] for x in rows[tid][start_in_text : end + 1])
+        slots.append((tid // 2, start_in_text % l, 1 - 2 * (tid % 2)))
     return PieceWitness(first=slots[0], second=slots[1], subword=sub)
 
 
-def _relator_coincidences(relators: Sequence[str | CyclicWord], ab: Alphabet) -> list[tuple[int, int]]:
-    """Pairs of relator indices equal as unoriented cyclic words."""
-    canon = []
-    for r in relators:
-        w = r.word if isinstance(r, CyclicWord) else r
-        cw = cyclically_reduce(w, ab).canonical
-        cinv = cyclically_reduce(inverse_word(w, ab), ab).canonical
-        canon.append(min(cw, cinv))
-    out = []
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            if canon[i] == canon[j]:
-                out.append((i, j))
-    return out
+def _relator_coincidences(texts: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs of relator indices equal as unoriented cyclic words, in sorted
+    order: relators whose least rotation (of the relator or its inverse)
+    agree."""
+    R, l = texts.shape[0] // 2, _text_length(texts)
+    if l == 0:
+        groups = [np.arange(R)]  # every relator is the empty word
+    else:
+        rotations = _slot_windows(texts, l)
+        keys = rotations.view(np.dtype((np.void, l))).reshape(R, 2 * l)
+        least = np.sort(keys, axis=1)[:, 0]
+        order = np.argsort(least, kind="stable")
+        ranked = least[order]
+        groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+    return sorted(pair for g in groups for pair in combinations(g.tolist(), 2))
 
 
 def max_piece_length_quadratic(relators: Sequence[str | CyclicWord]) -> int:
     """All-pairs scan over rotation windows; the test oracle for max_piece_length."""
-    ab = _infer_alphabet([r.word if isinstance(r, CyclicWord) else r for r in relators]) \
-        if relators else Alphabet(1)
-    texts, l = _relator_texts(relators, ab)
-    if not texts or l < 2:
+    texts = _relator_texts(relators)
+    l = _text_length(texts)
+    if l < 2:
         return 0
+    rows = [tuple(t) for t in texts.tolist()]
     for L in range(l - 1, 0, -1):
         seen: dict[tuple, tuple] = {}
-        for (ri, orient, t) in texts:
+        for tid, t in enumerate(rows):
             for p in range(l):
                 w = t[p : p + L]
-                slot = (ri, p, orient)
+                slot = (tid, p)
                 prev = seen.get(w)
                 if prev is not None and prev != slot:
                     return L
                 seen.setdefault(w, slot)
     return 0
-
-
-def _encode_rows(words: Sequence[str]) -> np.ndarray:
-    """Validated words of one common length as an (n, l) int8 matrix of
-    letter codes, encoded in one vectorised lookup."""
-    text = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    return _CODE_OF_BYTE[text].reshape(len(words), -1)
 
 
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
@@ -487,27 +506,18 @@ def _sort_rows(rows: np.ndarray) -> np.ndarray:
     return keys[1:] == keys[:-1]
 
 
-def _window_matrix(relators: Sequence[str], ab: Alphabet, L: int) -> np.ndarray:
-    """The length-L window at every slot, one row per slot: 2·R·l rows."""
-    texts, l = _relator_texts(relators, ab)
-    doubled = np.array([t for (_ri, _o, t) in texts], dtype=np.int8)
-    windows = sliding_window_view(doubled, L, axis=1)[:, :l]
-    return windows.copy().reshape(-1, L)
+def _has_repeated_window(texts: np.ndarray, L: int) -> bool:
+    """Does some length-L subword occur at two distinct slots of `texts`?"""
+    if not 1 <= L <= _text_length(texts) - 1:
+        return False
+    # distinct rows are distinct slots by construction, so a duplicated row
+    # value is exactly a piece of length L
+    return bool(_sort_rows(_slot_windows(texts, L)).any())
 
 
 def has_piece_of_length(relators: Sequence[str | CyclicWord], L: int) -> bool:
     """Exact test: does some length-L subword occur at two distinct slots?"""
-    rel = [r.word if isinstance(r, CyclicWord) else r for r in relators]
-    if not rel:
-        return False
-    ab = _infer_alphabet(rel)
-    l = len(rel[0])
-    if L < 1 or L > l - 1:
-        return False
-    rows = _window_matrix(rel, ab, L)
-    # distinct rows are distinct slots by construction, so a duplicated row
-    # value is exactly a piece of length L
-    return bool(_sort_rows(rows).any())
+    return _has_repeated_window(_relator_texts(relators), L)
 
 
 def check_c_prime(relators: Sequence[str | CyclicWord], lam: Fraction) -> bool:
@@ -515,17 +525,9 @@ def check_c_prime(relators: Sequence[str | CyclicWord], lam: Fraction) -> bool:
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise DomainError(f"λ must lie in (0,1), got {lam}")
-    rel = [r.word if isinstance(r, CyclicWord) else r for r in relators]
-    if not rel:
-        return True
-    ab = _infer_alphabet(rel)
-    l = len(ab.encode(rel[0]))
-    for r in rel:
-        if len(ab.encode(r)) != l:
-            raise HeterogeneousLengthError("relators of unequal length")
+    texts = _relator_texts(relators)
+    l = _text_length(texts)
     # max_piece >= λl  <=>  a repeated window of length ceil(λl) exists
     # (piece lengths are integers, capped at l-1)
     threshold = -((-lam.numerator * l) // lam.denominator)  # ceil(λl)
-    if threshold > l - 1:
-        return True
-    return not has_piece_of_length(rel, threshold)
+    return not _has_repeated_window(texts, threshold)

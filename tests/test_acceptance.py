@@ -206,10 +206,9 @@ def test_criterion_6_rule_out_bound_mc():
         trials = 10_000
         total = 0
         for l in (6, 8):
-            bound = rule_out_bound(2, l, Fraction(1, 4))
-            bound_val = float(bound.value) if bound.value is not None else \
-                (2 * 2) * (2 * 2 - 1) ** bound.value_log
-            bound_val = min(1.0, (4.0) * 3.0 ** float((Fraction(1, 4) - Fraction(1, 2)) * l))
+            bound_val = min(1.0, 3.0 ** rule_out_bound(2, l, Fraction(1, 4)).value_log)
+            by_hand = min(1.0, 4.0 * 3.0 ** float((Fraction(1, 4) - Fraction(1, 2)) * l))
+            assert math.isclose(bound_val, by_hand)
             for d in _ruleout_catalogue(l):
                 rep = belonging(d)
                 assert 2 * rep.restricted_count >= rep.boundary_count  # hypothesis

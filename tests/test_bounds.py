@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -218,6 +220,48 @@ def test_mc_deterministic_and_jobs_invariant():
     assert a.estimate == b.estimate
     c = mc_fillability(rd, 2, l, Fraction(1, 4), trials=60, seed=5, jobs=2)
     assert c.estimate == a.estimate
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, trials, workers", [
+    (64, 4, 60, 4),
+    (8, None, 60, None),
+    (8, 16, 3, 3),
+    (3, 16, 60, 3),
+])
+def test_mc_jobs_clamped_before_pool(monkeypatch, jobs, cpus, trials, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.created = []
+    rd = restrict_boundary(single_face_diagram(4), {0: "a", 1: "b"})
+    fp = mc_fillability(rd, 2, 4, Fraction(1, 4), trials=trials, seed=5, jobs=jobs)
+    assert _RecordingPool.created == ([] if workers is None else [workers])
+    serial = mc_fillability(rd, 2, 4, Fraction(1, 4), trials=trials, seed=5)
+    assert fp.estimate == serial.estimate
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_mc_rejects_jobs_below_one(jobs):
+    rd = restrict_boundary(single_face_diagram(4), {0: "a"})
+    with pytest.raises(DomainError):
+        mc_fillability(rd, 2, 4, 0, trials=10, seed=1, jobs=jobs)
 
 
 def test_wilson_coverage_on_exact_instance():

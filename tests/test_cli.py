@@ -195,6 +195,12 @@ BAD_INPUTS = {
     "emanate-tree": "roundtree-emanate --tree {bad} --k 2",
     "probe-tree": "roundtree-probe --tree {bad} --target {host} --which distortion "
                   "--radius 2 --samples 5",
+    "pieces-no-in": "pieces",
+    "extend-no-in": "extend --d-target 1/4 --seed 1",
+    "dehn-no-in": "dehn --word ab",
+    "ball-no-in": "ball --radius 1",
+    "build-no-in": "roundtree-build --branching-v 2 --bigh 4 --ext-offset 1 --ext-len 1 "
+                   "--levels 1",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -134,8 +135,11 @@ def test_rivin_matches_enumeration_all_small():
 
 def test_enumeration_order_and_contents():
     assert enumerate_cyclically_reduced(2, 1) == ["a", "A", "b", "B"]
-    for w in enumerate_cyclically_reduced(2, 2):
-        assert is_cyclically_reduced_word(w)
+    for l in range(1, 5):
+        every = ["".join(w) for w in itertools.product("aAbB", repeat=l)]
+        assert [w for w in every if is_cyclically_reduced_word(w)] == \
+            enumerate_cyclically_reduced(2, l)
+    assert is_cyclically_reduced_word("1")
 
 
 def test_enumeration_budget():
@@ -292,3 +296,50 @@ def test_relator_coincidences_reported():
     rot_inv = inverse_word(w)[2:] + inverse_word(w)[:2]
     rep2 = max_piece_length([w, rot_inv])
     assert (0, 1) in rep2.relator_coincidences
+
+
+def _coincidences_by_string(rels):
+    """Pairs of relators equal as unoriented cyclic words, from the canonical
+    rotations of each relator and its inverse as strings."""
+    canon = [min(cyclically_reduce(w).canonical, cyclically_reduce(inverse_word(w)).canonical)
+             for w in rels]
+    return [(i, j) for i in range(len(canon)) for j in range(i + 1, len(canon))
+            if canon[i] == canon[j]]
+
+
+@given(relator_sets())
+@settings(max_examples=300, deadline=None)
+def test_relator_coincidences_match_string_oracle(case):
+    _m, rels = case
+    assert max_piece_length(rels).relator_coincidences == _coincidences_by_string(rels)
+
+
+@given(relator_sets())
+@settings(max_examples=200, deadline=None)
+def test_slot_windows_match_string_slots(case):
+    m, rels = case
+    ab = Alphabet(m)
+    l = len(rels[0])
+    texts = words._relator_texts(rels)
+    for L in range(1, l + 1):
+        want = [(s + s)[q : q + L] for r in rels for s in (r, inverse_word(r, ab))
+                for q in range(l)]
+        got = words._slot_windows(texts, L)
+        assert got.flags.c_contiguous
+        assert [ab.decode(row) for row in got.tolist()] == want
+
+
+@pytest.mark.parametrize("check", [
+    max_piece_length,
+    lambda rels: has_piece_of_length(rels, 1),
+    lambda rels: check_c_prime(rels, Fraction(1, 3)),
+])
+@pytest.mark.parametrize("rels, error, message", [
+    (["ab", "aA", "bB"], MalformedWordError, "'aA'"),
+    (["abA"], MalformedWordError, "'abA'"),
+    (["ab", "a?"], MalformedWordError, "'?'"),
+    (["ab", "abab"], HeterogeneousLengthError, "unequal"),
+])
+def test_piece_functions_reject_bad_relators(check, rels, error, message):
+    with pytest.raises(error, match=message):
+        check(rels)
