@@ -20,12 +20,13 @@ import numpy as np
 from .diagrams import (
     ConstraintReport,
     Diagram,
+    _search,
     belonging,
+    compile_constraints,
     count_partial_fillings_vectorized,
-    fill,
 )
-from .errors import BudgetExceededError, DomainError
-from .model import sample_presentation
+from .errors import BudgetExceededError, DomainError, PreconditionError
+from .model import check_seed, sample_presentation
 from .words import Alphabet, enumerate_cyclically_reduced, rivin_count
 
 DEFAULT_TUPLE_BUDGET = 10**7
@@ -79,6 +80,8 @@ class FillProbability:
 
 
 def _logb(x: Fraction | float, base: int) -> float:
+    if base < 2:
+        raise DomainError("bounds are logs base 2m-1, so they need m >= 2")
     if isinstance(x, Fraction):
         return (math.log(x.numerator) - math.log(x.denominator)) / math.log(base)
     return math.log(x) / math.log(base)
@@ -224,34 +227,34 @@ def confdim_bounds(m: int, l: int, d, C=Fraction(10) ** 17) -> tuple[BoundReport
     lower = d(1-2d)^5 l / (C |log(d(1/2-d))|) · log(2m-1)
     upper = C d l / ((1-2d)|log d|) · log(2m-1)
 
-    Natural logs; the constant C is an input (default 1e17).
+    Natural logs; the constant C is an input (default 1e17).  DomainError
+    outside the domain and when a bound under- or overflows a float.
     """
     d = Fraction(d)
     C = Fraction(C)
     if not (0 < d < Fraction(1, 2)):
         raise DomainError(f"need 0 < d < 1/2, got {d}")
-    arg = d * (Fraction(1, 2) - d)
-    if arg == 1:
-        raise DomainError("degenerate logarithm: d(1/2-d) = 1")
+    if m < 2 or l < 1:
+        raise DomainError(f"need m >= 2 and l >= 1, got m={m}, l={l}")
+    if C <= 0:
+        raise DomainError("need C > 0")
     base = 2 * m - 1
     logm = math.log(base)
-    lower_val = float(d * (1 - 2 * d) ** 5 * l / C) / abs(math.log(float(arg))) * logm
-    upper_val = float(C * d * l / (1 - 2 * d)) / abs(math.log(float(d))) * logm
-    lower = BoundReport(
-        name="confdim-lower",
-        value_log=_logb(lower_val, base),
-        value=None,
-        inputs={"m": m, "l": l, "d": d, "C": C},
-    )
-    upper = BoundReport(
-        name="confdim-upper",
-        value_log=_logb(upper_val, base),
-        value=None,
-        inputs={"m": m, "l": l, "d": d, "C": C},
-    )
+    arg = d * (Fraction(1, 2) - d)
+    try:
+        values = {
+            "lower": float(d * (1 - 2 * d) ** 5 * l / C) / abs(math.log(float(arg))) * logm,
+            "upper": float(C * d * l / (1 - 2 * d)) / abs(math.log(float(d))) * logm,
+        }
+        logs = {side: _logb(v, base) for side, v in values.items()}
+    except (OverflowError, ValueError) as e:
+        raise DomainError(f"the confdim bounds do not fit a float: {e}") from e
     # for these two the headline quantity is the plain value, not its log
-    lower.inputs["value_float"] = lower_val
-    upper.inputs["value_float"] = upper_val
+    lower, upper = (
+        BoundReport(name=f"confdim-{side}", value_log=logs[side], value=None,
+                    inputs={"m": m, "l": l, "d": d, "C": C, "value_float": values[side]})
+        for side in ("lower", "upper")
+    )
     return lower, upper
 
 
@@ -342,9 +345,9 @@ def presentation_fill_probability_exact(
 
 
 def _mc_trial(args) -> bool:
-    diagram, m, l, d, s = args
+    cons, m, l, d, s = args
     p = sample_presentation(m, l, d, seed=s)
-    return fill(diagram, list(p.relators), mode="first", distinct=True) is not None
+    return _search(cons, p.relators, "first", True) is not None
 
 
 def mc_fillability(
@@ -354,23 +357,27 @@ def mc_fillability(
     d,
     trials: int,
     seed: int,
-    budget: int = DEFAULT_TUPLE_BUDGET,
     jobs: int = 1,
 ) -> FillProbability:
     """Fraction of freshly sampled presentations that fill the diagram with
     distinct relators; Wilson 99% CI.  Trial t uses the derived seed
     SeedSequence(seed, spawn_key=(t,)), so results are independent of jobs.
-    The pool never has more workers than CPUs or trials."""
+    The diagram is compiled once, and the pool never has more workers than
+    CPUs or trials."""
     if trials <= 0:
         raise DomainError("trials must be positive")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
+    check_seed(seed)
+    cons = compile_constraints(diagram, Alphabet(m))
+    if cons.l != l:
+        raise PreconditionError(f"the diagram has {cons.l}-gon faces, not l={l}")
     jobs = min(jobs, os.cpu_count() or 1, trials)
     seeds = [
         int(np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(1)[0])
         for t in range(trials)
     ]
-    args = [(diagram, m, l, d, s) for s in seeds]
+    args = [(cons, m, l, d, s) for s in seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -27,7 +27,7 @@ from .errors import (
     PartialBallError,
     PreconditionError,
 )
-from .model import Presentation, sample_presentation
+from .model import Presentation, check_seed, sample_presentation
 from .words import (
     Alphabet,
     PieceReport,
@@ -513,6 +513,7 @@ def cprime_genericity_scan(
     seed: int,
 ) -> GenericityScanReport:
     """Per-cell fraction of sampled presentations satisfying C'(λ)."""
+    check_seed(seed)
     lam = Fraction(lam)
     report = GenericityScanReport(m=m, l=l, lam=lam, seed=seed)
     for ci, d in enumerate(d_grid):

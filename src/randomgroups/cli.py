@@ -455,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--jobs", default=None)
         if infile:
             sp.add_argument("--in", dest="infile", default=None)
         if diagram:
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["fill"].add_argument("--raw", action="store_true")
     add("constraint", diagram=True)
     add("fillprob-exact", diagram=True, flags=("--m", "--l", "--budget"))
-    add("fillprob-mc", diagram=True, flags=("--m", "--l", "--d", "--trials", "--seed"))
+    add("fillprob-mc", diagram=True, flags=("--m", "--l", "--d", "--trials", "--seed", "--jobs"))
     add("bounds", flags=("--which", "--m", "--l", "--d", "--k", "--beta",
                          "--bigh", "--epsilon", "--const", "--branching-v"))
     sub.choices["bounds"].add_argument("--diagram", default=None)
@@ -505,10 +504,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 3
-    except (PreconditionError, RandomGroupsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (RandomGroupsError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

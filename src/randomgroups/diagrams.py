@@ -8,6 +8,9 @@ face with orientation -1 reads its word against that storage direction.
 The k-th edge of a face (k = 1..l) starts at the distinguished edge and
 follows the face's own reading direction.
 
+Filling reads a `CompiledConstraints` that `compile_constraints` makes once
+per diagram: `fill`, the exact counts and each Monte Carlo trial share it.
+
 Conventions fixed here (the module's canonical isomorphism):
   * interior edges must be traversed oppositely by their two face sides
     (orientation-consistent planar storage);
@@ -174,8 +177,9 @@ def validate(diagram: Diagram) -> ValidationReport:
     if diagram.vertices:
         adj: dict[int, set[int]] = {v: set() for v in diagram.vertices}
         for e in diagram.edges.values():
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
+            if e.src in vset and e.dst in vset:
+                adj[e.src].add(e.dst)
+                adj[e.dst].add(e.src)
         seen = {diagram.vertices[0]}
         stack = [diagram.vertices[0]]
         while stack:
@@ -335,39 +339,65 @@ def belonging(diagram: Diagram) -> ConstraintReport:
 
 @dataclass
 class CompiledConstraints:
+    """A diagram's filling conditions by bearing index.  `flip` is 1 where both
+    faces read a shared edge the same way, so its letters satisfy x == y ^ 1."""
+
     n: int
     l: int
     alphabet: Alphabet
-    unary: dict[int, list[tuple[int, int]]]          # i -> [(k, letter code)]
-    pairs: list[tuple[int, int, int, int, bool]]     # (i1, k1, i2, k2, inverse?)
+    unary: dict[int, list[tuple[int, int]]]             # i -> [(k, letter code)]
+    same: dict[int, list[tuple[int, int, int]]]         # i -> [(k1, k2, flip)]
+    cross: dict[int, list[tuple[int, int, int, int]]]   # later i2 -> [(i1, k1, k2, flip)]
+    never_fillable: bool                                # some edge is a tie
 
 
 def compile_constraints(diagram: Diagram, alphabet: Alphabet) -> CompiledConstraints:
+    """The constraints every filling routine reads; PreconditionError unless
+    the diagram is valid, bridgeless and made of l-gons of one size.
+
+    Each shared edge is ordered so (i1, k1) <= (i2, k2); equality is a tie,
+    exactly `belonging`'s test, since ranking bearing indices is a bijection.
+    """
+    report = validate(diagram)
+    if not report.valid:
+        raise PreconditionError(f"filling requires a valid diagram: {report.violations[0]}")
     if diagram.bridges():
         raise PreconditionError("filling assumes every edge bounds a face")
     sizes = diagram.face_sizes
     if len(sizes) != 1:
         raise PreconditionError("filling assumes all faces are l-gons of equal size")
-    l = sizes.pop()
-    unary: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, diagram.n + 1)}
-    pairs: list[tuple[int, int, int, int, bool]] = []
-    sides = diagram.side_map()
-    for e, s in sides.items():
+    indices = range(1, diagram.n + 1)
+    cons = CompiledConstraints(
+        n=diagram.n, l=sizes.pop(), alphabet=alphabet, unary={i: [] for i in indices},
+        same={i: [] for i in indices}, cross={i: [] for i in indices}, never_fillable=False,
+    )
+    for e, s in diagram.side_map().items():
         if len(s) == 2:
             (f1, p1, _), (f2, p2, _) = s
             a, b = diagram.faces[f1], diagram.faces[f2]
-            k1, k2 = k_of(a, p1), k_of(b, p2)
-            inverse = a.orientation == b.orientation
-            i1, i2 = a.bears, b.bears
-            if (i1, k1) > (i2, k2):
-                i1, k1, i2, k2 = i2, k2, i1, k1
-            pairs.append((i1, k1, i2, k2, inverse))
+            flip = int(a.orientation == b.orientation)
+            (i1, k1), (i2, k2) = sorted([(a.bears, k_of(a, p1)), (b.bears, k_of(b, p2))])
+            cons.never_fillable |= (i1, k1) == (i2, k2)
+            if i1 == i2:
+                cons.same[i1].append((k1, k2, flip))
+            else:
+                cons.cross[i2].append((i1, k1, k2, flip))
         elif len(s) == 1 and e in diagram.restrictions:
             (f1, p1, _) = s[0]
             f = diagram.faces[f1]
-            code = alphabet.encode(diagram.restrictions[e])[0]
-            unary[f.bears].append((k_of(f, p1), code))
-    return CompiledConstraints(n=diagram.n, l=l, alphabet=alphabet, unary=unary, pairs=pairs)
+            cons.unary[f.bears].append((k_of(f, p1), alphabet.encode(diagram.restrictions[e])[0]))
+    return cons
+
+
+def _index_mask(words: np.ndarray, cons: CompiledConstraints, i: int) -> np.ndarray:
+    """Rows of an int8 (N, l) word matrix that may sit at bearing index i:
+    they carry its restricted letters and agree on edges its faces share."""
+    mask = np.ones(len(words), dtype=bool)
+    for k, code in cons.unary[i]:
+        mask &= words[:, k - 1] == code
+    for k1, k2, flip in cons.same[i]:
+        mask &= words[:, k1 - 1] == words[:, k2 - 1] ^ flip
+    return mask
 
 
 def verify_filling(
@@ -411,44 +441,7 @@ def verify_filling(
     return True
 
 
-def _passes_unary(word: tuple[int, ...], cons: CompiledConstraints, i: int) -> bool:
-    for (k, code) in cons.unary.get(i, ()):
-        if word[k - 1] != code:
-            return False
-    for (i1, k1, i2, k2, inverse) in cons.pairs:
-        if i1 == i and i2 == i:
-            x, y = word[k1 - 1], word[k2 - 1]
-            if inverse and x != (y ^ 1):
-                return False
-            if not inverse and x != y:
-                return False
-    return True
-
-
-def _pair_ok(w1, i1v, w2, i2v, cons) -> bool:
-    for (i1, k1, i2, k2, inverse) in cons.pairs:
-        if i1 == i1v and i2 == i2v and i1 != i2:
-            x, y = w1[k1 - 1], w2[k2 - 1]
-            if inverse and x != (y ^ 1):
-                return False
-            if not inverse and x != y:
-                return False
-        elif i1 == i2v and i2 == i1v and i1 != i2:
-            x, y = w2[k1 - 1], w1[k2 - 1]
-            if inverse and x != (y ^ 1):
-                return False
-            if not inverse and x != y:
-                return False
-    return True
-
-
-def fill(
-    diagram: Diagram,
-    relators: Sequence[str],
-    mode: str = "all",
-    distinct: bool = True,
-    alphabet: Alphabet | None = None,
-):
+def fill(diagram: Diagram, relators: Sequence[str], mode: str = "all", distinct: bool = True):
     """Assignments of relator words to bearing indices satisfying both
     filling conditions.
 
@@ -459,37 +452,43 @@ def fill(
     """
     if mode not in ("first", "all", "count"):
         raise DomainError(f"unknown fill mode {mode!r}")
-    ab = alphabet or _infer_alphabet(list(relators))
-    cons = compile_constraints(diagram, ab)
-    report = belonging(diagram)
-    if report.never_fillable:
-        return (None if mode == "first" else ([] if mode == "all" else 0))
-    coded = [ab.encode(w) for w in relators]
+    relators = list(relators)
+    return _search(compile_constraints(diagram, _infer_alphabet(relators)), relators, mode, distinct)
+
+
+def _search(cons: CompiledConstraints, relators: Sequence[str], mode: str, distinct: bool):
+    """`fill` on compiled constraints: index i takes its candidates in
+    relator order, and each cross pair is checked once, at its later index."""
+    if cons.never_fillable:
+        return None if mode == "first" else ([] if mode == "all" else 0)
+    coded = [cons.alphabet.encode(w) for w in relators]
     if any(len(w) != cons.l for w in coded):
         raise PreconditionError("every relator must match the face size l")
-
+    rows = np.array(coded, dtype=np.int8).reshape(len(coded), cons.l)
     candidates = {
-        i: [w for w in coded if _passes_unary(w, cons, i)] for i in range(1, cons.n + 1)
+        i: np.flatnonzero(_index_mask(rows, cons, i)).tolist() for i in range(1, cons.n + 1)
     }
     out: list[tuple[str, ...]] = []
     count = 0
-    assignment: dict[int, tuple[int, ...]] = {}
+    chosen: list[int] = []  # the relator placed at each index 1..len(chosen)
 
     def rec(i: int):
         nonlocal count
         if i > cons.n:
             count += 1
             if mode != "count":
-                out.append(tuple(ab.decode(assignment[j]) for j in range(1, cons.n + 1)))
+                out.append(tuple(relators[r] for r in chosen))
             return mode == "first"
-        for w in candidates[i]:
-            if distinct and any(w == assignment[j] for j in assignment):
+        for r in candidates[i]:
+            w = coded[r]
+            if distinct and any(w == coded[c] for c in chosen):
                 continue
-            if all(_pair_ok(assignment[j], j, w, i, cons) for j in assignment):
-                assignment[i] = w
+            if all(coded[chosen[i1 - 1]][k1 - 1] == w[k2 - 1] ^ flip
+                   for i1, k1, k2, flip in cons.cross[i]):
+                chosen.append(r)
                 if rec(i + 1):
                     return True
-                del assignment[i]
+                chosen.pop()
         return False
 
     rec(1)
@@ -539,41 +538,24 @@ def count_partial_fillings_vectorized(
             f"{N}^{upto} tuples exceed the tuple budget {budget}", budget=budget
         )
     cons = compile_constraints(diagram, alphabet)
-    if belonging(diagram).never_fillable:
+    if cons.never_fillable:
         return 0
-    active = set(order)
-    masks = {}
-    for i in active:
-        mask = np.ones(N, dtype=bool)
-        for (k, code) in cons.unary.get(i, ()):
-            mask &= words[:, k - 1] == code
-        for (i1, k1, i2, k2, inverse) in cons.pairs:
-            if i1 == i and i2 == i:
-                if inverse:
-                    mask &= words[:, k1 - 1] == (words[:, k2 - 1] ^ 1)
-                else:
-                    mask &= words[:, k1 - 1] == words[:, k2 - 1]
-        masks[i] = mask
 
-    # broadcast cross constraints over the tuple product
+    def along(column: np.ndarray, slot: int) -> np.ndarray:
+        shape = [1] * upto
+        shape[slot] = N
+        return column.reshape(shape)
+
+    # broadcast every constraint over the tuple product
     slot_of_index = {idx: s for s, idx in enumerate(order)}
-    shape = [1] * upto
-    total = np.ones([N] * upto, dtype=bool) if upto > 1 else masks[order[0]].copy()
-    if upto > 1:
-        for s, idx in enumerate(order):
-            sh = shape.copy()
-            sh[s] = N
-            total &= masks[idx].reshape(sh)
-        for (i1, k1, i2, k2, inverse) in cons.pairs:
-            if i1 == i2 or i1 not in slot_of_index or i2 not in slot_of_index:
-                continue
-            s1, s2 = slot_of_index[i1], slot_of_index[i2]
-            a = words[:, k1 - 1]
-            b = words[:, k2 - 1] ^ 1 if inverse else words[:, k2 - 1]
-            sh1, sh2 = shape.copy(), shape.copy()
-            sh1[s1] = N
-            sh2[s2] = N
-            total &= a.reshape(sh1) == b.reshape(sh2)
+    total = np.ones([N] * upto, dtype=bool)
+    for s, idx in enumerate(order):
+        total &= along(_index_mask(words, cons, idx), s)
+    for i2, group in cons.cross.items():
+        for i1, k1, k2, flip in group:
+            if i1 in slot_of_index and i2 in slot_of_index:
+                total &= along(words[:, k1 - 1], slot_of_index[i1]) == along(
+                    words[:, k2 - 1] ^ flip, slot_of_index[i2])
     return int(total.sum())
 
 

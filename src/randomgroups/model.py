@@ -140,6 +140,12 @@ class Presentation:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
 
+def check_seed(seed: int) -> None:
+    """Seeds are SeedSequence entropy, so they must be nonnegative."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
 def _relator_rng(seed: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))
@@ -149,6 +155,7 @@ def sample_presentation(
     m: int, l: int, d, seed: int, budget: int = DEFAULT_COUNT_BUDGET
 ) -> Presentation:
     """⌊(2m-1)^(dl)⌋ i.i.d. uniform cyclically reduced relators; byte-deterministic."""
+    check_seed(seed)
     d = as_density(d)
     count = relator_count(m, l, d, budget)
     relators = tuple(
@@ -162,6 +169,7 @@ def extend_presentation(
     base: Presentation, d_target, seed: int, budget: int = DEFAULT_COUNT_BUDGET
 ) -> Presentation:
     """Two-step sampling: keep base.relators as a prefix, draw the rest fresh."""
+    check_seed(seed)
     d_target = as_density(d_target)
     if d_target < base.density:
         raise NestingError(
@@ -211,7 +219,7 @@ def parse_presentation(text: str, budget: int = DEFAULT_COUNT_BUDGET) -> Present
         seed = int(fields["seed"])
         count = int(fields["count"])
         parent = fields["parent"]
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad parameter line: {e}", line=2)
     relators = []
     ab = Alphabet(m)

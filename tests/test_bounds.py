@@ -23,14 +23,18 @@ from randomgroups.bounds import (
     transfer_params,
     wilson_interval,
 )
+from randomgroups import bounds as bounds_mod
+from randomgroups import diagrams as diagrams_mod
 from randomgroups.diagrams import (
     belonging,
     boundary_walks,
     enumerate_diagrams,
+    fill,
     restrict_boundary,
     single_face_diagram,
 )
-from randomgroups.errors import BudgetExceededError, DomainError
+from randomgroups.errors import BudgetExceededError, DomainError, PreconditionError
+from randomgroups.model import sample_presentation
 from randomgroups.words import rivin_count
 
 
@@ -262,6 +266,47 @@ def test_mc_rejects_jobs_below_one(jobs):
     rd = restrict_boundary(single_face_diagram(4), {0: "a"})
     with pytest.raises(DomainError):
         mc_fillability(rd, 2, 4, 0, trials=10, seed=1, jobs=jobs)
+
+
+def test_mc_compiles_the_diagram_once(monkeypatch):
+    calls = []
+    real = diagrams_mod.compile_constraints
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # patched in both modules, so a per-trial `fill` would be counted too
+    monkeypatch.setattr(bounds_mod, "compile_constraints", counting)
+    monkeypatch.setattr(diagrams_mod, "compile_constraints", counting)
+    rd = restrict_boundary(single_face_diagram(4), {0: "a"})
+    mc_fillability(rd, 2, 4, Fraction(1, 4), trials=30, seed=3)
+    assert calls == [rd]
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_mc_hits_match_per_trial_fill(index):
+    from tests.test_acceptance import _ruleout_catalogue
+
+    l, trials, seed = 6, 200, 7
+    d = _ruleout_catalogue(l)[index]
+    hits = 0
+    for t in range(trials):
+        s = int(np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(1)[0])
+        relators = sample_presentation(2, l, Fraction(1, 4), seed=s).relators
+        hits += fill(d, relators, mode="first") is not None
+    assert hits > 0
+    fp = mc_fillability(d, 2, l, Fraction(1, 4), trials=trials, seed=seed)
+    assert fp.estimate == hits / trials
+
+
+def test_mc_rejects_wrong_face_size_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the face size")
+
+    monkeypatch.setattr(bounds_mod, "sample_presentation", no_sampling)
+    with pytest.raises(PreconditionError):
+        mc_fillability(single_face_diagram(4), 2, 5, Fraction(1, 4), trials=5, seed=0)
 
 
 def test_wilson_coverage_on_exact_instance():

@@ -201,18 +201,67 @@ BAD_INPUTS = {
     "ball-no-in": "ball --radius 1",
     "build-no-in": "roundtree-build --branching-v 2 --bigh 4 --ext-offset 1 --ext-len 1 "
                    "--levels 1",
+    "fill-dangling-edge": "fill --diagram {dangling} --words abc",
+    "mc-dangling-edge": "fillprob-mc --diagram {dangling} --m 2 --l 3 --d 0 --trials 2",
+    "constraint-missing-vertex": "constraint --diagram {stray_vertex}",
+    "in-zero-denominator": "pieces --in {zero_denominator}",
+    "in-not-utf8": "pieces --in {not_utf8}",
+    "in-directory": "pieces --in {directory}",
+    "tree-directory": "roundtree-emanate --tree {directory} --k 2",
+    "config-directory": "rivin --config {directory}",
+    "sample-negative-seed": "sample --m 2 --l 4 --d 0 --seed -1",
+    "extend-negative-seed": "extend --in {host} --d-target 1/4 --seed -1",
+    "mc-negative-seed": "fillprob-mc --diagram {triangle} --m 2 --l 3 --d 0 --trials 2 "
+                        "--seed -1",
+    "scan-negative-seed": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials 1 --seed -1",
+    "confdim-const-zero": "bounds --which confdim --d 1/4 --const 0",
+    "confdim-const-negative": "bounds --which confdim --d 1/4 --const -1",
+    "confdim-const-huge": "bounds --which confdim --d 1/4 --const 1e400",
+    "rule-out-m-1": "bounds --which rule-out --m 1 --d 1/4",
+    "confdim-m-1": "bounds --which confdim --m 1 --d 1/4",
 }
+
+
+def _bad_input_files(tmp_path) -> dict:
+    triangle = json.loads(diagram_to_json(single_face_diagram(3)))
+    dangling = json.loads(diagram_to_json(single_face_diagram(3)))
+    dangling["faces"][0]["boundary"] = [1, 2, 9]
+    stray_vertex = json.loads(diagram_to_json(single_face_diagram(3)))
+    stray_vertex["edges"][0]["src"] = 77
+    texts = {
+        "bad": "this is not JSON\n",
+        "triangle": json.dumps(triangle),
+        "dangling": json.dumps(dangling),
+        "stray_vertex": json.dumps(stray_vertex),
+        "zero_denominator": "gromov-presentation v1\nm=2 l=4 d=1/0 seed=0 count=1 "
+                            "parent=none\nabab\n",
+    }
+    files = {name: tmp_path / f"{name}.txt" for name in texts}
+    for name, text in texts.items():
+        files[name].write_text(text)
+    files["not_utf8"] = tmp_path / "not_utf8.txt"
+    files["not_utf8"].write_bytes(b"gromov-presentation v1\n\xff\xfe\n")
+    files["directory"] = tmp_path / "directory"
+    files["directory"].mkdir()
+    files["host"] = tmp_path / "host.txt"
+    save_presentation(sample_presentation(2, 4, 0, seed=0), files["host"])
+    return files
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("this is not JSON\n")
-    host = tmp_path / "host.txt"
-    save_presentation(sample_presentation(2, 4, 0, seed=0), host)
-    assert run(BAD_INPUTS[case].format(bad=bad, host=host).split()) == 2
+    assert run(BAD_INPUTS[case].format(**_bad_input_files(tmp_path)).split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_jobs_only_on_fillprob_mc(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["fillprob-mc", "--diagram", "d.json", "--jobs", "2"]).jobs == "2"
+    with pytest.raises(SystemExit) as e:
+        main(["rivin", "--m", "2", "--l", "3", "--jobs", "2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_sample_near_density_one(capsys):

@@ -147,6 +147,24 @@ def test_tie_edges_flagged_and_unfillable():
     assert fill_tuples_bruteforce(d, words, distinct=False) == []
 
 
+@pytest.mark.parametrize("l", [3, 4])
+def test_compiled_never_fillable_matches_belonging(l):
+    ab = Alphabet(2)
+    rng = random.Random(31 + l)
+    diagrams, _ = enumerate_diagrams(2, l)
+    if l == 3:
+        diagrams.append(two_face_diagram(3, 1, bears=(1, 1), orientations=(1, 1), dists=(0, 0)))
+    seen = set()
+    for d in diagrams:
+        walk = boundary_walks(d)[0]
+        pat = {i: "aAbB"[rng.randrange(4)] for i in rng.sample(range(len(walk)), 2)}
+        for dd in (d, restrict_boundary(d, pat)):
+            tie = belonging(dd).never_fillable
+            assert compile_constraints(dd, ab).never_fillable == tie
+            seen.add(tie)
+    assert seen == {True, False}
+
+
 def test_fill_single_bigon():
     # single 2-gon face, relator "ab"
     d = single_face_diagram(2)
