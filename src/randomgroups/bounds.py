@@ -20,6 +20,7 @@ import numpy as np
 from .diagrams import (
     ConstraintReport,
     Diagram,
+    _count_partial_fillings,
     _search,
     belonging,
     compile_constraints,
@@ -314,16 +315,14 @@ def exact_partial_fillability_sequence(
     rep = belonging(diagram)
     N = rivin_count(m, l)
     arr, _words, ab = _word_matrix(m, l, budget)
+    cons = compile_constraints(diagram, ab)
     out = []
     for i in range(1, diagram.n + 1):
         if N**i > budget:
             raise BudgetExceededError(
                 f"{N}^{i} tuples exceed the tuple budget {budget}", budget=budget
             )
-        good = count_partial_fillings_vectorized(
-            diagram, arr, i, ab, order=rep.order, budget=budget
-        )
-        out.append(Fraction(good, N**i))
+        out.append(Fraction(_count_partial_fillings(cons, arr, i, rep.order[:i]), N**i))
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -248,7 +249,11 @@ class CayleyBall:
             assert abs(self.dist[a] - self.dist[b]) <= _graph_distance(self, a, b)
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps(self.to_dict(), indent=2)
+
+    def to_dict(self) -> dict:
+        letters = self.presentation.alphabet.letters
+        return {
             "m": self.presentation.m,
             "l": self.presentation.l,
             "radius": self.radius,
@@ -258,19 +263,19 @@ class CayleyBall:
             ],
             "edges": sorted(
                 {
-                    (min(u, v), max(u, v), self.presentation.alphabet.letters[x if u < v else x ^ 1])
+                    (min(u, v), max(u, v), letters[x if u < v else x ^ 1])
                     for u, nbrs in enumerate(self.adjacency)
                     for x, v in nbrs.items()
                 }
             ),
         }
-        return json.dumps(payload, indent=2)
 
     def adjacency_csv(self) -> str:
+        letters = self.presentation.alphabet.letters
         lines = ["src,dst,letter"]
         for u, nbrs in enumerate(self.adjacency):
             for x, v in sorted(nbrs.items()):
-                lines.append(f"{u},{v},{self.presentation.alphabet.letters[x]}")
+                lines.append(f"{u},{v},{letters[x]}")
         return "\n".join(lines) + "\n"
 
 
@@ -311,6 +316,7 @@ def cayley_ball(
     dist = [0]
     adjacency: list[dict[int, int]] = [dict()]
     index: dict[tuple[int, ...], int] = {(): 0}
+    susp = [False]                       # eng.is_suspicious(words[v])
     canon_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def walk(w: tuple[int, ...]) -> int:
@@ -319,10 +325,12 @@ def cayley_ball(
             at = adjacency[at][x]
         return at
 
-    def identify(w: tuple[int, ...], create: bool) -> int | None:
-        """Vertex for candidate w (one letter beyond a complete level)."""
+    def identify(u: int, w: tuple[int, ...], create: bool) -> int | None:
+        """Vertex for candidate w = words[u] + (x,), one letter beyond a
+        complete level.  Its only window that words[u] lacks is its tail, so
+        w is suspicious exactly when u is or that tail is a detect window."""
         n = len(w)
-        if 2 * n < p.l or not eng.is_suspicious(w):
+        if 2 * n < p.l or not (susp[u] or w[-eng.t_detect :] in eng._detect_index):
             vid = index.get(w)
             if vid is not None:
                 return vid
@@ -353,6 +361,7 @@ def cayley_ball(
                 budget=vertex_budget,
             )
         words.append(key)
+        susp.append(eng.is_suspicious(key))
         dist.append(n)
         adjacency.append(dict())
         index[key] = len(words) - 1
@@ -374,7 +383,7 @@ def cayley_ball(
                         if v is None:
                             v = _new_vertex(cached, n)
                     else:
-                        v = identify(wu + (x,), create=True)
+                        v = identify(u, wu + (x,), create=True)
                 adjacency[u][x] = v
                 adjacency[v][x ^ 1] = u
         level = [v for v in range(len(words)) if dist[v] == n]
@@ -387,7 +396,7 @@ def cayley_ball(
             if wu and wu[-1] == (x ^ 1):
                 v = index[wu[:-1]]
             else:
-                v = identify(wu + (x,), create=False)
+                v = identify(u, wu + (x,), create=False)
             if v is not None:
                 adjacency[u][x] = v
                 adjacency[v][x ^ 1] = u
@@ -401,16 +410,22 @@ def cayley_ball(
     )
 
 
-_BALL_CACHE: dict[tuple[str, int], CayleyBall] = {}
+# (presentation fingerprint, radius) -> ball, least recently used first
+_BALL_CACHE: OrderedDict[tuple[str, int], CayleyBall] = OrderedDict()
+_BALL_CACHE_SIZE = 8
 
 
 def _cached_ball(p: Presentation, radius: int, vertex_budget: int) -> CayleyBall:
-    key = (p.fingerprint(), radius)
-    for (fp, r), ball in _BALL_CACHE.items():
-        if fp == key[0] and r >= radius:
-            return ball
+    """A cached ball of radius >= `radius` for p, else a new one, cached."""
+    fp = p.fingerprint()
+    key = next((k for k in _BALL_CACHE if k[0] == fp and k[1] >= radius), None)
+    if key is not None:
+        _BALL_CACHE.move_to_end(key)
+        return _BALL_CACHE[key]
     ball = cayley_ball(p, radius, vertex_budget)
-    _BALL_CACHE[key] = ball
+    _BALL_CACHE[(fp, radius)] = ball
+    if len(_BALL_CACHE) > _BALL_CACHE_SIZE:
+        _BALL_CACHE.popitem(last=False)
     return ball
 
 
@@ -586,7 +601,20 @@ def naive_closure_ball(
     node_budget: int = 300_000,
     passes: int = 3,
 ) -> UnverifiedBall:
-    """Bounded congruence closure: no termination or exactness guarantee."""
+    """Bounded congruence closure: no termination or exactness guarantee.
+
+    Every node w is merged with the node w·ρ for each relator rotation ρ that
+    lands inside the cap.  Both words are reduced, so w·ρ reduces to
+    w[:n-k] + ρ[k:] for the length k of the cancellation at the seam, and it
+    has length ≤ cap exactly when k ≥ k0 = max(0, ⌈(n + l - cap)/2⌉).  So
+    only the rotations whose first k0 letters invert the last k0 letters of w
+    are tried, looked up in an index of the rotations by their k0-prefix.
+
+    The merge pairs are therefore a fixed set, collected once.  `union` hangs
+    the larger root under the smaller, so each class's root is its least
+    node whatever the order of the merges, and a second pass never merges
+    anything: with `passes` ≥ 2, `saturated` is always true.
+    """
     m = p.m
     nodes: list[tuple[int, ...]] = [()]
     index: dict[tuple[int, ...], int] = {(): 0}
@@ -626,16 +654,27 @@ def naive_closure_ball(
         return False
 
     rotations = [tuple(rho) for rho in _slot_windows(_relator_texts(p.relators), p.l).tolist()]
+    by_prefix: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
+    pairs = []
+    for a, w in enumerate(nodes):
+        n = len(w)
+        k0 = max(0, -(-(n + p.l - word_cap) // 2))
+        if k0 > min(n, p.l):
+            continue
+        if k0 not in by_prefix:
+            by_prefix[k0] = {}
+            for rho in rotations:
+                by_prefix[k0].setdefault(rho[:k0], []).append(rho)
+        seam = tuple(x ^ 1 for x in reversed(w[n - k0 :]))
+        for rho in by_prefix[k0].get(seam, ()):
+            # index holds every reduced word within the cap
+            pairs.append((a, index[_reduce_ints(w + rho)]))
     saturated = False
     for _ in range(passes):
         changed = False
-        for w in nodes:
-            a = index[w]
-            for rho in rotations:
-                v = _reduce_ints(w + rho)
-                b = index.get(v)
-                if b is not None and union(a, b):
-                    changed = True
+        for a, b in pairs:
+            if union(a, b):
+                changed = True
         if not changed:
             saturated = True
             break

@@ -210,8 +210,8 @@ def cmd_ball(args, cfg):
     radius = _resolve(args, cfg, "radius", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=cayley_mod.DEFAULT_VERTEX_BUDGET)
     ball = cayley_mod.cayley_ball(p, radius, vertex_budget=budget)
-    payload = _payload("ball", {"in": str(args.infile), "radius": radius}, json.loads(ball.to_json()))
-    _emit(args, payload, csv_text=ball.adjacency_csv())
+    payload = _payload("ball", {"in": str(args.infile), "radius": radius}, ball.to_dict())
+    _emit(args, payload, csv_text=ball.adjacency_csv() if args.format == "csv" else None)
 
 
 def cmd_diagrams_enumerate(args, cfg):

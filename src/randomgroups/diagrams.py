@@ -137,13 +137,19 @@ def _endpoints(diagram: Diagram, signed_edge: int) -> tuple[int, int]:
     return (e.src, e.dst) if signed_edge > 0 else (e.dst, e.src)
 
 
+def _dangling_edges(diagram: Diagram) -> list[str]:
+    vset = set(diagram.vertices)
+    return [
+        f"edge {e.id} references missing vertices"
+        for e in diagram.edges.values()
+        if e.src not in vset or e.dst not in vset
+    ]
+
+
 def validate(diagram: Diagram) -> ValidationReport:
     """Structural check of every defining condition; report-based."""
-    rep = ValidationReport()
+    rep = ValidationReport(violations=_dangling_edges(diagram))
     vset = set(diagram.vertices)
-    for e in diagram.edges.values():
-        if e.src not in vset or e.dst not in vset:
-            rep.violations.append(f"edge {e.id} references missing vertices")
     for fi, f in enumerate(diagram.faces):
         for se in f.boundary:
             if se == 0 or abs(se) not in diagram.edges:
@@ -219,7 +225,13 @@ def validate(diagram: Diagram) -> ValidationReport:
 
 
 def is_reduced(diagram: Diagram) -> bool:
-    """No same-relator mirrored pair across an edge, no degree-1 boundary vertices."""
+    """No same-relator mirrored pair across an edge, no degree-1 boundary vertices.
+
+    PreconditionError when an edge names a missing vertex, which `validate`
+    reports as a violation."""
+    dangling = _dangling_edges(diagram)
+    if dangling:
+        raise PreconditionError(f"is_reduced requires a valid diagram: {dangling[0]}")
     sides = diagram.side_map()
     for e, s in sides.items():
         if len(s) != 2:
@@ -537,9 +549,15 @@ def count_partial_fillings_vectorized(
         raise BudgetExceededError(
             f"{N}^{upto} tuples exceed the tuple budget {budget}", budget=budget
         )
-    cons = compile_constraints(diagram, alphabet)
+    return _count_partial_fillings(compile_constraints(diagram, alphabet), words, upto, order)
+
+
+def _count_partial_fillings(cons: CompiledConstraints, words: np.ndarray, upto: int,
+                            order: tuple[int, ...]) -> int:
+    """The count above for compiled constraints; slot s bears order[s]."""
     if cons.never_fillable:
         return 0
+    N = len(words)
 
     def along(column: np.ndarray, slot: int) -> np.ndarray:
         shape = [1] * upto

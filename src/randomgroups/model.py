@@ -14,6 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,11 @@ class Presentation:
         return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # computed once: every field that serialize() reads is frozen
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
 

@@ -30,12 +30,13 @@ from randomgroups.diagrams import (
     boundary_walks,
     enumerate_diagrams,
     fill,
+    glue_face,
     restrict_boundary,
     single_face_diagram,
 )
 from randomgroups.errors import BudgetExceededError, DomainError, PreconditionError
 from randomgroups.model import sample_presentation
-from randomgroups.words import rivin_count
+from randomgroups.words import Alphabet, enumerate_cyclically_reduced, rivin_count
 
 
 def test_rule_out_values():
@@ -282,6 +283,28 @@ def test_mc_compiles_the_diagram_once(monkeypatch):
     rd = restrict_boundary(single_face_diagram(4), {0: "a"})
     mc_fillability(rd, 2, 4, Fraction(1, 4), trials=30, seed=3)
     assert calls == [rd]
+
+
+def test_exact_sequence_compiles_the_diagram_once(monkeypatch):
+    d = glue_face(single_face_diagram(4), 0, 2, bears=2)
+    ab = Alphabet(2)
+    arr = np.array([ab.encode(w) for w in enumerate_cyclically_reduced(2, 4)], dtype=np.int8)
+    order = belonging(d).order
+    N = len(arr)
+    per_index = [Fraction(diagrams_mod.count_partial_fillings_vectorized(d, arr, i, ab, order),
+                          N**i) for i in range(1, d.n + 1)]
+    calls = []
+    real = diagrams_mod.compile_constraints
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "compile_constraints", counting)
+    monkeypatch.setattr(diagrams_mod, "compile_constraints", counting)
+    assert per_index[-1] > 0
+    assert exact_partial_fillability_sequence(d, 2, 4) == per_index
+    assert calls == [d]
 
 
 @pytest.mark.parametrize("index", [0, 3])

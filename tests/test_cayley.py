@@ -1,9 +1,14 @@
+import hashlib
 import random
+from collections import OrderedDict, deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from randomgroups import cayley as cayley_mod
 from randomgroups.cayley import (
     cayley_ball,
     cprime_genericity_scan,
@@ -18,7 +23,7 @@ from randomgroups.cayley import (
 )
 from randomgroups.errors import DomainError, NotVerifiedError, PartialBallError
 from randomgroups.model import Presentation, sample_presentation
-from randomgroups.words import Alphabet, inverse_word, reduce_word
+from randomgroups.words import Alphabet, _reduce_ints, inverse_word, reduce_word
 
 from tests.conftest import find_verified_presentation
 
@@ -151,6 +156,56 @@ def test_ball_exports(verified_presentation):
     assert '"radius": 2' in js
     csv = ball.adjacency_csv()
     assert csv.startswith("src,dst,letter")
+    # radius 6 reaches 2n >= l, where vertices are identified; the digests
+    # pin the export bytes
+    ball = cayley_ball(verified_presentation, 6)
+    assert len(ball.words) == 23425
+    assert hashlib.sha256(ball.to_json().encode()).hexdigest() == (
+        "76c4184e960743940563007340f78690fea1a65b9a2e30db60c68badfbe18048")
+    assert hashlib.sha256(ball.adjacency_csv().encode()).hexdigest() == (
+        "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
+
+
+def test_ball_cache_is_a_bounded_lru(monkeypatch):
+    built = []
+
+    def fake_ball(p, radius, vertex_budget):
+        built.append((p.seed, radius))
+        return (p.seed, radius)
+
+    monkeypatch.setattr(cayley_mod, "cayley_ball", fake_ball)
+    monkeypatch.setattr(cayley_mod, "_BALL_CACHE", OrderedDict())
+    size = cayley_mod._BALL_CACHE_SIZE
+    ps = [sample_presentation(2, 4, 0, seed=s) for s in range(size + 1)]
+    cached = cayley_mod._cached_ball
+    # a larger cached ball serves a smaller radius; a larger radius builds
+    assert cached(ps[0], 5, 100) == (0, 5)
+    assert cached(ps[0], 3, 100) == (0, 5)
+    assert cached(ps[0], 6, 100) == (0, 6)
+    assert built == [(0, 5), (0, 6)]
+    for p in ps[1:size - 1]:
+        cached(p, 1, 100)
+    assert len(cayley_mod._BALL_CACHE) == size
+    # touching (0, 5) makes (0, 6) the least recently used entry
+    assert cached(ps[0], 4, 100) == (0, 5)
+    cached(ps[size - 1], 1, 100)
+    assert len(cayley_mod._BALL_CACHE) == size
+    assert (ps[0].fingerprint(), 6) not in cayley_mod._BALL_CACHE
+    assert (ps[0].fingerprint(), 5) in cayley_mod._BALL_CACHE
+    del built[:]
+    assert cached(ps[0], 6, 100) == (0, 6)
+    assert built == [(0, 6)]
+    assert (ps[1].fingerprint(), 1) not in cayley_mod._BALL_CACHE
+
+
+def test_fingerprint_computed_once(monkeypatch):
+    p = sample_presentation(2, 8, Fraction(1, 4), seed=3)
+    calls = []
+    real = Presentation.serialize
+    monkeypatch.setattr(Presentation, "serialize", lambda self: calls.append(1) or real(self))
+    fp = p.fingerprint()
+    assert p.fingerprint() == fp and len(calls) == 1
+    assert fp == hashlib.sha256(real(p).encode("utf-8")).hexdigest()
 
 
 def test_hyperbolicity_bound():
@@ -205,6 +260,76 @@ def test_naive_closure_finds_planted_shortcut():
     nb = naive_closure_ball(target, word_cap=7, node_budget=400_000)
     upper = nb.distance_upper(w7)
     assert upper is not None and upper <= 5  # the shortcut is a real path
+
+
+def _closure_oracle(p, nb, passes):
+    """The all-rotations scan: every node of nb's free ball against every
+    rotation of every relator and inverse.  Returns the least member of each
+    node's class, the quotient BFS distances by class and `saturated`."""
+    ab = p.alphabet
+    rotations = [ab.encode(s[q:] + s[:q]) for r in p.relators
+                 for s in (r, inverse_word(r, ab)) for q in range(p.l)]
+    index = nb._index
+    nodes = sorted(index, key=index.get)
+    root = list(range(len(nodes)))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    saturated = False
+    for _ in range(passes):
+        changed = False
+        for w in nodes:
+            for rho in rotations:
+                b = index.get(_reduce_ints(w + rho))
+                if b is not None:
+                    ra, rb = find(index[w]), find(b)
+                    if ra != rb:
+                        root[max(ra, rb)] = min(ra, rb)
+                        changed = True
+        if not changed:
+            saturated = True
+            break
+    cls = [find(i) for i in range(len(nodes))]
+    adj = {c: set() for c in cls}
+    for i, w in enumerate(nodes):
+        if w:
+            adj[cls[i]].add(cls[index[w[:-1]]])
+            adj[cls[index[w[:-1]]]].add(cls[i])
+    dist = {cls[0]: 0}
+    queue = deque([cls[0]])
+    while queue:
+        c = queue.popleft()
+        for e in adj[c]:
+            if e not in dist:
+                dist[e] = dist[c] + 1
+                queue.append(e)
+    return cls, dist, saturated
+
+
+@st.composite
+def _closure_cases(draw):
+    m = draw(st.sampled_from([2, 3]))
+    l = draw(st.integers(2, 6))
+    d = draw(st.sampled_from([Fraction(0), Fraction(1, 6), Fraction(1, 4)]))
+    cap = draw(st.integers(1, 7 if m == 2 else 5))
+    return sample_presentation(m, l, d, seed=draw(st.integers(0, 2**32))), cap
+
+
+@given(_closure_cases())
+@settings(max_examples=40, deadline=None)
+def test_naive_closure_matches_all_rotations_scan(case):
+    # caps below l, where short nodes are skipped, and at or above l + |w|,
+    # where every rotation is tried (k0 = 0), both occur
+    p, cap = case
+    for passes in (1, 3):
+        nb = naive_closure_ball(p, word_cap=cap, passes=passes)
+        cls, dist, saturated = _closure_oracle(p, nb, passes)
+        assert [nb._find(i) for i in range(len(cls))] == cls
+        assert nb._dist == dist
+        assert nb.saturated == saturated
 
 
 def test_scan_micro_oracle_at_d0():

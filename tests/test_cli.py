@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from randomgroups import __version__
+from randomgroups.cayley import cayley_ball
 from randomgroups.cli import BOUNDS_DISPATCH, HANDLERS, OP_TABLE, build_parser, main
 from randomgroups.diagrams import diagram_to_json, restrict_boundary, single_face_diagram
 from randomgroups.model import load_presentation, sample_presentation, save_presentation
@@ -73,13 +75,19 @@ def test_dehn_and_ball_verified(tmp_path, capsys, verified_presentation):
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["trivial"] is True
     ballfile = tmp_path / "ball.json"
-    assert run(["ball", "--in", str(pfile), "--radius", "2", "--out", str(ballfile)]) == 0
+    assert run(["ball", "--in", str(pfile), "--radius", "6", "--out", str(ballfile)]) == 0
     ball = json.loads(ballfile.read_text())
-    assert ball["result"]["radius"] == 2
+    assert ball["result"]["radius"] == 6
+    # the payload bytes are those of a round trip through CayleyBall.to_json
+    exact = cayley_ball(verified_presentation, 6)
+    old = {"command": "ball", "config": {"in": str(pfile), "radius": 6},
+           "result": json.loads(exact.to_json()), "version": __version__,
+           "timestamp": ball["timestamp"]}
+    assert ballfile.read_text() == json.dumps(old, indent=2, sort_keys=True) + "\n"
     csvfile = tmp_path / "ball.csv"
-    assert run(["ball", "--in", str(pfile), "--radius", "2", "--format", "csv",
+    assert run(["ball", "--in", str(pfile), "--radius", "6", "--format", "csv",
                 "--out", str(csvfile)]) == 0
-    assert csvfile.read_text().startswith("src,dst,letter")
+    assert csvfile.read_text() == exact.adjacency_csv()
 
 
 def test_ball_budget_exit_code(tmp_path, verified_presentation):

@@ -94,6 +94,15 @@ def test_is_reduced_examples():
     edges[9] = Edge(9, 0, 50)
     d3 = Diagram(vertices=d3.vertices + (50,), edges=edges, faces=d3.faces)
     assert not is_reduced(d3)
+    # an edge naming a missing vertex: the violation `validate` reports
+    d4 = single_face_diagram(3)
+    edges = dict(d4.edges)
+    edges[1] = Edge(1, 77, edges[1].dst)
+    d4 = Diagram(vertices=d4.vertices, edges=edges, faces=d4.faces)
+    violation = validate(d4).violations[0]
+    assert violation == "edge 1 references missing vertices"
+    with pytest.raises(PreconditionError, match=violation):
+        is_reduced(d4)
 
 
 def test_belonging_two_faces():
