@@ -28,7 +28,7 @@ from .diagrams import (
 )
 from .errors import BudgetExceededError, DomainError, PreconditionError
 from .model import check_seed, sample_presentation
-from .words import Alphabet, enumerate_cyclically_reduced, rivin_count
+from .words import DECIMAL_DIGIT_BUDGET, Alphabet, enumerate_cyclically_reduced, rivin_count
 
 DEFAULT_TUPLE_BUDGET = 10**7
 
@@ -88,17 +88,31 @@ def _logb(x: Fraction | float, base: int) -> float:
     return math.log(x) / math.log(base)
 
 
+def _float(x: Fraction, what: str) -> float:
+    try:
+        return float(x)
+    except OverflowError as e:
+        raise DomainError(f"the {what} does not fit a float: {e}") from e
+
+
 def rule_out_bound(m: int, l: int, d) -> BoundReport:
     """The fillability rule-out value 2m(2m-1)^((d - 1/2)l)."""
     d = Fraction(d)
     if not (0 < d < Fraction(1, 2)):
         raise DomainError(f"need 0 < d < 1/2, got {d}")
+    if l < 1:
+        raise DomainError(f"need l >= 1, got l={l}")
     base = 2 * m - 1
     expo = (d - Fraction(1, 2)) * l
-    value_log = _logb(Fraction(2 * m), base) + float(expo)
+    value_log = _logb(Fraction(2 * m), base) + _float(expo, "rule-out bound")
     value = None
-    if expo.denominator == 1:
+    # the exact value only while (2m-1)^|expo| >= 2^(|expo|·⌊log2(2m-1)⌋)
+    # can have at most DECIMAL_DIGIT_BUDGET digits
+    if expo.denominator == 1 and \
+            -expo.numerator * (base.bit_length() - 1) <= 4 * DECIMAL_DIGIT_BUDGET:
         value = Fraction(2 * m) * Fraction(base) ** expo.numerator
+        if value.denominator >= 10**DECIMAL_DIGIT_BUDGET:
+            value = None
     return BoundReport(
         name="rule-out",
         value_log=value_log,
@@ -151,7 +165,7 @@ def inductive_fill_bounds(
         esum += report.E_per_relator[pos]
         p_bound = Fraction(2 * m) ** pos * Fraction(1, base) ** esum
         p_log = pos * _logb(Fraction(2 * m), base) - esum
-        P_log = p_log + float(pos * d * l)
+        P_log = p_log + _float(pos * d * l, "inductive bound")
         out.append(
             InductiveFillBound(
                 position=pos,
@@ -175,11 +189,12 @@ def emanating_bound(k: int, m: int, l: int, d, beta, H, epsilon) -> BoundReport:
     if d >= Fraction(1, 2):
         raise DomainError("emanating bound needs d < 1/2")
     base = 2 * m - 1
+    what = "emanating bound"
     log_val = (
         _logb(Fraction(l * l, 2), base)
-        + float(Fraction(40 * k) / (d * l)) * _logb(Fraction(k), base)
-        + float((2 * beta + Fraction(40) / (d * H) + epsilon) * k)
-        + float(4 * d * l)
+        + _float(Fraction(40 * k) / (d * l), what) * _logb(Fraction(k), base)
+        + _float((2 * beta + Fraction(40) / (d * H) + epsilon) * k, what)
+        + _float(4 * d * l, what)
     )
     return BoundReport(
         name="emanating-count",

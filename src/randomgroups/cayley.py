@@ -400,13 +400,15 @@ def cayley_ball(
             if v is not None:
                 adjacency[u][x] = v
                 adjacency[v][x ^ 1] = u
+    # index holds one entry per vertex, in vertex order
+    names = [ab.decode(w) for w in words]
     return CayleyBall(
         presentation=p,
         radius=radius,
-        words=[ab.decode(w) for w in words],
+        words=names,
         dist=dist,
         adjacency=adjacency,
-        index={ab.decode(w): i for w, i in index.items()},
+        index={name: i for i, name in enumerate(names)},
     )
 
 

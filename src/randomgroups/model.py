@@ -23,6 +23,12 @@ from .errors import BudgetExceededError, DomainError, NestingError, ParseError
 from .words import Alphabet, is_cyclically_reduced_word, sample_cyclically_reduced
 
 DEFAULT_COUNT_BUDGET = 10**6
+# a desk-scale limit, like Alphabet's 26 generators: it bounds each relator
+# before a single letter is drawn
+MAX_RELATOR_LENGTH = 10_000
+# the largest power (2m-1)^p that relator_count computes exactly: a density
+# with a huge denominator makes p huge even when the count is small
+POWER_BIT_BUDGET = 1 << 22
 
 FORMAT_HEADER = "gromov-presentation v1"
 
@@ -33,6 +39,8 @@ def integer_nth_root(n: int, q: int) -> int:
         raise DomainError("integer_nth_root needs n >= 0, q >= 1")
     if n < 2 or q == 1:
         return n
+    if q >= n.bit_length():
+        return 1  # 2**q > n; also keeps a huge q out of floats and powers
     # first guess from log2(n): math.log2 takes an int of any size, so n
     # never becomes a float, which could overflow.  Below 2**40 the guess is
     # within one of the root; above, only its top 40 bits are trusted
@@ -78,12 +86,20 @@ def relator_count(m: int, l: int, d, budget: int = DEFAULT_COUNT_BUDGET) -> int:
     """Exact ⌊(2m-1)^(dl)⌋ via integer q-th roots of (2m-1)^(pl)."""
     if m < 2 or l < 1:
         raise DomainError(f"need m >= 2 and l >= 1, got m={m}, l={l}")
+    if l > MAX_RELATOR_LENGTH:
+        raise DomainError(f"relators longer than {MAX_RELATOR_LENGTH} letters are out of scope")
     d = as_density(d)
     base = 2 * m - 1
     exponent = d * l  # exact Fraction p/q in lowest terms
     p, q = exponent.numerator, exponent.denominator
-    # cheap overflow guard before computing base**p
-    if p * math.log2(base) > q * (math.log2(budget) + 2):
+    if p * base.bit_length() > POWER_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"the exact count needs a power of 2m-1 of over {POWER_BIT_BUDGET} bits",
+            budget=POWER_BIT_BUDGET,
+        )
+    # cheap guard before computing base**p: p is bounded now, and a float
+    # compares exactly with an int q of any size
+    if budget < 1 or p * math.log2(base) / (math.log2(budget) + 2) > q:
         raise BudgetExceededError(
             f"relator count (2m-1)^(dl) exceeds the model budget {budget}",
             budget=budget,

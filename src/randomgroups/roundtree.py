@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .model import Presentation, parse_presentation
+from .model import Presentation, check_seed, parse_presentation
 from .words import Alphabet, _relator_texts, _slot_windows, _sort_rows, _text_length
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -251,16 +251,17 @@ class RoundTree:
         new_cells_this_level = 0
         for sector in sorted(current, key=lambda s: s.key):
             pieces, points = self._partition(sector, dist, seg)
-            classes = [self._class_of(u, parents, sector, idx, len(points))
-                       for idx, u in enumerate(points)]
-            plan = self._search_windows(sector, pieces, points, classes)
-            new_cells_this_level += self._build_from_plan(
-                sector, pieces, points, classes, plan
-            )
+            # the sector gets one cell per piece and branch: refuse a level
+            # over budget before searching and building it
+            new_cells_this_level += len(pieces) * prm.V
             if new_cells_this_level > prm.level_budget:
                 raise ConstructionObstructedError(
                     f"level budget {prm.level_budget} exceeded", sector=sector.key
                 )
+            classes = [self._class_of(u, parents, sector, idx, len(points))
+                       for idx, u in enumerate(points)]
+            plan = self._search_windows(sector, pieces, points, classes)
+            self._build_from_plan(sector, pieces, points, classes, plan)
         self.levels += 1
         self._post_level_checks()
         return self
@@ -535,7 +536,7 @@ class RoundTree:
 
     # -- building from a plan ------------------------------------------------
 
-    def _build_from_plan(self, sector, pieces, points, classes, plan) -> int:
+    def _build_from_plan(self, sector, pieces, points, classes, plan) -> None:
         prm = self.params
         off_n, ext_n = prm.ext_offset, prm.ext_len
         oe = off_n + ext_n
@@ -584,7 +585,6 @@ class RoundTree:
                     }
                 )
         # build cells and the child sectors
-        created = 0
         for j in range(prm.V):
             child_key = sector.key + (j,)
             child_outer: list[tuple[int, int]] = []
@@ -621,7 +621,6 @@ class RoundTree:
                          steps=tuple(steps), word=word)
                 )
                 child_cells.append(cid)
-                created += 1
                 bl = 2 * oe + len(piece)
                 label = self.path_label(steps[:bl])
                 self.brackets.append(
@@ -641,7 +640,6 @@ class RoundTree:
                 key=child_key, outer=child_outer, lray=lray, rray=rray,
                 cells=child_cells,
             )
-        return created
 
     def _leg_steps(self, u, c, j):
         word = self.offset_words[c] + self.ext_words[c][j]
@@ -1027,6 +1025,7 @@ def distortion_probe(
     bound regime) are certified, the rest are reported inconclusive."""
     from .cayley import distance, is_dehn_ready, naive_closure_ball
 
+    check_seed(seed)
     _require_nested(tree, target)
     rng = np.random.default_rng(seed)
     exact = is_dehn_ready(target)

@@ -18,6 +18,12 @@ the same for rᵢ⁻¹, so the window of length L <= l starting at position q
 orientation (the relator before its inverse), then position; the piece
 search, the Dehn arc index, the naive closure and the round-tree windows
 all consume slots in that order (`_slot_windows`).
+
+Pieces are found by sorting windows as byte rows: a repeated length-L
+window is a piece of length L, and the longest piece is the longest common
+prefix of two neighbouring length-(l-1) windows in sorted order.  Only the
+witness of `max_piece_length` needs a suffix automaton, and it is built on
+the few texts that hold a longest piece.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ _CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)
 _CODE_OF_BYTE[np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)] = np.arange(len(_CHARS))
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
+# exact counts and bounds are printed in full; CPython refuses to convert an
+# int of more decimal digits than this (its default int_max_str_digits)
+DECIMAL_DIGIT_BUDGET = 4300
 
 
 def inverse_letter(x: int) -> int:
@@ -186,7 +195,17 @@ def rivin_count(m: int, l: int) -> int:
     """Exact number of cyclically reduced words of length l on m generators."""
     if m < 1 or l < 1:
         raise DomainError(f"need m >= 1 and l >= 1, got m={m}, l={l}")
-    return (2 * m - 1) ** l + 1 + (m - 1) * (1 + (-1) ** l)
+    # (2m-1)^l >= 2^(l·⌊log2(2m-1)⌋) and 10^k < 2^(4k), so a power past the
+    # first test could not be printed anyway and is never computed
+    n = None
+    if l * ((2 * m - 1).bit_length() - 1) <= 4 * DECIMAL_DIGIT_BUDGET:
+        n = (2 * m - 1) ** l + 1 + (m - 1) * (1 + (-1) ** l)
+    if n is None or n >= 10**DECIMAL_DIGIT_BUDGET:
+        raise BudgetExceededError(
+            f"the count has more than {DECIMAL_DIGIT_BUDGET} digits",
+            budget=DECIMAL_DIGIT_BUDGET,
+        )
+    return n
 
 
 def enumerate_cyclically_reduced(
@@ -390,56 +409,86 @@ def max_piece_length(
 ) -> PieceReport:
     """Maximum piece length over all rotations of the relators and inverses.
 
-    Default implementation: a generalized suffix automaton over the doubled
-    rotations; `max_piece_length_quadratic` is the independent oracle.
+    The length is one sort: the length-(l-1) slot windows are sorted, and the
+    longest common prefix of two sorted neighbours is the longest piece
+    (Manber & Myers), capped at l-1 by construction.  The witness comes from
+    a generalized suffix automaton run only on the texts that hold a slot
+    of a longest piece (`_piece_witness`).  `max_piece_length_quadratic` is
+    the independent length oracle.
     """
     texts = _relator_texts(relators)
     l = _text_length(texts)
     report = PieceReport(0, None, {}, _relator_coincidences(texts), l)
     if l >= 2:
-        rows = texts.tolist()
-        # one automaton over all texts chained with unique separators: a
-        # substring containing a separator occurs exactly once, so it can
-        # never witness a repeat and needs no special handling
-        sam = _SuffixAutomaton()
-        for tid, t in enumerate(rows):
-            for pos, c in enumerate(t):
-                sam.extend(c, (tid, pos))
-            sam.extend(-1 - tid, None)
-
-        nstates = len(sam.length)
-        # per state: up to two occurrences keyed by slot identity
-        # (text id, end mod l); two distinct keys are two distinct slots
-        slots: list[dict[tuple[int, int], tuple[int, int]]] = [dict() for _ in range(nstates)]
-
-        def add_slot(v: int, occ: tuple[int, int]):
-            d = slots[v]
-            if len(d) >= 2:
-                return
-            tid, end = occ
-            d.setdefault((tid, end % l), occ)
-
-        for v in range(nstates):
-            if sam.own[v] is not None:
-                add_slot(v, sam.own[v])
-        order = sorted(range(nstates), key=lambda v: sam.length[v], reverse=True)
-        for v in order:
-            p = sam.link[v]
-            if p > 0:
-                for occ in slots[v].values():
-                    add_slot(p, occ)
-
-        best_v, best_len = -1, 0
-        for v in range(1, nstates):
-            if len(slots[v]) >= 2:
-                cand = min(sam.length[v], l - 1)
-                if cand > best_len:
-                    best_len, best_v = cand, v
-        if best_v >= 0:
-            report.max_piece_length = best_len
-            report.witness = _witness_from_state(slots[best_v], rows, l, best_len)
+        windows = _slot_windows(texts, l - 1)
+        order = np.argsort(windows.view(np.dtype((np.void, l - 1))).ravel(), kind="stable")
+        ranked = windows[order]
+        lcp = np.logical_and.accumulate(ranked[1:] == ranked[:-1], axis=1).sum(axis=1)
+        plen = int(lcp.max(initial=0))
+        if plen > 0:
+            # both slots of every neighbour pair sharing plen letters; a slot
+            # of text t is t·l + position (`_slot_windows`)
+            pairs = np.flatnonzero(lcp == plen)
+            tids = np.unique(order[np.concatenate([pairs, pairs + 1])] // l)
+            report.max_piece_length = plen
+            report.witness = _piece_witness(texts, tids.tolist(), plen)
     report.lambda_threshold_passed = {lam: report.passes(lam) for lam in lambdas}
     return report
+
+
+def _piece_witness(texts: np.ndarray, tids: list[int], plen: int) -> PieceWitness:
+    """The witness of a longest piece, of length plen, from the suffix
+    automaton of the texts `tids` (ascending) alone.
+
+    It is the witness the automaton of every text would give.  Each text
+    keeps its own id and separator, and a leading separator stands in for
+    text 0 when it is absent, so no chosen text becomes a prefix of the
+    whole stream.  The automaton's states for the pieces, their order of
+    creation and the order in which slots propagate are then those of the
+    full automaton: a state that owns a position is ranked by the length it
+    has in the full stream (text t starts at t·2l), any other state by its
+    own length.
+    """
+    l = _text_length(texts)
+    rows = {tid: texts[tid].tolist() for tid in tids}
+    # texts chained with unique separators: a substring containing a
+    # separator occurs exactly once, so it never witnesses a repeat
+    sam = _SuffixAutomaton()
+    if tids[0] != 0:
+        sam.extend(-1, None)
+    for tid in tids:
+        for pos, c in enumerate(rows[tid]):
+            sam.extend(c, (tid, pos))
+        sam.extend(-1 - tid, None)
+
+    nstates = len(sam.length)
+    # per state: up to two occurrences keyed by slot identity
+    # (text id, end mod l); two distinct keys are two distinct slots
+    slots: list[dict[tuple[int, int], tuple[int, int]]] = [dict() for _ in range(nstates)]
+
+    def add_slot(v: int, occ: tuple[int, int]):
+        d = slots[v]
+        if len(d) >= 2:
+            return
+        tid, end = occ
+        d.setdefault((tid, end % l), occ)
+
+    def rank(v: int) -> int:
+        own = sam.own[v]
+        return sam.length[v] if own is None else own[0] * 2 * l + own[1] + 1
+
+    for v in range(nstates):
+        if sam.own[v] is not None:
+            add_slot(v, sam.own[v])
+    for v in sorted(range(nstates), key=rank, reverse=True):
+        p = sam.link[v]
+        if p > 0:
+            for occ in slots[v].values():
+                add_slot(p, occ)
+
+    best_v = next(v for v in range(1, nstates)
+                  if len(slots[v]) >= 2 and min(sam.length[v], l - 1) == plen)
+    return _witness_from_state(slots[best_v], rows, l, plen)
 
 
 def _witness_from_state(d, rows, l, plen) -> PieceWitness:

@@ -121,7 +121,7 @@ def test_criterion_2_sampler_uniformity():
 def test_criterion_3_piece_oracle_equivalence():
     import random
 
-    with _Criterion(3, "suffix-automaton pieces equal the quadratic oracle, 200 sets") as c:
+    with _Criterion(3, "sorted-window piece lengths equal the quadratic oracle, 200 sets") as c:
         rng = random.Random(33)
         ab = Alphabet(2)
         for _ in range(200):

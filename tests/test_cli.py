@@ -1,8 +1,12 @@
+import contextlib
 import importlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomgroups import __version__
 from randomgroups.cayley import cayley_ball
@@ -227,6 +231,25 @@ BAD_INPUTS = {
     "confdim-const-huge": "bounds --which confdim --d 1/4 --const 1e400",
     "rule-out-m-1": "bounds --which rule-out --m 1 --d 1/4",
     "confdim-m-1": "bounds --which confdim --m 1 --d 1/4",
+    "sample-huge-l": "sample --m 2 --l {huge} --d 0 --seed 0",
+    "scan-huge-l": "cprime-scan --m 2 --l {huge} --lam 1/3 --d-grid 0 --trials 1",
+    "rule-out-l-0": "bounds --which rule-out --l 0 --d 1/4",
+    "rule-out-huge-l": "bounds --which rule-out --l {huge} --d 1/4",
+    "emanating-huge-k": "bounds --which emanating --k {huge} --beta 1/2 --bigh 4 --d 1/4",
+    "inductive-huge-l": "bounds --which inductive --diagram {triangle} --l {huge} --d 1/4",
+    "probe-negative-seed": "roundtree-probe --tree {tree} --target {verified} "
+                           "--which distortion --radius 2 --samples 3 --seed -1",
+    "build-huge-branching": "roundtree-build --in {host} --branching-v {huge} --bigh 4 "
+                            "--ext-offset 1 --ext-len 1 --levels 1",
+}
+
+# inputs that used to hang, exhaust memory or crash, and now exhaust a budget
+OVER_BUDGET_INPUTS = {
+    "rivin-huge-l": "rivin --m 2 --l {huge}",
+    "rivin-unprintable": "rivin --m 2 --l 9020",
+    "sample-negative-budget": "sample --m 2 --l 4 --d 0 --seed 0 --budget -1",
+    "sample-huge-denominator": "sample --m 2 --l 24 --d {huge}/4{huge}1 --seed 0",
+    "exact-huge-l": "fillprob-exact --diagram {triangle} --m 2 --l {huge}",
 }
 
 
@@ -253,14 +276,29 @@ def _bad_input_files(tmp_path) -> dict:
     files["directory"].mkdir()
     files["host"] = tmp_path / "host.txt"
     save_presentation(sample_presentation(2, 4, 0, seed=0), files["host"])
+    files["huge"] = "1" + "0" * 400
     return files
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
-    assert run(BAD_INPUTS[case].format(**_bad_input_files(tmp_path)).split()) == 2
+def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_presentation):
+    files = _bad_input_files(tmp_path)
+    if "{tree}" in BAD_INPUTS[case]:
+        files["verified"] = tmp_path / "verified.txt"
+        save_presentation(verified_presentation, files["verified"])
+        files["tree"] = tmp_path / "tree.json"
+        assert run(["roundtree-build", "--in", str(files["verified"]), "--branching-v", "2",
+                    "--bigh", "4", "--ext-offset", "1", "--ext-len", "1", "--seg-len", "3",
+                    "--levels", "0", "--out", str(files["tree"])]) == 0
+    assert run(BAD_INPUTS[case].format(**files).split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET_INPUTS))
+def test_over_budget_input_exits_3(case, tmp_path, capsys):
+    assert run(OVER_BUDGET_INPUTS[case].format(**_bad_input_files(tmp_path)).split()) == 3
+    assert capsys.readouterr().err.startswith("budget exhausted: ")
 
 
 def test_jobs_only_on_fillprob_mc(capsys):
@@ -276,3 +314,142 @@ def test_sample_near_density_one(capsys):
     assert run(["sample", "--m", "2", "--l", "7", "--d", "99999/100000", "--seed", "0",
                 "--budget", "3000"]) == 0
     assert "count=2186 " in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: a valid command line for every command, with one or two flags
+# set to a bad value (unreadable, negative, zero, huge, a file of the wrong
+# format) and now and then a flag left out.  Valid trials, samples and radii
+# are <= 3 and jobs is never above 1, so no example is slow and none starts
+# a process pool.
+# ---------------------------------------------------------------------------
+
+_HUGE = "1" + "0" * 400
+_BAD_INT = ["abc", "1.5", "-1", "0", "100000000000000000000", _HUGE, "-" + _HUGE]
+_BAD_FRAC = ["x", "1/0", "-1/2", "0", "3/2", "1e400", f"1/{_HUGE}", f"{_HUGE}/4{_HUGE}1",
+             "100000000000000000000"]
+_BAD_COUNT = ["abc", "", "1.5", "0", "-1", "-" + _HUGE]    # trials, samples, radii, jobs
+_BAD_FILES = ["@" + f for f in ("host.txt", "verified.txt", "tri.json", "tree.json",
+                                "junk.txt", "empty.txt", "binary.txt", "zero_den.txt",
+                                "huge_l.txt", "bad_relator.txt", "missing.txt", "dir")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, verified_presentation):
+    """Valid inputs and inputs of the wrong format, by name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: root / name for name in (
+        "host.txt", "verified.txt", "tri.json", "tree.json", "cfg.txt", "junk.txt",
+        "empty.txt", "binary.txt", "zero_den.txt", "huge_l.txt", "bad_relator.txt",
+        "cfg_bad.txt", "missing.txt", "dir", "out.json")}
+    save_presentation(sample_presentation(2, 6, 0, seed=0), files["host.txt"])
+    save_presentation(verified_presentation, files["verified.txt"])
+    files["tri.json"].write_text(diagram_to_json(single_face_diagram(3)))
+    assert main(["roundtree-build", "--in", str(files["verified.txt"]), "--branching-v", "2",
+                 "--bigh", "4", "--ext-offset", "1", "--ext-len", "1", "--seg-len", "3",
+                 "--levels", "0", "--out", str(files["tree.json"])]) == 0
+    files["cfg.txt"].write_text("m=2\nl=3\n")
+    files["cfg_bad.txt"].write_text("m 2\n")
+    files["junk.txt"].write_text("this is not any format\n")
+    files["empty.txt"].write_text("")
+    files["binary.txt"].write_bytes(b"\x00\xff\xfe{\n")
+    head = "gromov-presentation v1\nm=2 l={l} d={d} seed=0 count=1 parent=none\n"
+    files["zero_den.txt"].write_text(head.format(l=4, d="1/0") + "abab\n")
+    files["huge_l.txt"].write_text(head.format(l=_HUGE, d="0/1") + "abab\n")
+    files["bad_relator.txt"].write_text(head.format(l=4, d="0/1") + "abAB\n")
+    files["dir"].mkdir()
+    return {name: str(path) for name, path in files.items()}
+
+
+def _int(*valid):
+    return list(valid), _BAD_INT
+
+
+def _frac(*valid):
+    return list(valid), _BAD_FRAC
+
+
+def _count(*valid):
+    return list(valid), _BAD_COUNT
+
+
+def _file(*valid):
+    return ["@" + f for f in valid], _BAD_FILES
+
+
+# command -> flag -> (valid values, bad values); "@name" is fuzz file `name`
+_FUZZ_FLAGS = {
+    "rivin": {"--m": _int("2", "3"), "--l": _int("3", "8")},
+    "sample": {"--m": _int("2", "3"), "--l": _int("4", "8"), "--d": _frac("0", "1/4"),
+               "--seed": _int("0", "7"), "--budget": _int("50", "1000")},
+    "extend": {"--in": _file("host.txt"), "--d-target": _frac("1/4", "1/3"),
+               "--seed": _int("1")},
+    "pieces": {"--in": _file("host.txt", "verified.txt")},
+    "cprime-scan": {"--m": _int("2"), "--l": _int("6", "8"), "--lam": _frac("1/3"),
+                    "--d-grid": _frac("0", "1/10,1/4"), "--trials": _count("1", "3"),
+                    "--seed": _int("2")},
+    "dehn": {"--in": _file("verified.txt"), "--word": (["abAB", "1", "a" * 200],
+                                                       ["", "xyz", "a?b", _HUGE])},
+    "ball": {"--in": _file("verified.txt"), "--radius": _count("1", "3"),
+             "--budget": _int("50", "100000")},
+    "diagrams-enumerate": {"--faces": _int("1", "2"), "--l": _int("3", "4"),
+                           "--budget": _int("100", "100000")},
+    "fill": {"--diagram": _file("tri.json"), "--mode": (["all", "first", "count"], ["x", ""]),
+             "--words": (["abA,aBA,bab"], ["", "xyz", "ab,ab", _HUGE])},
+    "constraint": {"--diagram": _file("tri.json")},
+    "fillprob-exact": {"--diagram": _file("tri.json"), "--m": _int("2", "3"),
+                       "--l": _int("3"), "--budget": _int("100000")},
+    "fillprob-mc": {"--diagram": _file("tri.json"), "--m": _int("2"), "--l": _int("3"),
+                    "--d": _frac("0", "1/4"), "--trials": _count("1", "3"),
+                    "--seed": _int("4"), "--jobs": _count("1")},
+    "bounds": {"--which": (["rule-out", "emanating", "confdim", "roundtree-lower",
+                            "hyperbolicity", "inductive"], ["nonsense", ""]),
+               "--m": _int("2", "3"), "--l": _int("8", "100"), "--d": _frac("1/4"),
+               "--k": _int("4"), "--beta": _frac("1/2"), "--bigh": _frac("4"),
+               "--epsilon": _frac("1/10"), "--const": _frac("100"),
+               "--branching-v": _int("2"), "--diagram": _file("tri.json")},
+    "transfer-params": {"--dt": _frac("1/4", "1/8")},
+    "roundtree-build": {"--in": _file("verified.txt"), "--branching-v": _int("2"),
+                        "--bigh": _int("4"), "--ext-offset": _int("1"), "--ext-len": _int("1"),
+                        "--seg-len": _int("3"), "--levels": _int("0", "1"),
+                        "--search-budget": _int("1000")},
+    "roundtree-emanate": {"--tree": _file("tree.json"), "--k": _int("1", "3")},
+    "roundtree-probe": {"--tree": _file("tree.json"), "--target": _file("verified.txt"),
+                        "--which": (["distortion", "local-geodesic"], ["x", ""]),
+                        "--path": (["0,1,2"], ["", "a,b", "-1,99999", _HUGE]),
+                        "--window": _count("2"), "--radius": _count("2"),
+                        "--samples": _count("3"), "--seed": _int("1"),
+                        "--word-cap": _count("3")},
+}
+_COMMON_FLAGS = {"--config": (["@cfg.txt"], ["@cfg_bad.txt", "@dir", "@missing.txt",
+                                             "@binary.txt"]),
+                 "--format": (["json"], ["csv"]), "--out": (["@out.json"], ["@dir"])}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = {**_FUZZ_FLAGS[command], **_COMMON_FLAGS}
+    bad = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2, unique=True))
+    dropped = draw(st.lists(st.sampled_from(sorted(_FUZZ_FLAGS[command])), max_size=1))
+    argv = [command]
+    for flag, (valid, wrong) in flags.items():
+        if flag in bad:
+            argv += [flag, draw(st.sampled_from(wrong))]
+        elif flag not in dropped and (flag not in _COMMON_FLAGS or draw(st.booleans())):
+            argv += [flag, draw(st.sampled_from(valid))]
+    return argv
+
+
+@given(argv=_fuzz_argv())
+@settings(max_examples=500, deadline=None)
+def test_cli_fuzz_exits_0_2_or_3_without_traceback(argv, fuzz_files):
+    argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -72,6 +72,17 @@ def test_relator_count_budget():
         relator_count(2, 10, Fraction(3, 2))
     with pytest.raises(DomainError):
         relator_count(2, 10, 0.2)  # bare floats rejected
+    for budget in (0, -1):
+        with pytest.raises(BudgetExceededError):
+            relator_count(2, 4, 0, budget=budget)
+    # dl = 6 - 6/(4·10^400 + 1): a small count behind a power of 2m-1 with
+    # about 10^400 bits, refused before computing it
+    huge = 10**400
+    with pytest.raises(BudgetExceededError, match="bits"):
+        relator_count(2, 24, Fraction(huge, 4 * huge + 1))
+    assert relator_count(2, 24, Fraction(1, huge)) == 1
+    with pytest.raises(DomainError, match="out of scope"):
+        relator_count(2, huge, 0)
 
 
 def test_sample_presentation_basic():

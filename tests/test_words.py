@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randomgroups import words
@@ -14,6 +14,7 @@ from randomgroups.errors import (
     HeterogeneousLengthError,
     MalformedWordError,
 )
+from randomgroups.model import sample_presentation
 from randomgroups.words import (
     Alphabet,
     CyclicWord,
@@ -286,6 +287,84 @@ def test_check_c_prime_matches_strict_definition():
         mp = max_piece_length_quadratic(rels)
         for lam in (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
             assert check_c_prime(rels, lam) == (mp * lam.denominator < lam.numerator * l)
+
+
+def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
+    """The full-automaton piece report: one suffix automaton over every
+    doubled text; the witness oracle for `max_piece_length`."""
+    texts = words._relator_texts(relators)
+    l = words._text_length(texts)
+    report = words.PieceReport(0, None, {}, words._relator_coincidences(texts), l)
+    if l >= 2:
+        rows = texts.tolist()
+        sam = words._SuffixAutomaton()
+        for tid, t in enumerate(rows):
+            for pos, c in enumerate(t):
+                sam.extend(c, (tid, pos))
+            sam.extend(-1 - tid, None)
+        nstates = len(sam.length)
+        slots = [dict() for _ in range(nstates)]
+
+        def add_slot(v, occ):
+            if len(slots[v]) < 2:
+                slots[v].setdefault((occ[0], occ[1] % l), occ)
+
+        for v in range(nstates):
+            if sam.own[v] is not None:
+                add_slot(v, sam.own[v])
+        for v in sorted(range(nstates), key=lambda v: sam.length[v], reverse=True):
+            if sam.link[v] > 0:
+                for occ in slots[v].values():
+                    add_slot(sam.link[v], occ)
+        best_v, best_len = -1, 0
+        for v in range(1, nstates):
+            if len(slots[v]) >= 2 and min(sam.length[v], l - 1) > best_len:
+                best_len, best_v = min(sam.length[v], l - 1), v
+        if best_v >= 0:
+            report.max_piece_length = best_len
+            report.witness = words._witness_from_state(slots[best_v], rows, l, best_len)
+    report.lambda_threshold_passed = {lam: report.passes(lam) for lam in lambdas}
+    return report
+
+
+@given(relator_sets())
+@example((2, []))
+@example((2, ["1"]))
+@example((2, ["a"]))
+@example((2, ["a", "a"]))
+@example((2, ["a", "A", "b"]))
+@example((2, ["aa", "AA"]))
+@example((2, ["abab"]))
+@example((2, ["abab", "abab"]))
+@example((3, ["abcabc", "CBACBA", "bcabca"]))
+@settings(max_examples=1000, deadline=None)
+def test_max_piece_length_matches_full_automaton(case):
+    # relator_sets yields capped sets (periodic relators, repeated relators)
+    # and uncapped ones; every report field must agree, witness slots included
+    _m, rels = case
+    assert max_piece_length(rels) == _automaton_report(rels)
+
+
+@pytest.mark.parametrize("m, l, d", [
+    (2, 8, Fraction(1, 5)), (2, 12, Fraction(1, 4)), (2, 16, Fraction(3, 10)),
+    (3, 8, Fraction(1, 4)), (3, 10, Fraction(1, 3)), (2, 14, Fraction(1, 10)),
+    (2, 20, Fraction(3, 10)),
+])
+def test_max_piece_length_matches_full_automaton_on_samples(m, l, d):
+    for seed in range(4):
+        rels = list(sample_presentation(m, l, d, seed=seed).relators)
+        assert max_piece_length(rels) == _automaton_report(rels)
+
+
+_LAMBDAS = (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+
+
+@given(relator_sets())
+@settings(max_examples=300, deadline=None)
+def test_lambda_flags_match_check_c_prime(case):
+    _m, rels = case
+    flags = max_piece_length(rels, _LAMBDAS).lambda_threshold_passed
+    assert flags == {lam: check_c_prime(rels, lam) for lam in _LAMBDAS}
 
 
 def test_relator_coincidences_reported():
