@@ -27,7 +27,7 @@ from .diagrams import (
     count_partial_fillings_vectorized,
 )
 from .errors import BudgetExceededError, DomainError, PreconditionError
-from .model import check_seed, sample_presentation
+from .model import _trial_relators, check_seed, check_trials
 from .words import DECIMAL_DIGIT_BUDGET, Alphabet, enumerate_cyclically_reduced, rivin_count
 
 DEFAULT_TUPLE_BUDGET = 10**7
@@ -358,10 +358,12 @@ def presentation_fill_probability_exact(
     return 1 - (1 - q) ** R
 
 
-def _mc_trial(args) -> bool:
-    cons, m, l, d, s = args
-    p = sample_presentation(m, l, d, seed=s)
-    return _search(cons, p.relators, "first", True) is not None
+def _mc_hits(args) -> int:
+    """Trials lo .. hi-1 of `mc_fillability` that fill, drawn a chunk at a time."""
+    cons, m, l, d, seed, lo, hi = args
+    keys = np.arange(lo, hi, dtype=np.uint32)[:, None]
+    return sum(_search(cons, rows, "first", True) is not None
+               for rows in _trial_relators(m, l, d, seed, keys))
 
 
 def mc_fillability(
@@ -376,10 +378,12 @@ def mc_fillability(
     """Fraction of freshly sampled presentations that fill the diagram with
     distinct relators; Wilson 99% CI.  Trial t uses the derived seed
     SeedSequence(seed, spawn_key=(t,)), so results are independent of jobs.
-    The diagram is compiled once, and the pool never has more workers than
-    CPUs or trials."""
+    The diagram is compiled once, the trials' relators are drawn in batches
+    (`_trial_relators`), the trial count is bounded by TRIAL_BUDGET, and
+    the pool never has more workers than CPUs or trials."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    check_trials(trials)
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     check_seed(seed)
@@ -387,19 +391,16 @@ def mc_fillability(
     if cons.l != l:
         raise PreconditionError(f"the diagram has {cons.l}-gon faces, not l={l}")
     jobs = min(jobs, os.cpu_count() or 1, trials)
-    seeds = [
-        int(np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(1)[0])
-        for t in range(trials)
-    ]
-    args = [(cons, m, l, d, s) for s in seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        step = max(1, trials // (4 * jobs))
+        tasks = [(cons, m, l, d, seed, lo, min(lo + step, trials))
+                 for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_mc_trial, args, chunksize=max(1, trials // (4 * jobs))))
+            hits = sum(pool.map(_mc_hits, tasks))
     else:
-        results = [_mc_trial(a) for a in args]
-    hits = sum(results)
+        hits = _mc_hits((cons, m, l, d, seed, 0, trials))
     lo, hi = wilson_interval(hits, trials)
     return FillProbability(
         exact=None, estimate=hits / trials, trials=trials, ci_low=lo, ci_high=hi

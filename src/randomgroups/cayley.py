@@ -28,7 +28,7 @@ from .errors import (
     PartialBallError,
     PreconditionError,
 )
-from .model import Presentation, check_seed, sample_presentation
+from .model import Presentation, _trial_relators, check_seed, check_trials
 from .words import (
     Alphabet,
     PieceReport,
@@ -529,20 +529,19 @@ def cprime_genericity_scan(
     trials: int,
     seed: int,
 ) -> GenericityScanReport:
-    """Per-cell fraction of sampled presentations satisfying C'(λ)."""
+    """Per-cell fraction of sampled presentations satisfying C'(λ).  Trial
+    t of cell ci samples with the derived seed SeedSequence(seed,
+    spawn_key=(ci, t)); the trials' relators are drawn in batches
+    (`_trial_relators`) and the trial count is bounded by TRIAL_BUDGET."""
     check_seed(seed)
+    check_trials(trials)
     lam = Fraction(lam)
     report = GenericityScanReport(m=m, l=l, lam=lam, seed=seed)
     for ci, d in enumerate(d_grid):
         d = Fraction(d)
-        passes = 0
-        for t in range(trials):
-            s = int(
-                np.random.SeedSequence(entropy=seed, spawn_key=(ci, t)).generate_state(1)[0]
-            )
-            p = sample_presentation(m, l, d, seed=s)
-            if check_c_prime(list(p.relators), lam):
-                passes += 1
+        t = np.arange(max(trials, 0), dtype=np.uint32)
+        keys = np.stack([np.full_like(t, ci), t], axis=1)
+        passes = sum(check_c_prime(rows, lam) for rows in _trial_relators(m, l, d, seed, keys))
         report.cells.append(ScanCell(d=d, trials=trials, passes=passes, empty=trials == 0))
     return report
 

@@ -465,18 +465,23 @@ def fill(diagram: Diagram, relators: Sequence[str], mode: str = "all", distinct:
     if mode not in ("first", "all", "count"):
         raise DomainError(f"unknown fill mode {mode!r}")
     relators = list(relators)
-    return _search(compile_constraints(diagram, _infer_alphabet(relators)), relators, mode, distinct)
+    cons = compile_constraints(diagram, _infer_alphabet(relators))
+    coded = [cons.alphabet.encode(w) for w in relators]
+    if cons.never_fillable:
+        coded = []  # no word is read
+    elif any(len(w) != cons.l for w in coded):
+        raise PreconditionError("every relator must match the face size l")
+    return _search(cons, np.array(coded, dtype=np.int8).reshape(len(coded), cons.l), mode, distinct)
 
 
-def _search(cons: CompiledConstraints, relators: Sequence[str], mode: str, distinct: bool):
-    """`fill` on compiled constraints: index i takes its candidates in
-    relator order, and each cross pair is checked once, at its later index."""
+def _search(cons: CompiledConstraints, rows: np.ndarray, mode: str, distinct: bool):
+    """`fill` on compiled constraints and an (N, l) int8 matrix of relator
+    codes: index i takes its candidates in relator order, each cross pair
+    is checked once, at its later index, and only the words of the
+    fillings returned are decoded."""
     if cons.never_fillable:
         return None if mode == "first" else ([] if mode == "all" else 0)
-    coded = [cons.alphabet.encode(w) for w in relators]
-    if any(len(w) != cons.l for w in coded):
-        raise PreconditionError("every relator must match the face size l")
-    rows = np.array(coded, dtype=np.int8).reshape(len(coded), cons.l)
+    coded = rows.tolist()
     candidates = {
         i: np.flatnonzero(_index_mask(rows, cons, i)).tolist() for i in range(1, cons.n + 1)
     }
@@ -489,7 +494,7 @@ def _search(cons: CompiledConstraints, relators: Sequence[str], mode: str, disti
         if i > cons.n:
             count += 1
             if mode != "count":
-                out.append(tuple(relators[r] for r in chosen))
+                out.append(tuple(cons.alphabet.decode(coded[r]) for r in chosen))
             return mode == "first"
         for r in candidates[i]:
             w = coded[r]

@@ -6,6 +6,19 @@ is computed with integer q-th roots, so the count is never off by one at a
 floor boundary.  Relator i is drawn from its own counter-derived stream
 (SeedSequence(seed, spawn_key=(i,)) feeding Philox), which makes sampling
 order-deterministic and embarrassingly parallel.
+
+Those streams are computed for many relators at once (`_relator_codes`):
+Philox is counter-based (Salmon et al., SC'11), so relator i's draws are a
+pure function of (seed, i, counter), and the SeedSequence hash, the
+Philox4x64-10 rounds and numpy's bounded draw (Lemire, ACM TOMACS 2019) are
+each a few lines of uint32/uint64 array arithmetic over the relators.  The
+result is the same stream that `sample_cyclically_reduced(m, l,
+_relator_rng(seed, i))` draws, byte for byte: rows whose draws numpy would
+have rejected and redrawn are handed to that sampler, which stays as the
+oracle.  The contract rests on numpy's documented stream algorithms
+(SeedSequence, Philox, `Generator.integers`); the tier-1 properties named
+`stream` in tests/test_model.py pin it, so a numpy release that changed a
+stream would fail them rather than drift.
 """
 
 from __future__ import annotations
@@ -15,14 +28,32 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, NestingError, ParseError
-from .words import Alphabet, is_cyclically_reduced_word, sample_cyclically_reduced
+from .errors import (
+    BudgetExceededError,
+    DomainError,
+    MalformedWordError,
+    NestingError,
+    ParseError,
+    PreconditionError,
+)
+from .words import (
+    Alphabet,
+    _decode_rows,
+    _letter_codes,
+    _not_cyclically_reduced,
+    sample_cyclically_reduced,
+)
 
 DEFAULT_COUNT_BUDGET = 10**6
+# the most Monte Carlo trials one call may run (`mc_fillability`,
+# `cprime_genericity_scan`): checked before a seed is derived
+TRIAL_BUDGET = 10**6
 # a desk-scale limit, like Alphabet's 26 generators: it bounds each relator
 # before a single letter is drawn
 MAX_RELATOR_LENGTH = 10_000
@@ -125,18 +156,16 @@ class Presentation:
     count_budget: int = field(default=DEFAULT_COUNT_BUDGET, repr=False, compare=False)
 
     def __post_init__(self):
-        ab = Alphabet(self.m)
+        Alphabet(self.m)  # m names at most 26 generators
         expected = relator_count(self.m, self.l, self.density, self.count_budget)
         if len(self.relators) != expected:
             raise DomainError(
                 f"presentation must have ⌊(2m-1)^(dl)⌋ = {expected} relators, "
                 f"got {len(self.relators)}"
             )
-        for r in self.relators:
-            if len(r) != self.l:
-                raise DomainError(f"relator {r!r} does not have length l={self.l}")
-            if not is_cyclically_reduced_word(r, ab):
-                raise DomainError(f"relator {r!r} is not cyclically reduced")
+        bad = _first_bad_relator(self.relators, self.m, self.l)
+        if bad is not None:
+            raise bad[1]
 
     @property
     def alphabet(self) -> Alphabet:
@@ -168,9 +197,245 @@ def check_seed(seed: int) -> None:
         raise DomainError(f"seed must be nonnegative, got {seed}")
 
 
+def check_trials(trials: int) -> None:
+    """Monte Carlo callers bound their trial count before deriving a seed."""
+    if trials > TRIAL_BUDGET:
+        raise BudgetExceededError(
+            f"the trial count exceeds the trial budget {TRIAL_BUDGET}", budget=TRIAL_BUDGET
+        )
+
+
+def _first_bad_relator(
+    relators: Sequence[str], m: int, l: int
+) -> tuple[int, PreconditionError] | None:
+    """The index of the first relator that is not a cyclically reduced word
+    of length l on m generators, with the error that says why; None if
+    there is none.
+
+    One array check: the relators before the first one of another length
+    are joined and read through a byte table, their codes must lie below
+    2m, and their code matrix must be cyclically reduced.  Within a
+    relator, a wrong length is reported before a bad letter, and a bad
+    letter before a cancelling pair.
+    """
+    lengths = np.fromiter(map(len, relators), dtype=np.int64, count=len(relators))
+    wrong = np.flatnonzero(lengths != l)
+    n = int(wrong[0]) if len(wrong) else len(relators)  # relators[:n] have length l
+    codes = _letter_codes(relators[:n])
+    letters = np.flatnonzero(codes.view(np.uint8) >= 2 * m)  # a non-letter's -1 reads 255
+    if len(letters):
+        n, pos = divmod(int(letters[0]), l)
+    # no row of length l: l may be any int read from a file
+    unreduced = np.flatnonzero(_not_cyclically_reduced(codes[: n * l].reshape(n, l))) if n else ()
+    if len(unreduced):
+        i = int(unreduced[0])
+        return i, DomainError(f"relator {relators[i]!r} is not cyclically reduced")
+    if len(letters):
+        ch = relators[n][pos]
+        return n, MalformedWordError(f"letter {ch!r} outside alphabet on {m} generators")
+    if n < len(relators):
+        return n, DomainError(f"relator length {lengths[n]} != l={l}")
+    return None
+
+
 def _relator_rng(seed: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# ---------------------------------------------------------------------------
+# Relator streams, many relators at a time
+# ---------------------------------------------------------------------------
+#
+# The constants and steps of numpy's SeedSequence (O'Neill's seed_seq
+# hash: a 4-word pool, hashmix and mix), of its Philox4x64-10 bit generator
+# and of Generator.integers' 32-bit Lemire draw.  numpy's Philox starts
+# with an empty buffer, so its first block is at counter 1; each uint64 it
+# emits serves two 32-bit draws, low half first.
+
+_M32 = 0xFFFFFFFF
+_U32, _U64 = np.uint32, np.uint64
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox blocks computed at once: about 20 arrays of this many uint64 are
+# alive in a round, so a chunk takes a few MiB
+_CHUNK_BLOCKS = 1 << 14
+# trial presentations drawn at once by `_trial_relators`
+_TRIAL_ROWS = 1 << 15
+# a batch pass costs about as much as 1-2 ms of per-relator sampling, so
+# fewer relators than this are drawn one at a time
+_BATCH_MIN_ROWS = 64
+
+
+def _seed_pool(entropy, spawn: list[np.ndarray]) -> list[np.ndarray]:
+    """The 4-word pool of SeedSequence(entropy, spawn_key) for rows of spawn
+    words, one uint32 array per word.  `entropy` is an int shared by every
+    row (its pool mix broadcasts, so it is done once) or a uint32 array with
+    one 32-bit entropy word per row."""
+    if isinstance(entropy, np.ndarray):
+        run = [entropy.astype(_U32)]
+    else:
+        words, x = [entropy & _M32], entropy >> 32
+        while x:
+            words.append(x & _M32)
+            x >>= 32
+        run = [np.array([w], dtype=_U32) for w in words]
+    # with a spawn key, the run entropy is zero-padded to the pool size
+    run += [np.zeros(1, dtype=_U32)] * (_POOL_SIZE - len(run))
+    entropy_words = run + spawn
+    const = _HASH_INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ _U32(const)
+        const = const * _HASH_MULT_A & _M32
+        v = v * _U32(const)
+        return v ^ (v >> _U32(16))
+
+    def mix(x, y):
+        r = _U32(_MIX_L) * x - _U32(_MIX_R) * y
+        return r ^ (r >> _U32(16))
+
+    pool = [hashmix(w) for w in entropy_words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy_words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool
+
+
+def _seed_state(pool: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """SeedSequence.generate_state(n) (uint32 words) of every row of a pool."""
+    const, out = _HASH_INIT_B, []
+    for i in range(n):
+        v = pool[i % _POOL_SIZE] ^ _U32(const)
+        const = const * _HASH_MULT_B & _M32
+        v = v * _U32(const)
+        out.append(v ^ (v >> _U32(16)))
+    return out
+
+
+def _trial_seeds(seed: int, keys: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0] for
+    every row of a (T, k) matrix of keys below 2**32, as a uint32 array."""
+    return _seed_state(_seed_pool(seed, [keys[:, j] for j in range(keys.shape[1])]), 1)[0]
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 halves of the 128-bit products a·b."""
+    a_lo, a_hi = _U64(a & _M32), _U64(a >> 32)
+    b_lo, b_hi = b & _U64(_M32), b >> _U64(32)
+    lh, hl = b_hi * a_lo, b_lo * a_hi
+    mid = ((b_lo * a_lo) >> _U64(32)) + (lh & _U64(_M32)) + (hl & _U64(_M32))
+    hi = b_hi * a_hi + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
+    return hi, b * _U64(a)
+
+
+def _philox_draws(keys: tuple[np.ndarray, np.ndarray], start: int, n: int) -> np.ndarray:
+    """The 32-bit draws start .. start+n-1 of every row's Philox stream, as
+    an (R, n) uint64 array; `keys` are the rows' two key words."""
+    first, stop = start // 8, (start + n - 1) // 8 + 1  # 8 draws per block
+    c0 = np.broadcast_to(np.arange(first + 1, stop + 1, dtype=_U64), (len(keys[0]), stop - first))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = keys[0][:, None], keys[1][:, None]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _U64(_PHILOX_W[0]), k1 + _U64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    out = np.stack([c0, c1, c2, c3], axis=-1)
+    draws = np.stack([out & _U64(_M32), out >> _U64(32)], axis=-1).reshape(len(out), -1)
+    return draws[:, start - 8 * first : start - 8 * first + n]
+
+
+def _batch_codes(m: int, l: int, entropy, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, l) int8 codes `sample_cyclically_reduced` draws from each
+    row's stream, with the mask of rows left for it to redo.
+
+    Row r's stream is SeedSequence(entropy, spawn_key=(indices[r],)) into
+    Philox, `entropy` as in `_seed_pool`.  An attempt takes l draws: a
+    first letter below 2m, then steps below 2m-1, each c -> c + (c >= the
+    previous letter's inverse).  Attempt k is draws k·l .. k·l+l-1, so
+    every row still open takes its next attempt in one pass.  A row is
+    done at its first cyclically reduced attempt; if a draw up to there
+    falls in Lemire's rejection zone, numpy would have redrawn it and the
+    row is left (zero) for the per-relator sampler.
+    """
+    R = len(indices)
+    w = [x.astype(_U64) for x in _seed_state(_seed_pool(entropy, [indices.astype(_U32)]), 4)]
+    k0, k1 = w[0] | w[1] << _U64(32), w[2] | w[3] << _U64(32)  # the Philox key
+    codes = np.zeros((R, l), dtype=np.int8)
+    redo = indices >= 1 << 32  # a two-word spawn key: left to the per-relator sampler
+    bound = np.full(l, 2 * m - 1, dtype=_U64)
+    bound[0] = 2 * m
+    threshold = (_U64(1 << 32) - bound) % bound
+    chunk = max(1, _CHUNK_BLOCKS // (l // 8 + 2))
+    pending, attempt = np.flatnonzero(~redo), 0
+    while len(pending):
+        left = []
+        for lo in range(0, len(pending), chunk):
+            rows = pending[lo : lo + chunk]
+            prod = _philox_draws((k0[rows], k1[rows]), attempt * l, l) * bound
+            rejected = ((prod & _U64(_M32)) < threshold).any(axis=1)
+            steps = (prod >> _U64(32)).astype(np.int8)
+            word = np.empty_like(steps)
+            word[:, 0] = steps[:, 0]
+            for j in range(1, l):
+                word[:, j] = steps[:, j] + (steps[:, j] >= word[:, j - 1] ^ 1)
+            closed = ~_not_cyclically_reduced(word)
+            done = closed & ~rejected
+            codes[rows[done]] = word[done]
+            redo[rows[rejected]] = True
+            left.append(rows[~closed & ~rejected])
+        pending, attempt = np.concatenate(left), attempt + 1
+    return codes, redo
+
+
+def _relator_codes(m: int, l: int, entropy, indices) -> np.ndarray:
+    """The (R, l) int8 letter codes of `sample_cyclically_reduced(m, l,
+    _relator_rng(e, i))` for each row's entropy e and index i: `entropy` is
+    the seed of every row or a uint32 array of one seed per row.  From
+    _BATCH_MIN_ROWS rows on they come from `_batch_codes`."""
+    if m < 2 or l < 1:
+        raise DomainError(f"need m >= 2 and l >= 1, got m={m}, l={l}")
+    ab = Alphabet(m)  # at most 26 generators
+    indices = np.asarray(indices, dtype=np.int64)
+    if len(indices) >= _BATCH_MIN_ROWS:
+        codes, redo = _batch_codes(m, l, entropy, indices)
+    else:
+        codes, redo = np.empty((len(indices), l), dtype=np.int8), np.ones(len(indices), bool)
+    for r in np.flatnonzero(redo).tolist():
+        e = int(entropy[r]) if isinstance(entropy, np.ndarray) else entropy
+        word = sample_cyclically_reduced(m, l, _relator_rng(e, int(indices[r])))
+        codes[r] = ab.encode(word)
+    return codes
+
+
+def _trial_relators(m: int, l: int, d, seed: int, keys: np.ndarray):
+    """For each row of a (T, k) matrix of spawn keys, the (count, l) relator
+    codes of sample_presentation(m, l, d, seed=s), where s is the trial seed
+    SeedSequence(seed, spawn_key=key).generate_state(1)[0].
+
+    Trials are drawn a chunk at a time, every relator of a chunk in one
+    `_relator_codes` call; nothing is computed for no trials.
+    """
+    if len(keys) == 0:
+        return
+    count = relator_count(m, l, d)
+    per_chunk = max(1, _TRIAL_ROWS // count)
+    for lo in range(0, len(keys), per_chunk):
+        seeds = _trial_seeds(seed, keys[lo : lo + per_chunk])
+        codes = _relator_codes(m, l, np.repeat(seeds, count), np.tile(np.arange(count), len(seeds)))
+        for t in range(len(seeds)):
+            yield codes[t * count : (t + 1) * count]
 
 
 def sample_presentation(
@@ -180,9 +445,7 @@ def sample_presentation(
     check_seed(seed)
     d = as_density(d)
     count = relator_count(m, l, d, budget)
-    relators = tuple(
-        sample_cyclically_reduced(m, l, _relator_rng(seed, i)) for i in range(count)
-    )
+    relators = tuple(_decode_rows(_relator_codes(m, l, seed, np.arange(count))))
     return Presentation(m=m, l=l, density=d, relators=relators, seed=seed,
                         count_budget=budget)
 
@@ -198,10 +461,9 @@ def extend_presentation(
             f"target density {d_target} is below the base density {base.density}"
         )
     count = relator_count(base.m, base.l, d_target, budget)
-    fresh = tuple(
-        sample_cyclically_reduced(base.m, base.l, _relator_rng(seed, i))
-        for i in range(len(base.relators), count)
-    )
+    fresh = tuple(_decode_rows(
+        _relator_codes(base.m, base.l, seed, np.arange(len(base.relators), count))
+    ))
     return Presentation(
         m=base.m,
         l=base.l,
@@ -243,17 +505,12 @@ def parse_presentation(text: str, budget: int = DEFAULT_COUNT_BUDGET) -> Present
         parent = fields["parent"]
     except (KeyError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad parameter line: {e}", line=2)
-    relators = []
-    ab = Alphabet(m)
-    for i, raw in enumerate(lines[2:], start=3):
-        r = raw.strip()
-        if not r:
-            continue
-        if len(r) != l:
-            raise ParseError(f"relator length {len(r)} != l={l}", line=i)
-        if not is_cyclically_reduced_word(r, ab):
-            raise ParseError(f"relator {r!r} is not cyclically reduced", line=i)
-        relators.append(r)
+    Alphabet(m)  # m names at most 26 generators
+    relators = [r for raw in lines[2:] if (r := raw.strip())]
+    bad = _first_bad_relator(relators, m, l)
+    if bad is not None:
+        numbered = (i for i, raw in enumerate(lines[2:], start=3) if raw.strip())
+        raise ParseError(str(bad[1]), line=next(islice(numbered, bad[0], None)))
     if len(relators) != count:
         raise ParseError(
             f"header promises {count} relators, file has {len(relators)}",

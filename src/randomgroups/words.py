@@ -49,7 +49,8 @@ EMPTY_WORD = "1"
 _CHARS = "".join(c + c.upper() for c in string.ascii_lowercase)  # "aAbB..."
 _CHAR_TO_INT = {c: i for i, c in enumerate(_CHARS)}
 _CODE_OF_BYTE = np.full(256, -1, dtype=np.int8)
-_CODE_OF_BYTE[np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)] = np.arange(len(_CHARS))
+_BYTE_OF_CODE = np.frombuffer(_CHARS.encode("ascii"), dtype=np.uint8)
+_CODE_OF_BYTE[_BYTE_OF_CODE] = np.arange(len(_CHARS))
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 # exact counts and bounds are printed in full; CPython refuses to convert an
@@ -109,6 +110,29 @@ def _infer_alphabet(words: Sequence[str]) -> Alphabet:
                 raise MalformedWordError(f"letter {ch!r} is not a valid alphabet symbol")
             hi = max(hi, x)
     return Alphabet(hi // 2 + 1)
+
+
+def _letter_codes(words: Sequence[str]) -> np.ndarray:
+    """The letter codes of the words joined end to end, as a flat int8 array;
+    -1 marks a character that is no letter (one entry per character)."""
+    joined = "".join(words).encode("ascii", errors="replace")
+    return _CODE_OF_BYTE[np.frombuffer(joined, dtype=np.uint8)]
+
+
+def _decode_rows(codes: np.ndarray) -> list[str]:
+    """The words spelled by the rows of an (R, l) letter-code matrix, l >= 1."""
+    R, l = codes.shape
+    text = _BYTE_OF_CODE[codes].tobytes().decode("ascii")
+    return [text[i : i + l] for i in range(0, R * l, l)]
+
+
+def _not_cyclically_reduced(codes: np.ndarray) -> np.ndarray:
+    """The mask of rows of an (R, l) letter-code matrix that are not
+    cyclically reduced: a letter next to its inverse, the wrap-around pair
+    included."""
+    if codes.shape[1] < 2:
+        return np.zeros(len(codes), dtype=bool)
+    return (codes[:, 1:] == codes[:, :-1] ^ 1).any(axis=1) | (codes[:, -1] == codes[:, 0] ^ 1)
 
 
 def _reduce_ints(w: Sequence[int]) -> tuple[int, ...]:
@@ -238,16 +262,6 @@ def enumerate_cyclically_reduced(
     return out
 
 
-def _sample_reduced_batch(m: int, l: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    words = np.empty((n, l), dtype=np.int8)
-    words[:, 0] = rng.integers(0, 2 * m, size=n)
-    for j in range(1, l):
-        c = rng.integers(0, 2 * m - 1, size=n).astype(np.int8)
-        prev_inv = words[:, j - 1] ^ 1
-        words[:, j] = c + (c >= prev_inv)
-    return words
-
-
 def sample_cyclically_reduced(m: int, l: int, rng: np.random.Generator) -> str:
     """One exactly-uniform cyclically reduced word of length l.
 
@@ -269,23 +283,6 @@ def sample_cyclically_reduced(m: int, l: int, rng: np.random.Generator) -> str:
             w.append(c if c < prev_inv else c + 1)
         if l == 1 or w[-1] != (w[0] ^ 1):
             return ab.decode(w)
-
-
-def sample_cyclically_reduced_batch(
-    m: int, l: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized sampler; returns an (count, l) int8 array of letter codes."""
-    if m < 2 or l < 1:
-        raise DomainError(f"need m >= 2 and l >= 1, got m={m}, l={l}")
-    chunks = []
-    need = count
-    while need > 0:
-        batch = _sample_reduced_batch(m, l, max(need + 8, int(need * 1.1)), rng)
-        if l > 1:
-            batch = batch[batch[:, -1] != (batch[:, 0] ^ 1)]
-        chunks.append(batch[:need])
-        need -= len(batch[:need])
-    return np.concatenate(chunks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +319,34 @@ class PieceReport:
 _DEFAULT_LAMBDAS = (Fraction(1, 6), Fraction(1, 8), Fraction(1, 12))
 
 
-def _relator_texts(relators: Sequence[str | CyclicWord]) -> np.ndarray:
+def _relator_texts(relators: Sequence[str | CyclicWord] | np.ndarray) -> np.ndarray:
     """The doubled texts of the relators and their inverses, as a (2R, 2l-1)
     int8 matrix in the layout of the module docstring.
 
     This is the one place that validates relators for rotation work: every
     letter must be a valid symbol, all relators must share one length, and
-    each must be cyclically reduced (checked on the code matrix).
+    each must be cyclically reduced (checked on the code matrix).  The
+    relators may also come as an (R, l) int8 letter-code matrix, as the
+    model's sampler draws them; only their reducedness is checked then.
     """
-    words = [r.word if isinstance(r, CyclicWord) else r for r in relators]
-    words = ["" if w == EMPTY_WORD else w for w in words]
-    joined = "".join(words).encode("ascii", errors="replace")
-    codes = _CODE_OF_BYTE[np.frombuffer(joined, dtype=np.uint8)]
-    if (codes < 0).any():
-        _infer_alphabet(words)  # raises, naming the first bad letter
-    l = len(words[0]) if words else 0
-    if any(len(w) != l for w in words):
-        raise HeterogeneousLengthError("relators of unequal length")
-    codes = codes.reshape(len(words), l)
-    if l > 1:
-        bad = (codes[:, 1:] == codes[:, :-1] ^ 1).any(axis=1) | (codes[:, -1] == codes[:, 0] ^ 1)
-        if bad.any():
-            raise MalformedWordError(f"relator {words[int(bad.argmax())]!r} is not cyclically reduced")
-    both = np.stack([codes, codes[:, ::-1] ^ 1], axis=1).reshape(2 * len(words), l)
+    if isinstance(relators, np.ndarray):
+        codes = relators
+    else:
+        words = [r.word if isinstance(r, CyclicWord) else r for r in relators]
+        words = ["" if w == EMPTY_WORD else w for w in words]
+        codes = _letter_codes(words)
+        if (codes < 0).any():
+            _infer_alphabet(words)  # raises, naming the first bad letter
+        l = len(words[0]) if words else 0
+        if any(len(w) != l for w in words):
+            raise HeterogeneousLengthError("relators of unequal length")
+        codes = codes.reshape(len(words), l)
+    bad = _not_cyclically_reduced(codes)
+    if bad.any():
+        word = _decode_rows(codes[[int(bad.argmax())]])[0]
+        raise MalformedWordError(f"relator {word!r} is not cyclically reduced")
+    l = codes.shape[1]
+    both = np.stack([codes, codes[:, ::-1] ^ 1], axis=1).reshape(2 * len(codes), l)
     return np.concatenate([both, both[:, :-1]], axis=1)
 
 
@@ -569,8 +571,9 @@ def has_piece_of_length(relators: Sequence[str | CyclicWord], L: int) -> bool:
     return _has_repeated_window(_relator_texts(relators), L)
 
 
-def check_c_prime(relators: Sequence[str | CyclicWord], lam: Fraction) -> bool:
-    """Strict metric small cancellation C'(λ): every piece shorter than λ·l."""
+def check_c_prime(relators: Sequence[str | CyclicWord] | np.ndarray, lam: Fraction) -> bool:
+    """Strict metric small cancellation C'(λ): every piece shorter than λ·l.
+    The relators are words or an (R, l) letter-code matrix (`_relator_texts`)."""
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise DomainError(f"λ must lie in (0,1), got {lam}")

@@ -44,7 +44,7 @@ from randomgroups.diagrams import (
     restrict_boundary,
     single_face_diagram,
 )
-from randomgroups.model import sample_presentation
+from randomgroups.model import _relator_codes, sample_presentation
 from randomgroups.roundtree import (
     RoundTreeParams,
     check_round_tree_axioms,
@@ -58,7 +58,6 @@ from randomgroups.words import (
     max_piece_length_quadratic,
     rivin_count,
     sample_cyclically_reduced,
-    sample_cyclically_reduced_batch,
 )
 
 from tests.conftest import TREE_DEMO, find_verified_presentation
@@ -98,11 +97,12 @@ def test_criterion_2_sampler_uniformity():
     from scipy import stats
 
     with _Criterion(2, "sampler uniform over the 28 words at (2,3), 1e5 draws") as c:
-        rng = np.random.default_rng(20240810)
         allwords = enumerate_cyclically_reduced(2, 3)
         idx = {w: i for i, w in enumerate(allwords)}
         ab = Alphabet(2)
-        batch = sample_cyclically_reduced_batch(2, 3, 100_000, rng)
+        # relators 0 .. 1e5-1 of seed 20240810, from the batch streams that
+        # presentations use
+        batch = _relator_codes(2, 3, 20240810, np.arange(100_000))
         counts = np.zeros(len(allwords))
         seen = set()
         for row in batch:

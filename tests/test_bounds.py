@@ -327,9 +327,27 @@ def test_mc_rejects_wrong_face_size_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the face size")
 
-    monkeypatch.setattr(bounds_mod, "sample_presentation", no_sampling)
+    monkeypatch.setattr(bounds_mod, "_trial_relators", no_sampling)
     with pytest.raises(PreconditionError):
         mc_fillability(single_face_diagram(4), 2, 5, Fraction(1, 4), trials=5, seed=0)
+
+
+def test_trial_budget_checked_before_drawing(monkeypatch):
+    from randomgroups import cayley as cayley_mod
+    from randomgroups.cayley import cprime_genericity_scan
+    from randomgroups.model import TRIAL_BUDGET
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the trial budget")
+
+    monkeypatch.setattr(bounds_mod, "_trial_relators", no_sampling)
+    monkeypatch.setattr(cayley_mod, "_trial_relators", no_sampling)
+    triangle = single_face_diagram(3)
+    for trials in (TRIAL_BUDGET + 1, 10**400):
+        with pytest.raises(BudgetExceededError):
+            mc_fillability(triangle, 2, 3, 0, trials=trials, seed=0)
+        with pytest.raises(BudgetExceededError):
+            cprime_genericity_scan(2, 8, Fraction(1, 3), [0], trials, seed=0)
 
 
 def test_wilson_coverage_on_exact_instance():

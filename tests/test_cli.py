@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from randomgroups import __version__
 from randomgroups.cayley import cayley_ball
-from randomgroups.cli import BOUNDS_DISPATCH, HANDLERS, OP_TABLE, build_parser, main
+from randomgroups.cli import (
+    BOUNDS_DISPATCH,
+    HANDLERS,
+    OP_TABLE,
+    _json_text,
+    build_parser,
+    main,
+)
 from randomgroups.diagrams import diagram_to_json, restrict_boundary, single_face_diagram
 from randomgroups.model import load_presentation, sample_presentation, save_presentation
 
@@ -250,6 +257,8 @@ OVER_BUDGET_INPUTS = {
     "sample-negative-budget": "sample --m 2 --l 4 --d 0 --seed 0 --budget -1",
     "sample-huge-denominator": "sample --m 2 --l 24 --d {huge}/4{huge}1 --seed 0",
     "exact-huge-l": "fillprob-exact --diagram {triangle} --m 2 --l {huge}",
+    "mc-huge-trials": "fillprob-mc --diagram {triangle} --m 2 --l 3 --d 0 --trials {huge}",
+    "scan-huge-trials": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials {huge}",
 }
 
 
@@ -299,6 +308,36 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_pr
 def test_over_budget_input_exits_3(case, tmp_path, capsys):
     assert run(OVER_BUDGET_INPUTS[case].format(**_bad_input_files(tmp_path)).split()) == 3
     assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                 | st.floats(allow_nan=False) | st.text(max_size=8))
+_JSON_KEYS = st.text(max_size=6)
+# payload-like trees: dicts with str (or all int) keys, lists and
+# tuples, among them runs of flat containers of one kind
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(_JSON_KEYS, inner, max_size=4)
+                   | st.dictionaries(st.integers(0, 9), inner, max_size=3)
+                   | st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=3), max_size=4)
+                   | st.lists(st.lists(_JSON_SCALARS, max_size=3), max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_edge_layouts():
+    for payload in ({}, [], {"a": []}, {"a": {}}, {"é": "ü\n\u2028"}, {"x": [{}, {"a": 1}]},
+                    {"x": [[], [1]]}, {"x": [[1, "]"], ["[", 2]]}, {"x": [{"a": "}"}, {"b": "{"}]},
+                    {"x": [{"b": 1, "a": 2}, {"a": [1]}]}, {"x": [(1, 2.5), [True, None]]},
+                    {"x": [{"a": 1}, [1]]}, {2: "int key", 1: [1e300, -0.0]}):
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_jobs_only_on_fillprob_mc(capsys):

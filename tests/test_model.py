@@ -3,17 +3,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from randomgroups import model
 from randomgroups.errors import (
     BudgetExceededError,
     DomainError,
     NestingError,
     ParseError,
+    PreconditionError,
 )
 from randomgroups.model import (
     Presentation,
+    _batch_codes,
+    _relator_codes,
+    _relator_rng,
+    _trial_relators,
+    _trial_seeds,
     extend_presentation,
     integer_nth_root,
     load_presentation,
@@ -22,7 +29,12 @@ from randomgroups.model import (
     sample_presentation,
     save_presentation,
 )
-from randomgroups.words import is_cyclically_reduced_word, rivin_count
+from randomgroups.words import (
+    Alphabet,
+    is_cyclically_reduced_word,
+    rivin_count,
+    sample_cyclically_reduced,
+)
 
 
 def test_integer_nth_root_oracle():
@@ -159,6 +171,11 @@ def test_parse_rejects_bad_files():
     bad3 = "\n".join([lines[0], lines[1].replace("count=1", "count=2"), lines[2]]) + "\n"
     with pytest.raises(ParseError):
         parse_presentation(bad3)
+    # a length no relator can have
+    huge = "\n".join([lines[0], lines[1].replace("l=6", f"l={10**400}"), lines[2]]) + "\n"
+    with pytest.raises(ParseError) as e:
+        parse_presentation(huge)
+    assert e.value.line == 3
 
 
 def test_presentation_invariants_enforced():
@@ -184,3 +201,161 @@ def test_marginal_uniformity_positionwise():
     assert len(words) == n_words
     for j in range(3):
         assert stats.chisquare(counts[j]).pvalue > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Batch relator streams against the per-relator sampler, their oracle.  They
+# rest on numpy's stream algorithms, so every test here has "stream" in its
+# name and CI runs them as a step of their own.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_codes(m, l, seed, indices):
+    ab = Alphabet(m)
+    words = [ab.encode(sample_cyclically_reduced(m, l, _relator_rng(seed, int(i))))
+             for i in indices]
+    return np.array(words, dtype=np.int8).reshape(len(words), l)
+
+
+def _oracle_relators(m, l, d, seed, start=0):
+    return tuple(sample_cyclically_reduced(m, l, _relator_rng(seed, i))
+                 for i in range(start, relator_count(m, l, d)))
+
+
+@given(m=st.integers(2, 5), l=st.integers(1, 30), seed=st.integers(0, 2**70),
+       offset=st.integers(0, 10**6), n=st.integers(0, 100))
+@example(m=2, l=24, seed=2**32, offset=0, n=100)       # two entropy words
+@example(m=3, l=7, seed=2**64 + 7, offset=5, n=100)    # three
+@example(m=2, l=5, seed=2**128 + 1, offset=9, n=100)   # five: past the pool
+@example(m=2, l=1, seed=0, offset=0, n=100)
+@settings(max_examples=300, deadline=None)
+def test_stream_batch_matches_per_relator_sampler(m, l, seed, offset, n):
+    indices = np.arange(offset, offset + n)
+    want = _oracle_codes(m, l, seed, indices)
+    codes, redo = _batch_codes(m, l, seed, indices)
+    # at m <= 5 a draw is redrawn with probability below 2e-9
+    assert redo.sum() <= 1
+    assert np.array_equal(codes[~redo], want[~redo])
+    assert np.array_equal(_relator_codes(m, l, seed, indices), want)
+
+
+def test_stream_rejected_draws_fall_back_to_the_oracle():
+    # relators 64573 and 243357 of seed 0 at (m=24, l=256) draw a value in
+    # the 32-bit Lemire rejection zone (about 1e-8 per draw; found by a
+    # search over the first 250 000 indices), which numpy redraws
+    indices = np.array([64573, 243357, 5])
+    _codes, redo = _batch_codes(24, 256, 0, indices)
+    assert redo.tolist() == [True, True, False]
+    assert np.array_equal(_relator_codes(24, 256, 0, indices), _oracle_codes(24, 256, 0, indices))
+
+
+def test_stream_forced_fallback_and_small_chunks(monkeypatch):
+    real = model._batch_codes
+
+    def every_other_row_redone(m, l, entropy, indices):
+        codes, redo = real(m, l, entropy, indices)
+        codes[::2] = 0
+        redo[::2] = True
+        return codes, redo
+
+    indices = np.arange(100, 180)  # at least _BATCH_MIN_ROWS
+    want = _oracle_codes(2, 11, 77, indices)
+    monkeypatch.setattr(model, "_CHUNK_BLOCKS", 7)  # one row per chunk
+    assert np.array_equal(_relator_codes(2, 11, 77, indices), want)
+    monkeypatch.setattr(model, "_batch_codes", every_other_row_redone)
+    assert np.array_equal(_relator_codes(2, 11, 77, indices), want)
+    seeds = np.arange(80, dtype=np.uint32) * 7919
+    per_row = _relator_codes(2, 11, seeds, indices)
+    for r in range(80):
+        assert np.array_equal(per_row[r], _oracle_codes(2, 11, int(seeds[r]), indices[r:r + 1])[0])
+
+
+@pytest.mark.parametrize("m, l, d, seed", [
+    (2, 24, Fraction(3, 10), 0), (2, 24, Fraction(3, 10), 12345), (3, 12, Fraction(1, 4), 1),
+    (2, 8, Fraction(1, 4), 2**40 + 3), (4, 9, Fraction(1, 3), 2), (26, 3, Fraction(1, 2), 5),
+])
+def test_stream_presentations_match_per_relator_sampler(m, l, d, seed):
+    p = sample_presentation(m, l, d, seed)
+    assert p.relators == _oracle_relators(m, l, d, seed)
+    base = sample_presentation(m, l, d / 2, seed)
+    ext = extend_presentation(base, d, seed + 1)
+    assert ext.relators == base.relators + _oracle_relators(m, l, d, seed + 1, len(base.relators))
+
+
+@given(seed=st.integers(0, 2**70),
+       keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                     min_size=1, max_size=20),
+       width=st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_stream_trial_seeds_match_seed_sequence(seed, keys, width):
+    keys = np.array(keys, dtype=np.uint32)[:, :width]  # keys (t,) and (ci, t)
+    want = [int(np.random.SeedSequence(seed, spawn_key=tuple(int(x) for x in key))
+                .generate_state(1)[0]) for key in keys]
+    assert _trial_seeds(seed, keys).tolist() == want
+
+
+@pytest.mark.parametrize("m, l, d, seed, ci", [
+    (2, 6, Fraction(1, 4), 7, None), (2, 12, Fraction(1, 5), 3, 2), (3, 5, Fraction(1, 3), 2**40, 0),
+])
+def test_stream_trial_relators_match_sample_presentation(monkeypatch, m, l, d, seed, ci):
+    # several chunks of trials, the last one below _BATCH_MIN_ROWS
+    monkeypatch.setattr(model, "_TRIAL_ROWS", 100)
+    t = np.arange(25, dtype=np.uint32)
+    keys = t[:, None] if ci is None else np.stack([np.full_like(t, ci), t], axis=1)
+    drawn = list(_trial_relators(m, l, d, seed, keys))
+    assert len(drawn) == len(keys)
+    ab = Alphabet(m)
+    for key, rows in zip(keys, drawn):
+        s = int(np.random.SeedSequence(seed, spawn_key=tuple(int(x) for x in key))
+                .generate_state(1)[0])
+        assert tuple(ab.decode(r) for r in rows.tolist()) == _oracle_relators(m, l, d, s)
+
+
+# ---------------------------------------------------------------------------
+# One relator check for the constructor and the file parser
+# ---------------------------------------------------------------------------
+
+_LETTERS = Alphabet(26).letters
+
+
+@st.composite
+def _mutated_presentation(draw):
+    """A serialised sampled presentation with one or two relators made bad,
+    blank lines here and there, and the index of the first bad relator."""
+    m, l = draw(st.integers(2, 4)), draw(st.integers(2, 8))
+    p = sample_presentation(m, l, Fraction(1, 3), draw(st.integers(0, 2**40)))
+    relators = list(p.relators)
+    bad = sorted(draw(st.lists(st.integers(0, len(relators) - 1), min_size=1, max_size=2,
+                               unique=True)))
+    for k in bad:
+        r, j = relators[k], draw(st.integers(0, l - 1))
+        kind = draw(st.sampled_from(["letter", "beyond 2m", "length", "cancelling"]))
+        if kind == "letter":
+            r = r[:j] + draw(st.sampled_from("1?é*-")) + r[j + 1:]
+        elif kind == "beyond 2m":
+            r = r[:j] + draw(st.sampled_from(_LETTERS[2 * m:])) + r[j + 1:]
+        elif kind == "length":
+            r = draw(st.sampled_from([r[:-1], r + r[0], r * 2]))
+        else:  # letter j+1 (cyclically) cancels letter j
+            inv = r[j].swapcase()
+            r = r[:j + 1] + inv + r[j + 2:] if j + 1 < l else inv + r[1:]
+        relators[k] = r
+    lines = p.serialize().splitlines()[:2]
+    line_of = []
+    for r in relators:
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(r)
+        line_of.append(len(lines))
+    return p, tuple(relators), "\n".join(lines) + "\n", line_of[bad[0]]
+
+
+@given(_mutated_presentation())
+@settings(max_examples=300, deadline=None)
+def test_parse_and_constructor_agree_on_bad_relators(case):
+    p, relators, text, line = case
+    with pytest.raises(PreconditionError) as direct:
+        Presentation(m=p.m, l=p.l, density=p.density, relators=relators, seed=p.seed)
+    with pytest.raises(ParseError) as parsed:
+        parse_presentation(text)
+    assert parsed.value.line == line
+    assert str(parsed.value) == f"line {line}: {direct.value}"

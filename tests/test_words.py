@@ -14,7 +14,7 @@ from randomgroups.errors import (
     HeterogeneousLengthError,
     MalformedWordError,
 )
-from randomgroups.model import sample_presentation
+from randomgroups.model import _relator_codes, sample_presentation
 from randomgroups.words import (
     Alphabet,
     CyclicWord,
@@ -29,7 +29,6 @@ from randomgroups.words import (
     reduce_word,
     rivin_count,
     sample_cyclically_reduced,
-    sample_cyclically_reduced_batch,
 )
 
 from tests.conftest import relator_sets
@@ -160,12 +159,12 @@ def test_sampler_contract():
 
 
 def test_sampler_support_matches_enumeration():
-    # support equality at m=2 for every l <= 3, 1e5 draws at l=3
-    rng = np.random.default_rng(123)
+    # support equality at m=2 for every l <= 3, 1e5 draws at l=3, on the
+    # relator streams that presentations use
     ab = Alphabet(2)
     for l, draws in ((1, 2000), (2, 5000), (3, 100_000)):
         enumerated = set(enumerate_cyclically_reduced(2, l))
-        batch = sample_cyclically_reduced_batch(2, l, draws, rng)
+        batch = _relator_codes(2, l, 123, np.arange(draws))
         seen = {ab.decode(int(x) for x in row) for row in batch}
         assert seen == enumerated
 
@@ -173,12 +172,11 @@ def test_sampler_support_matches_enumeration():
 def test_sampler_uniform_chi_square():
     from scipy import stats
 
-    rng = np.random.default_rng(2024)
     allwords = enumerate_cyclically_reduced(2, 3)
     idx = {w: i for i, w in enumerate(allwords)}
     counts = np.zeros(len(allwords))
     ab = Alphabet(2)
-    batch = sample_cyclically_reduced_batch(2, 3, 100_000, rng)
+    batch = _relator_codes(2, 3, 2024, np.arange(100_000))
     for row in batch:
         counts[idx[ab.decode(int(x) for x in row)]] += 1
     res = stats.chisquare(counts)
