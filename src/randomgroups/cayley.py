@@ -219,7 +219,6 @@ class CayleyBall:
     words: list[str]                     # canonical (lex-least geodesic) per vertex
     dist: list[int]
     adjacency: list[dict[int, int]]      # letter code -> vertex id
-    index: dict[str, int]
 
     def vertex_of_word(self, word: str) -> int | None:
         """Walk a word from the origin through recorded adjacency."""
@@ -400,15 +399,12 @@ def cayley_ball(
             if v is not None:
                 adjacency[u][x] = v
                 adjacency[v][x ^ 1] = u
-    # index holds one entry per vertex, in vertex order
-    names = [ab.decode(w) for w in words]
     return CayleyBall(
         presentation=p,
         radius=radius,
-        words=names,
+        words=[ab.decode(w) for w in words],
         dist=dist,
         adjacency=adjacency,
-        index={name: i for i, name in enumerate(names)},
     )
 
 
@@ -564,24 +560,18 @@ class UnverifiedBall:
     """Quotient of the free ball by relator closure within a word-length cap.
 
     Distances here are upper bounds for the true word metric (every quotient
-    edge is a real Cayley edge); nothing is claimed exact.  `saturated` records
-    whether the last closure pass added no merges within the cap.
+    edge is a real Cayley edge); nothing is claimed exact.
     """
 
     presentation: Presentation
     word_cap: int
-    saturated: bool
     warning: str
     _index: dict[tuple[int, ...], int]
     _root: list[int]
     _dist: dict[int, int]
 
     def _find(self, a: int) -> int:
-        r = self._root
-        while r[a] != a:
-            r[a] = r[r[a]]
-            a = r[a]
-        return a
+        return _find(self._root, a)
 
     def class_of_word(self, word: str) -> int | None:
         w = _reduce_ints(self.presentation.alphabet.encode(word))
@@ -596,11 +586,18 @@ class UnverifiedBall:
         return self._dist.get(c)
 
 
+def _find(root: list[int], a: int) -> int:
+    """Union-find root of node a, halving the path on the way."""
+    while root[a] != a:
+        root[a] = root[root[a]]
+        a = root[a]
+    return a
+
+
 def naive_closure_ball(
     p: Presentation,
     word_cap: int,
     node_budget: int = 300_000,
-    passes: int = 3,
 ) -> UnverifiedBall:
     """Bounded congruence closure: no termination or exactness guarantee.
 
@@ -611,10 +608,10 @@ def naive_closure_ball(
     only the rotations whose first k0 letters invert the last k0 letters of w
     are tried, looked up in an index of the rotations by their k0-prefix.
 
-    The merge pairs are therefore a fixed set, collected once.  `union` hangs
-    the larger root under the smaller, so each class's root is its least
-    node whatever the order of the merges, and a second pass never merges
-    anything: with `passes` ≥ 2, `saturated` is always true.
+    The merge pairs are therefore a fixed set, collected once, and one union
+    over them is the closure.  Each union hangs the larger root under the
+    smaller, so each class's root is its least node whatever the order of
+    the merges.
     """
     m = p.m
     nodes: list[tuple[int, ...]] = [()]
@@ -640,20 +637,6 @@ def naive_closure_ball(
                     nxt.append(v)
         frontier = nxt
     root = list(range(len(nodes)))
-
-    def find(a):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[max(ra, rb)] = min(ra, rb)
-            return True
-        return False
-
     rotations = [tuple(rho) for rho in _slot_windows(_relator_texts(p.relators), p.l).tolist()]
     by_prefix: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
     pairs = []
@@ -670,23 +653,17 @@ def naive_closure_ball(
         for rho in by_prefix[k0].get(seam, ()):
             # index holds every reduced word within the cap
             pairs.append((a, index[_reduce_ints(w + rho)]))
-    saturated = False
-    for _ in range(passes):
-        changed = False
-        for a, b in pairs:
-            if union(a, b):
-                changed = True
-        if not changed:
-            saturated = True
-            break
+    for a, b in pairs:
+        ra, rb = _find(root, a), _find(root, b)
+        root[max(ra, rb)] = min(ra, rb)
     # BFS over the quotient graph: classes are vertices, free-graph steps
     # between member words are the edges
     from collections import defaultdict, deque
 
     members: dict[int, list[int]] = defaultdict(list)
     for i in range(len(nodes)):
-        members[find(i)].append(i)
-    start = find(0)
+        members[_find(root, i)].append(i)
+    start = _find(root, 0)
     dist: dict[int, int] = {start: 0}
     q = deque([start])
     while q:
@@ -704,14 +681,13 @@ def naive_closure_ball(
                 vi = index.get(v)
                 if vi is None:
                     continue
-                rv = find(vi)
+                rv = _find(root, vi)
                 if rv not in dist:
                     dist[rv] = dist[c] + 1
                     q.append(rv)
     return UnverifiedBall(
         presentation=p,
         word_cap=word_cap,
-        saturated=saturated,
         warning=(
             "distances are upper bounds from a bounded relator closure; "
             "no small-cancellation guarantee applies"

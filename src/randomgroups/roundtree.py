@@ -23,13 +23,20 @@ built by viewing each row as one byte string and sorting those in place
 38 050-relator host that is 1.8 M rows.  A tree builds the index on its first
 `grow_level`, never on `init_round_tree` or `tree_from_json`, so the read-side
 operations (emanating words, probes) never pay for it.
+
+In a tree file each `Cell`, `Sector` (less its key, which names the record)
+and `Bracket` record is its dataclass's fields in declaration order, written
+and read by one pair of helpers (`_record`, `_from_record`): a field change is
+a format change.  Loading goes through the `RoundTree` constructor, which
+validates the parameters against the host, and then puts the file's complex
+in place of the base cell it lays down.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -210,32 +217,24 @@ class RoundTree:
     # -- metric helpers ----------------------------------------------------
 
     def distances_from_base(self) -> list[int]:
-        dist = [-1] * len(self.out)
-        dist[self.base] = 0
-        q = deque([self.base])
-        while q:
-            v = q.popleft()
-            for w in self.out[v].values():
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        return dist
+        return self._bfs()[0]
 
-    def bfs_parents(self) -> list[tuple[int, int] | None]:
-        """Deterministic BFS tree: parent (vertex, letter-from-child) pairs."""
+    def _bfs(self) -> tuple[list[int], list[tuple[int, int] | None]]:
+        """Distances from the base, and the deterministic BFS tree that tries
+        letters in sorted order: parent (vertex, letter-from-child) pairs."""
+        dist = [-1] * len(self.out)
         parent: list[tuple[int, int] | None] = [None] * len(self.out)
-        seen = [False] * len(self.out)
-        seen[self.base] = True
+        dist[self.base] = 0
         q = deque([self.base])
         while q:
             v = q.popleft()
             for letter in sorted(self.out[v]):
                 w = self.out[v][letter]
-                if not seen[w]:
-                    seen[w] = True
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
                     parent[w] = (v, letter ^ 1)
                     q.append(w)
-        return parent
+        return dist, parent
 
     def path_label(self, steps) -> str:
         return self.ab.decode(x for (_v, x) in steps)
@@ -245,8 +244,7 @@ class RoundTree:
     def grow_level(self) -> "RoundTree":
         prm = self.params
         seg = prm.segment_length(self.host.l)
-        dist = self.distances_from_base()
-        parents = self.bfs_parents()
+        dist, parents = self._bfs()
         current = [s for k, s in self.sectors.items() if len(k) == self.levels]
         new_cells_this_level = 0
         for sector in sorted(current, key=lambda s: s.key):
@@ -662,25 +660,6 @@ class RoundTree:
                     f"tree metric", vertex=rec["u"]
                 )
 
-    # -- derived complexes ---------------------------------------------------
-
-    def cells_of_prefix(self, key: tuple[int, ...]) -> list[Cell]:
-        return [
-            c
-            for c in self.cells
-            if c.sector == key[: len(c.sector)]
-        ]
-
-    def complex_sets(self, cells) -> tuple[set, set]:
-        verts, edges = set(), set()
-        for c in cells:
-            verts |= c.vertices()
-            edges |= c.edges()
-        return verts, edges
-
-    def level_cells(self, n: int) -> list[Cell]:
-        return [c for c in self.cells if c.level <= n]
-
 
 def _relator_windows(relators: Sequence[str]) -> np.ndarray:
     """All rotations of the relators and their inverses, deduplicated and in
@@ -721,13 +700,31 @@ class AxiomReport:
 def check_round_tree_axioms(tree: RoundTree) -> AxiomReport:
     """Initial-cell uniqueness, sector boundary decomposition, the sibling
     sandwich condition, the V·H branching bound, bracket-label consistency,
-    and the per-vertex extension cap."""
+    and the per-vertex extension cap.
+
+    Each cell's vertex and edge sets, each level complex A_n and each leaf
+    sector's complex are built once per call, and the checks intersect them.
+    Nothing is kept on the tree, which may change between calls."""
     passes: dict[str, bool] = {}
     wit: dict[str, object] = {}
+    cell_verts = [c.vertices() for c in tree.cells]
+    cell_edges = [c.edges() for c in tree.cells]
+
+    def in_sector(c: Cell, key: tuple[int, ...]) -> bool:
+        return c.sector == key[: len(c.sector)]
+
+    def complex_of(member) -> tuple[set, set]:
+        verts, edges = set(), set()
+        for c, cv, ce in zip(tree.cells, cell_verts, cell_edges):
+            if member(c):
+                verts |= cv
+                edges |= ce
+        return verts, edges
 
     # (1) the base point lies on the boundary of a unique level-0 cell
     level0 = [c for c in tree.cells if c.level == 0]
-    containing = [c.id for c in level0 if tree.base in c.vertices()]
+    containing = [c.id for c, cv in zip(tree.cells, cell_verts)
+                  if c.level == 0 and tree.base in cv]
     passes["initial-cell-unique"] = len(level0) == 1 and containing == [0]
     if not passes["initial-cell-unique"]:
         wit["initial-cell-unique"] = containing
@@ -736,11 +733,10 @@ def check_round_tree_axioms(tree: RoundTree) -> AxiomReport:
     #     are exactly L ∪ E ∪ R, with L ∩ R = {base}
     ok2 = True
     for key, s in tree.sectors.items():
-        cells = tree.cells_of_prefix(key)
-        edge_faces: dict[tuple, int] = {}
-        for c in cells:
-            for e in c.edges():
-                edge_faces[e] = edge_faces.get(e, 0) + 1
+        edge_faces: Counter = Counter()
+        for c, ce in zip(tree.cells, cell_edges):
+            if in_sector(c, key):
+                edge_faces.update(ce)
         boundary = {e for e, cnt in edge_faces.items() if cnt == 1}
         declared = set()
         for steps in (s.lray, s.outer, s.rray):
@@ -753,28 +749,21 @@ def check_round_tree_axioms(tree: RoundTree) -> AxiomReport:
             wit.setdefault("sector-boundary", []).append(key)
     passes["sector-boundary"] = ok2
 
-    # (3) sandwich condition for sibling pairs at every stored depth
+    # (3) sandwich condition A_n ∩ A_a ⊆ A_a ∩ A_b ⊆ A_{n+1} ∩ A_a for every
+    #     ordered pair of leaf sectors a, b with common prefix of length n
     ok3 = True
-    depth = tree.levels
-    leaf_keys = [k for k in tree.sectors if len(k) == depth]
+    leaf_keys = [k for k in tree.sectors if len(k) == tree.levels]
+    sector_complex = {k: complex_of(lambda c: in_sector(c, k)) for k in leaf_keys}
+    level_complex = [complex_of(lambda c: c.level <= n) for n in range(tree.levels + 1)]
     for a in leaf_keys:
+        av, ae = sector_complex[a]
         for b in leaf_keys:
             if a == b:
                 continue
+            bv, be = sector_complex[b]
             n = _common_prefix(a, b)
-            if n + 1 > len(a) or n + 1 > len(b):
-                continue
-            A_a = tree.complex_sets(tree.cells_of_prefix(a))
-            A_b = tree.complex_sets(tree.cells_of_prefix(b))
-            A_n = tree.complex_sets(tree.level_cells(n))
-            A_n1 = tree.complex_sets(tree.level_cells(n + 1))
-            lhs_v = A_n[0] & A_a[0]
-            mid_v = A_a[0] & A_b[0]
-            rhs_v = A_n1[0] & A_a[0]
-            lhs_e = A_n[1] & A_a[1]
-            mid_e = A_a[1] & A_b[1]
-            rhs_e = A_n1[1] & A_a[1]
-            if not (lhs_v <= mid_v <= rhs_v and lhs_e <= mid_e <= rhs_e):
+            (nv, ne), (n1v, n1e) = level_complex[n], level_complex[n + 1]
+            if not (nv & av <= av & bv <= n1v & av and ne & ae <= ae & be <= n1e & ae):
                 ok3 = False
                 wit.setdefault("sandwich", []).append((a, b))
     passes["sandwich"] = ok3
@@ -783,12 +772,11 @@ def check_round_tree_axioms(tree: RoundTree) -> AxiomReport:
     ok4 = True
     cap = tree.params.V * tree.params.H
     for n in range(tree.levels):
-        nxt = [c for c in tree.cells if c.level == n + 1]
-        for c in tree.cells:
+        nxt = [dv for d, dv in zip(tree.cells, cell_verts) if d.level == n + 1]
+        for c, cv in zip(tree.cells, cell_verts):
             if c.level > n:
                 continue
-            cv = c.vertices()
-            meets = sum(1 for d in nxt if cv & d.vertices())
+            meets = sum(1 for dv in nxt if not cv.isdisjoint(dv))
             if meets > cap:
                 ok4 = False
                 wit.setdefault("branching", []).append((c.id, meets, cap))
@@ -1033,7 +1021,6 @@ def distortion_probe(
     if not exact:
         cap = word_cap if word_cap is not None else radius + 1
         nb = naive_closure_ball(target, word_cap=cap, node_budget=node_budget)
-    dist0 = tree.distances_from_base()
     nverts = len(tree.out)
     ratios: list[float] = []
     inconclusive = 0
@@ -1119,6 +1106,35 @@ def _tree_distance_and_word(tree: RoundTree, p: int, q: int) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+def _record(obj, skip: tuple[str, ...] = ()) -> dict:
+    """A dataclass's file record: its fields in declaration order (JSON
+    writes the tuples as lists)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+# how a JSON value is read back into a field, by the field's annotation; a
+# tuple field missing here would load as a list, which the round-trip tests
+# catch, since a list never equals a tuple
+_READ_FIELD = {
+    "tuple[int, ...]": tuple,
+    "tuple[tuple[int, int], ...]": lambda v: tuple(map(tuple, v)),
+    "list[tuple[int, int]]": lambda v: [tuple(s) for s in v],
+    "Fraction | None": lambda v: None if v is None else Fraction(v),
+}
+
+
+def _from_record(cls, record: dict, **known):
+    """The dataclass `cls` from its file record; `known` gives the fields the
+    record leaves out.  A field the record lacks takes its default, and a
+    missing required field is a TypeError."""
+    read = {
+        f.name: _READ_FIELD.get(f.type, lambda v: v)(record[f.name])
+        for f in fields(cls)
+        if f.name in record and f.name not in known
+    }
+    return cls(**known, **read)
+
+
 def tree_to_json(tree: RoundTree) -> str:
     payload = {
         "host": tree.host.serialize(),
@@ -1137,38 +1153,11 @@ def tree_to_json(tree: RoundTree) -> str:
         "edges": sorted(
             (v, x, w) for v, nbrs in enumerate(tree.out) for x, w in nbrs.items() if (v, x, w) <= (w, x ^ 1, v)
         ),
-        "cells": [
-            {
-                "id": c.id,
-                "level": c.level,
-                "sector": list(c.sector),
-                "steps": [list(s) for s in c.steps],
-                "word": c.word,
-            }
-            for c in tree.cells
-        ],
+        "cells": [_record(c) for c in tree.cells],
         "sectors": {
-            ",".join(map(str, k)): {
-                "outer": [list(s) for s in sec.outer],
-                "lray": [list(s) for s in sec.lray],
-                "rray": [list(s) for s in sec.rray],
-                "cells": sec.cells,
-            }
-            for k, sec in tree.sectors.items()
+            ",".join(map(str, k)): _record(sec, skip=("key",)) for k, sec in tree.sectors.items()
         },
-        "brackets": [
-            {
-                "cell": b.cell,
-                "label": b.label,
-                "k": b.k,
-                "level": b.level,
-                "p1": b.p1,
-                "p2": b.p2,
-                "v1": b.v1,
-                "v2": b.v2,
-            }
-            for b in tree.brackets
-        ],
+        "brackets": [_record(b) for b in tree.brackets],
         "extension_paths": tree.extension_paths,
         "offset_words": {c: tree.ab.decode(w) for c, w in tree.offset_words.items()},
         "ext_words": {
@@ -1199,54 +1188,20 @@ def tree_from_json(text: str) -> RoundTree:
 
 
 def _tree_from_payload(data: dict, host: Presentation) -> RoundTree:
-    prm = data["params"]
-    params = RoundTreeParams(
-        V=prm["V"],
-        H=prm["H"],
-        ext_offset=prm["ext_offset"],
-        ext_len=prm["ext_len"],
-        seg_len=prm["seg_len"],
-        beta=None if prm["beta"] is None else Fraction(prm["beta"]),
-        eta=None if prm["eta"] is None else Fraction(prm["eta"]),
-    )
-    params.validate(host.l)
-    tree = RoundTree.__new__(RoundTree)
-    tree.host = host
-    tree.params = params
-    tree.ab = host.alphabet
+    # the constructor validates the params against the host and lays down the
+    # base cell at vertex 0; the file's records then replace the whole complex
+    tree = RoundTree(host, _from_record(RoundTreeParams, data["params"]))
     tree.levels = data["levels"]
     tree.out = [dict() for _ in range(data["vertices"])]
     for (v, x, w) in data["edges"]:
         tree.out[v][x] = w
         tree.out[w][x ^ 1] = v
-    tree.cells = [
-        Cell(
-            id=c["id"],
-            level=c["level"],
-            sector=tuple(c["sector"]),
-            steps=tuple((s[0], s[1]) for s in c["steps"]),
-            word=c["word"],
-        )
-        for c in data["cells"]
-    ]
-    tree.base = 0
+    tree.cells = [_from_record(Cell, c) for c in data["cells"]]
     tree.sectors = {}
     for key, sec in data["sectors"].items():
         k = tuple(int(t) for t in key.split(",")) if key else ()
-        tree.sectors[k] = Sector(
-            key=k,
-            outer=[(s[0], s[1]) for s in sec["outer"]],
-            lray=[(s[0], s[1]) for s in sec["lray"]],
-            rray=[(s[0], s[1]) for s in sec["rray"]],
-            cells=sec["cells"],
-        )
-    tree.brackets = [
-        Bracket(
-            cell=b["cell"], label=b["label"], k=b["k"], level=b["level"],
-            p1=b["p1"], p2=b["p2"], v1=b["v1"], v2=b["v2"],
-        )
-        for b in data["brackets"]
-    ]
+        tree.sectors[k] = _from_record(Sector, sec, key=k)
+    tree.brackets = [_from_record(Bracket, b) for b in data["brackets"]]
     tree.bracket_registry = {b.label: tree.cells[b.cell].word for b in tree.brackets}
     tree.extension_paths = data["extension_paths"]
     tree.offset_words = {c: tree.ab.encode(w) for c, w in data["offset_words"].items()}

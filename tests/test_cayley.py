@@ -262,10 +262,11 @@ def test_naive_closure_finds_planted_shortcut():
     assert upper is not None and upper <= 5  # the shortcut is a real path
 
 
-def _closure_oracle(p, nb, passes):
+def _closure_oracle(p, nb):
     """The all-rotations scan: every node of nb's free ball against every
-    rotation of every relator and inverse.  Returns the least member of each
-    node's class, the quotient BFS distances by class and `saturated`."""
+    rotation of every relator and inverse, repeated until a scan merges
+    nothing.  Returns the least member of each node's class and the quotient
+    BFS distances by class."""
     ab = p.alphabet
     rotations = [ab.encode(s[q:] + s[:q]) for r in p.relators
                  for s in (r, inverse_word(r, ab)) for q in range(p.l)]
@@ -278,8 +279,8 @@ def _closure_oracle(p, nb, passes):
             a = root[a]
         return a
 
-    saturated = False
-    for _ in range(passes):
+    changed = True
+    while changed:
         changed = False
         for w in nodes:
             for rho in rotations:
@@ -289,9 +290,6 @@ def _closure_oracle(p, nb, passes):
                     if ra != rb:
                         root[max(ra, rb)] = min(ra, rb)
                         changed = True
-        if not changed:
-            saturated = True
-            break
     cls = [find(i) for i in range(len(nodes))]
     adj = {c: set() for c in cls}
     for i, w in enumerate(nodes):
@@ -306,7 +304,7 @@ def _closure_oracle(p, nb, passes):
             if e not in dist:
                 dist[e] = dist[c] + 1
                 queue.append(e)
-    return cls, dist, saturated
+    return cls, dist
 
 
 @st.composite
@@ -324,12 +322,10 @@ def test_naive_closure_matches_all_rotations_scan(case):
     # caps below l, where short nodes are skipped, and at or above l + |w|,
     # where every rotation is tried (k0 = 0), both occur
     p, cap = case
-    for passes in (1, 3):
-        nb = naive_closure_ball(p, word_cap=cap, passes=passes)
-        cls, dist, saturated = _closure_oracle(p, nb, passes)
-        assert [nb._find(i) for i in range(len(cls))] == cls
-        assert nb._dist == dist
-        assert nb.saturated == saturated
+    nb = naive_closure_ball(p, word_cap=cap)
+    cls, dist = _closure_oracle(p, nb)
+    assert [nb._find(i) for i in range(len(cls))] == cls
+    assert nb._dist == dist
 
 
 def test_scan_micro_oracle_at_d0():

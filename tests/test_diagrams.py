@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomgroups.diagrams import (
     Diagram,
@@ -406,3 +408,18 @@ def test_json_round_trip():
     d2 = diagram_from_json(text)
     assert canonical_code(d2) == canonical_code(d)
     assert diagram_to_json(d2) == text
+
+
+_ROUND_TRIP_DIAGRAMS = [d for C in (1, 2) for l in (3, 4) for d in enumerate_diagrams(C, l)[0]]
+
+
+@given(
+    st.sampled_from(_ROUND_TRIP_DIAGRAMS),
+    st.dictionaries(st.integers(0, 12), st.sampled_from(Alphabet(2).letters), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_json_round_trip_enumerated(d, pattern):
+    # enumerated diagrams at l = 3 and 4, with and without boundary patterns
+    if pattern:
+        d = restrict_boundary(d, pattern)
+    assert diagram_from_json(diagram_to_json(d)) == d

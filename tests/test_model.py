@@ -153,6 +153,30 @@ def test_save_load_round_trip(tmp_path):
     assert (tmp_path / "p.txt").read_bytes() == (tmp_path / "p2.txt").read_bytes()
 
 
+@st.composite
+def _presentations(draw):
+    """Sampled presentations, and extensions of them carrying a parent
+    fingerprint."""
+    m = draw(st.sampled_from([2, 3]))
+    l = draw(st.integers(2, 10))
+    densities = [Fraction(0), Fraction(1, 10), Fraction(1, 6), Fraction(1, 4), Fraction(3, 10)]
+    d = draw(st.sampled_from(densities))
+    p = sample_presentation(m, l, d, seed=draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        dt = draw(st.sampled_from([x for x in densities if x >= d]))
+        p = extend_presentation(p, dt, seed=draw(st.integers(0, 2**32)))
+    return p
+
+
+@given(_presentations())
+@settings(max_examples=100, deadline=None)
+def test_presentation_file_round_trip(p):
+    q = parse_presentation(p.serialize())
+    assert q == p
+    assert q.fingerprint() == p.fingerprint()
+    assert q.parent_fingerprint == p.parent_fingerprint
+
+
 def test_parse_rejects_bad_files():
     good = sample_presentation(2, 6, 0, seed=1).serialize()
     with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -121,6 +122,41 @@ def test_detector_branching_cap(demo_tree):
     rep = check_round_tree_axioms(tree)
     assert not rep.passes["branching-VH"]
     assert rep.witnesses["branching"]
+
+
+def test_detector_sector_boundary(demo_tree):
+    tree = copy.deepcopy(demo_tree)
+    key = max(tree.sectors)
+    tree.sectors[key].outer.pop()  # one outer edge no longer declared
+    rep = check_round_tree_axioms(tree)
+    assert not rep.passes["sector-boundary"]
+    assert rep.witnesses["sector-boundary"] == [key]
+
+
+def test_detector_sandwich(demo_tree):
+    tree = copy.deepcopy(demo_tree)
+    a, b = min(k for k in tree.sectors if len(k) == tree.levels), max(tree.sectors)
+    assert a[0] != b[0]
+    # a copy of one of b's outermost cells filed under a: A_a and A_b now
+    # share vertices far outside A_1
+    template = next(c for c in tree.cells if c.sector == b)
+    tree.cells.append(Cell(id=len(tree.cells), level=template.level, sector=a,
+                           steps=template.steps, word=template.word))
+    rep = check_round_tree_axioms(tree)
+    assert not rep.passes["sandwich"]
+    assert (a, b) in rep.witnesses["sandwich"] and (b, a) in rep.witnesses["sandwich"]
+
+
+def test_detector_extension_cap(demo_tree):
+    tree = copy.deepcopy(demo_tree)
+    rec = tree.extension_paths[0]
+    for j in range(tree.params.V):
+        tree.extension_paths.append(dict(rec, label=f"{rec['label']}#{j}"))
+    rep = check_round_tree_axioms(tree)
+    assert not rep.passes["extension-cap"]
+    assert rep.witnesses["extension-cap"] == [
+        (rec["level"], rec["u"], 2 * tree.params.V)
+    ]
 
 
 def test_detector_initial_cell(demo_tree):
@@ -269,6 +305,33 @@ def test_tree_json_round_trip(demo_tree):
     assert "_windows" not in vars(tree2)
 
 
+# sha256 of the demo tree's file (host seed 0, the fixture's parameters):
+# any change to a record's fields or their order changes these bytes
+DEMO_TREE_DIGEST = "10a6d039316dc442e117a04c08799b95e0d6601f29422759923e9e5be0f3ad7f"
+
+
+def test_tree_json_digest(demo_tree):
+    assert demo_tree.host.seed == 0
+    text = tree_to_json(demo_tree)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEMO_TREE_DIGEST
+    again = tree_to_json(tree_from_json(text))
+    assert hashlib.sha256(again.encode()).hexdigest() == DEMO_TREE_DIGEST
+
+
+def test_tree_json_records_load_as_built(demo_tree):
+    tree = tree_from_json(tree_to_json(demo_tree))
+    assert tree.params == demo_tree.params
+    assert tree.cells == demo_tree.cells
+    assert tree.sectors == demo_tree.sectors
+    assert tree.brackets == demo_tree.brackets
+    assert tree.out == demo_tree.out
+    assert tree.base == demo_tree.base
+    assert tree.bracket_registry == demo_tree.bracket_registry
+    assert tree.offset_words == demo_tree.offset_words
+    assert tree.ext_words == demo_tree.ext_words
+    assert tree.extension_paths == demo_tree.extension_paths
+
+
 def test_saved_tree_grows_like_direct_build(demo_tree):
     tree = init_round_tree(demo_tree.host, demo_tree.params)
     tree.grow_level()
@@ -294,6 +357,9 @@ def test_tree_from_json_rejects_bad_files(verified_presentation):
         tree_from_json(json.dumps(dict(data, host_fingerprint="0" * 64)))
     with pytest.raises(DomainError):
         tree_from_json(json.dumps(dict(data, params=dict(data["params"], V=1))))
+    cell = {k: v for k, v in data["cells"][0].items() if k != "word"}
+    with pytest.raises(ParseError):
+        tree_from_json(json.dumps(dict(data, cells=[cell])))
 
 
 def _windows_by_unique(relators, m):
