@@ -13,7 +13,9 @@ metric, and extension words are read off the chosen relator windows, searched
 by backtracking with the uniformity rule "one offset word and one V-tuple of
 extension words per incoming-edge class, fixed once assigned".  Equal bracket
 labels always reuse the registered cell word, so bracket labels determine
-boundary words by construction.
+boundary words by construction.  The search keeps every such commitment as
+one entry of a single table that never changes an entry once set: a window
+adds the entries it lacks, and backtracking deletes exactly those.
 
 The candidate cell words form the window index: every rotation of every host
 relator and its inverse, read off the shared doubled-text matrix (layout and
@@ -29,7 +31,8 @@ and `Bracket` record is its dataclass's fields in declaration order, written
 and read by one pair of helpers (`_record`, `_from_record`): a field change is
 a format change.  Loading goes through the `RoundTree` constructor, which
 validates the parameters against the host, and then puts the file's complex
-in place of the base cell it lays down.
+in place of the base cell it lays down, once its vertices and letters are in
+range, its edges agree and every record's steps are edges of it.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ from .errors import (
     ConstructionObstructedError,
     DomainError,
     EmptyStatisticsError,
+    MalformedWordError,
     ParseError,
     PreconditionError,
 )
 from .model import Presentation, check_seed, parse_presentation
-from .words import Alphabet, _relator_texts, _slot_windows, _sort_rows, _text_length
+from .words import Alphabet, _reduce_ints, _relator_texts, _slot_windows, _sort_rows, _text_length
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -155,6 +159,7 @@ class RoundTree:
         self.offset_words: dict[str, tuple[int, ...]] = {}
         self.ext_words: dict[str, list[tuple[int, ...]]] = {}
         self.extension_paths: list[dict] = []  # {u, class, branch, tip, label, level}
+        self._center_index_cache: dict[int, dict[bytes, np.ndarray]] = {}
         self._init_base_cell()
 
     # -- construction ------------------------------------------------------
@@ -164,10 +169,6 @@ class RoundTree:
         """The cell-word candidates (see `_relator_windows`), built on first
         use: the first `grow_level`, never on init or load."""
         return _relator_windows(self.host.relators)
-
-    @cached_property
-    def _center_index_cache(self) -> dict[int, dict[bytes, np.ndarray]]:
-        return {}
 
     def _center_rows(self, plen: int) -> dict[bytes, np.ndarray]:
         """Window rows grouped by the piece slot w[oe : oe+plen]."""
@@ -325,8 +326,24 @@ class RoundTree:
 
     def _search_windows(self, sector, pieces, points, classes):
         """Backtracking assignment of a relator window to every
-        (piece, branch) slot, consistent with the class tables, the bracket
-        registry, branch divergence, and the immersion at junctions.
+        (piece, branch) slot.
+
+        Every commitment is one entry of the table `fixed`, never changed
+        once set:
+        - ("off", c): the offset word of class c;
+        - ("ext", c, j): its branch-j extension word;
+        - ("tip", c, x): the branch of c whose extension starts with letter x
+          (branches diverge at the offset tip);
+        - ("lead", u, x): the class that leaves point u by offset letter x;
+        - ("label", s): the window registered for bracket label s.
+        A window fits a slot when its offset letters are not yet edges at its
+        points, it does not undo the previous same-branch cell's free arc at
+        their shared tip, and every entry it needs is unset or holds the same
+        value in the table as it stood before the window.  Committing adds
+        the entries it lacks (the first of two equal keys wins), and
+        backtracking deletes exactly those.  The table starts from the tree's
+        offset words, extension words and bracket registry, which are read
+        back out of it in insertion order.
 
         Runs several randomized passes with per-pass node budgets: dead ends
         hinge on early table commitments, so shuffled restarts are far more
@@ -356,7 +373,6 @@ class RoundTree:
                 )
             piece_rows.append(rows.copy())
         slots = [(i, j) for i in range(len(pieces)) for j in range(prm.V)]
-        slot_pos = {s: si for si, s in enumerate(slots)}
         slots_by_class: dict[str, list[int]] = {}
         for si, (i, j) in enumerate(slots):
             slots_by_class.setdefault(classes[i], []).append(si)
@@ -367,157 +383,91 @@ class RoundTree:
                 spawn_key=(self.levels, sum(sector.key) + len(sector.key)),
             )
         )
-        off: dict[str, tuple] = {}
-        ext: dict[str, list] = {}
-        registry: dict[str, str] = {}
-        reserved: dict[int, dict[str, int]] = {}
+        start: dict[tuple, object] = {
+            ("label", self.ab.encode(s)): self.ab.encode(w)
+            for s, w in self.bracket_registry.items()
+        }
+        for c, o in self.offset_words.items():
+            start[("off", c)] = o
+            for j, e in enumerate(self.ext_words[c]):
+                if e is not None:
+                    start[("ext", c, j)] = e
+                    start[("tip", c, e[0])] = j
+        fixed: dict[tuple, object] = {}
+        # slots fill in order, so a stale window is overwritten before it is read
         assignment: dict[tuple[int, int], tuple[int, ...]] = {}
         budget = [0]
 
-        def known_leg(c, j):
-            o = off.get(c)
-            e = ext.get(c, [None] * prm.V)[j]
-            if o is None or e is None:
-                return None
-            return o + e
-
-        def candidate_rows(i, j, cL, cR):
+        def candidate_rows(i, j):
+            """Piece i's rows whose legs agree with those fixed for branch j."""
             rows = piece_rows[i]
             plen = len(piece_labels[i])
-            legL_k = known_leg(cL, j)
-            legR_k = known_leg(cR, j)
-            if legL_k is not None:
-                left = np.array([x ^ 1 for x in reversed(legL_k)], dtype=np.int8)
-                rows = rows[(W[rows, :oe] == left).all(axis=1)]
-            if legR_k is not None and len(rows):
-                right = np.array(legR_k, dtype=np.int8)
-                rows = rows[(W[rows, oe + plen : 2 * oe + plen] == right).all(axis=1)]
+            for c, at, down in ((classes[i], 0, True), (classes[i + 1], oe + plen, False)):
+                o, e = fixed.get(("off", c)), fixed.get(("ext", c, j))
+                if o is not None and e is not None:
+                    leg = [x ^ 1 for x in reversed(o + e)] if down else o + e
+                    for k, x in enumerate(leg):
+                        rows = rows[W[rows, at + k] == x]
             return rows
-
-        def split_leg(leg):
-            return leg[:off_n], leg[off_n:]
-
-        def tables_ok(c, j, leg):
-            o, e = split_leg(leg)
-            if c in off and off[c] != o:
-                return None
-            exts = ext.get(c, [None] * prm.V)
-            if exts[j] is not None and exts[j] != e:
-                return None
-            for jj, other in enumerate(exts):
-                if jj != j and other is not None and other[0] == e[0]:
-                    return None  # branches must diverge at the offset tip
-            return (c, j, o, e)
-
-        def offset_letter_ok(c, u, o):
-            if o[0] in self.out[u]:
-                return False
-            held = reserved.get(u, {})
-            return held.get(c, o[0]) == o[0] and all(
-                x != o[0] for cc, x in held.items() if cc != c
-            )
-
-        def forward_ok(si, touched):
-            for c in touched:
-                for sj in slots_by_class.get(c, ()):
-                    if sj <= si:
-                        continue
-                    i, j = slots[sj]
-                    if not len(candidate_rows(i, j, classes[i], classes[i + 1])):
-                        return False
-            return True
 
         def try_slot(si):
             if si == len(slots):
                 return True
             i, j = slots[si]
             plen = len(piece_labels[i])
-            uL, uR = points[i], points[i + 1]
-            cL, cR = classes[i], classes[i + 1]
             bl = 2 * oe + plen
-            for row in candidate_rows(i, j, cL, cR):
+            ends = ((points[i], classes[i]), (points[i + 1], classes[i + 1]))
+            # adjacent same-branch cells share an extension tip: this cell's
+            # free arc may not end by undoing the first letter of the previous
+            undo = None
+            if i and 2 * oe + len(piece_labels[i - 1]) < l:
+                undo = assignment[(i - 1, j)][2 * oe + len(piece_labels[i - 1])] ^ 1
+            for row in candidate_rows(i, j):
                 budget[0] -= 1
                 if budget[0] <= 0:
                     raise ConstructionObstructedError(
                         "window search budget exhausted", sector=sector.key
                     )
-                window = tuple(int(x) for x in W[row])
-                legL = tuple(x ^ 1 for x in reversed(window[:oe]))
-                legR = window[oe + plen : bl]
-                if cL == cR and legL != legR:
+                window = tuple(W[row].tolist())
+                legs = (tuple(x ^ 1 for x in reversed(window[:oe])), window[oe + plen : bl])
+                if classes[i] == classes[i + 1] and legs[0] != legs[1]:
                     continue
-                upd_L = tables_ok(cL, j, legL)
-                if upd_L is None:
+                if window[l - 1] == undo or any(leg[0] in self.out[u] for (u, _c), leg in zip(ends, legs)):
                     continue
-                upd_R = None
-                if cR != cL:
-                    upd_R = tables_ok(cR, j, legR)
-                    if upd_R is None:
-                        continue
-                if not offset_letter_ok(cL, uL, legL[:off_n]):
+                need = [(("label", window[:bl]), window)]
+                for (u, c), leg in zip(ends, legs):
+                    need += [(("off", c), leg[:off_n]), (("ext", c, j), leg[off_n:]),
+                             (("tip", c, leg[off_n]), j), (("lead", u, leg[0]), c)]
+                if any(fixed.get(k, v) != v for k, v in need):
                     continue
-                if not offset_letter_ok(cR, uR, legR[:off_n]):
-                    continue
-                # adjacent same-branch cells share an extension tip: the free
-                # arc of this cell ends where the previous cell's begins
-                prev = assignment.get((i - 1, j))
-                if prev is not None:
-                    bl_prev = 2 * oe + len(piece_labels[i - 1])
-                    if bl_prev < l and (window[l - 1] ^ 1) == prev[bl_prev]:
-                        continue
-                label = self.ab.decode(
-                    tuple(x ^ 1 for x in reversed(legL)) + piece_labels[i] + legR
-                )
-                reg_word = registry.get(label)
-                if reg_word is not None and self.ab.encode(reg_word) != window:
-                    continue
-                saved = (
-                    dict(off),
-                    {c: list(v) for c, v in ext.items()},
-                    dict(registry),
-                    {u: dict(h) for u, h in reserved.items()},
-                )
-                touched = []
-                for upd in (upd_L, upd_R):
-                    if upd is None:
-                        continue
-                    c, jj, o, e = upd
-                    off[c] = o
-                    ext.setdefault(c, [None] * prm.V)[jj] = e
-                    touched.append(c)
-                reserved.setdefault(uL, {})[cL] = off[cL][0]
-                reserved.setdefault(uR, {})[cR] = off[cR][0]
-                registry.setdefault(label, self.ab.decode(window))
+                added = []
+                for k, v in need:
+                    if k not in fixed:
+                        fixed[k] = v
+                        added.append(k)
                 assignment[(i, j)] = window
-                if forward_ok(si, touched) and try_slot(si + 1):
+                later = {sj for c in (classes[i], classes[i + 1])
+                         for sj in slots_by_class[c] if sj > si}
+                if all(len(candidate_rows(*slots[sj])) for sj in later) and try_slot(si + 1):
                     return True
-                del assignment[(i, j)]
-                off.clear(); off.update(saved[0])
-                ext.clear(); ext.update(saved[1])
-                registry.clear(); registry.update(saved[2])
-                reserved.clear(); reserved.update(saved[3])
+                for k in added:
+                    del fixed[k]
             return False
 
         attempts = 8
-        solved = False
         saw_budget_stop = False
         for _attempt in range(attempts):
             for rows in piece_rows:
                 rng.shuffle(rows)
             budget[0] = max(1, prm.search_budget // attempts)
-            assignment.clear()
-            off.clear(); off.update(self.offset_words)
-            ext.clear(); ext.update({c: list(ws) for c, ws in self.ext_words.items()})
-            registry.clear(); registry.update(self.bracket_registry)
-            reserved.clear()
+            fixed.clear()
+            fixed.update(start)
             try:
                 if try_slot(0):
-                    solved = True
                     break
             except ConstructionObstructedError:
                 saw_budget_stop = True
-                continue
-        if not solved:
+        else:
             if saw_budget_stop:
                 raise ConstructionObstructedError(
                     "window search budget exhausted", sector=sector.key
@@ -527,57 +477,39 @@ class RoundTree:
                 "(desk-scale genericity failure)",
                 sector=sector.key,
             )
-        self.offset_words = off
-        self.ext_words = {c: [w for w in ws] for c, ws in ext.items()}
-        self.bracket_registry = registry
+        self.offset_words = {k[1]: v for k, v in fixed.items() if k[0] == "off"}
+        self.ext_words = {c: [fixed.get(("ext", c, j)) for j in range(prm.V)]
+                          for c in self.offset_words}
+        self.bracket_registry = {self.ab.decode(k[1]): self.ab.decode(v)
+                                 for k, v in fixed.items() if k[0] == "label"}
         return assignment
 
     # -- building from a plan ------------------------------------------------
 
     def _build_from_plan(self, sector, pieces, points, classes, plan) -> None:
         prm = self.params
-        off_n, ext_n = prm.ext_offset, prm.ext_len
-        oe = off_n + ext_n
+        oe = prm.ext_offset + prm.ext_len
         l = self.host.l
         # build the shared offset paths and per-branch extension paths
         tips: dict[tuple[int, int], int] = {}     # (point index, branch) -> tip vertex
-        offset_tip: dict[int, int] = {}
         for idx, u in enumerate(points):
             c = classes[idx]
             o = self.offset_words[c]
-            at = u
-            for x in o:
-                existing = self.out[at].get(x)
-                if existing is not None and at == u:
-                    raise ConstructionObstructedError(
-                        "offset path folds into the complex",
-                        sector=sector.key, vertex=u,
-                    )
-                if existing is None:
-                    w = self._new_vertex()
-                    self._add_edge(at, x, w)
-                    at = w
-                else:
-                    at = existing
-            offset_tip[idx] = at
+            if o[0] in self.out[u]:
+                raise ConstructionObstructedError(
+                    "offset path folds into the complex",
+                    sector=sector.key, vertex=u,
+                )
+            offset_tip = self._follow(u, o)
             for j in range(prm.V):
                 e = self.ext_words[c][j]
-                at2 = offset_tip[idx]
-                for x in e:
-                    existing = self.out[at2].get(x)
-                    if existing is None:
-                        w = self._new_vertex()
-                        self._add_edge(at2, x, w)
-                        at2 = w
-                    else:
-                        at2 = existing
-                tips[(idx, j)] = at2
+                tips[(idx, j)] = self._follow(offset_tip, e)
                 self.extension_paths.append(
                     {
                         "u": u,
                         "class": c,
                         "branch": j,
-                        "tip": at2,
+                        "tip": tips[(idx, j)],
                         "label": self.ab.decode(o + e),
                         "level": self.levels,
                     }
@@ -638,6 +570,17 @@ class RoundTree:
                 key=child_key, outer=child_outer, lray=lray, rray=rray,
                 cells=child_cells,
             )
+
+    def _follow(self, at: int, word) -> int:
+        """The end of `word` read from `at`, following edges where they
+        exist and creating them where they do not."""
+        for x in word:
+            nxt = self.out[at].get(x)
+            if nxt is None:
+                nxt = self._new_vertex()
+                self._add_edge(at, x, nxt)
+            at = nxt
+        return at
 
     def _leg_steps(self, u, c, j):
         word = self.offset_words[c] + self.ext_words[c][j]
@@ -1171,8 +1114,9 @@ def tree_to_json(tree: RoundTree) -> str:
 def tree_from_json(text: str) -> RoundTree:
     """Load a tree written by `tree_to_json`.
 
-    Raises ParseError when the text is not such a file or its host does not
-    match the recorded fingerprint, and DomainError when its parameters are
+    Raises ParseError when the text is not such a file, its host does not
+    match the recorded fingerprint, or its complex and records do not fit
+    the host (`_check_loaded`), and DomainError when its parameters are
     invalid for the host.  Like a new tree, a loaded one builds its window
     index on its first `grow_level`.
     """
@@ -1182,7 +1126,8 @@ def tree_from_json(text: str) -> RoundTree:
         if data["host_fingerprint"] != host.fingerprint():
             raise ParseError("host_fingerprint does not match the embedded host")
         tree = _tree_from_payload(data, host)
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+            MalformedWordError, ConstructionObstructedError) as e:
         raise ParseError(f"not a round-tree file: {type(e).__name__}: {e}") from e
     return tree
 
@@ -1192,10 +1137,12 @@ def _tree_from_payload(data: dict, host: Presentation) -> RoundTree:
     # base cell at vertex 0; the file's records then replace the whole complex
     tree = RoundTree(host, _from_record(RoundTreeParams, data["params"]))
     tree.levels = data["levels"]
-    tree.out = [dict() for _ in range(data["vertices"])]
+    n, letters = data["vertices"], 2 * host.m
+    tree.out = [dict() for _ in range(n)]
     for (v, x, w) in data["edges"]:
-        tree.out[v][x] = w
-        tree.out[w][x ^ 1] = v
+        if not (0 <= v < n and 0 <= w < n and 0 <= x < letters):
+            raise ParseError(f"edge {[v, x, w]} is outside {n} vertices and {letters} letters")
+        tree._add_edge(v, x, w)
     tree.cells = [_from_record(Cell, c) for c in data["cells"]]
     tree.sectors = {}
     for key, sec in data["sectors"].items():
@@ -1209,4 +1156,45 @@ def _tree_from_payload(data: dict, host: Presentation) -> RoundTree:
         c: [None if w is None else tree.ab.encode(w) for w in ws]
         for c, ws in data["ext_words"].items()
     }
+    _check_loaded(tree)
     return tree
+
+
+def _check_loaded(tree: RoundTree) -> None:
+    """Raise ParseError unless a loaded tree's records lie on its complex:
+    the base is one of its vertices, cells close along edges, sector steps
+    are edges, each bracket label and extension label reads along edges
+    from its first vertex through the vertices its record names, and each
+    leg is a reduced word of length ext_offset + ext_len.  One pass over
+    the records."""
+    def walk(v: int, word) -> list[int]:
+        if not 0 <= v < len(tree.out):
+            raise ParseError(f"vertex {v} is not among the {len(tree.out)} vertices")
+        path = [v]
+        for x in word:
+            if x not in tree.out[path[-1]]:
+                raise ParseError(f"step ({path[-1]}, {x}) is not an edge of the complex")
+            path.append(tree.out[path[-1]][x])
+        return path
+
+    walk(tree.base, ())
+    for c in tree.cells:
+        for (v, x), (w, _y) in zip(c.steps, c.steps[1:] + c.steps[:1]):
+            if walk(v, (x,))[-1] != w:
+                raise ParseError(f"cell {c.id} does not close along its edges")
+    for sec in tree.sectors.values():
+        for (v, x) in sec.outer + sec.lray + sec.rray:
+            walk(v, (x,))
+    for b in tree.brackets:
+        path = walk(b.v1, tree.ab.encode(b.label))
+        if not 0 <= b.cell < len(tree.cells) or (b.p1, b.p2, b.v2) != (path[b.k], path[-1 - b.k], path[-1]):
+            raise ParseError(f"bracket {b.label!r} does not match its cell or its vertices")
+    for rec in tree.extension_paths:
+        if walk(rec["u"], tree.ab.encode(rec["label"]))[-1] != rec["tip"]:
+            raise ParseError(f"extension label {rec['label']!r} does not end at its tip")
+    prm = tree.params
+    for c, o in tree.offset_words.items():
+        for e in tree.ext_words[c]:
+            if e is not None and ((len(o), len(e)) != (prm.ext_offset, prm.ext_len)
+                                  or _reduce_ints(o + e) != o + e):
+                raise ParseError(f"class {c!r} has a leg that is not a reduced word of its length")

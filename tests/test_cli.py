@@ -20,6 +20,7 @@ from randomgroups.cli import (
 )
 from randomgroups.diagrams import diagram_to_json, restrict_boundary, single_face_diagram
 from randomgroups.model import load_presentation, sample_presentation, save_presentation
+from randomgroups.roundtree import RoundTreeParams, init_round_tree, tree_to_json
 
 
 def run(argv):
@@ -248,6 +249,8 @@ BAD_INPUTS = {
                            "--which distortion --radius 2 --samples 3 --seed -1",
     "build-huge-branching": "roundtree-build --in {host} --branching-v {huge} --bigh 4 "
                             "--ext-offset 1 --ext-len 1 --levels 1",
+    "emanate-tree-bad-letter": "roundtree-emanate --tree {tree_bad_letter} --k 2",
+    "emanate-tree-no-vertices": "roundtree-emanate --tree {tree_no_vertices} --k 1",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget
@@ -286,6 +289,17 @@ def _bad_input_files(tmp_path) -> dict:
     files["host"] = tmp_path / "host.txt"
     save_presentation(sample_presentation(2, 4, 0, seed=0), files["host"])
     files["huge"] = "1" + "0" * 400
+    # level-0 trees on that host with no vertex at all, and with letter 9
+    # (m = 2 has 0-3) on the first edge
+    tree = json.loads(tree_to_json(init_round_tree(
+        load_presentation(files["host"]),
+        RoundTreeParams(V=2, H=2, ext_offset=1, ext_len=1, seg_len=2))))
+    files["tree_no_vertices"] = tmp_path / "tree_no_vertices.json"
+    files["tree_no_vertices"].write_text(json.dumps(
+        dict(tree, vertices=0, edges=[], cells=[], sectors={})))
+    tree["edges"][0][1] = 9
+    files["tree_bad_letter"] = tmp_path / "tree_bad_letter.json"
+    files["tree_bad_letter"].write_text(json.dumps(tree))
     return files
 
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -342,7 +343,74 @@ def test_saved_tree_grows_like_direct_build(demo_tree):
     assert tree_to_json(loaded) == tree_to_json(tree)
 
 
-def test_tree_from_json_rejects_bad_files(verified_presentation):
+# search outcomes off the demo configuration, all on hosts
+# sample_presentation(2, l, 2/5, seed): sha256 of the tree file after two
+# levels, or the error, its message and the level it stopped at
+PINNED_TREES = {
+    "l18-V3": (18, 0, dict(V=3, H=4, ext_offset=1, ext_len=1, seg_len=4),
+               "c423047b08544da9051c73b35791aab43f6811fb478a353faf79dffd6c40eae0"),
+    "l20-offset2": (20, 1, dict(V=2, H=4, ext_offset=2, ext_len=1, seg_len=4),
+                    "6c1933a2f3a29d4ab855276c610e8a7e56ae05c141c4fbc7b43cd0e935703b02"),
+    "l20-len2": (20, 0, dict(V=2, H=3, ext_offset=1, ext_len=2, seg_len=5),
+                 "4e503574e7d1b3587d23645345934d2021b2421cd4129ae9564b1c4fe918875c"),
+}
+PINNED_FAILURES = {
+    "l16-V3": (16, 1, dict(V=3, H=4, ext_offset=1, ext_len=1, seg_len=4),
+               BracketUnfillableError,
+               "no consistent window assignment for this sector (desk-scale genericity failure)"),
+    "l16-budget": (16, 1, dict(V=2, H=4, ext_offset=2, ext_len=1, seg_len=4,
+                               search_budget=2000),
+                   ConstructionObstructedError, "window search budget exhausted"),
+}
+
+
+def _pinned_start(l, seed, kw):
+    return init_round_tree(sample_presentation(2, l, Fraction(2, 5), seed=seed),
+                           RoundTreeParams(**kw))
+
+
+@functools.cache
+def _pinned_tree(case):
+    tree = _pinned_start(*PINNED_TREES[case][:3])
+    tree.grow_level()
+    return tree.grow_level()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TREES))
+def test_search_outcome_pinned(case):
+    text = tree_to_json(_pinned_tree(case))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TREES[case][3]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FAILURES))
+def test_search_failure_pinned(case):
+    l, seed, kw, error, message = PINNED_FAILURES[case]
+    tree = _pinned_start(l, seed, kw)
+    with pytest.raises(ConstructionObstructedError) as e:
+        for _ in range(2):
+            tree.grow_level()
+    assert type(e.value) is error and str(e.value) == message
+    assert tree.levels == 1
+
+
+@pytest.mark.parametrize("case", ["demo"] + sorted(PINNED_TREES))
+def test_built_tree_keeps_search_constraints(case, request):
+    tree = request.getfixturevalue("demo_tree") if case == "demo" else _pinned_tree(case)
+    # a class's branches diverge at its offset tip
+    for c, exts in tree.ext_words.items():
+        assert len({e[0] for e in exts}) == len(exts), c
+    # distinct classes leave an extension point by distinct offset letters
+    leads: dict[int, dict[str, int]] = {}
+    for rec in tree.extension_paths:
+        leads.setdefault(rec["u"], {})[rec["class"]] = tree.offset_words[rec["class"]][0]
+    for u, by_class in leads.items():
+        assert len(set(by_class.values())) == len(by_class), u
+    # the registry holds each bracket's cell word
+    for b in tree.brackets:
+        assert tree.bracket_registry[b.label] == tree.cells[b.cell].word
+
+
+def test_tree_from_json_rejects_bad_files(verified_presentation, demo_tree):
     text = tree_to_json(_level0_tree(verified_presentation))
     assert tree_to_json(tree_from_json(text)) == text
     data = json.loads(text)
@@ -360,6 +428,47 @@ def test_tree_from_json_rejects_bad_files(verified_presentation):
     cell = {k: v for k, v in data["cells"][0].items() if k != "word"}
     with pytest.raises(ParseError):
         tree_from_json(json.dumps(dict(data, cells=[cell])))
+    with pytest.raises(ParseError):  # no vertex for the base
+        tree_from_json(json.dumps(dict(data, vertices=0, edges=[], cells=[], sectors={})))
+    # the complex must use the host's vertices and letters, and every record
+    # must lie on it: (name, path to the changed value, new value)
+    text = tree_to_json(demo_tree)
+    grown = json.loads(text)
+    n, letters = grown["vertices"], demo_tree.ab.letters
+    v, x, w = grown["edges"][0]
+    free_v, free_x = next((u, y) for u, nbrs in enumerate(demo_tree.out)
+                          for y in range(len(letters)) if y not in nbrs)
+    b0 = grown["brackets"][0]
+    c = next(iter(grown["offset_words"]))
+    bad = [
+        ("edge letter", ("edges", 0), [v, 9, w]),
+        ("edge vertex", ("edges", 0), [-1, x, w]),
+        ("vertex count", ("vertices",), 10),
+        ("conflicting edges", ("edges",), grown["edges"] + [[v, x, (w + 1) % n]]),
+        ("cell vertex", ("cells", 0, "steps", 0), [10**6, x]),
+        ("cell step", ("cells", -1, "steps", 0), [free_v, free_x]),
+        ("sector step", ("sectors", "0", "outer", 0), [free_v, free_x]),
+        ("bracket step", ("brackets", 0),
+         dict(b0, v1=free_v, label=letters[free_x] + b0["label"][1:])),
+        ("bracket vertex", ("brackets", 0, "p2"), b0["p1"]),
+        ("bracket cell", ("brackets", 0, "cell"), len(grown["cells"])),
+        ("bracket cell -1", ("brackets", 0, "cell"), -1),
+        ("extension point", ("extension_paths", 0, "u"), n),
+        ("unreduced leg", ("ext_words", c, 0), grown["offset_words"][c].swapcase()),
+    ]
+    accepted = []
+    for name, path, value in bad:
+        d = json.loads(text)
+        at = d
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = value
+        try:
+            tree_from_json(json.dumps(d))
+            accepted.append(name)
+        except ParseError:
+            pass
+    assert accepted == []
 
 
 def _windows_by_unique(relators, m):
