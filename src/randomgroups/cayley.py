@@ -159,7 +159,7 @@ class DehnEngine:
                 return w
             w = nxt
 
-    def geodesic_closure(self, w: tuple[int, ...], budget: int = DEFAULT_CLOSURE_BUDGET):
+    def geodesic_closure(self, w: tuple[int, ...]):
         """All words of |w|'s length reachable by relator-arc swaps, or a
         strictly shorter equal word if one appears.
 
@@ -185,10 +185,10 @@ class DehnEngine:
                             if len(v) < n:
                                 return same, v
                             seen.add(v)
-                            if len(seen) > budget:
+                            if len(seen) > DEFAULT_CLOSURE_BUDGET:
                                 raise BudgetExceededError(
-                                    f"geodesic closure exceeded {budget} words",
-                                    budget=budget,
+                                    f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
+                                    budget=DEFAULT_CLOSURE_BUDGET,
                                 )
                             if len(v) == n:
                                 same.add(v)
@@ -300,7 +300,6 @@ def cayley_ball(
     p: Presentation,
     radius: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
 ) -> CayleyBall:
     """Exact ball of the word metric, vertices named by lex-least geodesics.
 
@@ -339,7 +338,7 @@ def cayley_ball(
         short = eng.dehn_reduce(w)
         if len(short) < n:
             return walk(short)
-        same, shorter = eng.geodesic_closure(w, budget=closure_budget)
+        same, shorter = eng.geodesic_closure(w)
         if shorter is not None:
             return walk(eng.dehn_reduce(shorter))
         key = min(same)

@@ -26,6 +26,13 @@ built by viewing each row as one byte string and sorting those in place
 `grow_level`, never on `init_round_tree` or `tree_from_json`, so the read-side
 operations (emanating words, probes) never pay for it.
 
+The index is the only structure the search reads candidates from, and every
+question it asks is a prefix range of it, as in a suffix array.  Since the
+index holds every rotation of each row, the rows that read a word w from
+position a are the rows that start with w, rotated right by a: two binary
+searches over the rows as byte strings find them (`_prefix_range`), and a
+roll and a sort put them in index order (`_windows_reading`).
+
 In a tree file each `Cell`, `Sector` (less its key, which names the record)
 and `Bracket` record is its dataclass's fields in declaration order, written
 and read by one pair of helpers (`_record`, `_from_record`): a field change is
@@ -59,6 +66,7 @@ from .model import Presentation, check_seed, parse_presentation
 from .words import Alphabet, _reduce_ints, _relator_texts, _slot_windows, _sort_rows, _text_length
 
 DEFAULT_SEARCH_BUDGET = 200_000
+LEVEL_BUDGET = 20_000  # new cells per level
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,6 @@ class RoundTreeParams:
     beta: Fraction | None = None        # echoed for bound evaluation
     eta: Fraction | None = None
     paper_mode: bool = False            # enforce the bracket < l/4 budget
-    level_budget: int = 20_000
     search_budget: int = DEFAULT_SEARCH_BUDGET
 
     def validate(self, l: int):
@@ -159,7 +166,6 @@ class RoundTree:
         self.offset_words: dict[str, tuple[int, ...]] = {}
         self.ext_words: dict[str, list[tuple[int, ...]]] = {}
         self.extension_paths: list[dict] = []  # {u, class, branch, tip, label, level}
-        self._center_index_cache: dict[int, dict[bytes, np.ndarray]] = {}
         self._init_base_cell()
 
     # -- construction ------------------------------------------------------
@@ -169,22 +175,6 @@ class RoundTree:
         """The cell-word candidates (see `_relator_windows`), built on first
         use: the first `grow_level`, never on init or load."""
         return _relator_windows(self.host.relators)
-
-    def _center_rows(self, plen: int) -> dict[bytes, np.ndarray]:
-        """Window rows grouped by the piece slot w[oe : oe+plen]."""
-        cached = self._center_index_cache.get(plen)
-        if cached is not None:
-            return cached
-        oe = self.params.ext_offset + self.params.ext_len
-        centers = self._windows[:, oe : oe + plen]
-        order = np.lexsort(centers.T[::-1])
-        sorted_c = centers[order]
-        boundaries = np.nonzero((sorted_c[1:] != sorted_c[:-1]).any(axis=1))[0] + 1
-        index = {}
-        for g in np.split(order, boundaries):
-            index[centers[g[0]].tobytes()] = g
-        self._center_index_cache[plen] = index
-        return index
 
     def _new_vertex(self) -> int:
         self.out.append({})
@@ -253,9 +243,9 @@ class RoundTree:
             # the sector gets one cell per piece and branch: refuse a level
             # over budget before searching and building it
             new_cells_this_level += len(pieces) * prm.V
-            if new_cells_this_level > prm.level_budget:
+            if new_cells_this_level > LEVEL_BUDGET:
                 raise ConstructionObstructedError(
-                    f"level budget {prm.level_budget} exceeded", sector=sector.key
+                    f"level budget {LEVEL_BUDGET} exceeded", sector=sector.key
                 )
             classes = [self._class_of(u, parents, sector, idx, len(points))
                        for idx, u in enumerate(points)]
@@ -345,6 +335,14 @@ class RoundTree:
         offset words, extension words and bracket registry, which are read
         back out of it in insertion order.
 
+        Candidates are prefix-range queries of the window index.  A piece's
+        windows are those that read it at ext_offset + ext_len, in index
+        order; each attempt shuffles that list once.  A slot's candidates are
+        the windows of its piece that also read the legs fixed for its
+        branch, in the attempt's order.  The forward check after a commit
+        asks only whether each later slot of the two touched classes still
+        has a candidate, which is whether its range is empty.
+
         Runs several randomized passes with per-pass node budgets: dead ends
         hinge on early table commitments, so shuffled restarts are far more
         effective than one deep exhaustive search.
@@ -355,23 +353,24 @@ class RoundTree:
         l = self.host.l
         W = self._windows
         piece_labels = [tuple(int(x) for (_v, x) in p) for p in pieces]
-        piece_rows = []
+        piece_windows = []
         for lab in piece_labels:
             if len(lab) + 2 * oe > l:
                 raise ConstructionObstructedError(
                     f"bracket length {len(lab) + 2 * oe} exceeds the relator length {l}",
                     sector=sector.key,
                 )
-            rows = self._center_rows(len(lab)).get(
-                np.array(lab, dtype=np.int8).tobytes()
-            )
-            if rows is None or not len(rows):
+            rows = _windows_reading(W, lab, oe)
+            if not len(rows):
                 raise BracketUnfillableError(
                     f"no relator window contains a boundary segment labelled "
                     f"{self.ab.decode(lab)!r}",
                     sector=sector.key,
                 )
-            piece_rows.append(rows.copy())
+            piece_windows.append(rows)
+        # each attempt shuffles orders[i], the order it tries piece i's windows
+        # in, and ranks[i] is that order's inverse
+        orders = [np.arange(len(rows)) for rows in piece_windows]
         slots = [(i, j) for i in range(len(pieces)) for j in range(prm.V)]
         slots_by_class: dict[str, list[int]] = {}
         for si, (i, j) in enumerate(slots):
@@ -398,17 +397,25 @@ class RoundTree:
         assignment: dict[tuple[int, int], tuple[int, ...]] = {}
         budget = [0]
 
-        def candidate_rows(i, j):
-            """Piece i's rows whose legs agree with those fixed for branch j."""
-            rows = piece_rows[i]
-            plen = len(piece_labels[i])
-            for c, at, down in ((classes[i], 0, True), (classes[i + 1], oe + plen, False)):
-                o, e = fixed.get(("off", c)), fixed.get(("ext", c, j))
-                if o is not None and e is not None:
-                    leg = [x ^ 1 for x in reversed(o + e)] if down else o + e
-                    for k, x in enumerate(leg):
-                        rows = rows[W[rows, at + k] == x]
-            return rows
+        def slot_query(i, j):
+            """The word that piece i and the legs fixed for branch j spell on a
+            fitting window, and the position it starts at."""
+            # a class's extension words are fixed only after its offset word
+            left, right = (fixed[("off", c)] + fixed[("ext", c, j)] if ("ext", c, j) in fixed else ()
+                           for c in (classes[i], classes[i + 1]))
+            if left:
+                return tuple(x ^ 1 for x in reversed(left)) + piece_labels[i] + right, 0
+            return piece_labels[i] + right, oe
+
+        def candidates(i, j):
+            """Positions in piece i's window list of the windows that fit the
+            legs fixed for branch j, in the attempt's order."""
+            word, at = slot_query(i, j)
+            if len(word) == len(piece_labels[i]):  # no leg fixed
+                return orders[i]
+            pos = np.searchsorted(_row_keys(piece_windows[i]),
+                                  _row_keys(_windows_reading(W, word, at)))
+            return pos[np.argsort(ranks[i][pos])]
 
         def try_slot(si):
             if si == len(slots):
@@ -422,13 +429,13 @@ class RoundTree:
             undo = None
             if i and 2 * oe + len(piece_labels[i - 1]) < l:
                 undo = assignment[(i - 1, j)][2 * oe + len(piece_labels[i - 1])] ^ 1
-            for row in candidate_rows(i, j):
+            for pos in candidates(i, j):
                 budget[0] -= 1
                 if budget[0] <= 0:
                     raise ConstructionObstructedError(
                         "window search budget exhausted", sector=sector.key
                     )
-                window = tuple(W[row].tolist())
+                window = tuple(piece_windows[i][pos].tolist())
                 legs = (tuple(x ^ 1 for x in reversed(window[:oe])), window[oe + plen : bl])
                 if classes[i] == classes[i + 1] and legs[0] != legs[1]:
                     continue
@@ -448,7 +455,7 @@ class RoundTree:
                 assignment[(i, j)] = window
                 later = {sj for c in (classes[i], classes[i + 1])
                          for sj in slots_by_class[c] if sj > si}
-                if all(len(candidate_rows(*slots[sj])) for sj in later) and try_slot(si + 1):
+                if all(len(_prefix_range(W, slot_query(*slots[sj])[0])) for sj in later) and try_slot(si + 1):
                     return True
                 for k in added:
                     del fixed[k]
@@ -457,8 +464,9 @@ class RoundTree:
         attempts = 8
         saw_budget_stop = False
         for _attempt in range(attempts):
-            for rows in piece_rows:
-                rng.shuffle(rows)
+            for order in orders:
+                rng.shuffle(order)
+            ranks = [np.argsort(order) for order in orders]
             budget[0] = max(1, prm.search_budget // attempts)
             fixed.clear()
             fixed.update(start)
@@ -615,6 +623,33 @@ def _relator_windows(relators: Sequence[str]) -> np.ndarray:
     rots = _slot_windows(texts, _text_length(texts))
     repeat = _sort_rows(rots)
     return rots[np.concatenate(([True], ~repeat))]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous int8 matrix as one opaque byte string."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _prefix_range(windows: np.ndarray, word: Sequence[int]) -> range:
+    """The row numbers of the sorted window index whose rows start with
+    `word`.
+
+    Codes are non-negative int8, so `word` padded with 0 and `word` padded
+    with 127 bracket those rows in byte order: two binary searches that read
+    no row."""
+    keys, pad = _row_keys(windows), windows.shape[1] - len(word)
+    return range(np.searchsorted(keys, np.void(bytes(word) + bytes(pad))),
+                 np.searchsorted(keys, np.void(bytes(word) + b"\x7f" * pad), side="right"))
+
+
+def _windows_reading(windows: np.ndarray, word: Sequence[int], at: int) -> np.ndarray:
+    """The rows of the window index that read `word` from position `at`, in
+    index order.  The index holds every rotation of every row, so these are
+    the rows that start with `word`, rotated right by `at`."""
+    r = _prefix_range(windows, word)
+    rows = np.roll(windows[r.start : r.stop], at, axis=1)
+    _sort_rows(rows)
+    return rows
 
 
 def init_round_tree(p: Presentation, params: RoundTreeParams) -> RoundTree:

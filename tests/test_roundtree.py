@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomgroups.bounds import emanating_bound
 from randomgroups.cayley import is_dehn_ready
@@ -21,6 +22,7 @@ from randomgroups.model import Presentation, sample_presentation
 from randomgroups.roundtree import (
     Cell,
     _relator_windows,
+    _windows_reading,
     RoundTreeParams,
     check_round_tree_axioms,
     distortion_probe,
@@ -361,6 +363,9 @@ PINNED_FAILURES = {
     "l16-budget": (16, 1, dict(V=2, H=4, ext_offset=2, ext_len=1, seg_len=4,
                                search_budget=2000),
                    ConstructionObstructedError, "window search budget exhausted"),
+    "l20-budget": (20, 0, dict(V=2, H=4, ext_offset=2, ext_len=1, seg_len=4,
+                               search_budget=40000),
+                   ConstructionObstructedError, "window search budget exhausted"),
 }
 
 
@@ -489,6 +494,24 @@ def test_relator_windows_match_unique_oracle(case):
     want = _windows_by_unique(rels, m)
     assert got.dtype == want.dtype == np.int8
     assert np.array_equal(got, want)
+
+
+@given(relator_sets(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_windows_reading_matches_filter(case, data):
+    m, rels = case
+    W = _relator_windows(rels)
+    l = W.shape[1]
+    n = data.draw(st.integers(1, l))
+    if data.draw(st.booleans()):  # a word some window reads
+        at = data.draw(st.integers(0, l - n))
+        word = tuple(W[data.draw(st.integers(0, len(W) - 1)), at : at + n].tolist())
+    else:  # often read by none
+        word = tuple(data.draw(st.lists(st.integers(0, 2 * m - 1), min_size=n, max_size=n)))
+    for a in range(l - n + 1):
+        want = W[(W[:, a : a + n] == word).all(axis=1)]
+        got = _windows_reading(W, word, a)
+        assert got.dtype == np.int8 and np.array_equal(got, want), (word, a)
 
 
 def test_stated_toy_parameters_obstruct_quickly():
