@@ -13,7 +13,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 

@@ -26,11 +26,9 @@ from .errors import (
     DomainError,
     NotVerifiedError,
     PartialBallError,
-    PreconditionError,
 )
 from .model import Presentation, _trial_relators, check_seed, check_trials
 from .words import (
-    Alphabet,
     PieceReport,
     _reduce_ints,
     _relator_texts,
@@ -39,7 +37,6 @@ from .words import (
     check_c_prime,
     enumerate_cyclically_reduced,
     max_piece_length,
-    max_piece_length_quadratic,
 )
 from .bounds import wilson_interval
 
@@ -109,7 +106,6 @@ class DehnEngine:
 
     def __init__(self, p: Presentation):
         self.report = ensure_dehn_ready(p)
-        self.p = p
         self.l = p.l
         self.ab = p.alphabet
         self.pmax = self.report.max_piece_length
@@ -123,10 +119,6 @@ class DehnEngine:
         texts = _relator_texts(p.relators)
         self.arcs = _RelatorArcs(texts, self.t_move)
         self._detect_index = set(map(tuple, _slot_windows(texts, self.t_detect).tolist()))
-
-    def has_long_arc(self, w: tuple[int, ...]) -> bool:
-        """Does w contain more than half of some relator rotation?"""
-        return self._find_half_arc(w) is not None
 
     def _find_half_arc(self, w):
         for i in range(len(w) - self.half + 1):

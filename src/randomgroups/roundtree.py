@@ -19,19 +19,22 @@ adds the entries it lacks, and backtracking deletes exactly those.
 
 The candidate cell words form the window index: every rotation of every host
 relator and its inverse, read off the shared doubled-text matrix (layout and
-slot order in the `words` module docstring), deduplicated and sorted.  It is
-built by viewing each row as one byte string and sorting those in place
-(`words._sort_rows`), then dropping rows equal to their predecessor; on a
-38 050-relator host that is 1.8 M rows.  A tree builds the index on its first
-`grow_level`, never on `init_round_tree` or `tree_from_json`, so the read-side
-operations (emanating words, probes) never pay for it.
+slot order in the `words` module docstring), deduplicated and sorted, one
+key per window (`words._WindowIndex`).  A key packs the window's letters
+into one uint64, b = (2m-1).bit_length() bits a letter, whenever l·b <= 64
+(l <= 32 at m = 2, l <= 21 at m = 3 or 4); wider windows sort as byte
+strings, and only `words` tells the two apart.  On a 38 050-relator host
+the index is 1.8 M keys.  A tree builds it on its first `grow_level`, never
+on `init_round_tree` or `tree_from_json`, so the read-side operations
+(emanating words, probes) never pay for it.
 
 The index is the only structure the search reads candidates from, and every
 question it asks is a prefix range of it, as in a suffix array.  Since the
-index holds every rotation of each row, the rows that read a word w from
-position a are the rows that start with w, rotated right by a: two binary
-searches over the rows as byte strings find them (`_prefix_range`), and a
-roll and a sort put them in index order (`_windows_reading`).
+index holds every rotation of each window, the windows that read a word w
+from position a are those that start with w, rotated right by a: two binary
+searches find the range of keys that start with w (`prefix_range`), and a
+rotation and a sort of that range put them in index order (`reading`).  The
+search unpacks letters only from the keys of the windows it tries.
 
 In a tree file each `Cell`, `Sector` (less its key, which names the record)
 and `Bracket` record is its dataclass's fields in declaration order, written
@@ -63,7 +66,7 @@ from .errors import (
     PreconditionError,
 )
 from .model import Presentation, check_seed, parse_presentation
-from .words import Alphabet, _reduce_ints, _relator_texts, _slot_windows, _sort_rows, _text_length
+from .words import Alphabet, _WindowIndex, _reduce_ints, _relator_texts
 
 DEFAULT_SEARCH_BUDGET = 200_000
 LEVEL_BUDGET = 20_000  # new cells per level
@@ -171,7 +174,7 @@ class RoundTree:
     # -- construction ------------------------------------------------------
 
     @cached_property
-    def _windows(self) -> np.ndarray:
+    def _windows(self) -> _WindowIndex:
         """The cell-word candidates (see `_relator_windows`), built on first
         use: the first `grow_level`, never on init or load."""
         return _relator_windows(self.host.relators)
@@ -360,7 +363,7 @@ class RoundTree:
                     f"bracket length {len(lab) + 2 * oe} exceeds the relator length {l}",
                     sector=sector.key,
                 )
-            rows = _windows_reading(W, lab, oe)
+            rows = W.reading(lab, oe)
             if not len(rows):
                 raise BracketUnfillableError(
                     f"no relator window contains a boundary segment labelled "
@@ -413,8 +416,7 @@ class RoundTree:
             word, at = slot_query(i, j)
             if len(word) == len(piece_labels[i]):  # no leg fixed
                 return orders[i]
-            pos = np.searchsorted(_row_keys(piece_windows[i]),
-                                  _row_keys(_windows_reading(W, word, at)))
+            pos = np.searchsorted(piece_windows[i], W.reading(word, at))
             return pos[np.argsort(ranks[i][pos])]
 
         def try_slot(si):
@@ -435,7 +437,7 @@ class RoundTree:
                     raise ConstructionObstructedError(
                         "window search budget exhausted", sector=sector.key
                     )
-                window = tuple(piece_windows[i][pos].tolist())
+                window = W.letters(piece_windows[i][pos])
                 legs = (tuple(x ^ 1 for x in reversed(window[:oe])), window[oe + plen : bl])
                 if classes[i] == classes[i + 1] and legs[0] != legs[1]:
                     continue
@@ -455,7 +457,7 @@ class RoundTree:
                 assignment[(i, j)] = window
                 later = {sj for c in (classes[i], classes[i + 1])
                          for sj in slots_by_class[c] if sj > si}
-                if all(len(_prefix_range(W, slot_query(*slots[sj])[0])) for sj in later) and try_slot(si + 1):
+                if all(len(W.prefix_range(slot_query(*slots[sj])[0])) for sj in later) and try_slot(si + 1):
                     return True
                 for k in added:
                     del fixed[k]
@@ -612,44 +614,15 @@ class RoundTree:
                 )
 
 
-def _relator_windows(relators: Sequence[str]) -> np.ndarray:
+def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
     """All rotations of the relators and their inverses, deduplicated and in
-    lexicographic order, as a (W, l) int8 matrix.
+    lexicographic order, as the keys of a `words._WindowIndex`.
 
-    The order matters: the window search shuffles row indices, so the rows
-    must come out in the same order for a tree to be reproducible.
+    The order matters: the window search shuffles positions in this order,
+    so the windows must come out in the same order for a tree to be
+    reproducible.
     """
-    texts = _relator_texts(relators)
-    rots = _slot_windows(texts, _text_length(texts))
-    repeat = _sort_rows(rots)
-    return rots[np.concatenate(([True], ~repeat))]
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a C-contiguous int8 matrix as one opaque byte string."""
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
-def _prefix_range(windows: np.ndarray, word: Sequence[int]) -> range:
-    """The row numbers of the sorted window index whose rows start with
-    `word`.
-
-    Codes are non-negative int8, so `word` padded with 0 and `word` padded
-    with 127 bracket those rows in byte order: two binary searches that read
-    no row."""
-    keys, pad = _row_keys(windows), windows.shape[1] - len(word)
-    return range(np.searchsorted(keys, np.void(bytes(word) + bytes(pad))),
-                 np.searchsorted(keys, np.void(bytes(word) + b"\x7f" * pad), side="right"))
-
-
-def _windows_reading(windows: np.ndarray, word: Sequence[int], at: int) -> np.ndarray:
-    """The rows of the window index that read `word` from position `at`, in
-    index order.  The index holds every rotation of every row, so these are
-    the rows that start with `word`, rotated right by `at`."""
-    r = _prefix_range(windows, word)
-    rows = np.roll(windows[r.start : r.stop], at, axis=1)
-    _sort_rows(rows)
-    return rows
+    return _WindowIndex(_relator_texts(relators))
 
 
 def init_round_tree(p: Presentation, params: RoundTreeParams) -> RoundTree:

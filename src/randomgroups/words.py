@@ -19,9 +19,16 @@ orientation (the relator before its inverse), then position; the piece
 search, the Dehn arc index, the naive closure and the round-tree windows
 all consume slots in that order (`_slot_windows`).
 
-Pieces are found by sorting windows as byte rows: a repeated length-L
-window is a piece of length L, and the longest piece is the longest common
-prefix of two neighbouring length-(l-1) windows in sorted order.  Only the
+Pieces are found by sorting windows: a repeated length-L window is a piece
+of length L, and the longest piece is the longest common prefix of two
+neighbouring length-(l-1) windows in sorted order.  Each window sorts as one
+key (`_slot_keys`).  A letter takes b = (2m-1).bit_length() bits, for the m
+generators the letters need, so a window of L letters packs into one uint64,
+first letter highest, whenever L·b <= 64: L <= 32 at m = 2 and L <= 21 at
+m = 3 or 4.  Numeric order of the keys is then the lexicographic order of
+the windows (the k-mer packing of Marçais & Kingsford), and the common
+prefix of two keys is read off the highest bit in which they differ.  Wider
+windows fall back to sorting each row as one opaque byte string.  Only the
 witness of `max_piece_length` needs a suffix automaton, and it is built on
 the few texts that hold a longest piece.
 """
@@ -56,10 +63,6 @@ DEFAULT_ENUMERATION_BUDGET = 10**7
 # exact counts and bounds are printed in full; CPython refuses to convert an
 # int of more decimal digits than this (its default int_max_str_digits)
 DECIMAL_DIGIT_BUDGET = 4300
-
-
-def inverse_letter(x: int) -> int:
-    return x ^ 1
 
 
 class Alphabet:
@@ -362,6 +365,124 @@ def _slot_windows(texts: np.ndarray, L: int) -> np.ndarray:
     return sliding_window_view(texts, L, axis=1)[:, :l].copy().reshape(-1, L)
 
 
+def _key_bits(texts: np.ndarray) -> int:
+    """Bits per letter of a packed window key: (2m-1).bit_length() for the
+    m generators that the largest letter code in `texts` needs."""
+    return (int(texts.max(initial=0)) | 1).bit_length()
+
+
+def _packed_keys(texts: np.ndarray, L: int) -> np.ndarray | None:
+    """The length-L window at every slot as one uint64 key, in slot order, or
+    None when L·b > 64 for b = `_key_bits`.  A key holds the window's letters
+    in b bits each, the first letter highest, so keys order as their windows
+    do lexicographically."""
+    b = _key_bits(texts)
+    if L * b > 64:
+        return None
+    l = _text_length(texts)
+    codes = texts.view(np.uint8)  # letter codes are non-negative
+    keys = np.zeros((len(texts), l), dtype=np.uint64)
+    for j in range(L):  # Horner steps over the window columns
+        keys <<= b
+        keys |= codes[:, j : j + l]
+    return keys.ravel()
+
+
+def _slot_keys(texts: np.ndarray, L: int) -> np.ndarray:
+    """One sort key per length-L slot window, in slot order: the packed key
+    when it fits in 64 bits, else the window as one opaque byte string (codes
+    are non-negative, so byte order is letter order).  Either way, keys
+    compare as their windows do."""
+    keys = _packed_keys(texts, L)
+    if keys is None:
+        keys = _slot_windows(texts, L).view(np.dtype((np.void, L))).ravel()
+    return keys
+
+
+_POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """`int.bit_length` of every entry of a uint64 array, exactly: how many of
+    the powers of two 2⁰ .. 2⁶³ are at most x, by a binary search that
+    compares integers and never goes through a float."""
+    return np.searchsorted(_POWERS_OF_TWO, x, side="right")
+
+
+def _neighbour_lcp(ranked: np.ndarray, L: int, b: int) -> np.ndarray:
+    """The longest common prefix, in letters, of each pair of neighbours of
+    sorted `_slot_keys` of length-L windows, b bits per letter."""
+    if ranked.dtype == np.uint64:
+        # the first letter that differs holds the highest set bit of x ^ y
+        return (b * L - _bit_length(ranked[1:] ^ ranked[:-1])) // b
+    rows = ranked.view(np.int8).reshape(-1, L)
+    return np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
+
+
+class _WindowIndex:
+    """The distinct length-l windows of a `_relator_texts` matrix, one
+    `_slot_keys` key each, sorted: every rotation of every relator and its
+    inverse.
+
+    Every query is a range of keys, as in a suffix array: the windows that
+    start with a word are one run of the index (`prefix_range`), and since
+    the index holds every rotation of each window, those that read a word
+    from position a are that run rotated right by a (`reading`).
+    """
+
+    def __init__(self, texts: np.ndarray):
+        self.width = _text_length(texts)
+        self.bits = _key_bits(texts)
+        keys = _slot_keys(texts, self.width)
+        keys.sort()
+        self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        self._packed = keys.dtype == np.uint64
+
+    def prefix_range(self, word: Sequence[int]) -> range:
+        """The positions of the keys whose windows start with `word`: two
+        binary searches that read no window."""
+        pad = self.width - len(word)
+        if self._packed:
+            if max(word, default=0) >> self.bits:
+                return range(0)  # a letter that no window holds
+            lo = 0
+            for x in word:
+                lo = lo << self.bits | x
+            lo <<= self.bits * pad
+            # the upper end as an or, which cannot carry past 64 bits
+            lo, hi = np.uint64(lo), np.uint64(lo | ((1 << self.bits * pad) - 1))
+        else:
+            # codes lie in 0..127, so these paddings bracket every window
+            lo, hi = np.void(bytes(word) + bytes(pad)), np.void(bytes(word) + b"\x7f" * pad)
+        return range(np.searchsorted(self.keys, lo), np.searchsorted(self.keys, hi, side="right"))
+
+    def reading(self, word: Sequence[int], at: int) -> np.ndarray:
+        """The sorted keys of the windows that read `word` from position `at`."""
+        r = self.prefix_range(word)
+        keys = self.keys[r.start : r.stop]
+        if self._packed:
+            s, n = self.bits * (at % self.width), self.bits * self.width
+            if s:
+                keys = keys >> s | (keys << (n - s) & np.uint64((1 << n) - 1))
+        else:
+            keys = np.roll(self.rows(keys), at, axis=1).view(keys.dtype).ravel()
+        return np.sort(keys)
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The windows of `keys` as an (n, l) int8 letter-code matrix."""
+        if self._packed:
+            shifts = np.arange(self.width - 1, -1, -1, dtype=np.uint64) * np.uint64(self.bits)
+            return (keys[:, None] >> shifts & np.uint64((1 << self.bits) - 1)).astype(np.int8)
+        return keys.view(np.int8).reshape(-1, self.width)
+
+    def letters(self, key) -> tuple[int, ...]:
+        """The letter codes of the window of one key."""
+        if self._packed:
+            k, b = int(key), self.bits
+            return tuple(k >> s & ((1 << b) - 1) for s in range(b * (self.width - 1), -1, -b))
+        return tuple(key.tobytes())
+
+
 class _SuffixAutomaton:
     """Generalized suffix automaton over int sequences joined by unique separators.
 
@@ -422,10 +543,9 @@ def max_piece_length(
     l = _text_length(texts)
     report = PieceReport(0, None, {}, _relator_coincidences(texts), l)
     if l >= 2:
-        windows = _slot_windows(texts, l - 1)
-        order = np.argsort(windows.view(np.dtype((np.void, l - 1))).ravel(), kind="stable")
-        ranked = windows[order]
-        lcp = np.logical_and.accumulate(ranked[1:] == ranked[:-1], axis=1).sum(axis=1)
+        keys = _slot_keys(texts, l - 1)
+        order = np.argsort(keys, kind="stable")
+        lcp = _neighbour_lcp(keys[order], l - 1, _key_bits(texts))
         plen = int(lcp.max(initial=0))
         if plen > 0:
             # both slots of every neighbour pair sharing plen letters; a slot
@@ -513,8 +633,7 @@ def _relator_coincidences(texts: np.ndarray) -> list[tuple[int, int]]:
     if l == 0:
         groups = [np.arange(R)]  # every relator is the empty word
     else:
-        rotations = _slot_windows(texts, l)
-        keys = rotations.view(np.dtype((np.void, l))).reshape(R, 2 * l)
+        keys = _slot_keys(texts, l).reshape(R, 2 * l)
         least = np.sort(keys, axis=1)[:, 0]
         order = np.argsort(least, kind="stable")
         ranked = least[order]
@@ -542,28 +661,15 @@ def max_piece_length_quadratic(relators: Sequence[str | CyclicWord]) -> int:
     return 0
 
 
-def _sort_rows(rows: np.ndarray) -> np.ndarray:
-    """Sort the rows of a C-contiguous int8 matrix in place, lexicographically,
-    and return the mask of rows equal to their predecessor (length n - 1).
-
-    Each row is viewed as one opaque byte string, so this is a single
-    `np.sort` of n items for every row width.  Letter codes are
-    non-negative, so byte order is the lexicographic order of the codes.
-    (NumPy's row-wise unique, which sorts a structured view, is about eight
-    times slower on 1.8 M rows of 24 letters.)
-    """
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    keys.sort()
-    return keys[1:] == keys[:-1]
-
-
 def _has_repeated_window(texts: np.ndarray, L: int) -> bool:
     """Does some length-L subword occur at two distinct slots of `texts`?"""
     if not 1 <= L <= _text_length(texts) - 1:
         return False
-    # distinct rows are distinct slots by construction, so a duplicated row
-    # value is exactly a piece of length L
-    return bool(_sort_rows(_slot_windows(texts, L)).any())
+    # distinct keys are distinct slots by construction, so a key equal to its
+    # sorted neighbour is exactly a piece of length L
+    keys = _slot_keys(texts, L)
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def has_piece_of_length(relators: Sequence[str | CyclicWord], L: int) -> bool:

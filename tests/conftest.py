@@ -42,6 +42,43 @@ def relator_sets(draw):
     return m, rels
 
 
+@st.composite
+def long_relator_sets(draw):
+    """(m, relators): cyclically reduced relators on m in {2, 3, 4}
+    generators whose windows straddle the packed-key width.  With
+    b = (2m-1).bit_length() bits a letter, l is 64 // b, one more or two
+    more (32 to 34 at m = 2, 21 to 23 at m = 3 and 4), so windows of length
+    l - 1 and l each fall on both sides of L·b = 64.  The first relator
+    starts with the last letter 2m-1, so every set needs all b bits; half
+    the sets hold that letter's power, whose windows have the largest key
+    (all ones at m = 2).  Later relators share a prefix of any length with
+    an earlier one (pieces up to l - 1 letters), and rotated or inverted
+    copies make coincidences."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    top = 2 * m - 1
+    l = 64 // top.bit_length() + draw(st.integers(0, 2))
+
+    def extend(w):
+        # the prefix w (reduced, shorter than l) made cyclically reduced of length l
+        while len(w) < l:
+            banned = {w[-1] ^ 1} | ({w[0] ^ 1} if len(w) == l - 1 else set())
+            w.append(draw(st.sampled_from([x for x in range(2 * m) if x not in banned])))
+        return w
+
+    ab = Alphabet(m)
+    rels = [ab.decode(extend([top]))]
+    if draw(st.booleans()):
+        rels.append(ab.decode([top] * l))
+    for _ in range(draw(st.integers(0, 3))):
+        r = ab.encode(draw(st.sampled_from(rels)))
+        rels.append(ab.decode(extend(list(r[: draw(st.integers(1, l - 1))]))))
+    for i in draw(st.lists(st.integers(0, len(rels) - 1), max_size=2)):
+        r = inverse_word(rels[i], ab) if draw(st.booleans()) else rels[i]
+        k = draw(st.integers(0, l - 1))
+        rels.append(r[k:] + r[:k])
+    return m, rels
+
+
 def find_verified_presentation(m, l, d, max_seeds=5000):
     """First seed whose sampled presentation passes the strict C'(1/6) gate."""
     for seed in range(max_seeds):

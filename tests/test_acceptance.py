@@ -60,7 +60,7 @@ from randomgroups.words import (
     sample_cyclically_reduced,
 )
 
-from tests.conftest import TREE_DEMO, find_verified_presentation
+from tests.conftest import TREE_DEMO
 
 
 class _Criterion:

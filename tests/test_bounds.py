@@ -36,7 +36,7 @@ from randomgroups.diagrams import (
 )
 from randomgroups.errors import BudgetExceededError, DomainError, PreconditionError
 from randomgroups.model import sample_presentation
-from randomgroups.words import Alphabet, enumerate_cyclically_reduced, rivin_count
+from randomgroups.words import Alphabet, enumerate_cyclically_reduced
 
 
 def test_rule_out_values():

@@ -3,7 +3,6 @@ import random
 from collections import OrderedDict, deque
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +22,7 @@ from randomgroups.cayley import (
 )
 from randomgroups.errors import DomainError, NotVerifiedError, PartialBallError
 from randomgroups.model import Presentation, sample_presentation
-from randomgroups.words import Alphabet, _reduce_ints, inverse_word, reduce_word
+from randomgroups.words import _reduce_ints, inverse_word, reduce_word
 
 from tests.conftest import find_verified_presentation
 

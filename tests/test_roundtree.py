@@ -22,7 +22,6 @@ from randomgroups.model import Presentation, sample_presentation
 from randomgroups.roundtree import (
     Cell,
     _relator_windows,
-    _windows_reading,
     RoundTreeParams,
     check_round_tree_axioms,
     distortion_probe,
@@ -35,7 +34,7 @@ from randomgroups.roundtree import (
 )
 from randomgroups.words import Alphabet, inverse_word, reduce_word
 
-from tests.conftest import TREE_DEMO, find_verified_presentation, relator_sets
+from tests.conftest import find_verified_presentation, long_relator_sets, relator_sets
 
 
 def _level0_tree(p, seg=3):
@@ -490,7 +489,8 @@ def _windows_by_unique(relators, m):
 @settings(max_examples=300, deadline=None)
 def test_relator_windows_match_unique_oracle(case):
     m, rels = case
-    got = _relator_windows(rels)
+    index = _relator_windows(rels)
+    got = index.rows(index.keys)
     want = _windows_by_unique(rels, m)
     assert got.dtype == want.dtype == np.int8
     assert np.array_equal(got, want)
@@ -500,7 +500,8 @@ def test_relator_windows_match_unique_oracle(case):
 @settings(max_examples=300, deadline=None)
 def test_windows_reading_matches_filter(case, data):
     m, rels = case
-    W = _relator_windows(rels)
+    index = _relator_windows(rels)
+    W = index.rows(index.keys)
     l = W.shape[1]
     n = data.draw(st.integers(1, l))
     if data.draw(st.booleans()):  # a word some window reads
@@ -510,7 +511,37 @@ def test_windows_reading_matches_filter(case, data):
         word = tuple(data.draw(st.lists(st.integers(0, 2 * m - 1), min_size=n, max_size=n)))
     for a in range(l - n + 1):
         want = W[(W[:, a : a + n] == word).all(axis=1)]
-        got = _windows_reading(W, word, a)
+        got = index.rows(index.reading(word, a))
+        assert got.dtype == np.int8 and np.array_equal(got, want), (word, a)
+
+
+@given(long_relator_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_windows_match_oracles_at_key_width(case, data):
+    # l·b = 64 is the widest index that packs into one key per window (at
+    # m = 2 the largest key is all ones); one letter more falls back to
+    # byte rows, and both must meet the oracles
+    m, rels = case
+    l, top = len(rels[0]), 2 * m - 1
+    index = _relator_windows(rels)
+    assert (index.keys.dtype == np.uint64) == (l * top.bit_length() <= 64)
+    W = index.rows(index.keys)
+    assert W.dtype == np.int8 and np.array_equal(W, _windows_by_unique(rels, m))
+    for n in range(1, l + 1):  # prefixes of the largest key
+        starts = (W[:, :n] == top).all(axis=1)
+        assert list(index.prefix_range((top,) * n)) == np.flatnonzero(starts).tolist()
+    n = data.draw(st.integers(1, l))
+    kind = data.draw(st.sampled_from(["window", "top", "random"]))
+    if kind == "window":  # a word some window reads
+        at = data.draw(st.integers(0, l - n))
+        word = tuple(W[data.draw(st.integers(0, len(W) - 1)), at : at + n].tolist())
+    elif kind == "top":  # a prefix of the largest key
+        word = (top,) * n
+    else:  # often read by none
+        word = tuple(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    for a in range(l - n + 1):
+        want = W[(W[:, a : a + n] == word).all(axis=1)]
+        got = index.rows(index.reading(word, a))
         assert got.dtype == np.int8 and np.array_equal(got, want), (word, a)
 
 

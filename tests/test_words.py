@@ -31,7 +31,7 @@ from randomgroups.words import (
     sample_cyclically_reduced,
 )
 
-from tests.conftest import relator_sets
+from tests.conftest import long_relator_sets, relator_sets
 
 
 def test_alphabet_round_trip():
@@ -341,6 +341,32 @@ def test_max_piece_length_matches_full_automaton(case):
     # and uncapped ones; every report field must agree, witness slots included
     _m, rels = case
     assert max_piece_length(rels) == _automaton_report(rels)
+
+
+@given(long_relator_sets())
+@example((2, ["B" * 32, "B" * 31 + "a"]))
+@example((2, ["B" * 33, "B" * 32 + "a", "a" + "B" * 32]))
+@example((4, ["D" * 22, "D" * 21 + "a"]))
+@settings(max_examples=200, deadline=None)
+def test_pieces_match_oracles_at_key_width(case):
+    # windows of length l - 1 and l fall on both sides of 64 bits, so the
+    # packed keys and the byte-row fallback both meet every oracle
+    _m, rels = case
+    mp = max_piece_length_quadratic(rels)
+    report = max_piece_length(rels)
+    assert report == _automaton_report(rels)
+    assert report.max_piece_length == mp
+    assert report.relator_coincidences == _coincidences_by_string(rels)
+    for L in range(1, len(rels[0]) + 1):
+        assert has_piece_of_length(rels, L) == (mp >= L)
+
+
+def test_bit_length_is_exact_at_key_width():
+    values = [0, 1, 2, 3] + [v for k in range(2, 65) for v in (2**k - 1, 2**k - 2, 2 ** (k - 1) + 1)]
+    rng = random.Random(1)
+    values += [rng.getrandbits(rng.randint(1, 64)) for _ in range(1000)]
+    got = words._bit_length(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [v.bit_length() for v in values]
 
 
 @pytest.mark.parametrize("m, l, d", [
