@@ -29,11 +29,15 @@ from .errors import (
 )
 from .model import Presentation, _trial_relators, check_seed, check_trials
 from .words import (
+    EMPTY_WORD,
     PieceReport,
+    _decode_rows,
+    _join,
     _reduce_ints,
     _relator_texts,
     _slot_windows,
     _text_length,
+    _window_keys,
     check_c_prime,
     enumerate_cyclically_reduced,
     max_piece_length,
@@ -75,30 +79,35 @@ class _RelatorArcs:
         self.l = _text_length(texts)
         self.gram = gram
         self.texts = [tuple(t) for t in texts.tolist()]
+        # each text read backwards and inverted: every complement word
+        # below is one slice of these
+        self.inverses = [tuple(x ^ 1 for x in reversed(t)) for t in self.texts]
         self.index: dict[tuple, list[tuple[int, int]]] = {}
         for slot, key in enumerate(map(tuple, _slot_windows(texts, gram).tolist())):
             self.index.setdefault(key, []).append(divmod(slot, self.l))
 
     def matches(self, word: tuple[int, ...], i: int) -> list[tuple[int, int, int]]:
         """Maximal arc matches (text, q, length) starting at position i."""
-        key = word[i : i + self.gram]
-        if len(key) < self.gram:
+        # every key has gram letters, so a shorter tail finds none
+        hits = self.index.get(word[i : i + self.gram])
+        if hits is None:
             return []
         out = []
-        for (ti, q) in self.index.get(key, ()):
+        n = len(word)
+        for (ti, q) in hits:
             t = self.texts[ti]
             j = self.gram
             # t has 2l-1 letters and q, j < l, so t[q + j] is always inside it
-            while i + j < len(word) and j < self.l and word[i + j] == t[q + j]:
+            while i + j < n and j < self.l and word[i + j] == t[q + j]:
                 j += 1
             out.append((ti, q, j))
         return out
 
     def complement_inverse(self, ti: int, q: int, j: int) -> tuple[int, ...]:
-        """For a matched arc s = t[q:q+j], the word c^-1 with s =_G c^-1."""
-        t = self.texts[ti]
-        c = t[q + j : q + self.l]
-        return tuple(x ^ 1 for x in reversed(c))
+        """For a matched arc s = t[q:q+j], the word c^-1 with s =_G c^-1,
+        where c = t[q+j:q+l]: read backwards, c^-1 starts 2l-1-(q+l) letters
+        into the inverted text."""
+        return self.inverses[ti][self.l - 1 - q : 2 * self.l - 1 - q - j]
 
 
 class DehnEngine:
@@ -118,7 +127,12 @@ class DehnEngine:
         self.slack = p.l - 2 * self.t_move
         texts = _relator_texts(p.relators)
         self.arcs = _RelatorArcs(texts, self.t_move)
-        self._detect_index = set(map(tuple, _slot_windows(texts, self.t_detect).tolist()))
+        detect = _slot_windows(texts, self.t_detect)
+        self._detect_index = set(map(tuple, detect.tolist()))
+        # the same windows as sorted keys, b bits a letter for all 2m letters
+        # a ball word may use (the relators need not use them all)
+        self.bits = (2 * p.m - 1).bit_length()
+        self.detect_keys = np.sort(_window_keys(detect, self.bits))
 
     def _find_half_arc(self, w):
         for i in range(len(w) - self.half + 1):
@@ -137,11 +151,12 @@ class DehnEngine:
         return any(w[i : i + k] in self._detect_index for i in range(len(w) - k + 1))
 
     def dehn_step(self, w: tuple[int, ...]):
+        """One >half-arc replacement in the reduced word w, or None."""
         found = self._find_half_arc(w)
         if found is None:
             return None
         i, ti, q, j = found
-        return _reduce_ints(w[:i] + self.arcs.complement_inverse(ti, q, j) + w[i + j :])
+        return _join(_join(w[:i], self.arcs.complement_inverse(ti, q, j)), w[i + j :])
 
     def dehn_reduce(self, w: tuple[int, ...]) -> tuple[int, ...]:
         w = _reduce_ints(w)
@@ -164,27 +179,31 @@ class DehnEngine:
         seen = {w}
         frontier = [w]
         same = {w}
+        comp = self.arcs.complement_inverse
         while frontier:
             nxt = []
             for u in frontier:
                 for i in range(len(u)):
+                    head = u[:i]
                     for (ti, q, j) in self.arcs.matches(u, i):
-                        for jj in range(self.t_move, j + 1):
-                            repl = self.arcs.complement_inverse(ti, q, jj)
-                            v = _reduce_ints(u[:i] + repl + u[i + jj :])
-                            if len(v) > cap or v in seen:
-                                continue
-                            if len(v) < n:
-                                return same, v
-                            seen.add(v)
-                            if len(seen) > DEFAULT_CLOSURE_BUDGET:
-                                raise BudgetExceededError(
-                                    f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
-                                    budget=DEFAULT_CLOSURE_BUDGET,
-                                )
-                            if len(v) == n:
-                                same.add(v)
-                            nxt.append(v)
+                        # swapping any prefix of at least t_move letters of
+                        # the matched arc s gives this one word: the rest of
+                        # s cancels against the end of the longer complement.
+                        # u and the pieces are reduced, so only seams cancel
+                        v = _join(_join(head, comp(ti, q, j)), u[i + j :])
+                        if len(v) > cap or v in seen:
+                            continue
+                        if len(v) < n:
+                            return same, v
+                        seen.add(v)
+                        if len(seen) > DEFAULT_CLOSURE_BUDGET:
+                            raise BudgetExceededError(
+                                f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
+                                budget=DEFAULT_CLOSURE_BUDGET,
+                            )
+                        if len(v) == n:
+                            same.add(v)
+                        nxt.append(v)
             frontier = nxt
         return same, None
 
@@ -206,86 +225,101 @@ def dehn_reduce(word: str, p: Presentation) -> str:
 
 @dataclass
 class CayleyBall:
+    """A ball of the Cayley graph, vertex ids in BFS order.
+
+    `adjacency[v, x]` is the vertex that letter code x leads to from v, or
+    -1 where that edge leaves the ball (only at the rim).
+    """
+
     presentation: Presentation
     radius: int
     words: list[str]                     # canonical (lex-least geodesic) per vertex
-    dist: list[int]
-    adjacency: list[dict[int, int]]      # letter code -> vertex id
+    dist: np.ndarray                     # (N,) int32
+    adjacency: np.ndarray                # (N, 2m) int32, -1 past the rim
 
     def vertex_of_word(self, word: str) -> int | None:
         """Walk a word from the origin through recorded adjacency."""
-        eng = _engine(self.presentation)
         at = 0
-        for x in eng.ab.encode(word):
-            at = self.adjacency[at].get(x)
-            if at is None:
+        for x in self.presentation.alphabet.encode(word):
+            at = self.adjacency.item(at, x)
+            if at < 0:
                 return None
         return at
 
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every recorded (u, x, v) with adjacency[u, x] = v, ordered by u, x."""
+        u, x = np.nonzero(self.adjacency >= 0)
+        return u, x, self.adjacency[u, x]
+
     def check_invariants(self, samples: int = 200, seed: int = 0) -> None:
-        assert self.dist[0] == 0 and self.words[0] == "1"
-        for u, nbrs in enumerate(self.adjacency):
-            for x, v in nbrs.items():
-                assert abs(self.dist[u] - self.dist[v]) <= 1
-                assert self.adjacency[v].get(x ^ 1) == u
-            if self.dist[u] < self.radius:
-                assert len(nbrs) == 2 * self.presentation.m, (
-                    f"vertex {u} at distance {self.dist[u]} is not closed"
-                )
+        adj, dist = self.adjacency, self.dist
+        assert dist[0] == 0 and self.words[0] == "1"
+        u, x, v = self._edges()
+        assert (np.abs(dist[u] - dist[v]) <= 1).all()
+        assert (adj[v, x ^ 1] == u).all()
+        open_ = np.flatnonzero((adj < 0).any(axis=1) & (dist < self.radius))
+        assert not open_.size, (
+            f"vertex {open_[0]} at distance {dist[open_[0]]} is not closed"
+        )
         rng = np.random.default_rng(seed)
         n = len(self.words)
         for _ in range(samples):
             a, b = int(rng.integers(n)), int(rng.integers(n))
             # triangle inequality through the origin
-            assert abs(self.dist[a] - self.dist[b]) <= _graph_distance(self, a, b)
+            assert abs(int(dist[a]) - int(dist[b])) <= _graph_distance(self, a, b)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_dict(self) -> dict:
-        letters = self.presentation.alphabet.letters
+        letters = np.array(list(self.presentation.alphabet.letters))
+        u, x, v = self._edges()
+        # one (low, high, letter) triple per recorded direction, the letter
+        # read from the low end; both directions of an edge give the same one
+        forward = u < v
+        lo, hi = np.where(forward, u, v), np.where(forward, v, u)
+        label = letters[np.where(forward, x, x ^ 1)]
+        order = np.lexsort((label, hi, lo))
+        lo, hi, label = lo[order], hi[order], label[order]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (label[1:] != label[:-1])
         return {
             "m": self.presentation.m,
             "l": self.presentation.l,
             "radius": self.radius,
             "vertices": [
                 {"id": i, "word": w, "distance": d}
-                for i, (w, d) in enumerate(zip(self.words, self.dist))
+                for i, (w, d) in enumerate(zip(self.words, self.dist.tolist()))
             ],
-            "edges": sorted(
-                {
-                    (min(u, v), max(u, v), letters[x if u < v else x ^ 1])
-                    for u, nbrs in enumerate(self.adjacency)
-                    for x, v in nbrs.items()
-                }
-            ),
+            "edges": list(zip(lo[keep].tolist(), hi[keep].tolist(), label[keep].tolist())),
         }
 
     def adjacency_csv(self) -> str:
         letters = self.presentation.alphabet.letters
+        u, x, v = self._edges()
         lines = ["src,dst,letter"]
-        for u, nbrs in enumerate(self.adjacency):
-            for x, v in sorted(nbrs.items()):
-                lines.append(f"{u},{v},{letters[x]}")
+        lines += [f"{a},{b},{letters[c]}" for a, b, c in zip(u.tolist(), v.tolist(), x.tolist())]
         return "\n".join(lines) + "\n"
 
 
 def _graph_distance(ball: CayleyBall, a: int, b: int) -> int:
+    """Length of a shortest path from a to b inside the ball, by levels."""
     if a == b:
         return 0
-    from collections import deque
-
-    seen = {a: 0}
-    q = deque([a])
-    while q:
-        u = q.popleft()
-        for v in ball.adjacency[u].values():
-            if v not in seen:
-                seen[v] = seen[u] + 1
-                if v == b:
-                    return seen[v]
-                q.append(v)
-    return max(ball.dist) * 2 + 1  # disconnected within the ball: only at the rim
+    seen = np.zeros(len(ball.dist), dtype=bool)
+    seen[a] = True
+    frontier = np.array([a])
+    d = 0
+    while frontier.size:
+        d += 1
+        nxt = ball.adjacency[frontier].ravel()
+        nxt = np.unique(nxt[nxt >= 0])
+        nxt = nxt[~seen[nxt]]
+        if (nxt == b).any():
+            return d
+        seen[nxt] = True
+        frontier = nxt
+    return int(ball.dist.max()) * 2 + 1  # disconnected within the ball: only at the rim
 
 
 def cayley_ball(
@@ -295,38 +329,49 @@ def cayley_ball(
 ) -> CayleyBall:
     """Exact ball of the word metric, vertices named by lex-least geodesics.
 
-    BFS by levels; candidate words are identified through Dehn reduction
-    (strictly shorter words walk back through completed adjacency) and the
-    geodesic swap closure (same-length merges).  Identification is skipped
-    entirely while 2n < l, where no relation can close up.
+    The ball is built level by level on arrays.  The candidates of level n
+    are the open pairs (u, x) of level n-1, in BFS order, and each maps to a
+    vertex that depends only on its word words[u] + x:
+
+    - a word that is not suspicious (`DehnEngine.is_suspicious`; always so
+      while 2n < l) is a new vertex of its own.  Its only window that
+      words[u] lacks is its tail, so it is suspicious exactly when u is or
+      that tail is a detect window: one array lookup of the tails' keys;
+    - a suspicious word goes through Python: Dehn reduction or the geodesic
+      swap closure finds a strictly shorter word, which walks back through
+      the completed levels, or the class of equal geodesic words, named by
+      its least member.  Such a class holds only suspicious words.
+
+    So the new vertices are the non-suspicious candidates and the first
+    candidate of each new class, in candidate order.  A final rim pass adds
+    the edges between vertices at the radius, which only suspicious rim
+    candidates can have; when l is even the graph is bipartite and has none.
+
+    Words are stored as one (count, n) int8 letter-code matrix per level;
+    tails and detect windows are compared as `words._window_keys` keys, b =
+    (2m-1).bit_length() bits a letter (or byte rows past 64 bits).  A level
+    that would take the ball past `vertex_budget` vertices raises
+    PartialBallError before any of its rows are made.
     """
+    if radius < 0:
+        raise DomainError(f"need a ball radius >= 0, got {radius}")
     eng = _engine(p)
-    ab = eng.ab
-    words: list[tuple[int, ...]] = [()]
-    dist = [0]
-    adjacency: list[dict[int, int]] = [dict()]
-    index: dict[tuple[int, ...], int] = {(): 0}
-    susp = [False]                       # eng.is_suspicious(words[v])
+    k = 2 * p.m
+    adjacency = np.full((1, k), -1, dtype=np.int32)
+    levels = [np.zeros((1, 0), dtype=np.int8)]  # level n: its words as letter codes
+    susp = np.zeros(1, dtype=bool)              # eng.is_suspicious, last level
     canon_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def walk(w: tuple[int, ...]) -> int:
         at = 0
         for x in w:
-            at = adjacency[at][x]
+            at = adjacency.item(at, x)
         return at
 
-    def identify(u: int, w: tuple[int, ...], create: bool) -> int | None:
-        """Vertex for candidate w = words[u] + (x,), one letter beyond a
-        complete level.  Its only window that words[u] lacks is its tail, so
-        w is suspicious exactly when u is or that tail is a detect window."""
+    def identify(w: tuple[int, ...]) -> int | tuple[int, ...]:
+        """The vertex of a suspicious candidate w equal to a shorter word,
+        else the least word of its class."""
         n = len(w)
-        if 2 * n < p.l or not (susp[u] or w[-eng.t_detect :] in eng._detect_index):
-            vid = index.get(w)
-            if vid is not None:
-                return vid
-            if not create:
-                return None
-            return _new_vertex(w, n)
         short = eng.dehn_reduce(w)
         if len(short) < n:
             return walk(short)
@@ -336,65 +381,83 @@ def cayley_ball(
         key = min(same)
         for member in same:
             canon_cache[member] = key
-        vid = index.get(key)
-        if vid is not None:
-            return vid
-        if not create:
-            return None
-        return _new_vertex(key, n)
+        return key
 
-    def _new_vertex(key: tuple[int, ...], n: int) -> int:
-        if len(words) >= vertex_budget:
+    def past_budget(size: int, made: int) -> bool:
+        # whether one of the `made` vertices new on a level of `size` took
+        # the ball past the budget.  It is asked in candidate order, so the
+        # error comes before any work on later candidates
+        return made > 0 and size + made > vertex_budget
+
+    start = 0  # first id of the last level
+    for n in range(1, radius + 1 + p.l % 2):
+        rim = n > radius
+        size = len(adjacency)
+        prev = levels[-1]
+        # the open candidates (u, x) of the last level, in BFS order
+        rows, x = np.nonzero(adjacency[start:] < 0)
+        u = rows + start
+        hit = susp[rows]
+        if n >= eng.t_detect:
+            tails = np.concatenate(
+                [prev[rows, n - eng.t_detect :], x.astype(np.int8)[:, None]], axis=1
+            )
+            hit |= np.isin(_window_keys(tails, eng.bits), eng.detect_keys)
+        suspicious = hit if 2 * n >= p.l else np.zeros_like(hit)
+        target = np.full(len(u), -1, dtype=np.int64)  # an existing vertex, else -1
+        creates = np.zeros_like(hit) if rim else ~suspicious
+        first: dict[tuple[int, ...], int] = {}  # new class key -> its first candidate
+        again = []                              # (candidate, first candidate of its class)
+        idx = np.flatnonzero(suspicious)
+        for i, before, row, xi in zip(idx.tolist(), np.cumsum(creates)[idx].tolist(),
+                                      prev[rows[idx]].tolist(), x[idx].tolist()):
+            if past_budget(size, before + len(first)):
+                break
+            w = (*row, xi)
+            r = canon_cache.get(w)
+            if r is None:
+                r = identify(w)
+            if type(r) is int:
+                target[i] = r
+            elif not rim:  # a class key: rim classes lie outside the ball
+                j = first.setdefault(r, i)
+                if j == i:
+                    creates[i] = True
+                else:
+                    again.append((i, j))
+        total = int(creates.sum())
+        if past_budget(size, total):
             raise PartialBallError(
                 f"vertex budget {vertex_budget} exhausted",
                 completed_radius=n - 1,
                 budget=vertex_budget,
             )
-        words.append(key)
-        susp.append(eng.is_suspicious(key))
-        dist.append(n)
-        adjacency.append(dict())
-        index[key] = len(words) - 1
-        return len(words) - 1
-
-    level = [0]
-    for n in range(1, radius + 1):
-        for u in level:
-            wu = words[u]
-            for x in range(2 * p.m):
-                if x in adjacency[u]:
-                    continue
-                if wu and wu[-1] == (x ^ 1):
-                    v = index[wu[:-1]]
-                else:
-                    cached = canon_cache.get(wu + (x,))
-                    if cached is not None:
-                        v = index.get(cached)
-                        if v is None:
-                            v = _new_vertex(cached, n)
-                    else:
-                        v = identify(u, wu + (x,), create=True)
-                adjacency[u][x] = v
-                adjacency[v][x ^ 1] = u
-        level = [v for v in range(len(words)) if dist[v] == n]
-    # rim pass: edges among radius-level vertices and back to radius-1
-    for u in [v for v in range(len(words)) if dist[v] == radius]:
-        wu = words[u]
-        for x in range(2 * p.m):
-            if x in adjacency[u]:
-                continue
-            if wu and wu[-1] == (x ^ 1):
-                v = index[wu[:-1]]
-            else:
-                v = identify(u, wu + (x,), create=False)
-            if v is not None:
-                adjacency[u][x] = v
-                adjacency[v][x ^ 1] = u
+        if not rim:
+            ids = size - 1 + np.cumsum(creates)
+            target[creates] = ids[creates]
+            if again:
+                i, j = np.array(again).T
+                target[i] = target[j]
+            words = np.concatenate(
+                [prev[rows[creates]], x[creates].astype(np.int8)[:, None]], axis=1
+            )
+            susp = hit[creates]
+            if first:
+                at = ids[list(first.values())] - size
+                words[at] = list(first)
+                susp[at] = [eng.is_suspicious(w) for w in first]
+            levels.append(words)
+            adjacency = np.concatenate([adjacency, np.full((total, k), -1, dtype=np.int32)])
+            start = size
+        ok = target >= 0
+        u, x, v = u[ok], x[ok], target[ok]
+        adjacency[u, x] = v
+        adjacency[v, x ^ 1] = u
     return CayleyBall(
         presentation=p,
         radius=radius,
-        words=[ab.decode(w) for w in words],
-        dist=dist,
+        words=[EMPTY_WORD] + [w for block in levels[1:] for w in _decode_rows(block)],
+        dist=np.repeat(np.arange(len(levels), dtype=np.int32), [len(b) for b in levels]),
         adjacency=adjacency,
     )
 
@@ -430,7 +493,7 @@ def distance(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUD
         return 0
     ball = _cached_ball(p, len(w), vertex_budget)
     vid = ball.vertex_of_word(eng.ab.decode(w))
-    return ball.dist[vid]
+    return int(ball.dist[vid])
 
 
 def is_geodesic(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:

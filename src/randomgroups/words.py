@@ -42,7 +42,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BudgetExceededError,
@@ -146,6 +145,16 @@ def _reduce_ints(w: Sequence[int]) -> tuple[int, ...]:
         else:
             stack.append(x)
     return tuple(stack)
+
+
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The free reduction of a·b for reduced a and b: only the seam cancels."""
+    if not a or not b or a[-1] != b[0] ^ 1:
+        return a + b
+    k, top = 1, min(len(a), len(b))
+    while k < top and a[-1 - k] == b[k] ^ 1:
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 def reduce_word(word: str, alphabet: Alphabet | None = None) -> str:
@@ -358,11 +367,20 @@ def _text_length(texts: np.ndarray) -> int:
     return (texts.shape[1] + 1) // 2
 
 
+def _slot_view(texts: np.ndarray, L: int) -> np.ndarray:
+    """The length-L window (1 <= L <= l) at every slot as a (2R, l, L) view
+    of the texts: window [t, q] is texts[t, q:q+L].  Built by hand, as one
+    strided view, because `sliding_window_view` costs several times more
+    than the small-presentation key builds that call this."""
+    texts = np.ascontiguousarray(texts)
+    shape = (len(texts), _text_length(texts), L)
+    return np.ndarray(shape, texts.dtype, texts, 0, texts.strides + texts.strides[1:])
+
+
 def _slot_windows(texts: np.ndarray, L: int) -> np.ndarray:
-    """The length-L window (1 <= L <= l) at every slot, one C-contiguous row
-    per slot in slot order: a (2R·l, L) matrix made with one copy."""
-    l = _text_length(texts)
-    return sliding_window_view(texts, L, axis=1)[:, :l].copy().reshape(-1, L)
+    """The length-L window at every slot, one C-contiguous row per slot in
+    slot order: a (2R·l, L) matrix made with one copy."""
+    return _slot_view(texts, L).reshape(-1, L)
 
 
 def _key_bits(texts: np.ndarray) -> int:
@@ -371,32 +389,29 @@ def _key_bits(texts: np.ndarray) -> int:
     return (int(texts.max(initial=0)) | 1).bit_length()
 
 
-def _packed_keys(texts: np.ndarray, L: int) -> np.ndarray | None:
-    """The length-L window at every slot as one uint64 key, in slot order, or
-    None when L·b > 64 for b = `_key_bits`.  A key holds the window's letters
-    in b bits each, the first letter highest, so keys order as their windows
-    do lexicographically."""
-    b = _key_bits(texts)
+def _window_keys(windows: np.ndarray, b: int) -> np.ndarray:
+    """One sort key per window of non-negative letter codes along the last
+    axis of `windows` (any leading shape): the L letters packed into one
+    uint64, b bits each and the first letter highest, when L·b <= 64; else
+    the window as one opaque byte string, whose byte order is then letter
+    order.  Either way keys compare as their windows do lexicographically.
+    This is the one place that chooses between the two formats."""
+    L = windows.shape[-1]
     if L * b > 64:
-        return None
-    l = _text_length(texts)
-    codes = texts.view(np.uint8)  # letter codes are non-negative
-    keys = np.zeros((len(texts), l), dtype=np.uint64)
+        return np.ascontiguousarray(windows).view(np.dtype((np.void, L)))[..., 0]
+    codes = windows.view(np.uint8)
+    keys = np.zeros(windows.shape[:-1], dtype=np.uint64)
     for j in range(L):  # Horner steps over the window columns
         keys <<= b
-        keys |= codes[:, j : j + l]
-    return keys.ravel()
+        keys |= codes[..., j]
+    return keys
 
 
 def _slot_keys(texts: np.ndarray, L: int) -> np.ndarray:
-    """One sort key per length-L slot window, in slot order: the packed key
-    when it fits in 64 bits, else the window as one opaque byte string (codes
-    are non-negative, so byte order is letter order).  Either way, keys
-    compare as their windows do."""
-    keys = _packed_keys(texts, L)
-    if keys is None:
-        keys = _slot_windows(texts, L).view(np.dtype((np.void, L))).ravel()
-    return keys
+    """One `_window_keys` key per length-L slot window, in slot order, with
+    b = `_key_bits` bits a letter.  The packed keys are read off the texts
+    in place, with no (2R·l, L) temporary."""
+    return _window_keys(_slot_view(texts, L), _key_bits(texts)).ravel()
 
 
 _POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)

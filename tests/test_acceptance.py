@@ -280,7 +280,7 @@ def test_criterion_8_companion_dehn_bfs_agreement(verified_presentation):
             assert (dehn_reduce(word, p) == "1") == (vid == 0)
         # free-ball property: a tree strictly below half the relator length
         small = cayley_ball(p, p.l // 2 - 1)
-        undirected = sum(len(a) for a in small.adjacency) // 2
+        undirected = int((small.adjacency >= 0).sum()) // 2
         assert undirected == len(small.words) - 1
         c.check_runtime(120)
 

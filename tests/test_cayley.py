@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import random
 from collections import OrderedDict, deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,16 @@ from randomgroups.cayley import (
 )
 from randomgroups.errors import DomainError, NotVerifiedError, PartialBallError
 from randomgroups.model import Presentation, sample_presentation
-from randomgroups.words import _reduce_ints, inverse_word, reduce_word
+from randomgroups.words import (
+    _reduce_ints,
+    _relator_texts,
+    _slot_windows,
+    _window_keys,
+    inverse_word,
+    reduce_word,
+)
 
+from tests.ball_oracle import _oracle_engine, cayley_ball_oracle
 from tests.conftest import find_verified_presentation
 
 
@@ -81,7 +91,7 @@ def test_free_ball_below_half(verified_presentation):
         expect.append(2 * p.m * (2 * p.m - 1) ** (k - 1))
     assert [sizes[i] for i in range(6)] == expect
     # tree: no cycles below half the girth
-    undirected = sum(len(a) for a in ball.adjacency) // 2
+    undirected = int((ball.adjacency >= 0).sum()) // 2
     assert undirected == len(ball.words) - 1
 
 
@@ -93,7 +103,7 @@ def test_ball_invariants_and_closure(verified_presentation):
 def test_radius_zero_and_one(verified_presentation):
     p = verified_presentation
     b0 = cayley_ball(p, 0)
-    assert len(b0.words) == 1 and b0.dist == [0]
+    assert len(b0.words) == 1 and b0.dist.tolist() == [0]
     b1 = cayley_ball(p, 1)
     assert len(b1.words) == 1 + 2 * p.m
 
@@ -163,6 +173,144 @@ def test_ball_exports(verified_presentation):
         "76c4184e960743940563007340f78690fea1a65b9a2e30db60c68badfbe18048")
     assert hashlib.sha256(ball.adjacency_csv().encode()).hexdigest() == (
         "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
+
+
+def _dense(oracle):
+    """The oracle's adjacency dicts as an (N, 2m) array, -1 for no edge."""
+    adj = np.full((len(oracle.words), 2 * oracle.presentation.m), -1)
+    for u, nbrs in enumerate(oracle.adjacency):
+        for x, v in nbrs.items():
+            adj[u, x] = v
+    return adj
+
+
+def _assert_same_ball(ball, oracle, exports=True):
+    assert ball.words == oracle.words
+    assert ball.dist.tolist() == oracle.dist
+    assert np.array_equal(ball.adjacency, _dense(oracle))
+    if exports:
+        assert ball.to_json() == oracle.to_json()
+        assert ball.adjacency_csv() == oracle.adjacency_csv()
+
+
+def _merged_and_same_level(ball):
+    """Vertices reached from the level below under two or more letters (each
+    such letter ends another geodesic word: a merged closure class), and
+    edge ends whose two vertices lie on one level (odd cycles only)."""
+    u, x, v = ball._edges()
+    du, dv = ball.dist[u], ball.dist[v]
+    down = np.bincount(u[dv == du - 1], minlength=len(ball.words))
+    return int((down >= 2).sum()), int((du == dv).sum())
+
+
+@pytest.fixture(scope="module")
+def oracle_r6(verified_presentation):
+    return cayley_ball_oracle(verified_presentation, 6)
+
+
+@pytest.fixture(scope="module")
+def odd_presentation():
+    """The first verified sample at (m=2, l=13): relators of odd length
+    close odd cycles, so some candidates equal words one letter shorter."""
+    return find_verified_presentation(2, 13, 0)
+
+
+def test_ball_oracle_even_l_merged_classes(verified_presentation, oracle_r6):
+    ball = cayley_ball(verified_presentation, 6)
+    assert len(ball.words) == 23425
+    # the closure merged classes here; with l even no edge joins one level
+    assert _merged_and_same_level(ball) == (12, 0)
+    _assert_same_ball(ball, oracle_r6)
+
+
+def test_ball_oracle_odd_l_shortened_candidates(monkeypatch, odd_presentation):
+    p = odd_presentation
+    eng = cayley_mod._engine(p)
+    shortened = []
+    reduce_ = eng.dehn_reduce
+
+    def counting(w):
+        short = reduce_(w)
+        shortened.append(len(short) < len(w))
+        return short
+
+    monkeypatch.setattr(eng, "dehn_reduce", counting)
+    ball = cayley_ball(p, 7)
+    monkeypatch.undo()
+    # each end u of an edge inside a level is a candidate words[u] + x that
+    # Dehn reduction shortens to a vertex on u's own level
+    assert sum(shortened) == _merged_and_same_level(ball)[1] == 78
+    _assert_same_ball(ball, cayley_ball_oracle(p, 7))
+
+
+def test_ball_oracle_byte_row_keys(monkeypatch, verified_presentation, oracle_r6):
+    # windows wider than 64 bits are keyed as byte rows; force that format
+    # for the tails and detect windows of a ball that packs them otherwise
+    p = verified_presentation
+    eng = cayley_mod._engine(p)
+    detect = _slot_windows(_relator_texts(p.relators), eng.t_detect)
+    monkeypatch.setattr(eng, "bits", 64)
+    monkeypatch.setattr(eng, "detect_keys", np.sort(_window_keys(detect, 64)))
+    assert eng.detect_keys.dtype.kind == "V"
+    _assert_same_ball(cayley_ball(p, 6), oracle_r6, exports=False)
+
+
+def _ball_outcome(build, p, radius, budget):
+    try:
+        return build(p, radius, budget)
+    except PartialBallError as e:
+        return (type(e), str(e), e.completed_radius, e.budget)
+
+
+def test_ball_oracle_budget_parity(verified_presentation, oracle_r6):
+    # budgets at every level boundary and one either side, and budgets <= 0:
+    # the same error at the same radius, or the same ball
+    p = verified_presentation
+    sizes = np.cumsum(np.bincount(oracle_r6.dist)).tolist()
+    budgets = sorted({s + d for s in sizes for d in (-1, 0, 1)} | {0, -1, -7})
+    raised = 0
+    for radius, budget in [(6, b) for b in budgets] + [(0, 0), (0, -1), (1, 0)]:
+        got = _ball_outcome(cayley_ball, p, radius, budget)
+        want = _ball_outcome(cayley_ball_oracle, p, radius, budget)
+        if isinstance(want, tuple):
+            assert got == want, (radius, budget)
+            raised += 1
+        else:
+            _assert_same_ball(got, want, exports=False)
+    assert raised == sum(b < sizes[-1] for b in budgets) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _verified_host(m, l):
+    return find_verified_presentation(m, l, 0)
+
+
+@st.composite
+def _arc_words(draw):
+    """A reduced word holding an arc of a relator rotation, with a random
+    prefix and suffix: the inputs that Dehn steps and swaps act on."""
+    ab_size = draw(st.sampled_from([4, 6]))
+    rot = draw(st.integers(0, 99))
+    k = draw(st.integers(1, 12))
+    pre = draw(st.lists(st.integers(0, ab_size - 1), max_size=4))
+    post = draw(st.lists(st.integers(0, ab_size - 1), max_size=4))
+    return ab_size, rot, k, pre, post
+
+
+@given(_arc_words())
+@settings(max_examples=80, deadline=None)
+def test_closure_and_dehn_match_ball_oracle_engine(case):
+    # the engine's seam joins, complement slices and one swap per matched
+    # arc give the oracle engine's full reductions and per-prefix swaps
+    ab_size, rot, k, pre, post = case
+    p = _verified_host(ab_size // 2, 12 if ab_size == 6 else 13)
+    texts = _relator_texts(p.relators)
+    t = texts[rot % len(texts)].tolist()
+    q = rot % p.l
+    w = _reduce_ints(pre + t[q : q + min(k, p.l)] + post)
+    eng, oracle = cayley_mod._engine(p), _oracle_engine(p)
+    assert eng.dehn_reduce(w) == oracle.dehn_reduce(w)
+    assert eng.geodesic_closure(w) == oracle.geodesic_closure(w)
 
 
 def test_ball_cache_is_a_bounded_lru(monkeypatch):

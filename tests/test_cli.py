@@ -108,6 +108,14 @@ def test_ball_budget_exit_code(tmp_path, verified_presentation):
     assert run(["ball", "--in", str(pfile), "--radius", "6", "--budget", "50"]) == 3
 
 
+def test_ball_negative_radius_exits_2(tmp_path, capsys, verified_presentation):
+    pfile = tmp_path / "v.txt"
+    save_presentation(verified_presentation, pfile)
+    assert run(["ball", "--in", str(pfile), "--radius", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "radius" in captured.err
+
+
 def test_bounds_rule_out(capsys):
     assert run(["bounds", "--which", "rule-out", "--m", "2", "--l", "8",
                 "--d", "1/4"]) == 0
