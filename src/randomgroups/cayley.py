@@ -58,22 +58,28 @@ def small_cancellation_report(p: Presentation) -> PieceReport:
 def is_dehn_ready(p: Presentation) -> bool:
     """Strict C'(1/6), the correctness condition for every exact query here."""
     rep = small_cancellation_report(p)
-    return rep.max_piece_length * 6 < p.l and not rep.relator_coincidences
+    return rep.passes(LAMBDA_DEHN) and not rep.relator_coincidences
 
 
 def ensure_dehn_ready(p: Presentation) -> PieceReport:
     rep = small_cancellation_report(p)
     if not is_dehn_ready(p):
+        den = LAMBDA_DEHN.denominator
         raise NotVerifiedError(
-            f"presentation is not verified C'(1/6): max piece "
-            f"{rep.max_piece_length} vs l/6 = {p.l}/6"
+            f"presentation is not verified C'({LAMBDA_DEHN}): max piece "
+            f"{rep.max_piece_length} vs l/{den} = {p.l}/{den}"
         )
     return rep
 
 
 class _RelatorArcs:
     """Occurrence index over the cyclic rotations of relators and inverses:
-    slot (text ti, position q) of `texts` under its length-`gram` window."""
+    the slot (text ti, position q) of `texts` of each length-`gram` window.
+
+    A window longer than every piece lies at one slot only, so each window
+    maps to its one slot.  The Dehn engine's grams are such: under the gate,
+    6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
+    """
 
     def __init__(self, texts: np.ndarray, gram: int):
         self.l = _text_length(texts)
@@ -82,26 +88,25 @@ class _RelatorArcs:
         # each text read backwards and inverted: every complement word
         # below is one slice of these
         self.inverses = [tuple(x ^ 1 for x in reversed(t)) for t in self.texts]
-        self.index: dict[tuple, list[tuple[int, int]]] = {}
-        for slot, key in enumerate(map(tuple, _slot_windows(texts, gram).tolist())):
-            self.index.setdefault(key, []).append(divmod(slot, self.l))
+        windows = map(tuple, _slot_windows(texts, gram).tolist())
+        self.index = {key: divmod(slot, self.l) for slot, key in enumerate(windows)}
+        assert len(self.index) == len(self.texts) * self.l, "a window lies at two slots"
 
-    def matches(self, word: tuple[int, ...], i: int) -> list[tuple[int, int, int]]:
-        """Maximal arc matches (text, q, length) starting at position i."""
+    def match(self, word: tuple[int, ...], i: int) -> tuple[int, int, int] | None:
+        """The maximal arc match (text, q, length) starting at position i, or
+        None."""
         # every key has gram letters, so a shorter tail finds none
-        hits = self.index.get(word[i : i + self.gram])
-        if hits is None:
-            return []
-        out = []
+        hit = self.index.get(word[i : i + self.gram])
+        if hit is None:
+            return None
+        ti, q = hit
+        t = self.texts[ti]
         n = len(word)
-        for (ti, q) in hits:
-            t = self.texts[ti]
-            j = self.gram
-            # t has 2l-1 letters and q, j < l, so t[q + j] is always inside it
-            while i + j < n and j < self.l and word[i + j] == t[q + j]:
-                j += 1
-            out.append((ti, q, j))
-        return out
+        j = self.gram
+        # t has 2l-1 letters and q, j < l, so t[q + j] is always inside it
+        while i + j < n and j < self.l and word[i + j] == t[q + j]:
+            j += 1
+        return ti, q, j
 
     def complement_inverse(self, ti: int, q: int, j: int) -> tuple[int, ...]:
         """For a matched arc s = t[q:q+j], the word c^-1 with s =_G c^-1,
@@ -127,28 +132,31 @@ class DehnEngine:
         self.slack = p.l - 2 * self.t_move
         texts = _relator_texts(p.relators)
         self.arcs = _RelatorArcs(texts, self.t_move)
-        detect = _slot_windows(texts, self.t_detect)
-        self._detect_index = set(map(tuple, detect.tolist()))
-        # the same windows as sorted keys, b bits a letter for all 2m letters
-        # a ball word may use (the relators need not use them all)
+        # the detect windows as sorted keys, b bits a letter for all 2m
+        # letters a ball word may use (the relators need not use them all)
         self.bits = (2 * p.m - 1).bit_length()
-        self.detect_keys = np.sort(_window_keys(detect, self.bits))
+        self.detect_keys = np.sort(_window_keys(_slot_windows(texts, self.t_detect), self.bits))
 
     def _find_half_arc(self, w):
         for i in range(len(w) - self.half + 1):
-            for (ti, q, j) in self.arcs.matches(w, i):
-                if j >= self.half:
-                    return (i, ti, q, j)
+            hit = self.arcs.match(w, i)
+            if hit is not None and hit[2] >= self.half:
+                return (i, *hit)
         return None
 
     def is_suspicious(self, w: tuple[int, ...]) -> bool:
         """Might w merge with another geodesic or fail to be geodesic?
 
         Any such word contains at least t_detect consecutive letters of a
-        relator rotation (end-cell arc of the connecting bigon ladder).
+        relator rotation (end-cell arc of the connecting bigon ladder): an
+        arc match of at least t_detect letters, since t_detect >= t_move.
         """
         k = self.t_detect
-        return any(w[i : i + k] in self._detect_index for i in range(len(w) - k + 1))
+        for i in range(len(w) - k + 1):
+            hit = self.arcs.match(w, i)
+            if hit is not None and hit[2] >= k:
+                return True
+        return False
 
     def dehn_step(self, w: tuple[int, ...]):
         """One >half-arc replacement in the reduced word w, or None."""
@@ -184,26 +192,28 @@ class DehnEngine:
             nxt = []
             for u in frontier:
                 for i in range(len(u)):
-                    head = u[:i]
-                    for (ti, q, j) in self.arcs.matches(u, i):
-                        # swapping any prefix of at least t_move letters of
-                        # the matched arc s gives this one word: the rest of
-                        # s cancels against the end of the longer complement.
-                        # u and the pieces are reduced, so only seams cancel
-                        v = _join(_join(head, comp(ti, q, j)), u[i + j :])
-                        if len(v) > cap or v in seen:
-                            continue
-                        if len(v) < n:
-                            return same, v
-                        seen.add(v)
-                        if len(seen) > DEFAULT_CLOSURE_BUDGET:
-                            raise BudgetExceededError(
-                                f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
-                                budget=DEFAULT_CLOSURE_BUDGET,
-                            )
-                        if len(v) == n:
-                            same.add(v)
-                        nxt.append(v)
+                    hit = self.arcs.match(u, i)
+                    if hit is None:
+                        continue
+                    ti, q, j = hit
+                    # swapping any prefix of at least t_move letters of the
+                    # matched arc s gives this one word: the rest of s
+                    # cancels against the end of the longer complement.  u
+                    # and the pieces are reduced, so only seams cancel
+                    v = _join(_join(u[:i], comp(ti, q, j)), u[i + j :])
+                    if len(v) > cap or v in seen:
+                        continue
+                    if len(v) < n:
+                        return same, v
+                    seen.add(v)
+                    if len(seen) > DEFAULT_CLOSURE_BUDGET:
+                        raise BudgetExceededError(
+                            f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
+                            budget=DEFAULT_CLOSURE_BUDGET,
+                        )
+                    if len(v) == n:
+                        same.add(v)
+                    nxt.append(v)
             frontier = nxt
         return same, None
 
@@ -534,13 +544,14 @@ class ScanCell:
         return wilson_interval(self.passes, self.trials)
 
     def to_dict(self) -> dict:
-        lo, hi = self.interval()
+        # an empty cell has no estimate: null, since JSON has no NaN
+        p_hat, (lo, hi) = (None, (None, None)) if self.empty else (self.p_hat, self.interval())
         return {
             "d": str(self.d),
             "trials": self.trials,
             "passes": self.passes,
             "empty": self.empty,
-            "p_hat": self.p_hat,
+            "p_hat": p_hat,
             "ci_low": lo,
             "ci_high": hi,
         }
@@ -584,12 +595,14 @@ def cprime_genericity_scan(
     spawn_key=(ci, t)); the trials' relators are drawn in batches
     (`_trial_relators`) and the trial count is bounded by TRIAL_BUDGET."""
     check_seed(seed)
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
     check_trials(trials)
     lam = Fraction(lam)
     report = GenericityScanReport(m=m, l=l, lam=lam, seed=seed)
     for ci, d in enumerate(d_grid):
         d = Fraction(d)
-        t = np.arange(max(trials, 0), dtype=np.uint32)
+        t = np.arange(trials, dtype=np.uint32)
         keys = np.stack([np.full_like(t, ci), t], axis=1)
         passes = sum(check_c_prime(rows, lam) for rows in _trial_relators(m, l, d, seed, keys))
         report.cells.append(ScanCell(d=d, trials=trials, passes=passes, empty=trials == 0))

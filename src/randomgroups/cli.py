@@ -1,7 +1,9 @@
 """Command-line workbench.
 
-Every subcommand is a thin adapter over exactly one library operation (see
-OP_TABLE); all heavy lifting lives in the modules.  Outputs are
+Every subcommand is a thin adapter over exactly one library operation; all
+heavy lifting lives in the modules.  Each is declared once, in COMMANDS: its
+handler, the operation it adapts and its options.  The argument parser is
+built from that table once, at import (PARSER).  Outputs are
 machine-readable: a JSON payload embedding the full resolved configuration
 and a tool version, with the timestamp confined to a single header field so
 reruns are byte-comparable.  Exit codes: 0 success, 2 precondition/domain
@@ -17,6 +19,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import BudgetExceededError, PreconditionError, RandomGroupsError
@@ -27,26 +30,6 @@ from . import model as model_mod
 from . import roundtree as roundtree_mod
 from . import words as words_mod
 
-OP_TABLE = {
-    "rivin": "randomgroups.words.rivin_count",
-    "sample": "randomgroups.model.sample_presentation",
-    "extend": "randomgroups.model.extend_presentation",
-    "pieces": "randomgroups.words.max_piece_length",
-    "cprime-scan": "randomgroups.cayley.cprime_genericity_scan",
-    "dehn": "randomgroups.cayley.dehn_reduce",
-    "ball": "randomgroups.cayley.cayley_ball",
-    "diagrams-enumerate": "randomgroups.diagrams.enumerate_diagrams",
-    "fill": "randomgroups.diagrams.fill",
-    "constraint": "randomgroups.diagrams.belonging",
-    "fillprob-exact": "randomgroups.bounds.exact_fillability",
-    "fillprob-mc": "randomgroups.bounds.mc_fillability",
-    "bounds": "randomgroups.bounds.rule_out_bound",  # dispatched by --which
-    "transfer-params": "randomgroups.bounds.transfer_params",
-    "roundtree-build": "randomgroups.roundtree.init_round_tree",
-    "roundtree-emanate": "randomgroups.roundtree.enumerate_emanating",
-    "roundtree-probe": "randomgroups.roundtree.distortion_probe",
-}
-
 BOUNDS_DISPATCH = {
     "rule-out": "randomgroups.bounds.rule_out_bound",
     "emanating": "randomgroups.bounds.emanating_bound",
@@ -55,10 +38,6 @@ BOUNDS_DISPATCH = {
     "inductive": "randomgroups.bounds.inductive_fill_bounds",
     "hyperbolicity": "randomgroups.cayley.hyperbolicity_delta_bound",
 }
-
-
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _frac_list(text: str) -> list[Fraction]:
@@ -160,25 +139,22 @@ def _flat_kind(items) -> str | None:
     return None if _holds_containers(inside) else kind
 
 
-def _emit(args, payload: dict, csv_text: str | None = None):
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "csv":
+def _emit(args, config: dict, result, csv_text: str | None = None):
+    """Write the command's CSV text, or its JSON payload: the command name,
+    its resolved config, its result, the tool version and a timestamp."""
+    if args.format == "csv":
         if csv_text is None:
             raise PreconditionError("this command has no CSV format")
         text = csv_text
     else:
-        payload.setdefault("version", __version__)
-        payload.setdefault("timestamp", datetime.now(timezone.utc).isoformat())
+        payload = {"command": args.command, "config": config, "result": result,
+                   "version": __version__,
+                   "timestamp": datetime.now(timezone.utc).isoformat()}
         text = _json_text(payload) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _payload(command: str, config: dict, result) -> dict:
-    return {"command": command, "config": config, "result": result}
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +166,13 @@ def cmd_rivin(args, cfg):
     m = _resolve(args, cfg, "m", int, required=True)
     l = _resolve(args, cfg, "l", int, required=True)
     n = words_mod.rivin_count(m, l)
-    _emit(args, _payload("rivin", {"m": m, "l": l}, {"count": str(n)}))
+    _emit(args, {"m": m, "l": l}, {"count": str(n)})
 
 
 def cmd_sample(args, cfg):
     m = _resolve(args, cfg, "m", int, required=True)
     l = _resolve(args, cfg, "l", int, required=True)
-    d = _resolve(args, cfg, "d", _frac, required=True)
+    d = _resolve(args, cfg, "d", Fraction, required=True)
     seed = _resolve(args, cfg, "seed", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=model_mod.DEFAULT_COUNT_BUDGET)
     p = model_mod.sample_presentation(m, l, d, seed, budget=budget)
@@ -215,7 +191,7 @@ def _load_presentation(args):
 
 def cmd_extend(args, cfg):
     base = _load_presentation(args)
-    d_t = _resolve(args, cfg, "d-target", _frac, required=True)
+    d_t = _resolve(args, cfg, "d-target", Fraction, required=True)
     seed = _resolve(args, cfg, "seed", int, required=True)
     p = model_mod.extend_presentation(base, d_t, seed)
     if args.out:
@@ -243,28 +219,28 @@ def cmd_pieces(args, cfg):
         },
         "relator_coincidences": rep.relator_coincidences,
     }
-    _emit(args, _payload("pieces", {"in": str(args.infile)}, result))
+    _emit(args, {"in": str(args.infile)}, result)
 
 
 def cmd_cprime_scan(args, cfg):
     m = _resolve(args, cfg, "m", int, required=True)
     l = _resolve(args, cfg, "l", int, required=True)
-    lam = _resolve(args, cfg, "lam", _frac, required=True)
+    lam = _resolve(args, cfg, "lam", Fraction, required=True)
     grid = _resolve(args, cfg, "d-grid", _frac_list, required=True)
     trials = _resolve(args, cfg, "trials", int, required=True)
     seed = _resolve(args, cfg, "seed", int, default=0)
     rep = cayley_mod.cprime_genericity_scan(m, l, lam, grid, trials, seed)
     config = {"m": m, "l": l, "lambda": str(lam), "d_grid": [str(g) for g in grid],
               "trials": trials, "seed": seed}
-    _emit(args, _payload("cprime-scan", config, rep.to_dict()), csv_text=rep.to_csv())
+    _emit(args, config, rep.to_dict(), csv_text=rep.to_csv())
 
 
 def cmd_dehn(args, cfg):
     p = _load_presentation(args)
     word = _resolve(args, cfg, "word", str, required=True)
     reduced = cayley_mod.dehn_reduce(word, p)
-    _emit(args, _payload("dehn", {"in": str(args.infile), "word": word},
-                         {"reduced": reduced, "trivial": reduced == "1"}))
+    _emit(args, {"in": str(args.infile), "word": word},
+          {"reduced": reduced, "trivial": reduced == "1"})
 
 
 def cmd_ball(args, cfg):
@@ -272,8 +248,8 @@ def cmd_ball(args, cfg):
     radius = _resolve(args, cfg, "radius", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=cayley_mod.DEFAULT_VERTEX_BUDGET)
     ball = cayley_mod.cayley_ball(p, radius, vertex_budget=budget)
-    payload = _payload("ball", {"in": str(args.infile), "radius": radius}, ball.to_dict())
-    _emit(args, payload, csv_text=ball.adjacency_csv() if args.format == "csv" else None)
+    _emit(args, {"in": str(args.infile), "radius": radius}, ball.to_dict(),
+          csv_text=ball.adjacency_csv() if args.format == "csv" else None)
 
 
 def cmd_diagrams_enumerate(args, cfg):
@@ -289,7 +265,7 @@ def cmd_diagrams_enumerate(args, cfg):
     }
     csv_text = "faces,l,count,log_l_count,shape_bound_exponent\n" + \
         f"{C},{l},{rep.count},{rep.log_l_count},{rep.shape_bound_exponent}\n"
-    _emit(args, _payload("diagrams-enumerate", {"faces": C, "l": l}, result), csv_text=csv_text)
+    _emit(args, {"faces": C, "l": l}, result, csv_text=csv_text)
 
 
 def _load_diagram(args):
@@ -301,7 +277,7 @@ def _load_diagram(args):
 def cmd_fill(args, cfg):
     d = _load_diagram(args)
     mode = _resolve(args, cfg, "mode", str, default="all")
-    distinct = not bool(getattr(args, "raw", False))
+    distinct = not args.raw
     if args.infile:
         p = _load_presentation(args)
         relators = list(p.relators)
@@ -314,8 +290,7 @@ def cmd_fill(args, cfg):
         result = {"filling": None if got is None else list(got)}
     else:
         result = {"fillings": [list(t) for t in got]}
-    _emit(args, _payload("fill", {"diagram": str(args.diagram), "mode": mode,
-                                  "distinct": distinct}, result))
+    _emit(args, {"diagram": str(args.diagram), "mode": mode, "distinct": distinct}, result)
 
 
 def cmd_constraint(args, cfg):
@@ -332,7 +307,7 @@ def cmd_constraint(args, cfg):
         "E_per_relator": {str(k): v for k, v in rep.E_per_relator.items()},
         "E_per_face": {str(k): v for k, v in rep.E_per_face.items()},
     }
-    _emit(args, _payload("constraint", {"diagram": str(args.diagram)}, result),
+    _emit(args, {"diagram": str(args.diagram)}, result,
           csv_text=diagrams_mod.constraint_report_csv(rep))
 
 
@@ -342,25 +317,20 @@ def cmd_fillprob_exact(args, cfg):
     l = _resolve(args, cfg, "l", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=bounds_mod.DEFAULT_TUPLE_BUDGET)
     fp = bounds_mod.exact_fillability(d, m, l, budget=budget)
-    _emit(args, _payload("fillprob-exact", {"diagram": str(args.diagram), "m": m, "l": l},
-                         fp.to_dict()))
+    _emit(args, {"diagram": str(args.diagram), "m": m, "l": l}, fp.to_dict())
 
 
 def cmd_fillprob_mc(args, cfg):
     d = _load_diagram(args)
     m = _resolve(args, cfg, "m", int, required=True)
     l = _resolve(args, cfg, "l", int, required=True)
-    dens = _resolve(args, cfg, "d", _frac, required=True)
+    dens = _resolve(args, cfg, "d", Fraction, required=True)
     trials = _resolve(args, cfg, "trials", int, required=True)
     seed = _resolve(args, cfg, "seed", int, default=0)
     jobs = _resolve(args, cfg, "jobs", int, default=1)
     fp = bounds_mod.mc_fillability(d, m, l, dens, trials, seed, jobs=jobs)
-    _emit(args, _payload(
-        "fillprob-mc",
-        {"diagram": str(args.diagram), "m": m, "l": l, "d": str(dens),
-         "trials": trials, "seed": seed},
-        fp.to_dict(),
-    ))
+    _emit(args, {"diagram": str(args.diagram), "m": m, "l": l, "d": str(dens),
+                 "trials": trials, "seed": seed}, fp.to_dict())
 
 
 def cmd_bounds(args, cfg):
@@ -369,20 +339,20 @@ def cmd_bounds(args, cfg):
         raise PreconditionError(f"unknown bound {which!r}")
     m = _resolve(args, cfg, "m", int, default=2)
     l = _resolve(args, cfg, "l", int, default=8)
-    dens = _resolve(args, cfg, "d", _frac, required=which != "roundtree-lower")
+    dens = _resolve(args, cfg, "d", Fraction, required=which != "roundtree-lower")
     if which == "rule-out":
         rep = bounds_mod.rule_out_bound(m, l, dens)
         result = rep.to_dict()
     elif which == "emanating":
         rep = bounds_mod.emanating_bound(
             _resolve(args, cfg, "k", int, required=True), m, l, dens,
-            _resolve(args, cfg, "beta", _frac, required=True),
-            _resolve(args, cfg, "bigh", _frac, required=True),
-            _resolve(args, cfg, "epsilon", _frac, default=Fraction(0)),
+            _resolve(args, cfg, "beta", Fraction, required=True),
+            _resolve(args, cfg, "bigh", Fraction, required=True),
+            _resolve(args, cfg, "epsilon", Fraction, default=Fraction(0)),
         )
         result = rep.to_dict()
     elif which == "confdim":
-        C = _resolve(args, cfg, "const", _frac, default=Fraction(10) ** 17)
+        C = _resolve(args, cfg, "const", Fraction, default=Fraction(10) ** 17)
         lo, hi = bounds_mod.confdim_bounds(m, l, dens, C=C)
         result = {"lower": lo.to_dict(), "upper": hi.to_dict()}
     elif which == "roundtree-lower":
@@ -410,14 +380,14 @@ def cmd_bounds(args, cfg):
                 for b in items
             ]
         }
-    _emit(args, _payload("bounds", {"which": which, "m": m, "l": l,
-                                    "d": None if dens is None else str(dens)}, result))
+    _emit(args, {"which": which, "m": m, "l": l, "d": None if dens is None else str(dens)},
+          result)
 
 
 def cmd_transfer_params(args, cfg):
-    d_t = _resolve(args, cfg, "dt", _frac, required=True)
+    d_t = _resolve(args, cfg, "dt", Fraction, required=True)
     tp = bounds_mod.transfer_params(d_t)
-    _emit(args, _payload("transfer-params", {"d_t": str(d_t)}, tp.to_dict()))
+    _emit(args, {"d_t": str(d_t)}, tp.to_dict())
 
 
 def cmd_roundtree_build(args, cfg):
@@ -449,10 +419,9 @@ def cmd_roundtree_emanate(args, cfg):
     tree = roundtree_mod.tree_from_json(Path(args.tree).read_text())
     k = _resolve(args, cfg, "k", int, required=True)
     es = roundtree_mod.enumerate_emanating(tree, k)
-    _emit(args, _payload("roundtree-emanate", {"tree": str(args.tree), "k": k},
-                         {"k": es.k, "count": len(es.words),
-                          "path_count": es.path_count,
-                          "words": sorted(es.words)}))
+    _emit(args, {"tree": str(args.tree), "k": k},
+          {"k": es.k, "count": len(es.words), "path_count": es.path_count,
+           "words": sorted(es.words)})
 
 
 def cmd_roundtree_probe(args, cfg):
@@ -480,88 +449,89 @@ def cmd_roundtree_probe(args, cfg):
         result = stats.to_dict()
     else:
         raise PreconditionError(f"unknown probe {which!r}")
-    _emit(args, _payload("roundtree-probe", {"which": which, "tree": str(args.tree),
-                                             "target": str(args.target)}, result))
+    _emit(args, {"which": which, "tree": str(args.tree), "target": str(args.target)}, result)
 
 
-HANDLERS = {
-    "rivin": cmd_rivin,
-    "sample": cmd_sample,
-    "extend": cmd_extend,
-    "pieces": cmd_pieces,
-    "cprime-scan": cmd_cprime_scan,
-    "dehn": cmd_dehn,
-    "ball": cmd_ball,
-    "diagrams-enumerate": cmd_diagrams_enumerate,
-    "fill": cmd_fill,
-    "constraint": cmd_constraint,
-    "fillprob-exact": cmd_fillprob_exact,
-    "fillprob-mc": cmd_fillprob_mc,
-    "bounds": cmd_bounds,
-    "transfer-params": cmd_transfer_params,
-    "roundtree-build": cmd_roundtree_build,
-    "roundtree-emanate": cmd_roundtree_emanate,
-    "roundtree-probe": cmd_roundtree_probe,
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace, dict[str, str]], None]
+    op: str         # the library operation the handler adapts
+    options: tuple  # after --config, --out and --format: a flag, or (flag, add_argument keywords)
+
+
+IN = ("--in", {"dest": "infile"})
+REQUIRED = {"required": True}
+
+# every subcommand, in the parser's order
+COMMANDS = {
+    "rivin": Command(cmd_rivin, "randomgroups.words.rivin_count", ("--m", "--l")),
+    "sample": Command(cmd_sample, "randomgroups.model.sample_presentation",
+                      ("--m", "--l", "--d", "--seed", "--budget")),
+    "extend": Command(cmd_extend, "randomgroups.model.extend_presentation",
+                      (IN, "--d-target", "--seed")),
+    "pieces": Command(cmd_pieces, "randomgroups.words.max_piece_length", (IN,)),
+    "cprime-scan": Command(cmd_cprime_scan, "randomgroups.cayley.cprime_genericity_scan",
+                           ("--m", "--l", "--lam", "--d-grid", "--trials", "--seed")),
+    "dehn": Command(cmd_dehn, "randomgroups.cayley.dehn_reduce", (IN, "--word")),
+    "ball": Command(cmd_ball, "randomgroups.cayley.cayley_ball", (IN, "--radius", "--budget")),
+    "diagrams-enumerate": Command(cmd_diagrams_enumerate,
+                                  "randomgroups.diagrams.enumerate_diagrams",
+                                  ("--faces", "--l", "--budget")),
+    "fill": Command(cmd_fill, "randomgroups.diagrams.fill",
+                    (IN, ("--diagram", REQUIRED), "--mode", "--words",
+                     ("--raw", {"action": "store_true"}))),
+    "constraint": Command(cmd_constraint, "randomgroups.diagrams.belonging",
+                          (("--diagram", REQUIRED),)),
+    "fillprob-exact": Command(cmd_fillprob_exact, "randomgroups.bounds.exact_fillability",
+                              (("--diagram", REQUIRED), "--m", "--l", "--budget")),
+    "fillprob-mc": Command(cmd_fillprob_mc, "randomgroups.bounds.mc_fillability",
+                           (("--diagram", REQUIRED), "--m", "--l", "--d", "--trials", "--seed",
+                            "--jobs")),
+    # --which picks the bound, from BOUNDS_DISPATCH
+    "bounds": Command(cmd_bounds, "randomgroups.bounds.rule_out_bound",
+                      ("--which", "--m", "--l", "--d", "--k", "--beta", "--bigh", "--epsilon",
+                       "--const", "--branching-v", "--diagram")),
+    "transfer-params": Command(cmd_transfer_params, "randomgroups.bounds.transfer_params",
+                               ("--dt",)),
+    "roundtree-build": Command(cmd_roundtree_build, "randomgroups.roundtree.init_round_tree",
+                               (IN, "--branching-v", "--bigh", "--ext-offset", "--ext-len",
+                                "--seg-len", "--levels", "--search-budget")),
+    "roundtree-emanate": Command(cmd_roundtree_emanate,
+                                 "randomgroups.roundtree.enumerate_emanating",
+                                 (("--tree", REQUIRED), "--k")),
+    "roundtree-probe": Command(cmd_roundtree_probe, "randomgroups.roundtree.distortion_probe",
+                               (("--tree", REQUIRED), ("--target", REQUIRED), "--which",
+                                "--path", "--window", "--radius", "--samples", "--seed",
+                                "--word-cap")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="randomgroups",
         description="workbench for random group presentations in the density model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *, infile=False, diagram=False, tree=False, target=False, flags=()):
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        if infile:
-            sp.add_argument("--in", dest="infile", default=None)
-        if diagram:
-            sp.add_argument("--diagram", required=True)
-        if tree:
-            sp.add_argument("--tree", required=True)
-        if target:
-            sp.add_argument("--target", required=True)
-        for f in flags:
-            sp.add_argument(f, default=None)
-        return sp
-
-    add("rivin", flags=("--m", "--l"))
-    add("sample", flags=("--m", "--l", "--d", "--seed", "--budget"))
-    add("extend", infile=True, flags=("--d-target", "--seed"))
-    add("pieces", infile=True)
-    add("cprime-scan", flags=("--m", "--l", "--lam", "--d-grid", "--trials", "--seed"))
-    add("dehn", infile=True, flags=("--word",))
-    add("ball", infile=True, flags=("--radius", "--budget"))
-    add("diagrams-enumerate", flags=("--faces", "--l", "--budget"))
-    add("fill", infile=True, diagram=True, flags=("--mode", "--words"))
-    sub.choices["fill"].add_argument("--raw", action="store_true")
-    add("constraint", diagram=True)
-    add("fillprob-exact", diagram=True, flags=("--m", "--l", "--budget"))
-    add("fillprob-mc", diagram=True, flags=("--m", "--l", "--d", "--trials", "--seed", "--jobs"))
-    add("bounds", flags=("--which", "--m", "--l", "--d", "--k", "--beta",
-                         "--bigh", "--epsilon", "--const", "--branching-v"))
-    sub.choices["bounds"].add_argument("--diagram", default=None)
-    add("transfer-params", flags=("--dt",))
-    add("roundtree-build", infile=True,
-        flags=("--branching-v", "--bigh", "--ext-offset", "--ext-len",
-               "--seg-len", "--levels", "--search-budget"))
-    add("roundtree-emanate", tree=True, flags=("--k",))
-    add("roundtree-probe", tree=True, target=True,
-        flags=("--which", "--path", "--window", "--radius", "--samples",
-               "--seed", "--word-cap"))
+        sp.add_argument("--config")
+        sp.add_argument("--out")
+        sp.add_argument("--format", choices=("json", "csv"))
+        for option in command.options:
+            flag, keywords = (option, {}) if isinstance(option, str) else option
+            sp.add_argument(flag, **keywords)
     return parser
 
 
+# the parser depends on nothing but COMMANDS, so one serves every call
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = _read_config(args.config)
-        HANDLERS[args.command](args, cfg)
+        COMMANDS[args.command].handler(args, cfg)
         return 0
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)

@@ -424,33 +424,37 @@ def verify_filling(
     `upto = m` only faces bearing indices <= m constrain the outcome.
     """
     ab = alphabet or _infer_alphabet(list(words))
-    m = upto if upto is not None else len(words)
-    coded = {i + 1: ab.encode(w) for i, w in enumerate(words)}
-    sides = diagram.side_map()
-    for e, s in sides.items():
+    conditions = _filling_conditions(diagram, ab, upto if upto is not None else len(words))
+    return _meets_conditions([ab.encode(w) for w in words], conditions)
+
+
+def _filling_conditions(diagram: Diagram, ab: Alphabet, upto: int):
+    """The filling conditions of the faces bearing indices <= upto, read off
+    the diagram's faces and restrictions alone: each shared edge as (i1, k1,
+    i2, k2, flip), whose letters satisfy x == y ^ flip, and each restricted
+    boundary edge as (i, k, letter code), with 0-based i and k."""
+    pairs, letters = [], []
+    for e, s in diagram.side_map().items():
         if len(s) == 2:
             (fa, pa, _), (fb, pb, _) = s
             a, b = diagram.faces[fa], diagram.faces[fb]
-            if a.bears > m or b.bears > m:
-                continue
-            k1, k2 = k_of(a, pa), k_of(b, pb)
-            x = coded[a.bears][k1 - 1]
-            y = coded[b.bears][k2 - 1]
-            if a.orientation == b.orientation:
-                if x != (y ^ 1):
-                    return False
-            else:
-                if x != y:
-                    return False
+            if a.bears <= upto and b.bears <= upto:
+                pairs.append((a.bears - 1, k_of(a, pa) - 1, b.bears - 1, k_of(b, pb) - 1,
+                              int(a.orientation == b.orientation)))
         elif len(s) == 1 and e in diagram.restrictions:
             (fa, pa, _) = s[0]
             f = diagram.faces[fa]
-            if f.bears > m:
-                continue
-            k = k_of(f, pa)
-            if coded[f.bears][k - 1] != ab.encode(diagram.restrictions[e])[0]:
-                return False
-    return True
+            if f.bears <= upto:
+                letters.append((f.bears - 1, k_of(f, pa) - 1,
+                                ab.encode(diagram.restrictions[e])[0]))
+    return pairs, letters
+
+
+def _meets_conditions(coded: Sequence[Sequence[int]], conditions) -> bool:
+    """Do the coded words, one per bearing index, meet `_filling_conditions`?"""
+    pairs, letters = conditions
+    return (all(coded[i1][k1] == coded[i2][k2] ^ flip for i1, k1, i2, k2, flip in pairs)
+            and all(coded[i][k] == code for i, k, code in letters))
 
 
 def fill(diagram: Diagram, relators: Sequence[str], mode: str = "all", distinct: bool = True):
@@ -522,14 +526,18 @@ def fill_tuples_bruteforce(
     distinct: bool = True,
     upto: int | None = None,
 ) -> list[tuple[str, ...]]:
-    """Test oracle: filter the full tuple product through the independent verifier."""
+    """Test oracle: filter the full tuple product through the independent
+    verifier's conditions, read from the diagram once."""
     ab = _infer_alphabet(list(words))
     n = upto if upto is not None else diagram.n
+    conditions = _filling_conditions(diagram, ab, n)
+    coded = [ab.encode(w) for w in words]
     out = []
-    for tup in itertools.product(words, repeat=n):
+    for tup, codes in zip(itertools.product(words, repeat=n),
+                          itertools.product(coded, repeat=n)):
         if distinct and len(set(tup)) != len(tup):
             continue
-        if verify_filling(diagram, tup, ab, upto=n):
+        if _meets_conditions(codes, conditions):
             out.append(tup)
     return out
 

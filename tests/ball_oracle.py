@@ -5,8 +5,9 @@ ball was built level by level on arrays, kept as an independent check of it.
 It names every vertex by its lex-least geodesic word and identifies each
 candidate word one at a time, through Dehn reduction and the geodesic swap
 closure.  Its engine reduces every rewritten word in full and builds every
-complement word afresh, as the original did, so it shares with the array
-path only the verified presentation and the arc and detect indexes.
+complement word afresh, as the original did, and it builds its own set of
+detect windows, so it shares with the array path only the verified
+presentation and the arc index.
 """
 
 from __future__ import annotations
@@ -18,11 +19,21 @@ from dataclasses import dataclass
 from randomgroups.cayley import DEFAULT_CLOSURE_BUDGET, DEFAULT_VERTEX_BUDGET, DehnEngine
 from randomgroups.errors import BudgetExceededError, PartialBallError
 from randomgroups.model import Presentation
-from randomgroups.words import _reduce_ints
+from randomgroups.words import _reduce_ints, _relator_texts, _slot_windows
 
 
 class _OracleEngine(DehnEngine):
     """The Dehn engine with the rewriting steps of the original dict BFS."""
+
+    def __init__(self, p: Presentation):
+        super().__init__(p)
+        windows = _slot_windows(_relator_texts(p.relators), self.t_detect)
+        self.detect = set(map(tuple, windows.tolist()))
+
+    def is_suspicious(self, w: tuple[int, ...]) -> bool:
+        """Does w hold a detect window?  Looked up in the oracle's own set."""
+        k = self.t_detect
+        return any(w[i : i + k] in self.detect for i in range(len(w) - k + 1))
 
     def complement_inverse(self, ti: int, q: int, j: int) -> tuple[int, ...]:
         t = self.arcs.texts[ti]
@@ -61,23 +72,26 @@ class _OracleEngine(DehnEngine):
             nxt = []
             for u in frontier:
                 for i in range(len(u)):
-                    for (ti, q, j) in self.arcs.matches(u, i):
-                        for jj in range(self.t_move, j + 1):
-                            repl = self.complement_inverse(ti, q, jj)
-                            v = _reduce_ints(u[:i] + repl + u[i + jj :])
-                            if len(v) > cap or v in seen:
-                                continue
-                            if len(v) < n:
-                                return same, v
-                            seen.add(v)
-                            if len(seen) > DEFAULT_CLOSURE_BUDGET:
-                                raise BudgetExceededError(
-                                    f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
-                                    budget=DEFAULT_CLOSURE_BUDGET,
-                                )
-                            if len(v) == n:
-                                same.add(v)
-                            nxt.append(v)
+                    hit = self.arcs.match(u, i)
+                    if hit is None:
+                        continue
+                    ti, q, j = hit
+                    for jj in range(self.t_move, j + 1):
+                        repl = self.complement_inverse(ti, q, jj)
+                        v = _reduce_ints(u[:i] + repl + u[i + jj :])
+                        if len(v) > cap or v in seen:
+                            continue
+                        if len(v) < n:
+                            return same, v
+                        seen.add(v)
+                        if len(seen) > DEFAULT_CLOSURE_BUDGET:
+                            raise BudgetExceededError(
+                                f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
+                                budget=DEFAULT_CLOSURE_BUDGET,
+                            )
+                        if len(v) == n:
+                            same.add(v)
+                        nxt.append(v)
             frontier = nxt
         return same, None
 
@@ -158,7 +172,7 @@ def cayley_ball_oracle(
         complete level.  Its only window that words[u] lacks is its tail, so
         w is suspicious exactly when u is or that tail is a detect window."""
         n = len(w)
-        if 2 * n < p.l or not (susp[u] or w[-eng.t_detect :] in eng._detect_index):
+        if 2 * n < p.l or not (susp[u] or w[-eng.t_detect :] in eng.detect):
             vid = index.get(w)
             if vid is not None:
                 return vid

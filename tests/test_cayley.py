@@ -301,7 +301,8 @@ def _arc_words(draw):
 @settings(max_examples=80, deadline=None)
 def test_closure_and_dehn_match_ball_oracle_engine(case):
     # the engine's seam joins, complement slices and one swap per matched
-    # arc give the oracle engine's full reductions and per-prefix swaps
+    # arc give the oracle engine's full reductions and per-prefix swaps, and
+    # its arc lookup finds the words that hold a detect window
     ab_size, rot, k, pre, post = case
     p = _verified_host(ab_size // 2, 12 if ab_size == 6 else 13)
     texts = _relator_texts(p.relators)
@@ -311,6 +312,7 @@ def test_closure_and_dehn_match_ball_oracle_engine(case):
     eng, oracle = cayley_mod._engine(p), _oracle_engine(p)
     assert eng.dehn_reduce(w) == oracle.dehn_reduce(w)
     assert eng.geodesic_closure(w) == oracle.geodesic_closure(w)
+    assert eng.is_suspicious(w) == oracle.is_suspicious(w)
 
 
 def test_ball_cache_is_a_bounded_lru(monkeypatch):

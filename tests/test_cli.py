@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from randomgroups import __version__
 from randomgroups.cayley import cayley_ball
+from randomgroups import cli
 from randomgroups.cli import (
     BOUNDS_DISPATCH,
-    HANDLERS,
-    OP_TABLE,
+    COMMANDS,
     _json_text,
     build_parser,
     main,
@@ -27,13 +28,73 @@ def run(argv):
     return main(argv)
 
 
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
 def test_op_table_covers_every_command_and_resolves():
-    parser = build_parser()
-    subcommands = set(parser._subparsers._group_actions[0].choices)
-    assert subcommands == set(OP_TABLE) == set(HANDLERS)
-    for path in list(OP_TABLE.values()) + list(BOUNDS_DISPATCH.values()):
+    subcommands = set(_subparsers(build_parser()))
+    assert subcommands == set(COMMANDS)
+    for path in [c.op for c in COMMANDS.values()] + list(BOUNDS_DISPATCH.values()):
         mod, name = path.rsplit(".", 1)
         assert callable(getattr(importlib.import_module(mod), name))
+    assert all(callable(c.handler) for c in COMMANDS.values())
+
+
+def _option(flag, dest=None, required=False, default=None, choices=None, action="_StoreAction"):
+    return ((flag,), dest or flag[2:].replace("-", "_"), required, default, choices, action)
+
+
+_IN = _option("--in", dest="infile")
+_DIAGRAM = _option("--diagram", required=True)
+_TREE = _option("--tree", required=True)
+# every subcommand's options after -h, --config, --out and --format, in
+# order: a flag stands for a plain optional string, default None
+PINNED_OPTIONS = {
+    "rivin": ["--m", "--l"],
+    "sample": ["--m", "--l", "--d", "--seed", "--budget"],
+    "extend": [_IN, "--d-target", "--seed"],
+    "pieces": [_IN],
+    "cprime-scan": ["--m", "--l", "--lam", "--d-grid", "--trials", "--seed"],
+    "dehn": [_IN, "--word"],
+    "ball": [_IN, "--radius", "--budget"],
+    "diagrams-enumerate": ["--faces", "--l", "--budget"],
+    "fill": [_IN, _DIAGRAM, "--mode", "--words",
+             _option("--raw", default=False, action="_StoreTrueAction")],
+    "constraint": [_DIAGRAM],
+    "fillprob-exact": [_DIAGRAM, "--m", "--l", "--budget"],
+    "fillprob-mc": [_DIAGRAM, "--m", "--l", "--d", "--trials", "--seed", "--jobs"],
+    "bounds": ["--which", "--m", "--l", "--d", "--k", "--beta", "--bigh", "--epsilon",
+               "--const", "--branching-v", "--diagram"],
+    "transfer-params": ["--dt"],
+    "roundtree-build": [_IN, "--branching-v", "--bigh", "--ext-offset", "--ext-len",
+                        "--seg-len", "--levels", "--search-budget"],
+    "roundtree-emanate": [_TREE, "--k"],
+    "roundtree-probe": [_TREE, _option("--target", required=True), "--which", "--path",
+                        "--window", "--radius", "--samples", "--seed", "--word-cap"],
+}
+
+
+def test_every_subcommand_keeps_its_options_in_order():
+    subparsers = _subparsers(cli.PARSER)
+    assert list(subparsers) == list(PINNED_OPTIONS)
+    common = [(("-h", "--help"), "help", False, argparse.SUPPRESS, None, "_HelpAction"),
+              _option("--config"), _option("--out"),
+              _option("--format", choices=("json", "csv"))]
+    for name, options in PINNED_OPTIONS.items():
+        got = [(tuple(a.option_strings), a.dest, a.required, a.default, a.choices,
+                type(a).__name__) for a in subparsers[name]._actions]
+        want = common + [_option(o) if isinstance(o, str) else o for o in options]
+        assert got == want, name
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["rivin", "--m", "2", "--l", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == "28"
 
 
 def test_rivin(capsys):
@@ -168,6 +229,24 @@ def test_enumerate_and_scan(tmp_path, capsys):
     assert csvfile.read_text().startswith("d,trials,passes")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_empty_scan_cell_is_strict_json(tmp_path, capsys):
+    argv = ["cprime-scan", "--m", "2", "--l", "12", "--lam", "1/3", "--d-grid", "1/10",
+            "--trials", "0"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    cell = out["result"]["cells"][0]
+    assert cell["empty"] and cell["trials"] == 0 and cell["passes"] == 0
+    assert cell["p_hat"] is cell["ci_low"] is cell["ci_high"] is None
+    # the CSV keeps writing nan for an empty cell
+    csvfile = tmp_path / "scan.csv"
+    assert run(argv + ["--format", "csv", "--out", str(csvfile)]) == 0
+    assert csvfile.read_text().splitlines()[1] == "1/10,0,0,nan,nan,nan"
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("m=2\nl=3\n")
@@ -242,6 +321,7 @@ BAD_INPUTS = {
     "mc-negative-seed": "fillprob-mc --diagram {triangle} --m 2 --l 3 --d 0 --trials 2 "
                         "--seed -1",
     "scan-negative-seed": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials 1 --seed -1",
+    "scan-negative-trials": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials -1",
     "confdim-const-zero": "bounds --which confdim --d 1/4 --const 0",
     "confdim-const-negative": "bounds --which confdim --d 1/4 --const -1",
     "confdim-const-huge": "bounds --which confdim --d 1/4 --const 1e400",
