@@ -248,8 +248,9 @@ def cmd_ball(args, cfg):
     radius = _resolve(args, cfg, "radius", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=cayley_mod.DEFAULT_VERTEX_BUDGET)
     ball = cayley_mod.cayley_ball(p, radius, vertex_budget=budget)
-    _emit(args, {"in": str(args.infile), "radius": radius}, ball.to_dict(),
-          csv_text=ball.adjacency_csv() if args.format == "csv" else None)
+    csv = args.format == "csv"
+    _emit(args, {"in": str(args.infile), "radius": radius}, None if csv else ball.to_dict(),
+          csv_text=ball.adjacency_csv() if csv else None)
 
 
 def cmd_diagrams_enumerate(args, cfg):

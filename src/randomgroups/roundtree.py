@@ -65,7 +65,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .model import Presentation, check_seed, parse_presentation
+from .model import Presentation, check_seed, check_trials, parse_presentation
 from .words import Alphabet, _WindowIndex, _reduce_ints, _relator_texts
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -629,10 +629,6 @@ def init_round_tree(p: Presentation, params: RoundTreeParams) -> RoundTree:
     return RoundTree(p, params)
 
 
-def grow_level(tree: RoundTree) -> RoundTree:
-    return tree.grow_level()
-
-
 # ---------------------------------------------------------------------------
 # Axiom checking
 # ---------------------------------------------------------------------------
@@ -961,10 +957,12 @@ def distortion_probe(
 
     With a verified target the ratios are exact; otherwise only the pairs
     whose distance is pinned (upper bound equal to the 1-Lipschitz lower
-    bound regime) are certified, the rest are reported inconclusive."""
+    bound regime) are certified, the rest are reported inconclusive.  The
+    sample count is bounded by TRIAL_BUDGET."""
     from .cayley import distance, is_dehn_ready, naive_closure_ball
 
     check_seed(seed)
+    check_trials(samples)
     _require_nested(tree, target)
     rng = np.random.default_rng(seed)
     exact = is_dehn_ready(target)

@@ -28,9 +28,9 @@ first letter highest, whenever L·b <= 64: L <= 32 at m = 2 and L <= 21 at
 m = 3 or 4.  Numeric order of the keys is then the lexicographic order of
 the windows (the k-mer packing of Marçais & Kingsford), and the common
 prefix of two keys is read off the highest bit in which they differ.  Wider
-windows fall back to sorting each row as one opaque byte string.  Only the
-witness of `max_piece_length` needs a suffix automaton, and it is built on
-the few texts that hold a longest piece.
+windows fall back to sorting each row as one opaque byte string.  The
+witness of `max_piece_length` is read off the occurrences of the longest
+pieces in the few texts that hold one.
 """
 
 from __future__ import annotations
@@ -498,49 +498,6 @@ class _WindowIndex:
         return tuple(key.tobytes())
 
 
-class _SuffixAutomaton:
-    """Generalized suffix automaton over int sequences joined by unique separators.
-
-    Tracks, per state, up to two distinct occurrence slots (text id, end mod l)
-    so that repeated-in-two-distinct-ways queries are exact.
-    """
-
-    def __init__(self):
-        self.next: list[dict[int, int]] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        self.own: list[tuple[int, int] | None] = [None]  # (text id, end index)
-        self.last = 0
-
-    def extend(self, c: int, occ: tuple[int, int] | None):
-        cur = len(self.next)
-        self.next.append({})
-        self.length.append(self.length[self.last] + 1)
-        self.link.append(0)
-        self.own.append(occ)
-        p = self.last
-        while p >= 0 and c not in self.next[p]:
-            self.next[p][c] = cur
-            p = self.link[p]
-        if p == -1:
-            self.link[cur] = 0
-        else:
-            q = self.next[p][c]
-            if self.length[p] + 1 == self.length[q]:
-                self.link[cur] = q
-            else:
-                clone = len(self.next)
-                self.next.append(dict(self.next[q]))
-                self.length.append(self.length[p] + 1)
-                self.link.append(self.link[q])
-                self.own.append(None)
-                while p >= 0 and self.next[p].get(c) == q:
-                    self.next[p][c] = clone
-                    p = self.link[p]
-                self.link[q] = self.link[cur] = clone
-        self.last = cur
-
-
 def max_piece_length(
     relators: Sequence[str | CyclicWord],
     lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
@@ -549,10 +506,29 @@ def max_piece_length(
 
     The length is one sort: the length-(l-1) slot windows are sorted, and the
     longest common prefix of two sorted neighbours is the longest piece
-    (Manber & Myers), capped at l-1 by construction.  The witness comes from
-    a generalized suffix automaton run only on the texts that hold a slot
-    of a longest piece (`_piece_witness`).  `max_piece_length_quadratic` is
-    the independent length oracle.
+    plen (Manber & Myers), capped at l-1 by construction.  The witness is
+    the one a generalized suffix automaton of all the texts gives, read off
+    the texts that hold a slot of a longest piece (`_piece_witness`):
+
+    - The texts form one stream: text t starts at t·2l, and each text's
+      start is a letter of its own.  An occurrence is its end (t, e), in
+      stream order, at slot (t, e mod l).  A class is the set of words with
+      the same ends; it owns a stream prefix if it has one end or its
+      longest word begins text 0.
+    - A candidate is a class that covers two slots and whose longest word
+      has length plen, or any length >= l-1 when plen = l-1.  The witness
+      class is the candidate created first.  An owner is created at its
+      first end, any other class at its first end whose preceding letter
+      differs from the letter before an earlier end.
+    - The two slots are the first two distinct ones in this order: the
+      class's own first end, if it owns a stream prefix; then its
+      one-letter-longer classes, one per letter before its ends, each in
+      the same order, recursively, by rank descending, then by creation.
+      An owner's rank is its first end's stream position + 1, any other
+      class's the length of its longest word.
+
+    `max_piece_length_quadratic` is the independent length oracle, and the
+    full automaton in the tests the witness oracle.
     """
     texts = _relator_texts(relators)
     l = _text_length(texts)
@@ -574,70 +550,73 @@ def max_piece_length(
 
 
 def _piece_witness(texts: np.ndarray, tids: list[int], plen: int) -> PieceWitness:
-    """The witness of a longest piece, of length plen, from the suffix
-    automaton of the texts `tids` (ascending) alone.
-
-    It is the witness the automaton of every text would give.  Each text
-    keeps its own id and separator, and a leading separator stands in for
-    text 0 when it is absent, so no chosen text becomes a prefix of the
-    whole stream.  The automaton's states for the pieces, their order of
-    creation and the order in which slots propagate are then those of the
-    full automaton: a state that owns a position is ranked by the length it
-    has in the full stream (text t starts at t·2l), any other state by its
-    own length.
-    """
+    """The witness of a longest piece, of length plen, read off the ends of
+    the length-plen words in the texts `tids`, which hold every occurrence of
+    a longest piece, by the rule stated in `max_piece_length`.  A class is
+    its ends, in stream order, and the length of its longest word."""
     l = _text_length(texts)
-    rows = {tid: texts[tid].tolist() for tid in tids}
-    # texts chained with unique separators: a substring containing a
-    # separator occurs exactly once, so it never witnesses a repeat
-    sam = _SuffixAutomaton()
-    if tids[0] != 0:
-        sam.extend(-1, None)
-    for tid in tids:
-        for pos, c in enumerate(rows[tid]):
-            sam.extend(c, (tid, pos))
-        sam.extend(-1 - tid, None)
+    rows = {t: texts[t].tobytes() for t in tids}
+    groups: dict[bytes, list[tuple[int, int]]] = {}
+    for t in tids:
+        for e in range(plen - 1, 2 * l - 1):
+            groups.setdefault(rows[t][e - plen + 1 : e + 1], []).append((t, e))
 
-    nstates = len(sam.length)
-    # per state: up to two occurrences keyed by slot identity
-    # (text id, end mod l); two distinct keys are two distinct slots
-    slots: list[dict[tuple[int, int], tuple[int, int]]] = [dict() for _ in range(nstates)]
+    def pos(end):
+        return end[0] * 2 * l + end[1]
 
-    def add_slot(v: int, occ: tuple[int, int]):
-        d = slots[v]
-        if len(d) >= 2:
-            return
-        tid, end = occ
-        d.setdefault((tid, end % l), occ)
+    def before(end, L):
+        # the letter before the length-L word that ends at `end`; the start
+        # of text t is a letter of its own, -1 - t
+        t, e = end
+        return rows[t][e - L] if e >= L else -1 - t
 
-    def rank(v: int) -> int:
-        own = sam.own[v]
-        return sam.length[v] if own is None else own[0] * 2 * l + own[1] + 1
+    def klass(ends, L):
+        # the longest word: extend left while one letter precedes every end
+        while len(ends) > 1:
+            letters = {before(x, L) for x in ends}
+            if len(letters) > 1 or min(letters) < 0:
+                break
+            L += 1
+        return ends, L
 
-    for v in range(nstates):
-        if sam.own[v] is not None:
-            add_slot(v, sam.own[v])
-    for v in sorted(range(nstates), key=rank, reverse=True):
-        p = sam.link[v]
-        if p > 0:
-            for occ in slots[v].values():
-                add_slot(p, occ)
+    def owner(ends, L):
+        return len(ends) == 1 or ends[0] == (0, L - 1)
 
-    best_v = next(v for v in range(1, nstates)
-                  if len(slots[v]) >= 2 and min(sam.length[v], l - 1) == plen)
-    return _witness_from_state(slots[best_v], rows, l, plen)
+    def created(ends, L):
+        if owner(ends, L):
+            return pos(ends[0])
+        return pos(next(x for x in ends if before(x, L) != before(ends[0], L)))
 
+    def rank(ends, L):
+        return pos(ends[0]) + 1 if owner(ends, L) else L
 
-def _witness_from_state(d, rows, l, plen) -> PieceWitness:
-    occs = list(d.values())[:2]
-    slots = []
-    sub = None
-    for tid, end in occs:
-        start_in_text = end - plen + 1
-        if sub is None:
-            sub = "".join(_CHARS[x] for x in rows[tid][start_in_text : end + 1])
-        slots.append((tid // 2, start_in_text % l, 1 - 2 * (tid % 2)))
-    return PieceWitness(first=slots[0], second=slots[1], subword=sub)
+    def children(ends, L):
+        # the one-letter-longer classes, by the letter before each end
+        kids: dict[int, list[tuple[int, int]]] = {}
+        for x in ends[owner(ends, L):]:
+            kids.setdefault(before(x, L), []).append(x)
+        return [klass(k, L + 1) for k in kids.values()]
+
+    first: dict[tuple[int, int], None] = {}
+
+    def order(ends, L):
+        if owner(ends, L):
+            first.setdefault((ends[0][0], ends[0][1] % l))
+        for kid in sorted(children(ends, L), key=lambda k: (-rank(*k), created(*k))):
+            if len(first) < 2:
+                order(*kid)
+
+    # the candidates searched are the words of length plen at two slots that
+    # are the longest of their class.  A longer candidate is never created
+    # first: its longest word less the last letter is a candidate too,
+    # created one end earlier.
+    cands = [ends for ends in groups.values()
+             if len({(t, e % l) for t, e in ends}) > 1 and klass(ends, plen)[1] == plen]
+    order(min(cands, key=lambda ends: created(ends, plen)), plen)
+    (t, e), (t2, e2) = first
+    q, q2 = (e - plen + 1) % l, (e2 - plen + 1) % l
+    return PieceWitness((t // 2, q, 1 - 2 * (t % 2)), (t2 // 2, q2, 1 - 2 * (t2 % 2)),
+                        "".join(_CHARS[x] for x in rows[t][q : q + plen]))
 
 
 def _relator_coincidences(texts: np.ndarray) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomgroups import __version__
-from randomgroups.cayley import cayley_ball
+from randomgroups.cayley import CayleyBall, cayley_ball
 from randomgroups import cli
 from randomgroups.cli import (
     BOUNDS_DISPATCH,
@@ -161,6 +162,21 @@ def test_dehn_and_ball_verified(tmp_path, capsys, verified_presentation):
     assert run(["ball", "--in", str(pfile), "--radius", "6", "--format", "csv",
                 "--out", str(csvfile)]) == 0
     assert csvfile.read_text() == exact.adjacency_csv()
+
+
+def test_ball_csv_builds_no_payload(tmp_path, monkeypatch, verified_presentation):
+    def refuse(self):
+        raise AssertionError("the JSON payload was built for CSV output")
+
+    pfile = tmp_path / "v.txt"
+    save_presentation(verified_presentation, pfile)
+    monkeypatch.setattr(CayleyBall, "to_dict", refuse)
+    csvfile = tmp_path / "ball.csv"
+    assert run(["ball", "--in", str(pfile), "--radius", "6", "--format", "csv",
+                "--out", str(csvfile)]) == 0
+    # the export bytes pinned in test_cayley.py
+    assert hashlib.sha256(csvfile.read_bytes()).hexdigest() == (
+        "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
 
 
 def test_ball_budget_exit_code(tmp_path, verified_presentation):
@@ -350,6 +366,8 @@ OVER_BUDGET_INPUTS = {
     "exact-huge-l": "fillprob-exact --diagram {triangle} --m 2 --l {huge}",
     "mc-huge-trials": "fillprob-mc --diagram {triangle} --m 2 --l 3 --d 0 --trials {huge}",
     "scan-huge-trials": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials {huge}",
+    "probe-huge-samples": "roundtree-probe --tree {tree_level0} --target {host} "
+                          "--which distortion --radius 2 --samples {huge}",
 }
 
 
@@ -377,11 +395,13 @@ def _bad_input_files(tmp_path) -> dict:
     files["host"] = tmp_path / "host.txt"
     save_presentation(sample_presentation(2, 4, 0, seed=0), files["host"])
     files["huge"] = "1" + "0" * 400
-    # level-0 trees on that host with no vertex at all, and with letter 9
-    # (m = 2 has 0-3) on the first edge
+    # level-0 trees on that host: a valid one, one with no vertex at all, and
+    # one with letter 9 (m = 2 has 0-3) on the first edge
     tree = json.loads(tree_to_json(init_round_tree(
         load_presentation(files["host"]),
         RoundTreeParams(V=2, H=2, ext_offset=1, ext_len=1, seg_len=2))))
+    files["tree_level0"] = tmp_path / "tree_level0.json"
+    files["tree_level0"].write_text(json.dumps(tree))
     files["tree_no_vertices"] = tmp_path / "tree_no_vertices.json"
     files["tree_no_vertices"].write_text(json.dumps(
         dict(tree, vertices=0, edges=[], cells=[], sectors={})))

@@ -16,8 +16,10 @@ from randomgroups.errors import (
 )
 from randomgroups.model import _relator_codes, sample_presentation
 from randomgroups.words import (
+    _CHARS,
     Alphabet,
     CyclicWord,
+    PieceWitness,
     check_c_prime,
     cyclically_reduce,
     enumerate_cyclically_reduced,
@@ -287,6 +289,61 @@ def test_check_c_prime_matches_strict_definition():
             assert check_c_prime(rels, lam) == (mp * lam.denominator < lam.numerator * l)
 
 
+class _SuffixAutomaton:
+    """Generalized suffix automaton over int sequences joined by unique separators.
+
+    Tracks, per state, up to two distinct occurrence slots (text id, end mod l)
+    so that repeated-in-two-distinct-ways queries are exact.
+    """
+
+    def __init__(self):
+        self.next: list[dict[int, int]] = [{}]
+        self.link: list[int] = [-1]
+        self.length: list[int] = [0]
+        self.own: list[tuple[int, int] | None] = [None]  # (text id, end index)
+        self.last = 0
+
+    def extend(self, c: int, occ: tuple[int, int] | None):
+        cur = len(self.next)
+        self.next.append({})
+        self.length.append(self.length[self.last] + 1)
+        self.link.append(0)
+        self.own.append(occ)
+        p = self.last
+        while p >= 0 and c not in self.next[p]:
+            self.next[p][c] = cur
+            p = self.link[p]
+        if p == -1:
+            self.link[cur] = 0
+        else:
+            q = self.next[p][c]
+            if self.length[p] + 1 == self.length[q]:
+                self.link[cur] = q
+            else:
+                clone = len(self.next)
+                self.next.append(dict(self.next[q]))
+                self.length.append(self.length[p] + 1)
+                self.link.append(self.link[q])
+                self.own.append(None)
+                while p >= 0 and self.next[p].get(c) == q:
+                    self.next[p][c] = clone
+                    p = self.link[p]
+                self.link[q] = self.link[cur] = clone
+        self.last = cur
+
+
+def _witness_from_state(d, rows, l, plen) -> PieceWitness:
+    occs = list(d.values())[:2]
+    slots = []
+    sub = None
+    for tid, end in occs:
+        start_in_text = end - plen + 1
+        if sub is None:
+            sub = "".join(_CHARS[x] for x in rows[tid][start_in_text : end + 1])
+        slots.append((tid // 2, start_in_text % l, 1 - 2 * (tid % 2)))
+    return PieceWitness(first=slots[0], second=slots[1], subword=sub)
+
+
 def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
     """The full-automaton piece report: one suffix automaton over every
     doubled text; the witness oracle for `max_piece_length`."""
@@ -295,7 +352,7 @@ def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
     report = words.PieceReport(0, None, {}, words._relator_coincidences(texts), l)
     if l >= 2:
         rows = texts.tolist()
-        sam = words._SuffixAutomaton()
+        sam = _SuffixAutomaton()
         for tid, t in enumerate(rows):
             for pos, c in enumerate(t):
                 sam.extend(c, (tid, pos))
@@ -320,7 +377,7 @@ def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
                 best_len, best_v = min(sam.length[v], l - 1), v
         if best_v >= 0:
             report.max_piece_length = best_len
-            report.witness = words._witness_from_state(slots[best_v], rows, l, best_len)
+            report.witness = _witness_from_state(slots[best_v], rows, l, best_len)
     report.lambda_threshold_passed = {lam: report.passes(lam) for lam in lambdas}
     return report
 
@@ -335,6 +392,11 @@ def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
 @example((2, ["abab"]))
 @example((2, ["abab", "abab"]))
 @example((3, ["abcabc", "CBACBA", "bcabca"]))
+# the winning piece "a" begins text 0, so its class owns a stream prefix
+@example((2, ["aa", "AB"]))
+# two child classes tie on length, so creation order picks the second slot;
+# ordering tied classes by first occurrence gives (6, 1, 1), not (5, 1, 1)
+@example((2, ["ABB", "aaa", "AAB", "BaB", "aaa", "AAB", "BAB"]))
 @settings(max_examples=1000, deadline=None)
 def test_max_piece_length_matches_full_automaton(case):
     # relator_sets yields capped sets (periodic relators, repeated relators)
