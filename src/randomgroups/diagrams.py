@@ -1057,9 +1057,23 @@ def diagram_to_json(diagram: Diagram) -> str:
 
 def diagram_from_json(text: str) -> Diagram:
     """Load a diagram written by `diagram_to_json`; ParseError when the text
-    is not JSON or lacks a field."""
+    is not JSON, lacks a field, holds a vertex, edge id, endpoint, face
+    field or boundary entry that is not an integer (bools excluded), or a
+    restriction label that is not a string."""
     try:
         data = json.loads(text)
+        ints = [*data["vertices"]]
+        for e in data["edges"]:
+            ints += [e["id"], e["src"], e["dst"]]
+        for f in data["faces"]:
+            ints += [f["id"], f["bears"], f["orientation"], f["distinguished"], *f["boundary"]]
+        for r in data.get("restrictions", []):
+            ints.append(r["edge"])
+            if type(r["label"]) is not str:
+                raise ParseError(f"not a diagram file: restriction label {r['label']!r} is not a string")
+        for v in ints:
+            if type(v) is not int:
+                raise ParseError(f"not a diagram file: {v!r} is not an integer")
         edges = {e["id"]: Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]}
         faces = tuple(
             Face(

@@ -43,6 +43,21 @@ a format change.  Loading goes through the `RoundTree` constructor, which
 validates the parameters against the host, and then puts the file's complex
 in place of the base cell it lays down, once its vertices and letters are in
 range, its edges agree and every record's steps are edges of it.
+
+Every path is laid and read one way.  `RoundTree._walk(at, word, create)`
+is the one walker: it returns the vertex path of a word from a vertex, and
+stops at a missing edge unless `create` makes a new vertex there.
+`_lay_cell(v1, window, bl, sector)` lays a cell on it: the first bl letters
+(the bracket) must already be edges, the free arc follows or makes edges,
+and the last letter closes at v1.  The base cell (bl = 0 from a fresh
+vertex), every bracket cell, each leg, the free-arc reversal and the load
+checks of `tree_from_json` all read their paths off these two.
+`RoundTree._bfs(start, radius)` is the one breadth-first search: it tries
+letters in sorted order, and growth, `distances_from_base` and the probe's
+tree words read its distances and parent chains.  Only `_ball_in_tree`
+keeps its own visit, in edge insertion order: that order decides which
+vertex the distortion probe's random draw picks, so a sorted visit would
+change its payloads.
 """
 
 from __future__ import annotations
@@ -58,6 +73,7 @@ import numpy as np
 
 from .errors import (
     BracketUnfillableError,
+    BudgetExceededError,
     ConstructionObstructedError,
     DomainError,
     EmptyStatisticsError,
@@ -191,37 +207,71 @@ class RoundTree:
         self.out[v][letter] = w
         self.out[w][letter ^ 1] = v
 
+    def _walk(self, at: int, word, create: bool = False) -> list[int]:
+        """The vertex path of `word` read from `at`.  At a missing edge it
+        stops, unless `create` makes a new vertex there."""
+        path = [at]
+        for x in word:
+            nxt = self.out[at].get(x)
+            if nxt is None:
+                if not create:
+                    break
+                nxt = self._new_vertex()
+                self._add_edge(at, x, nxt)
+            path.append(nxt)
+            at = nxt
+        return path
+
+    def _lay_cell(self, v1: int, window, bl: int, sector: tuple[int, ...]) -> list[int]:
+        """Lay the cell reading `window` around from `v1`, and return its
+        vertex path (v1 at both ends).  Its first `bl` letters must already
+        be edges; the free arc follows edges or makes them, and its last
+        letter closes at v1."""
+        path = self._walk(v1, window[:bl])
+        if len(path) <= bl:
+            raise ConstructionObstructedError(
+                "bracket path missing from the complex", sector=sector, vertex=path[-1]
+            )
+        path += self._walk(path[-1], window[bl:-1], create=True)[1:]
+        if len(path) == len(window):  # the free arc's closing letter
+            x = window[-1]
+            if x not in self.out[path[-1]]:
+                self._add_edge(path[-1], x, v1)
+            path.append(self.out[path[-1]][x])
+        if path[-1] != v1:
+            raise ConstructionObstructedError(
+                "cell boundary failed to close", sector=sector, vertex=path[-1]
+            )
+        return path
+
     def _init_base_cell(self):
-        l = self.host.l
         word = self.ab.encode(self.host.relators[0])
-        base = self._new_vertex()
-        verts = [base] + [self._new_vertex() for _ in range(l - 1)]
-        steps = []
-        for t in range(l):
-            v, w = verts[t], verts[(t + 1) % l]
-            self._add_edge(v, word[t], w)
-            steps.append((v, word[t]))
-        cell = Cell(id=0, level=0, sector=(), steps=tuple(steps),
-                    word=self.host.relators[0])
-        self.cells.append(cell)
-        self.base = base
-        self.sectors[()] = Sector(key=(), outer=list(steps), lray=[], rray=[],
-                                  cells=[0])
+        self.base = self._new_vertex()
+        path = self._lay_cell(self.base, word, 0, ())
+        steps = list(zip(path, word))
+        self.cells.append(Cell(id=0, level=0, sector=(), steps=tuple(steps),
+                               word=self.host.relators[0]))
+        self.sectors[()] = Sector(key=(), outer=steps, lray=[], rray=[], cells=[0])
 
     # -- metric helpers ----------------------------------------------------
 
     def distances_from_base(self) -> list[int]:
-        return self._bfs()[0]
+        return self._bfs(self.base)[0]
 
-    def _bfs(self) -> tuple[list[int], list[tuple[int, int] | None]]:
-        """Distances from the base, and the deterministic BFS tree that tries
-        letters in sorted order: parent (vertex, letter-from-child) pairs."""
+    def _bfs(self, start: int, radius: int | None = None
+             ) -> tuple[list[int], list[tuple[int, int] | None]]:
+        """Distances from `start` (-1 where not reached), and the
+        deterministic BFS tree that tries letters in sorted order: parent
+        (vertex, letter-from-child) pairs.  Vertices at distance `radius`
+        are not expanded."""
         dist = [-1] * len(self.out)
         parent: list[tuple[int, int] | None] = [None] * len(self.out)
-        dist[self.base] = 0
-        q = deque([self.base])
+        dist[start] = 0
+        q = deque([start])
         while q:
             v = q.popleft()
+            if dist[v] == radius:
+                continue
             for letter in sorted(self.out[v]):
                 w = self.out[v][letter]
                 if dist[w] < 0:
@@ -230,15 +280,12 @@ class RoundTree:
                     q.append(w)
         return dist, parent
 
-    def path_label(self, steps) -> str:
-        return self.ab.decode(x for (_v, x) in steps)
-
     # -- growth ------------------------------------------------------------
 
     def grow_level(self) -> "RoundTree":
         prm = self.params
         seg = prm.segment_length(self.host.l)
-        dist, parents = self._bfs()
+        dist, parents = self._bfs(self.base)
         current = [s for k, s in self.sectors.items() if len(k) == self.levels]
         new_cells_this_level = 0
         for sector in sorted(current, key=lambda s: s.key):
@@ -499,9 +546,10 @@ class RoundTree:
     def _build_from_plan(self, sector, pieces, points, classes, plan) -> None:
         prm = self.params
         oe = prm.ext_offset + prm.ext_len
-        l = self.host.l
-        # build the shared offset paths and per-branch extension paths
-        tips: dict[tuple[int, int], int] = {}     # (point index, branch) -> tip vertex
+        # lay each point's legs, its class's offset word (shared by the
+        # branches) then the branch's extension word: (point index, branch)
+        # -> the leg's vertex path, which ends at the extension tip, and word
+        legs: dict[tuple[int, int], tuple[list[int], tuple[int, ...]]] = {}
         for idx, u in enumerate(points):
             c = classes[idx]
             o = self.offset_words[c]
@@ -510,17 +558,17 @@ class RoundTree:
                     "offset path folds into the complex",
                     sector=sector.key, vertex=u,
                 )
-            offset_tip = self._follow(u, o)
             for j in range(prm.V):
-                e = self.ext_words[c][j]
-                tips[(idx, j)] = self._follow(offset_tip, e)
+                word = o + self.ext_words[c][j]
+                path = self._walk(u, word, create=True)
+                legs[(idx, j)] = path, word
                 self.extension_paths.append(
                     {
                         "u": u,
                         "class": c,
                         "branch": j,
-                        "tip": tips[(idx, j)],
-                        "label": self.ab.decode(o + e),
+                        "tip": path[-1],
+                        "label": self.ab.decode(word),
                         "level": self.levels,
                     }
                 )
@@ -529,77 +577,31 @@ class RoundTree:
             child_key = sector.key + (j,)
             child_outer: list[tuple[int, int]] = []
             child_cells = []
+            tips = [legs[(idx, j)][0][-1] for idx in range(len(points))]
             for i, piece in enumerate(pieces):
                 window = plan[(i, j)]
-                v1 = tips[(i, j)]
-                v2 = tips[(i + 1, j)]
-                # walk the cell cycle: leg down, piece, leg up, free arc
-                steps = []
-                at = v1
-                for t in range(l):
-                    x = window[t]
-                    steps.append((at, x))
-                    nxt = self.out[at].get(x)
-                    if t < 2 * oe + len(piece) and nxt is None:
-                        raise ConstructionObstructedError(
-                            "bracket path missing from the complex",
-                            sector=sector.key, vertex=at,
-                        )
-                    if nxt is None:
-                        target = v1 if t == l - 1 else self._new_vertex()
-                        self._add_edge(at, x, target)
-                        nxt = target
-                    at = nxt
-                if at != v1:
-                    raise ConstructionObstructedError(
-                        "cell boundary failed to close", sector=sector.key, vertex=at
-                    )
+                bl = 2 * oe + len(piece)
+                # leg down, piece and leg up are edges; the free arc is new
+                path = self._lay_cell(tips[i], window, bl, sector.key)
                 cid = len(self.cells)
-                word = self.ab.decode(window)
                 self.cells.append(
                     Cell(id=cid, level=self.levels + 1, sector=child_key,
-                         steps=tuple(steps), word=word)
+                         steps=tuple(zip(path, window)), word=self.ab.decode(window))
                 )
                 child_cells.append(cid)
-                bl = 2 * oe + len(piece)
-                label = self.path_label(steps[:bl])
                 self.brackets.append(
-                    Bracket(cell=cid, label=label, k=oe, level=self.levels,
-                            p1=points[i], p2=points[i + 1], v1=v1, v2=v2)
+                    Bracket(cell=cid, label=self.ab.decode(window[:bl]), k=oe,
+                            level=self.levels, p1=points[i], p2=points[i + 1],
+                            v1=tips[i], v2=tips[i + 1])
                 )
                 # the free arc, reversed, is the child's outer boundary piece
-                arc = steps[bl:]
-                rev = []
-                for (v, x) in reversed(arc):
-                    w = self.out[v][x]
-                    rev.append((w, x ^ 1))
-                child_outer.extend(rev)
-            lray = sector.lray + self._leg_steps(points[0], classes[0], j)
-            rray = sector.rray + self._leg_steps(points[-1], classes[-1], j)
+                child_outer += [(path[t + 1], window[t] ^ 1) for t in reversed(range(bl, len(window)))]
             self.sectors[child_key] = Sector(
-                key=child_key, outer=child_outer, lray=lray, rray=rray,
+                key=child_key, outer=child_outer,
+                lray=sector.lray + list(zip(*legs[(0, j)])),
+                rray=sector.rray + list(zip(*legs[(len(points) - 1, j)])),
                 cells=child_cells,
             )
-
-    def _follow(self, at: int, word) -> int:
-        """The end of `word` read from `at`, following edges where they
-        exist and creating them where they do not."""
-        for x in word:
-            nxt = self.out[at].get(x)
-            if nxt is None:
-                nxt = self._new_vertex()
-                self._add_edge(at, x, nxt)
-            at = nxt
-        return at
-
-    def _leg_steps(self, u, c, j):
-        word = self.offset_words[c] + self.ext_words[c][j]
-        steps = []
-        at = u
-        for x in word:
-            steps.append((at, x))
-            at = self.out[at][x]
-        return steps
 
     def _post_level_checks(self):
         dist = self.distances_from_base()
@@ -865,6 +867,17 @@ def _require_nested(tree: RoundTree, target: Presentation):
         )
 
 
+def _target_distance(target: Presentation, word_cap: int, node_budget: int):
+    """Whether the target's metric is exact, and its distance function: the
+    Dehn `distance` of a verified target, else the upper bound of a naive
+    closure under `word_cap` (None for a word the closure cannot locate)."""
+    from .cayley import distance, is_dehn_ready, naive_closure_ball
+
+    if is_dehn_ready(target):
+        return True, lambda word: distance(target, word)
+    return False, naive_closure_ball(target, word_cap=word_cap, node_budget=node_budget).distance_upper
+
+
 def local_geodesic_probe(
     tree: RoundTree,
     path: list[int],
@@ -876,48 +889,38 @@ def local_geodesic_probe(
     """Check every length-`window` subpath of a tree path for shortcuts in
     the target.  Violations found through the bounded search are real paths
     and therefore certain; a pass is exact only for a verified target."""
-    from .cayley import distance, is_dehn_ready, naive_closure_ball
-
     _require_nested(tree, target)
     if window < 1:
         raise DomainError("window must be >= 1")
-    steps = _steps_along(tree, path)
-    labels = [x for (_v, x) in steps]
+    labels = [x for (_v, x) in _steps_along(tree, path)]
     if window > len(labels):
         raise DomainError("window exceeds the path length")
-    exact = is_dehn_ready(target)
-    nb = None
-    if not exact:
-        cap = word_cap if word_cap is not None else window + 1
-        try:
-            nb = naive_closure_ball(target, word_cap=cap, node_budget=node_budget)
-        except Exception as e:  # budget exhaustion: cannot even bound
-            return ProbeVerdict(status="inconclusive", exact=False, detail=str(e))
+    try:
+        exact, dist = _target_distance(target, window + 1 if word_cap is None else word_cap,
+                                       node_budget)
+    except BudgetExceededError as e:  # the closure cannot even bound
+        return ProbeVerdict(status="inconclusive", exact=False, detail=str(e))
     for i in range(len(labels) - window + 1):
         sub = tree.ab.decode(labels[i : i + window])
-        if exact:
-            d = distance(target, sub)
-            if d < window:
-                return ProbeVerdict(
-                    status="violation", exact=True, window=i,
-                    detail=f"subword {sub!r} has distance {d} < {window}",
-                )
-        else:
-            upper = nb.distance_upper(sub)
-            if upper is None:
-                return ProbeVerdict(
-                    status="inconclusive", exact=False, window=i,
-                    detail="word cap too small to locate the subword",
-                )
-            if upper < window:
-                return ProbeVerdict(
-                    status="violation", exact=False, window=i,
-                    detail=f"subword {sub!r} has a path of length {upper} < {window}",
-                )
+        d = dist(sub)
+        if d is None:
+            return ProbeVerdict(
+                status="inconclusive", exact=False, window=i,
+                detail="word cap too small to locate the subword",
+            )
+        if d < window:
+            found = f"distance {d}" if exact else f"a path of length {d}"
+            return ProbeVerdict(
+                status="violation", exact=exact, window=i,
+                detail=f"subword {sub!r} has {found} < {window}",
+            )
     return ProbeVerdict(status="pass", exact=exact)
 
 
 def _steps_along(tree: RoundTree, path: list[int]) -> list[tuple[int, int]]:
+    for v in path:
+        if not 0 <= v < len(tree.out):
+            raise PreconditionError(f"path vertex {v} is not among the tree's {len(tree.out)} vertices")
     steps = []
     for v, w in zip(path, path[1:]):
         x = next((x for x, ww in tree.out[v].items() if ww == w), None)
@@ -959,17 +962,12 @@ def distortion_probe(
     whose distance is pinned (upper bound equal to the 1-Lipschitz lower
     bound regime) are certified, the rest are reported inconclusive.  The
     sample count is bounded by TRIAL_BUDGET."""
-    from .cayley import distance, is_dehn_ready, naive_closure_ball
-
     check_seed(seed)
     check_trials(samples)
     _require_nested(tree, target)
     rng = np.random.default_rng(seed)
-    exact = is_dehn_ready(target)
-    nb = None
-    if not exact:
-        cap = word_cap if word_cap is not None else radius + 1
-        nb = naive_closure_ball(target, word_cap=cap, node_budget=node_budget)
+    exact, dist = _target_distance(target, radius + 1 if word_cap is None else word_cap,
+                                   node_budget)
     nverts = len(tree.out)
     ratios: list[float] = []
     inconclusive = 0
@@ -981,26 +979,17 @@ def distortion_probe(
         if p == q:
             continue
         taken += 1
-        rho_a, word = _tree_distance_and_word(tree, p, q)
-        if exact:
-            rho_t = distance(target, word)
-            if rho_t == 0:
-                inconclusive += 1  # distinct tree vertices mapping together
-                continue
+        rho_a, word = _tree_distance_and_word(tree, p, q, radius)
+        rho_t = dist(word)
+        # distance 0: distinct tree vertices map together.  An inexact
+        # distance is an upper bound, so its sample is certified only when it
+        # meets the 1-Lipschitz ceiling rho_a, pinning the true distance and
+        # giving ratio exactly 1
+        if rho_t and (exact or rho_t == rho_a):
             assert rho_t <= rho_a, "combinatorial maps are 1-Lipschitz"
             ratios.append(rho_a / rho_t)
         else:
-            upper = nb.distance_upper(word)
-            if upper is None or upper == 0:
-                inconclusive += 1
-                continue
-            # the quotient distance is an upper bound, so the sample is
-            # certified only when it meets the 1-Lipschitz ceiling rho_a,
-            # pinning the true distance and giving ratio exactly 1
-            if upper == rho_a:
-                ratios.append(1.0)
-            else:
-                inconclusive += 1
+            inconclusive += 1
     if not ratios:
         raise EmptyStatisticsError("all sampled pairs were inconclusive")
     return DistortionStats(
@@ -1028,26 +1017,15 @@ def _ball_in_tree(tree: RoundTree, v: int, radius: int) -> list[int]:
     return out
 
 
-def _tree_distance_and_word(tree: RoundTree, p: int, q: int) -> tuple[int, str]:
-    prev: dict[int, tuple[int, int] | None] = {p: None}
-    dq = deque([p])
-    while dq:
-        u = dq.popleft()
-        if u == q:
-            break
-        for x, w in sorted(tree.out[u].items()):
-            if w not in prev:
-                prev[w] = (u, x)
-                dq.append(w)
+def _tree_distance_and_word(tree: RoundTree, p: int, q: int, radius: int) -> tuple[int, str]:
+    """The distance from p to q, which lies within `radius` of p, and the
+    word of the path to q in the sorted-letter BFS tree from p."""
+    parent = tree._bfs(p, radius)[1]
     letters = []
-    at = q
-    n = 0
-    while prev[at] is not None:
-        u, x = prev[at]
-        letters.append(x)
-        at = u
-        n += 1
-    return n, tree.ab.decode(reversed(letters))
+    while parent[q] is not None:
+        q, x = parent[q]
+        letters.append(x ^ 1)
+    return len(letters), tree.ab.decode(reversed(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -1176,11 +1154,9 @@ def _check_loaded(tree: RoundTree) -> None:
     def walk(v: int, word) -> list[int]:
         if not 0 <= v < len(tree.out):
             raise ParseError(f"vertex {v} is not among the {len(tree.out)} vertices")
-        path = [v]
-        for x in word:
-            if x not in tree.out[path[-1]]:
-                raise ParseError(f"step ({path[-1]}, {x}) is not an edge of the complex")
-            path.append(tree.out[path[-1]][x])
+        path = tree._walk(v, word)
+        if len(path) <= len(word):
+            raise ParseError(f"step ({path[-1]}, {word[len(path) - 1]}) is not an edge of the complex")
         return path
 
     walk(tree.base, ())

@@ -355,6 +355,14 @@ BAD_INPUTS = {
                             "--ext-offset 1 --ext-len 1 --levels 1",
     "emanate-tree-bad-letter": "roundtree-emanate --tree {tree_bad_letter} --k 2",
     "emanate-tree-no-vertices": "roundtree-emanate --tree {tree_no_vertices} --k 1",
+    "probe-path-off-tree": "roundtree-probe --tree {tree} --target {verified} "
+                           "--which local-geodesic --path 99,0 --window 1",
+    "probe-config-path-off-tree": "roundtree-probe --tree {tree} --target {verified} "
+                                  "--which local-geodesic --config {path_negative} --window 1",
+    "constraint-boundary-not-int": "constraint --diagram {boundary_str}",
+    "fill-bears-not-int": "fill --diagram {bears_str} --words abAB",
+    "exact-label-not-string": "fillprob-exact --diagram {label_int} --m 2 --l 4",
+    "constraint-vertex-not-int": "constraint --diagram {vertex_list}",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget
@@ -377,11 +385,24 @@ def _bad_input_files(tmp_path) -> dict:
     dangling["faces"][0]["boundary"] = [1, 2, 9]
     stray_vertex = json.loads(diagram_to_json(single_face_diagram(3)))
     stray_vertex["edges"][0]["src"] = 77
+    # squares with a field of the wrong type
+    square = diagram_to_json(single_face_diagram(4))
+    boundary_str, bears_str, label_int, vertex_list = (json.loads(square) for _ in range(4))
+    boundary_str["faces"][0]["boundary"][1] = "x"
+    bears_str["faces"][0]["bears"] = "1"
+    label_int["restrictions"] = [{"edge": 1, "label": 5}]
+    vertex_list["vertices"][0] = [0]
     texts = {
         "bad": "this is not JSON\n",
         "triangle": json.dumps(triangle),
         "dangling": json.dumps(dangling),
         "stray_vertex": json.dumps(stray_vertex),
+        "boundary_str": json.dumps(boundary_str),
+        "bears_str": json.dumps(bears_str),
+        "label_int": json.dumps(label_int),
+        "vertex_list": json.dumps(vertex_list),
+        # "-1" would index the tree's vertices from the end
+        "path_negative": "path=-1,0\n",
         "zero_denominator": "gromov-presentation v1\nm=2 l=4 d=1/0 seed=0 count=1 "
                             "parent=none\nabab\n",
     }

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randomgroups import cayley
 from randomgroups.bounds import emanating_bound
 from randomgroups.cayley import is_dehn_ready
 from randomgroups.errors import (
@@ -21,7 +22,9 @@ from randomgroups.errors import (
 from randomgroups.model import Presentation, sample_presentation
 from randomgroups.roundtree import (
     Cell,
+    _ball_in_tree,
     _relator_windows,
+    _tree_distance_and_word,
     RoundTreeParams,
     check_round_tree_axioms,
     distortion_probe,
@@ -292,6 +295,75 @@ def test_distortion_probe_unverified_modes(verified_presentation):
                              word_cap=5, node_budget=200_000)
     assert stats.certified + stats.inconclusive >= stats.samples - 1
     assert stats.max_ratio >= 1.0
+
+
+def test_local_probe_is_inconclusive_only_on_budget(verified_presentation, monkeypatch):
+    p = verified_presentation
+    tree = _level0_tree(p)
+    target = Presentation(
+        m=p.m, l=p.l, density=Fraction(1, 20),
+        relators=(p.relators[0], sample_presentation(3, 12, 0, seed=9999).relators[0]),
+        seed=0, parent_fingerprint=p.fingerprint(),
+    )
+    assert not is_dehn_ready(target)
+    path = list(range(6))
+    # a closure that exhausts its budget cannot even bound the distances
+    verdict = local_geodesic_probe(tree, path, window=3, target=target, node_budget=10)
+    assert (verdict.status, verdict.exact, verdict.window) == ("inconclusive", False, None)
+    assert verdict.detail == "naive closure exceeded 10 nodes at cap 4"
+
+    # any other error is no verdict at all
+    def broken(*args, **kwargs):
+        raise ValueError("closure bug")
+
+    monkeypatch.setattr(cayley, "naive_closure_ball", broken)
+    with pytest.raises(ValueError, match="closure bug"):
+        local_geodesic_probe(tree, path, window=3, target=target)
+
+
+def test_probe_refuses_path_ids_off_the_tree(verified_presentation):
+    p = verified_presentation
+    tree = _level0_tree(p)
+    for path in ([99, 0], [-1, 0], [0, 1, len(tree.out)], [-1]):
+        with pytest.raises(PreconditionError, match="not among the tree's"):
+            local_geodesic_probe(tree, path, window=1, target=p)
+
+
+@pytest.mark.parametrize("case", ["demo", "l20-len2"])
+def test_tree_words_walk_to_their_ends(case, request):
+    tree = request.getfixturevalue("demo_tree") if case == "demo" else _pinned_tree(case)
+    rng = np.random.default_rng(0)
+    radius = 5
+    for _ in range(40):
+        p = int(rng.integers(len(tree.out)))
+        reach = _ball_in_tree(tree, p, radius)
+        q = reach[int(rng.integers(len(reach)))]
+        n, word = _tree_distance_and_word(tree, p, q, radius)
+        path = tree._walk(p, tree.ab.encode(word))
+        assert len(path) == n + 1 and path[-1] == q
+        assert tree._bfs(p)[0][q] == n <= radius
+
+
+def test_lay_cell_refuses_a_missing_bracket_or_an_open_cycle(verified_presentation):
+    tree = _level0_tree(verified_presentation)
+    word = tree.ab.encode(tree.host.relators[0])
+    l, n = len(word), len(tree.out)
+    # the base cell lies on edges, so laying it again as a bracket adds nothing
+    cycle = [v for (v, _x) in tree.cells[0].steps]
+    assert tree._lay_cell(tree.base, word, l, ()) == cycle + [tree.base]
+    assert tree._walk(cycle[1], word[1:]) == cycle[1:] + [tree.base]
+    assert len(tree.out) == n
+    # a bracket letter that is not an edge at the base: the walk stops there
+    x = next(y for y in range(len(tree.ab.letters)) if y not in tree.out[tree.base])
+    assert tree._walk(tree.base, (x,) + word[1:]) == [tree.base]
+    with pytest.raises(ConstructionObstructedError, match="bracket path missing") as e:
+        tree._lay_cell(tree.base, (x,) + word[1:], 1, (5,))
+    assert (e.value.sector, e.value.vertex) == ((5,), tree.base)
+    # a last letter that leads back along the cycle instead of to v1
+    with pytest.raises(ConstructionObstructedError, match="failed to close") as e:
+        tree._lay_cell(tree.base, word[:-1] + (word[-2] ^ 1,), l - 1, (5,))
+    assert (e.value.sector, e.value.vertex) == ((5,), cycle[-2])
+    assert len(tree.out) == n
 
 
 def test_tree_json_round_trip(demo_tree):
