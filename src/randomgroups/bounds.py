@@ -26,7 +26,7 @@ from .diagrams import (
     count_partial_fillings_vectorized,
 )
 from .errors import BudgetExceededError, DomainError, PreconditionError
-from .model import _trial_relators, check_seed, check_trials
+from .model import _trial_relators, check_seed, check_trials, relator_count
 from .words import DECIMAL_DIGIT_BUDGET, Alphabet, enumerate_cyclically_reduced, rivin_count
 
 DEFAULT_TUPLE_BUDGET = 10**7
@@ -348,8 +348,6 @@ def presentation_fill_probability_exact(
     With count R relators and q the fraction of single words filling, the
     probability of at least one hit is 1 - (1-q)^R exactly.
     """
-    from .model import relator_count
-
     if diagram.n != 1:
         raise DomainError("closed-form presentation-level probability needs n(X) = 1")
     q = exact_fillability(diagram, m, l, budget).exact

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +35,7 @@ from .words import (
     _join,
     _reduce_ints,
     _relator_texts,
+    _relator_windows,
     _slot_windows,
     _text_length,
     _window_keys,
@@ -46,6 +47,7 @@ from .bounds import wilson_interval
 
 DEFAULT_VERTEX_BUDGET = 10**6
 DEFAULT_CLOSURE_BUDGET = 20_000
+CLOSURE_NODE_BUDGET = 300_000  # free-ball words of one naive closure
 
 LAMBDA_DEHN = Fraction(1, 6)
 
@@ -477,21 +479,23 @@ _BALL_CACHE: OrderedDict[tuple[str, int], CayleyBall] = OrderedDict()
 _BALL_CACHE_SIZE = 8
 
 
-def _cached_ball(p: Presentation, radius: int, vertex_budget: int) -> CayleyBall:
-    """A cached ball of radius >= `radius` for p, else a new one, cached."""
+def _cached_ball(p: Presentation, radius: int) -> CayleyBall:
+    """A cached ball of radius >= `radius` for p, else a new one, cached.
+    Every ball here is built under DEFAULT_VERTEX_BUDGET, so the key needs
+    no budget."""
     fp = p.fingerprint()
     key = next((k for k in _BALL_CACHE if k[0] == fp and k[1] >= radius), None)
     if key is not None:
         _BALL_CACHE.move_to_end(key)
         return _BALL_CACHE[key]
-    ball = cayley_ball(p, radius, vertex_budget)
+    ball = cayley_ball(p, radius)
     _BALL_CACHE[(fp, radius)] = ball
     if len(_BALL_CACHE) > _BALL_CACHE_SIZE:
         _BALL_CACHE.popitem(last=False)
     return ball
 
 
-def distance(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
+def distance(p: Presentation, word: str) -> int:
     """Exact distance from the identity.
 
     The word is Dehn-reduced first (an upper bound on the distance), then the
@@ -501,17 +505,17 @@ def distance(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUD
     w = eng.dehn_reduce(eng.ab.encode(word))
     if not w:
         return 0
-    ball = _cached_ball(p, len(w), vertex_budget)
+    ball = _cached_ball(p, len(w))
     vid = ball.vertex_of_word(eng.ab.decode(w))
     return int(ball.dist[vid])
 
 
-def is_geodesic(p: Presentation, word: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:
+def is_geodesic(p: Presentation, word: str) -> bool:
     eng = _engine(p)
     w = eng.ab.encode(word)
     if _reduce_ints(w) != w:
         return False
-    return distance(p, word, vertex_budget) == len(w)
+    return distance(p, word) == len(w)
 
 
 def hyperbolicity_delta_bound(l: int, d) -> Fraction:
@@ -519,6 +523,8 @@ def hyperbolicity_delta_bound(l: int, d) -> Fraction:
     d = Fraction(d)
     if not (0 <= d < Fraction(1, 2)):
         raise DomainError(f"need 0 <= d < 1/2, got {d}")
+    if l < 1:
+        raise DomainError(f"need l >= 1, got l={l}")
     return Fraction(4 * l) / (1 - 2 * d)
 
 
@@ -661,11 +667,7 @@ def _find(root: list[int], a: int) -> int:
     return a
 
 
-def naive_closure_ball(
-    p: Presentation,
-    word_cap: int,
-    node_budget: int = 300_000,
-) -> UnverifiedBall:
+def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
     """Bounded congruence closure: no termination or exactness guarantee.
 
     Every node w is merged with the node w·ρ for each relator rotation ρ that
@@ -673,60 +675,53 @@ def naive_closure_ball(
     w[:n-k] + ρ[k:] for the length k of the cancellation at the seam, and it
     has length ≤ cap exactly when k ≥ k0 = max(0, ⌈(n + l - cap)/2⌉).  So
     only the rotations whose first k0 letters invert the last k0 letters of w
-    are tried, looked up in an index of the rotations by their k0-prefix.
+    are tried: a prefix range of the window index that round trees search
+    (`words._relator_windows`).  The nodes of one length share k0 and ask for
+    their ranges at once (`prefix_ranges`); each range found is unpacked
+    once.  The index is built for the first length with k0 ≤ min(n, l), so a
+    cap below l/2, where no node can merge, reads no relator text.
 
-    The merge pairs are therefore a fixed set, collected once, and one union
-    over them is the closure.  Each union hangs the larger root under the
-    smaller, so each class's root is its least node whatever the order of
-    the merges.
+    The merge pairs are therefore a fixed set, and one union over them is the
+    closure.  Each union hangs the larger root under the smaller, so each
+    class's root is its least node whatever the order of the merges.  A free
+    ball of more than CLOSURE_NODE_BUDGET words raises BudgetExceededError.
     """
     m = p.m
     nodes: list[tuple[int, ...]] = [()]
-    index: dict[tuple[int, ...], int] = {(): 0}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            if len(w) >= word_cap:
-                continue
+    bounds = [0, 1]  # the nodes of length n are nodes[bounds[n] : bounds[n + 1]]
+    for _ in range(word_cap):
+        for w in nodes[bounds[-2] : bounds[-1]]:
             for x in range(2 * m):
                 if w and w[-1] == (x ^ 1):
                     continue
-                v = w + (x,)
-                if v not in index:
-                    if len(nodes) >= node_budget:
-                        raise BudgetExceededError(
-                            f"naive closure exceeded {node_budget} nodes at cap {word_cap}",
-                            budget=node_budget,
-                        )
-                    index[v] = len(nodes)
-                    nodes.append(v)
-                    nxt.append(v)
-        frontier = nxt
+                if len(nodes) >= CLOSURE_NODE_BUDGET:
+                    raise BudgetExceededError(
+                        f"naive closure exceeded {CLOSURE_NODE_BUDGET} nodes at cap {word_cap}",
+                        budget=CLOSURE_NODE_BUDGET,
+                    )
+                nodes.append(w + (x,))
+        bounds.append(len(nodes))
+    index = {w: i for i, w in enumerate(nodes)}
     root = list(range(len(nodes)))
-    rotations = [tuple(rho) for rho in _slot_windows(_relator_texts(p.relators), p.l).tolist()]
-    by_prefix: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
-    pairs = []
-    for a, w in enumerate(nodes):
-        n = len(w)
+    windows = None
+    rotations: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # by key range
+    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         k0 = max(0, -(-(n + p.l - word_cap) // 2))
         if k0 > min(n, p.l):
             continue
-        if k0 not in by_prefix:
-            by_prefix[k0] = {}
-            for rho in rotations:
-                by_prefix[k0].setdefault(rho[:k0], []).append(rho)
-        seam = tuple(x ^ 1 for x in reversed(w[n - k0 :]))
-        for rho in by_prefix[k0].get(seam, ()):
-            # index holds every reduced word within the cap
-            pairs.append((a, index[_reduce_ints(w + rho)]))
-    for a, b in pairs:
-        ra, rb = _find(root, a), _find(root, b)
-        root[max(ra, rb)] = min(ra, rb)
+        windows = windows or _relator_windows(p.relators)
+        tails = np.array(nodes[lo:hi], dtype=np.int8).reshape(hi - lo, n)[:, n - k0 :]
+        starts, stops = windows.prefix_ranges(tails[:, ::-1] ^ 1)
+        hit = np.flatnonzero(stops > starts)
+        for a, s, e in zip((lo + hit).tolist(), starts[hit].tolist(), stops[hit].tolist()):
+            if (s, e) not in rotations:
+                rotations[s, e] = list(map(tuple, windows.rows(windows.keys[s:e]).tolist()))
+            for rho in rotations[s, e]:
+                # index holds every reduced word within the cap
+                ra, rb = _find(root, a), _find(root, index[_join(nodes[a], rho)])
+                root[max(ra, rb)] = min(ra, rb)
     # BFS over the quotient graph: classes are vertices, free-graph steps
     # between member words are the edges
-    from collections import defaultdict, deque
-
     members: dict[int, list[int]] = defaultdict(list)
     for i in range(len(nodes)):
         members[_find(root, i)].append(i)

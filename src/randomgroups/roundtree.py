@@ -67,7 +67,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -82,7 +81,7 @@ from .errors import (
     PreconditionError,
 )
 from .model import Presentation, check_seed, check_trials, parse_presentation
-from .words import Alphabet, _WindowIndex, _reduce_ints, _relator_texts
+from .words import Alphabet, _WindowIndex, _reduce_ints, _relator_windows
 
 DEFAULT_SEARCH_BUDGET = 200_000
 LEVEL_BUDGET = 20_000  # new cells per level
@@ -191,7 +190,7 @@ class RoundTree:
 
     @cached_property
     def _windows(self) -> _WindowIndex:
-        """The cell-word candidates (see `_relator_windows`), built on first
+        """The cell-word candidates (`words._relator_windows`), built on first
         use: the first `grow_level`, never on init or load."""
         return _relator_windows(self.host.relators)
 
@@ -616,17 +615,6 @@ class RoundTree:
                 )
 
 
-def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
-    """All rotations of the relators and their inverses, deduplicated and in
-    lexicographic order, as the keys of a `words._WindowIndex`.
-
-    The order matters: the window search shuffles positions in this order,
-    so the windows must come out in the same order for a tree to be
-    reproducible.
-    """
-    return _WindowIndex(_relator_texts(relators))
-
-
 def init_round_tree(p: Presentation, params: RoundTreeParams) -> RoundTree:
     return RoundTree(p, params)
 
@@ -867,7 +855,7 @@ def _require_nested(tree: RoundTree, target: Presentation):
         )
 
 
-def _target_distance(target: Presentation, word_cap: int, node_budget: int):
+def _target_distance(target: Presentation, word_cap: int):
     """Whether the target's metric is exact, and its distance function: the
     Dehn `distance` of a verified target, else the upper bound of a naive
     closure under `word_cap` (None for a word the closure cannot locate)."""
@@ -875,7 +863,7 @@ def _target_distance(target: Presentation, word_cap: int, node_budget: int):
 
     if is_dehn_ready(target):
         return True, lambda word: distance(target, word)
-    return False, naive_closure_ball(target, word_cap=word_cap, node_budget=node_budget).distance_upper
+    return False, naive_closure_ball(target, word_cap=word_cap).distance_upper
 
 
 def local_geodesic_probe(
@@ -884,7 +872,6 @@ def local_geodesic_probe(
     window: int,
     target: Presentation,
     word_cap: int | None = None,
-    node_budget: int = 300_000,
 ) -> ProbeVerdict:
     """Check every length-`window` subpath of a tree path for shortcuts in
     the target.  Violations found through the bounded search are real paths
@@ -896,8 +883,7 @@ def local_geodesic_probe(
     if window > len(labels):
         raise DomainError("window exceeds the path length")
     try:
-        exact, dist = _target_distance(target, window + 1 if word_cap is None else word_cap,
-                                       node_budget)
+        exact, dist = _target_distance(target, window + 1 if word_cap is None else word_cap)
     except BudgetExceededError as e:  # the closure cannot even bound
         return ProbeVerdict(status="inconclusive", exact=False, detail=str(e))
     for i in range(len(labels) - window + 1):
@@ -954,7 +940,6 @@ def distortion_probe(
     samples: int,
     seed: int,
     word_cap: int | None = None,
-    node_budget: int = 300_000,
 ) -> DistortionStats:
     """Distribution of ρ_A(p,q) / ρ_t(π(p), π(q)) over sampled vertex pairs.
 
@@ -966,8 +951,7 @@ def distortion_probe(
     check_trials(samples)
     _require_nested(tree, target)
     rng = np.random.default_rng(seed)
-    exact, dist = _target_distance(target, radius + 1 if word_cap is None else word_cap,
-                                   node_budget)
+    exact, dist = _target_distance(target, radius + 1 if word_cap is None else word_cap)
     nverts = len(tree.out)
     ratios: list[float] = []
     inconclusive = 0

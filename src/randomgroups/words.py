@@ -16,8 +16,9 @@ the same for rᵢ⁻¹, so the window of length L <= l starting at position q
 (0 <= q < l) of row t is the subword of length L at slot
 (relator t // 2, orientation ±1, position q).  Slot order is relator, then
 orientation (the relator before its inverse), then position; the piece
-search, the Dehn arc index, the naive closure and the round-tree windows
-all consume slots in that order (`_slot_windows`).
+search and the Dehn arc index consume slots in that order (`_slot_windows`).
+The round trees and the naive closure read the rotations through one
+sorted, deduplicated index of their keys instead (`_relator_windows`).
 
 Pieces are found by sorting windows: a repeated length-L window is a piece
 of length L, and the longest piece is the longest common prefix of two
@@ -471,6 +472,20 @@ class _WindowIndex:
             lo, hi = np.void(bytes(word) + bytes(pad)), np.void(bytes(word) + b"\x7f" * pad)
         return range(np.searchsorted(self.keys, lo), np.searchsorted(self.keys, hi, side="right"))
 
+    def prefix_ranges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`prefix_range` of every row of an (N, k) int8 letter-code matrix,
+        as arrays of starts and stops: the rows padded to full windows with
+        the least and the greatest letter, keyed, and searched at once."""
+        n, k = words.shape
+        top = (1 << self.bits) - 1 if self._packed else 0x7F
+        lo, hi = (_window_keys(np.concatenate([words, np.full((n, self.width - k), pad, np.int8)],
+                                              axis=1), self.bits) for pad in (0, top))
+        starts = np.searchsorted(self.keys, lo)
+        stops = np.searchsorted(self.keys, hi, side="right")
+        if self._packed:  # a letter that no window holds finds none
+            stops = np.where((words >> self.bits).any(axis=1), starts, stops)
+        return starts, stops
+
     def reading(self, word: Sequence[int], at: int) -> np.ndarray:
         """The sorted keys of the windows that read `word` from position `at`."""
         r = self.prefix_range(word)
@@ -496,6 +511,18 @@ class _WindowIndex:
             k, b = int(key), self.bits
             return tuple(k >> s & ((1 << b) - 1) for s in range(b * (self.width - 1), -1, -b))
         return tuple(key.tobytes())
+
+
+def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
+    """All rotations of the relators and their inverses, deduplicated and in
+    lexicographic order, as the keys of a `_WindowIndex`: the round trees'
+    cell-word candidates and the naive closure's seam index.
+
+    The order matters: the window search shuffles positions in this order,
+    so the windows must come out in the same order for a tree to be
+    reproducible.
+    """
+    return _WindowIndex(_relator_texts(relators))
 
 
 def max_piece_length(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomgroups import cayley as cayley_mod
+from randomgroups import words as words_mod
 from randomgroups.cayley import (
     cayley_ball,
     cprime_genericity_scan,
@@ -318,7 +319,7 @@ def test_closure_and_dehn_match_ball_oracle_engine(case):
 def test_ball_cache_is_a_bounded_lru(monkeypatch):
     built = []
 
-    def fake_ball(p, radius, vertex_budget):
+    def fake_ball(p, radius):
         built.append((p.seed, radius))
         return (p.seed, radius)
 
@@ -328,21 +329,21 @@ def test_ball_cache_is_a_bounded_lru(monkeypatch):
     ps = [sample_presentation(2, 4, 0, seed=s) for s in range(size + 1)]
     cached = cayley_mod._cached_ball
     # a larger cached ball serves a smaller radius; a larger radius builds
-    assert cached(ps[0], 5, 100) == (0, 5)
-    assert cached(ps[0], 3, 100) == (0, 5)
-    assert cached(ps[0], 6, 100) == (0, 6)
+    assert cached(ps[0], 5) == (0, 5)
+    assert cached(ps[0], 3) == (0, 5)
+    assert cached(ps[0], 6) == (0, 6)
     assert built == [(0, 5), (0, 6)]
     for p in ps[1:size - 1]:
-        cached(p, 1, 100)
+        cached(p, 1)
     assert len(cayley_mod._BALL_CACHE) == size
     # touching (0, 5) makes (0, 6) the least recently used entry
-    assert cached(ps[0], 4, 100) == (0, 5)
-    cached(ps[size - 1], 1, 100)
+    assert cached(ps[0], 4) == (0, 5)
+    cached(ps[size - 1], 1)
     assert len(cayley_mod._BALL_CACHE) == size
     assert (ps[0].fingerprint(), 6) not in cayley_mod._BALL_CACHE
     assert (ps[0].fingerprint(), 5) in cayley_mod._BALL_CACHE
     del built[:]
-    assert cached(ps[0], 6, 100) == (0, 6)
+    assert cached(ps[0], 6) == (0, 6)
     assert built == [(0, 6)]
     assert (ps[1].fingerprint(), 1) not in cayley_mod._BALL_CACHE
 
@@ -364,12 +365,15 @@ def test_hyperbolicity_bound():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
         hyperbolicity_delta_bound(10, Fraction(1, 2))
+    for l in (0, -5):
+        with pytest.raises(DomainError, match="need l >= 1"):
+            hyperbolicity_delta_bound(l, Fraction(1, 4))
 
 
 def test_naive_closure_matches_verified(verified_presentation):
     p = verified_presentation
     ball = cayley_ball(p, 6)
-    nb = naive_closure_ball(p, word_cap=7, node_budget=400_000)
+    nb = naive_closure_ball(p, word_cap=7)
     rng = random.Random(5)
     ab = p.alphabet
     for _ in range(60):
@@ -406,7 +410,7 @@ def test_naive_closure_finds_planted_shortcut():
         seed=0,
         parent_fingerprint=p.fingerprint(),
     )
-    nb = naive_closure_ball(target, word_cap=7, node_budget=400_000)
+    nb = naive_closure_ball(target, word_cap=7)
     upper = nb.distance_upper(w7)
     assert upper is not None and upper <= 5  # the shortcut is a real path
 
@@ -475,6 +479,37 @@ def test_naive_closure_matches_all_rotations_scan(case):
     cls, dist = _closure_oracle(p, nb)
     assert [nb._find(i) for i in range(len(cls))] == cls
     assert nb._dist == dist
+
+
+@pytest.mark.parametrize("m, l, d, cap", [
+    (2, 6, Fraction(9, 10), 2),   # 377 relators; no node can merge
+    (2, 6, Fraction(9, 10), 3),   # 35 of its 53 nodes merge
+    (2, 8, Fraction(4, 5), 2),    # 1 131 relators
+])
+def test_naive_closure_matches_all_rotations_scan_on_many_relators(m, l, d, cap):
+    p = sample_presentation(m, l, d, seed=0)
+    nb = naive_closure_ball(p, word_cap=cap)
+    cls, dist = _closure_oracle(p, nb)
+    assert [nb._find(i) for i in range(len(cls))] == cls
+    assert nb._dist == dist
+
+
+def test_naive_closure_below_half_l_reads_no_relator_text(monkeypatch):
+    # below l/2 every node has k0 > n, so no seam query is asked and no
+    # window index is built
+    p = sample_presentation(2, 12, Fraction(1, 4), seed=0)
+
+    def unread(*args):
+        raise AssertionError("relator texts read")
+
+    monkeypatch.setattr(cayley_mod, "_relator_texts", unread)
+    monkeypatch.setattr(words_mod, "_relator_texts", unread)
+    nb = naive_closure_ball(p, word_cap=5)
+    assert len(nb._index) == 1 + 4 * (3**5 - 1) // 2
+    assert nb._root == list(range(len(nb._index)))
+    # at l/2 the longest nodes can merge, and the index is built
+    with pytest.raises(AssertionError, match="relator texts read"):
+        naive_closure_ball(p, word_cap=6)
 
 
 def test_scan_micro_oracle_at_d0():

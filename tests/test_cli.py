@@ -347,6 +347,8 @@ BAD_INPUTS = {
     "scan-huge-l": "cprime-scan --m 2 --l {huge} --lam 1/3 --d-grid 0 --trials 1",
     "rule-out-l-0": "bounds --which rule-out --l 0 --d 1/4",
     "rule-out-huge-l": "bounds --which rule-out --l {huge} --d 1/4",
+    "hyperbolicity-l-0": "bounds --which hyperbolicity --l 0 --d 1/4",
+    "hyperbolicity-l-negative": "bounds --which hyperbolicity --l -5 --d 1/4",
     "emanating-huge-k": "bounds --which emanating --k {huge} --beta 1/2 --bigh 4 --d 1/4",
     "inductive-huge-l": "bounds --which inductive --diagram {triangle} --l {huge} --d 1/4",
     "probe-negative-seed": "roundtree-probe --tree {tree} --target {verified} "

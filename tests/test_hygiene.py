@@ -5,6 +5,10 @@
   `src/` or `tests/`.
 - No module under `src/` or `tests/` imports a name it never reads; an
   `__init__.py` may import names only to re-export them.
+- Every public top-level function, class and constant in `src/randomgroups`
+  is read somewhere in `src/` outside its own definition (a re-export in
+  `__init__.py` is no read), or is named in `UNREAD_PUBLIC_NAMES` with the
+  reason it stays.
 """
 
 import ast
@@ -44,15 +48,18 @@ def _private_definitions(tree: ast.Module):
                 yield name, node.lineno, node.end_lineno
 
 
+def _is_read(name, path, first, last, mentions) -> bool:
+    """Does a module of `mentions` read `name` outside lines first..last of
+    `path`, where it is defined?"""
+    return any(n == name and not (where == path and first <= line <= last)
+               for where, found in mentions.items() for n, line in found)
+
+
 def test_every_private_definition_is_used():
     mentions = {path: list(_mentions(_parse(path))) for path in MODULES}
-    unused = []
-    for path in SOURCES:
-        for name, first, last in _private_definitions(_parse(path)):
-            used = any(n == name and not (where == path and first <= line <= last)
-                       for where, found in mentions.items() for n, line in found)
-            if not used:
-                unused.append(f"{path.relative_to(ROOT)}:{first} {name}")
+    unused = [f"{path.relative_to(ROOT)}:{first} {name}" for path in SOURCES
+              for name, first, last in _private_definitions(_parse(path))
+              if not _is_read(name, path, first, last, mentions)]
     assert unused == []
 
 
@@ -75,3 +82,53 @@ def test_every_import_is_read(path):
     unread = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in read]
     assert unread == []
+
+
+# public names that nothing in `src/` reads, each with the reason it stays
+UNREAD_PUBLIC_NAMES = {
+    # library API for the paper's statements, checked only by tests
+    "bounds.rule_out_dominates": "exact test that p is below the rule-out bound",
+    "bounds.q_constant": "path-fillability factor for user-supplied constants",
+    "bounds.exact_partial_fillability_sequence": "exact p_1..p_n of a diagram",
+    "bounds.presentation_fill_probability_exact": "closed form for n(X) = 1 diagrams",
+    "cayley.is_geodesic": "geodesic query beside `distance`",
+    "diagrams.boundary_word": "boundary label of a filled diagram",
+    "diagrams.isoperimetric_check": "linear isoperimetric threshold of a filling",
+    "diagrams.classify_ladder": "ladder shape of a bigon diagram",
+    "diagrams.restrict_boundary": "builds the restricted diagrams the benchmark fills",
+    "roundtree.extension_words": "the extension word set X_k of a tree",
+    "words.cyclically_reduce": "word algebra, re-exported by the package",
+    "words.inverse_word": "word algebra",
+    "words.has_piece_of_length": "exact piece test for one length",
+    # oracles that tests compare the fast paths against
+    "cayley.exact_cprime_fraction_single_relator": "enumeration oracle for the C' scan",
+    "diagrams.fill_tuples_bruteforce": "brute-force oracle for the filler",
+    "words.max_piece_length_quadratic": "all-pairs oracle for max_piece_length",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, first line, last line) of every public top-level function,
+    class and assigned constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_public_name_is_read_or_listed():
+    mentions = {path: list(_mentions(_parse(path))) for path in SOURCES
+                if path.name != "__init__.py"}
+    unread = [f"{path.stem}.{name}" for path in SOURCES
+              for name, first, last in _public_definitions(_parse(path))
+              if not _is_read(name, path, first, last, mentions)]
+    # a listed name that is read again, or gone, leaves the list
+    assert sorted(unread) == sorted(UNREAD_PUBLIC_NAMES)

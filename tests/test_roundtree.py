@@ -23,7 +23,6 @@ from randomgroups.model import Presentation, sample_presentation
 from randomgroups.roundtree import (
     Cell,
     _ball_in_tree,
-    _relator_windows,
     _tree_distance_and_word,
     RoundTreeParams,
     check_round_tree_axioms,
@@ -35,7 +34,7 @@ from randomgroups.roundtree import (
     tree_from_json,
     tree_to_json,
 )
-from randomgroups.words import Alphabet, inverse_word, reduce_word
+from randomgroups.words import Alphabet, _relator_windows, inverse_word, reduce_word
 
 from tests.conftest import find_verified_presentation, long_relator_sets, relator_sets
 
@@ -271,8 +270,7 @@ def test_probe_detects_planted_shortcut(verified_presentation):
     )
     assert not is_dehn_ready(target)
     path = list(range(8))  # the first 7 boundary edges spell w7
-    verdict = local_geodesic_probe(tree, path, window=7, target=target,
-                                   word_cap=7, node_budget=400_000)
+    verdict = local_geodesic_probe(tree, path, window=7, target=target, word_cap=7)
     assert verdict.status == "violation" and not verdict.exact
     # foreign targets are rejected
     stranger = sample_presentation(p.m, p.l, 0, seed=777)
@@ -291,8 +289,7 @@ def test_distortion_probe_unverified_modes(verified_presentation):
                   if False else sample_presentation(3, 12, 0, seed=9999).relators[0]),
         seed=0, parent_fingerprint=p.fingerprint(),
     )
-    stats = distortion_probe(tree, target, radius=3, samples=30, seed=1,
-                             word_cap=5, node_budget=200_000)
+    stats = distortion_probe(tree, target, radius=3, samples=30, seed=1, word_cap=5)
     assert stats.certified + stats.inconclusive >= stats.samples - 1
     assert stats.max_ratio >= 1.0
 
@@ -308,7 +305,8 @@ def test_local_probe_is_inconclusive_only_on_budget(verified_presentation, monke
     assert not is_dehn_ready(target)
     path = list(range(6))
     # a closure that exhausts its budget cannot even bound the distances
-    verdict = local_geodesic_probe(tree, path, window=3, target=target, node_budget=10)
+    monkeypatch.setattr(cayley, "CLOSURE_NODE_BUDGET", 10)
+    verdict = local_geodesic_probe(tree, path, window=3, target=target)
     assert (verdict.status, verdict.exact, verdict.window) == ("inconclusive", False, None)
     assert verdict.detail == "naive closure exceeded 10 nodes at cap 4"
 
@@ -557,6 +555,21 @@ def _windows_by_unique(relators, m):
     return np.unique(rots, axis=0)
 
 
+def _check_prefix_ranges(index, W, words, n):
+    # the batched query finds, for each length-n word, the rows of W that
+    # start with it
+    starts, stops = index.prefix_ranges(np.array(words, dtype=np.int8).reshape(len(words), n))
+    for word, a, b in zip(words, starts.tolist(), stops.tolist()):
+        assert list(range(a, b)) == np.flatnonzero((W[:, :n] == word).all(axis=1)).tolist(), word
+
+
+def test_prefix_ranges_find_nothing_for_a_letter_outside_the_index():
+    # packed at b = 2 bits, "ad" spills d's high bit into a's slot and keys
+    # like "Ab", which the index holds
+    index = _relator_windows(["Abab"])
+    _check_prefix_ranges(index, index.rows(index.keys), [(0, 6), (1, 2)], 2)
+
+
 @given(relator_sets())
 @settings(max_examples=300, deadline=None)
 def test_relator_windows_match_unique_oracle(case):
@@ -585,6 +598,8 @@ def test_windows_reading_matches_filter(case, data):
         want = W[(W[:, a : a + n] == word).all(axis=1)]
         got = index.rows(index.reading(word, a))
         assert got.dtype == np.int8 and np.array_equal(got, want), (word, a)
+    _check_prefix_ranges(index, W, [word, *map(tuple, W[:3, :n].tolist())], n)
+    _check_prefix_ranges(index, W, [()], 0)
 
 
 @given(long_relator_sets(), st.data())
@@ -602,6 +617,7 @@ def test_windows_match_oracles_at_key_width(case, data):
     for n in range(1, l + 1):  # prefixes of the largest key
         starts = (W[:, :n] == top).all(axis=1)
         assert list(index.prefix_range((top,) * n)) == np.flatnonzero(starts).tolist()
+        _check_prefix_ranges(index, W, [(top,) * n], n)
     n = data.draw(st.integers(1, l))
     kind = data.draw(st.sampled_from(["window", "top", "random"]))
     if kind == "window":  # a word some window reads
@@ -615,6 +631,8 @@ def test_windows_match_oracles_at_key_width(case, data):
         want = W[(W[:, a : a + n] == word).all(axis=1)]
         got = index.rows(index.reading(word, a))
         assert got.dtype == np.int8 and np.array_equal(got, want), (word, a)
+    _check_prefix_ranges(index, W, [word, *map(tuple, W[:3, :n].tolist())], n)
+    _check_prefix_ranges(index, W, [()], 0)
 
 
 def test_stated_toy_parameters_obstruct_quickly():
