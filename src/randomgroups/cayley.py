@@ -87,9 +87,6 @@ class _RelatorArcs:
         self.l = _text_length(texts)
         self.gram = gram
         self.texts = [tuple(t) for t in texts.tolist()]
-        # each text read backwards and inverted: every complement word
-        # below is one slice of these
-        self.inverses = [tuple(x ^ 1 for x in reversed(t)) for t in self.texts]
         windows = map(tuple, _slot_windows(texts, gram).tolist())
         self.index = {key: divmod(slot, self.l) for slot, key in enumerate(windows)}
         assert len(self.index) == len(self.texts) * self.l, "a window lies at two slots"
@@ -112,9 +109,9 @@ class _RelatorArcs:
 
     def complement_inverse(self, ti: int, q: int, j: int) -> tuple[int, ...]:
         """For a matched arc s = t[q:q+j], the word c^-1 with s =_G c^-1,
-        where c = t[q+j:q+l]: read backwards, c^-1 starts 2l-1-(q+l) letters
-        into the inverted text."""
-        return self.inverses[ti][self.l - 1 - q : 2 * self.l - 1 - q - j]
+        where c = t[q+j:q+l]: a slice of the inverse row ti ^ 1, where c^-1
+        starts at position l - q (the text repeats, so q = 0 starts at l)."""
+        return self.texts[ti ^ 1][self.l - q : 2 * self.l - q - j]
 
 
 class DehnEngine:
@@ -139,10 +136,12 @@ class DehnEngine:
         self.bits = (2 * p.m - 1).bit_length()
         self.detect_keys = np.sort(_window_keys(_slot_windows(texts, self.t_detect), self.bits))
 
-    def _find_half_arc(self, w):
-        for i in range(len(w) - self.half + 1):
+    def _find_arc(self, w: tuple[int, ...], k: int):
+        """The first arc match (i, ti, q, j) in w of at least k letters, or
+        None; k is at least t_move, the index's gram."""
+        for i in range(len(w) - k + 1):
             hit = self.arcs.match(w, i)
-            if hit is not None and hit[2] >= self.half:
+            if hit is not None and hit[2] >= k:
                 return (i, *hit)
         return None
 
@@ -153,16 +152,11 @@ class DehnEngine:
         relator rotation (end-cell arc of the connecting bigon ladder): an
         arc match of at least t_detect letters, since t_detect >= t_move.
         """
-        k = self.t_detect
-        for i in range(len(w) - k + 1):
-            hit = self.arcs.match(w, i)
-            if hit is not None and hit[2] >= k:
-                return True
-        return False
+        return self._find_arc(w, self.t_detect) is not None
 
     def dehn_step(self, w: tuple[int, ...]):
         """One >half-arc replacement in the reduced word w, or None."""
-        found = self._find_half_arc(w)
+        found = self._find_arc(w, self.half)
         if found is None:
             return None
         i, ti, q, j = found
@@ -538,7 +532,10 @@ class ScanCell:
     d: Fraction
     trials: int
     passes: int
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        return self.trials == 0
 
     @property
     def p_hat(self) -> float:
@@ -611,7 +608,7 @@ def cprime_genericity_scan(
         t = np.arange(trials, dtype=np.uint32)
         keys = np.stack([np.full_like(t, ci), t], axis=1)
         passes = sum(check_c_prime(rows, lam) for rows in _trial_relators(m, l, d, seed, keys))
-        report.cells.append(ScanCell(d=d, trials=trials, passes=passes, empty=trials == 0))
+        report.cells.append(ScanCell(d=d, trials=trials, passes=passes))
     return report
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -145,7 +145,9 @@ def relator_count(m: int, l: int, d, budget: int = DEFAULT_COUNT_BUDGET) -> int:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A sampled point of the density model: (m, l, d, relators, seed)."""
+    """A sampled point of the density model: (m, l, d, relators, seed).  It
+    holds ⌊(2m-1)^(dl)⌋ relators, however many: that count is computed under
+    the larger of DEFAULT_COUNT_BUDGET and the number of relators given."""
 
     m: int
     l: int
@@ -153,11 +155,11 @@ class Presentation:
     relators: tuple[str, ...]
     seed: int
     parent_fingerprint: str | None = None
-    count_budget: int = field(default=DEFAULT_COUNT_BUDGET, repr=False, compare=False)
 
     def __post_init__(self):
         Alphabet(self.m)  # m names at most 26 generators
-        expected = relator_count(self.m, self.l, self.density, self.count_budget)
+        expected = relator_count(self.m, self.l, self.density,
+                                 max(DEFAULT_COUNT_BUDGET, len(self.relators)))
         if len(self.relators) != expected:
             raise DomainError(
                 f"presentation must have ⌊(2m-1)^(dl)⌋ = {expected} relators, "
@@ -446,21 +448,19 @@ def sample_presentation(
     d = as_density(d)
     count = relator_count(m, l, d, budget)
     relators = tuple(_decode_rows(_relator_codes(m, l, seed, np.arange(count))))
-    return Presentation(m=m, l=l, density=d, relators=relators, seed=seed,
-                        count_budget=budget)
+    return Presentation(m=m, l=l, density=d, relators=relators, seed=seed)
 
 
-def extend_presentation(
-    base: Presentation, d_target, seed: int, budget: int = DEFAULT_COUNT_BUDGET
-) -> Presentation:
-    """Two-step sampling: keep base.relators as a prefix, draw the rest fresh."""
+def extend_presentation(base: Presentation, d_target, seed: int) -> Presentation:
+    """Two-step sampling: keep base.relators as a prefix, draw the rest fresh,
+    up to DEFAULT_COUNT_BUDGET relators in all."""
     check_seed(seed)
     d_target = as_density(d_target)
     if d_target < base.density:
         raise NestingError(
             f"target density {d_target} is below the base density {base.density}"
         )
-    count = relator_count(base.m, base.l, d_target, budget)
+    count = relator_count(base.m, base.l, d_target)
     fresh = tuple(_decode_rows(
         _relator_codes(base.m, base.l, seed, np.arange(len(base.relators), count))
     ))
@@ -471,7 +471,6 @@ def extend_presentation(
         relators=base.relators + fresh,
         seed=seed,
         parent_fingerprint=base.fingerprint(),
-        count_budget=budget,
     )
 
 
@@ -479,12 +478,14 @@ def save_presentation(p: Presentation, path) -> None:
     Path(path).write_text(p.serialize(), encoding="utf-8")
 
 
-def load_presentation(path, budget: int = DEFAULT_COUNT_BUDGET) -> Presentation:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_presentation(text, budget=budget)
+def load_presentation(path) -> Presentation:
+    """The presentation saved at path, whatever its relator count."""
+    return parse_presentation(Path(path).read_text(encoding="utf-8"))
 
 
-def parse_presentation(text: str, budget: int = DEFAULT_COUNT_BUDGET) -> Presentation:
+def parse_presentation(text: str) -> Presentation:
+    """The presentation a file's text holds, whatever its relator count (the
+    constructor's check); a ParseError names the first line at fault."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ParseError(f"expected header {FORMAT_HEADER!r}", line=1)
@@ -524,7 +525,6 @@ def parse_presentation(text: str, budget: int = DEFAULT_COUNT_BUDGET) -> Present
             relators=tuple(relators),
             seed=seed,
             parent_fingerprint=None if parent == "none" else parent,
-            count_budget=budget,
         )
     except DomainError as e:
         raise ParseError(str(e), line=2)

@@ -180,7 +180,6 @@ class RoundTree:
         self.cells: list[Cell] = []
         self.sectors: dict[tuple[int, ...], Sector] = {}
         self.brackets: list[Bracket] = []
-        self.bracket_registry: dict[str, str] = {}
         self.offset_words: dict[str, tuple[int, ...]] = {}
         self.ext_words: dict[str, list[tuple[int, ...]]] = {}
         self.extension_paths: list[dict] = []  # {u, class, branch, tip, label, level}
@@ -374,15 +373,15 @@ class RoundTree:
         - ("tip", c, x): the branch of c whose extension starts with letter x
           (branches diverge at the offset tip);
         - ("lead", u, x): the class that leaves point u by offset letter x;
-        - ("label", s): the window registered for bracket label s.
+        - ("label", s): the cell word of the bracket labelled s.
         A window fits a slot when its offset letters are not yet edges at its
         points, it does not undo the previous same-branch cell's free arc at
         their shared tip, and every entry it needs is unset or holds the same
         value in the table as it stood before the window.  Committing adds
         the entries it lacks (the first of two equal keys wins), and
         backtracking deletes exactly those.  The table starts from the tree's
-        offset words, extension words and bracket registry, which are read
-        back out of it in insertion order.
+        offset words, extension words (both read back out of it in insertion
+        order) and its brackets' cell words.
 
         Candidates are prefix-range queries of the window index.  A piece's
         windows are those that read it at ext_offset + ext_len, in index
@@ -432,8 +431,8 @@ class RoundTree:
             )
         )
         start: dict[tuple, object] = {
-            ("label", self.ab.encode(s)): self.ab.encode(w)
-            for s, w in self.bracket_registry.items()
+            ("label", self.ab.encode(b.label)): self.ab.encode(self.cells[b.cell].word)
+            for b in self.brackets
         }
         for c, o in self.offset_words.items():
             start[("off", c)] = o
@@ -536,8 +535,6 @@ class RoundTree:
         self.offset_words = {k[1]: v for k, v in fixed.items() if k[0] == "off"}
         self.ext_words = {c: [fixed.get(("ext", c, j)) for j in range(prm.V)]
                           for c in self.offset_words}
-        self.bracket_registry = {self.ab.decode(k[1]): self.ab.decode(v)
-                                 for k, v in fixed.items() if k[0] == "label"}
         return assignment
 
     # -- building from a plan ------------------------------------------------
@@ -768,14 +765,10 @@ class ExtensionWordReport:
     classes: int
 
 
-def extension_words(tree: RoundTree, k: int | None = None) -> ExtensionWordReport:
-    """The extension word set X_k with its per-vertex views; checks that
-    labels based at a vertex depend only on the vertex's incoming-edge class."""
-    oe = tree.params.ext_offset + tree.params.ext_len
-    if k is None:
-        k = oe
-    if k != oe:
-        raise DomainError(f"extension words exist at k = ext_offset+ext_len = {oe}")
+def extension_words(tree: RoundTree) -> ExtensionWordReport:
+    """The extension word set X_k, k = ext_offset + ext_len, with its
+    per-vertex views; checks that labels based at a vertex depend only on
+    the vertex's incoming-edge class."""
     if tree.levels < 1:
         raise PreconditionError("tree has no grown level")
     words = set()
@@ -786,7 +779,8 @@ def extension_words(tree: RoundTree, k: int | None = None) -> ExtensionWordRepor
         per_vertex.setdefault(rec["u"], set()).add(rec["label"])
         by_class.setdefault(rec["class"], set()).add(rec["label"])
     report = ExtensionWordReport(
-        k=k, words=words, per_vertex=per_vertex, classes=len(by_class)
+        k=tree.params.ext_offset + tree.params.ext_len,
+        words=words, per_vertex=per_vertex, classes=len(by_class),
     )
     for c, labels in by_class.items():
         table = {
@@ -1117,7 +1111,6 @@ def _tree_from_payload(data: dict, host: Presentation) -> RoundTree:
         k = tuple(int(t) for t in key.split(",")) if key else ()
         tree.sectors[k] = _from_record(Sector, sec, key=k)
     tree.brackets = [_from_record(Bracket, b) for b in data["brackets"]]
-    tree.bracket_registry = {b.label: tree.cells[b.cell].word for b in tree.brackets}
     tree.extension_paths = data["extension_paths"]
     tree.offset_words = {c: tree.ab.encode(w) for c, w in data["offset_words"].items()}
     tree.ext_words = {

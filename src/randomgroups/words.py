@@ -332,7 +332,7 @@ class PieceReport:
 _DEFAULT_LAMBDAS = (Fraction(1, 6), Fraction(1, 8), Fraction(1, 12))
 
 
-def _relator_texts(relators: Sequence[str | CyclicWord] | np.ndarray) -> np.ndarray:
+def _relator_texts(relators: Sequence[str] | np.ndarray) -> np.ndarray:
     """The doubled texts of the relators and their inverses, as a (2R, 2l-1)
     int8 matrix in the layout of the module docstring.
 
@@ -345,8 +345,7 @@ def _relator_texts(relators: Sequence[str | CyclicWord] | np.ndarray) -> np.ndar
     if isinstance(relators, np.ndarray):
         codes = relators
     else:
-        words = [r.word if isinstance(r, CyclicWord) else r for r in relators]
-        words = ["" if w == EMPTY_WORD else w for w in words]
+        words = ["" if w == EMPTY_WORD else w for w in relators]
         codes = _letter_codes(words)
         if (codes < 0).any():
             _infer_alphabet(words)  # raises, naming the first bad letter
@@ -526,7 +525,7 @@ def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
 
 
 def max_piece_length(
-    relators: Sequence[str | CyclicWord],
+    relators: Sequence[str],
     lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
 ) -> PieceReport:
     """Maximum piece length over all rotations of the relators and inverses.
@@ -662,7 +661,7 @@ def _relator_coincidences(texts: np.ndarray) -> list[tuple[int, int]]:
     return sorted(pair for g in groups for pair in combinations(g.tolist(), 2))
 
 
-def max_piece_length_quadratic(relators: Sequence[str | CyclicWord]) -> int:
+def max_piece_length_quadratic(relators: Sequence[str]) -> int:
     """All-pairs scan over rotation windows; the test oracle for max_piece_length."""
     texts = _relator_texts(relators)
     l = _text_length(texts)
@@ -693,12 +692,12 @@ def _has_repeated_window(texts: np.ndarray, L: int) -> bool:
     return bool((keys[1:] == keys[:-1]).any())
 
 
-def has_piece_of_length(relators: Sequence[str | CyclicWord], L: int) -> bool:
+def has_piece_of_length(relators: Sequence[str], L: int) -> bool:
     """Exact test: does some length-L subword occur at two distinct slots?"""
     return _has_repeated_window(_relator_texts(relators), L)
 
 
-def check_c_prime(relators: Sequence[str | CyclicWord] | np.ndarray, lam: Fraction) -> bool:
+def check_c_prime(relators: Sequence[str] | np.ndarray, lam: Fraction) -> bool:
     """Strict metric small cancellation C'(λ): every piece shorter than λ·l.
     The relators are words or an (R, l) letter-code matrix (`_relator_texts`)."""
     lam = Fraction(lam)

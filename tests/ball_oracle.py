@@ -41,7 +41,7 @@ class _OracleEngine(DehnEngine):
         return tuple(x ^ 1 for x in reversed(c))
 
     def dehn_step(self, w: tuple[int, ...]):
-        found = self._find_half_arc(w)
+        found = self._find_arc(w, self.half)
         if found is None:
             return None
         i, ti, q, j = found

@@ -202,6 +202,36 @@ def test_parse_rejects_bad_files():
     assert e.value.line == 3
 
 
+# ⌊51^(4·159/181)⌋ = 1 000 186 relators of length 4 on 26 generators: just
+# past the default count budget, and one short relator repeated keeps the
+# files small
+BIG_M, BIG_L, BIG_D = 26, 4, Fraction(159, 181)
+BIG_COUNT = 1_000_186
+
+
+def test_files_past_the_default_count_budget_round_trip(tmp_path):
+    assert relator_count(BIG_M, BIG_L, BIG_D, budget=2 * 10**6) == BIG_COUNT > model.DEFAULT_COUNT_BUDGET
+    p = Presentation(m=BIG_M, l=BIG_L, density=BIG_D, relators=("abcd",) * BIG_COUNT, seed=0)
+    assert parse_presentation(p.serialize()) == p
+    save_presentation(p, tmp_path / "big.txt")
+    assert load_presentation(tmp_path / "big.txt") == p
+
+
+def test_file_past_the_default_count_budget_must_agree_with_its_header():
+    def text(d):
+        header = f"m={BIG_M} l={BIG_L} d={d} seed=0 count={BIG_COUNT} parent=none"
+        return f"{model.FORMAT_HEADER}\n{header}\n" + "abcd\n" * BIG_COUNT
+
+    # the header's density promises more relators than the file holds
+    assert relator_count(BIG_M, BIG_L, Fraction(160, 181), budget=2 * 10**6) > BIG_COUNT
+    with pytest.raises(BudgetExceededError):
+        parse_presentation(text("160/181"))
+    # ... or fewer than the default count budget
+    with pytest.raises(ParseError, match="relators, got 1000186") as e:
+        parse_presentation(text("158/181"))
+    assert e.value.line == 2
+
+
 def test_presentation_invariants_enforced():
     with pytest.raises(DomainError):
         Presentation(m=2, l=4, density=Fraction(0), relators=("ab", "ba"), seed=0)

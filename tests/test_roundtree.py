@@ -179,8 +179,6 @@ def test_extension_words_views(demo_tree):
     assert rep.k == oe
     assert all(len(w) == oe for w in rep.words)
     assert len(rep.words) <= rep.classes * tree.params.V
-    with pytest.raises(DomainError):
-        extension_words(tree, oe + 1)
 
 
 def test_extension_tables_stable_across_levels():
@@ -398,7 +396,6 @@ def test_tree_json_records_load_as_built(demo_tree):
     assert tree.brackets == demo_tree.brackets
     assert tree.out == demo_tree.out
     assert tree.base == demo_tree.base
-    assert tree.bracket_registry == demo_tree.bracket_registry
     assert tree.offset_words == demo_tree.offset_words
     assert tree.ext_words == demo_tree.ext_words
     assert tree.extension_paths == demo_tree.extension_paths
@@ -479,9 +476,8 @@ def test_built_tree_keeps_search_constraints(case, request):
         leads.setdefault(rec["u"], {})[rec["class"]] = tree.offset_words[rec["class"]][0]
     for u, by_class in leads.items():
         assert len(set(by_class.values())) == len(by_class), u
-    # the registry holds each bracket's cell word
-    for b in tree.brackets:
-        assert tree.bracket_registry[b.label] == tree.cells[b.cell].word
+    # equal bracket labels get equal cell words
+    assert check_round_tree_axioms(tree).passes["bracket-consistency"]
 
 
 def test_tree_from_json_rejects_bad_files(verified_presentation, demo_tree):
