@@ -23,7 +23,6 @@ from .diagrams import (
     _search,
     belonging,
     compile_constraints,
-    count_partial_fillings_vectorized,
 )
 from .errors import BudgetExceededError, DomainError, PreconditionError
 from .model import _trial_relators, check_seed, check_trials, relator_count
@@ -293,30 +292,13 @@ def q_constant(C: int, N, P) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _word_matrix(m: int, l: int, budget: int) -> tuple[np.ndarray, list[str], Alphabet]:
-    ab = Alphabet(m)
-    words = enumerate_cyclically_reduced(m, l, budget=max(budget, (2 * m - 1) ** l + 1))
-    arr = np.array([ab.encode(w) for w in words], dtype=np.int8)
-    return arr, words, ab
-
-
 def exact_fillability(
     diagram: Diagram, m: int, l: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> FillProbability:
-    """Exact P(n(X) i.i.d. uniform cyclically reduced words fill X), by
-    exhaustive tuple enumeration.  This is the oracle for everything else."""
-    n = diagram.n
-    N = rivin_count(m, l)
-    if N**n > budget:
-        raise BudgetExceededError(
-            f"{N}^{n} tuples exceed the tuple budget {budget}", budget=budget
-        )
-    arr, _words, ab = _word_matrix(m, l, budget)
-    rep = belonging(diagram)
-    good = count_partial_fillings_vectorized(
-        diagram, arr, n, ab, order=rep.order, budget=budget
-    )
-    exact = Fraction(good, N**n)
+    """Exact P(n(X) i.i.d. uniform cyclically reduced words fill X): the last
+    term p_n of `exact_partial_fillability_sequence`.  This is the oracle for
+    everything else."""
+    exact = exact_partial_fillability_sequence(diagram, m, l, budget)[-1]
     return FillProbability(
         exact=exact, estimate=float(exact), trials=0, ci_low=float(exact), ci_high=float(exact)
     )
@@ -325,19 +307,21 @@ def exact_fillability(
 def exact_partial_fillability_sequence(
     diagram: Diagram, m: int, l: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> list[Fraction]:
-    """Exact p_1, ..., p_n in multiplicity-sorted order (tuples may repeat)."""
-    rep = belonging(diagram)
-    N = rivin_count(m, l)
-    arr, _words, ab = _word_matrix(m, l, budget)
+    """Exact p_1, ..., p_n in multiplicity-sorted order (tuples may repeat),
+    by exhaustive tuple enumeration.  The N^n tuples of p_n bound every
+    prefix's N^i, so the budget is checked once, before any word is listed."""
+    N, n = rivin_count(m, l), diagram.n
+    if N**n > budget:
+        raise BudgetExceededError(
+            f"{N}^{n} tuples exceed the tuple budget {budget}", budget=budget
+        )
+    ab = Alphabet(m)
+    order = belonging(diagram).order
     cons = compile_constraints(diagram, ab)
-    out = []
-    for i in range(1, diagram.n + 1):
-        if N**i > budget:
-            raise BudgetExceededError(
-                f"{N}^{i} tuples exceed the tuple budget {budget}", budget=budget
-            )
-        out.append(Fraction(_count_partial_fillings(cons, arr, i, rep.order[:i]), N**i))
-    return out
+    words = enumerate_cyclically_reduced(m, l, budget)
+    arr = np.array([ab.encode(w) for w in words], dtype=np.int8)
+    return [Fraction(_count_partial_fillings(cons, arr, order[:i]), N**i)
+            for i in range(1, n + 1)]
 
 
 def presentation_fill_probability_exact(

@@ -27,7 +27,7 @@ from .errors import (
     NotVerifiedError,
     PartialBallError,
 )
-from .model import Presentation, _trial_relators, check_seed, check_trials
+from .model import Presentation, _trial_relators, check_seed, check_trials, relator_count
 from .words import (
     EMPTY_WORD,
     PieceReport,
@@ -40,7 +40,7 @@ from .words import (
     _text_length,
     _window_keys,
     check_c_prime,
-    enumerate_cyclically_reduced,
+    check_lambda,
     max_piece_length,
 )
 from .bounds import wilson_interval
@@ -257,23 +257,6 @@ class CayleyBall:
         u, x = np.nonzero(self.adjacency >= 0)
         return u, x, self.adjacency[u, x]
 
-    def check_invariants(self, samples: int = 200, seed: int = 0) -> None:
-        adj, dist = self.adjacency, self.dist
-        assert dist[0] == 0 and self.words[0] == "1"
-        u, x, v = self._edges()
-        assert (np.abs(dist[u] - dist[v]) <= 1).all()
-        assert (adj[v, x ^ 1] == u).all()
-        open_ = np.flatnonzero((adj < 0).any(axis=1) & (dist < self.radius))
-        assert not open_.size, (
-            f"vertex {open_[0]} at distance {dist[open_[0]]} is not closed"
-        )
-        rng = np.random.default_rng(seed)
-        n = len(self.words)
-        for _ in range(samples):
-            a, b = int(rng.integers(n)), int(rng.integers(n))
-            # triangle inequality through the origin
-            assert abs(int(dist[a]) - int(dist[b])) <= _graph_distance(self, a, b)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
@@ -306,26 +289,6 @@ class CayleyBall:
         lines = ["src,dst,letter"]
         lines += [f"{a},{b},{letters[c]}" for a, b, c in zip(u.tolist(), v.tolist(), x.tolist())]
         return "\n".join(lines) + "\n"
-
-
-def _graph_distance(ball: CayleyBall, a: int, b: int) -> int:
-    """Length of a shortest path from a to b inside the ball, by levels."""
-    if a == b:
-        return 0
-    seen = np.zeros(len(ball.dist), dtype=bool)
-    seen[a] = True
-    frontier = np.array([a])
-    d = 0
-    while frontier.size:
-        d += 1
-        nxt = ball.adjacency[frontier].ravel()
-        nxt = np.unique(nxt[nxt >= 0])
-        nxt = nxt[~seen[nxt]]
-        if (nxt == b).any():
-            return d
-        seen[nxt] = True
-        frontier = nxt
-    return int(ball.dist.max()) * 2 + 1  # disconnected within the ball: only at the rim
 
 
 def cayley_ball(
@@ -596,28 +559,25 @@ def cprime_genericity_scan(
     """Per-cell fraction of sampled presentations satisfying C'(λ).  Trial
     t of cell ci samples with the derived seed SeedSequence(seed,
     spawn_key=(ci, t)); the trials' relators are drawn in batches
-    (`_trial_relators`) and the trial count is bounded by TRIAL_BUDGET."""
+    (`_trial_relators`) and the trial count is bounded by TRIAL_BUDGET.
+    λ and every cell's relator count are checked before the first draw, so
+    a scan of no trials refuses the same inputs as any other."""
     check_seed(seed)
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     check_trials(trials)
     lam = Fraction(lam)
+    check_lambda(lam)
+    d_grid = [Fraction(d) for d in d_grid]
+    for d in d_grid:
+        relator_count(m, l, d)
     report = GenericityScanReport(m=m, l=l, lam=lam, seed=seed)
     for ci, d in enumerate(d_grid):
-        d = Fraction(d)
         t = np.arange(trials, dtype=np.uint32)
         keys = np.stack([np.full_like(t, ci), t], axis=1)
         passes = sum(check_c_prime(rows, lam) for rows in _trial_relators(m, l, d, seed, keys))
         report.cells.append(ScanCell(d=d, trials=trials, passes=passes))
     return report
-
-
-def exact_cprime_fraction_single_relator(m: int, l: int, lam) -> Fraction:
-    """Micro-oracle at d = 0: the exact fraction of single relators passing C'(λ)."""
-    lam = Fraction(lam)
-    words = enumerate_cyclically_reduced(m, l)
-    good = sum(1 for w in words if check_c_prime([w], lam))
-    return Fraction(good, len(words))
 
 
 # ---------------------------------------------------------------------------

@@ -520,57 +520,14 @@ def _search(cons: CompiledConstraints, rows: np.ndarray, mode: str, distinct: bo
     return out
 
 
-def fill_tuples_bruteforce(
-    diagram: Diagram,
-    words: Sequence[str],
-    distinct: bool = True,
-    upto: int | None = None,
-) -> list[tuple[str, ...]]:
-    """Test oracle: filter the full tuple product through the independent
-    verifier's conditions, read from the diagram once."""
-    ab = _infer_alphabet(list(words))
-    n = upto if upto is not None else diagram.n
-    conditions = _filling_conditions(diagram, ab, n)
-    coded = [ab.encode(w) for w in words]
-    out = []
-    for tup, codes in zip(itertools.product(words, repeat=n),
-                          itertools.product(coded, repeat=n)):
-        if distinct and len(set(tup)) != len(tup):
-            continue
-        if _meets_conditions(codes, conditions):
-            out.append(tup)
-    return out
-
-
-def count_partial_fillings_vectorized(
-    diagram: Diagram,
-    words: np.ndarray,
-    upto: int,
-    alphabet: Alphabet,
-    order: Sequence[int] | None = None,
-    budget: int = 10**7,
-) -> int:
-    """Number of `upto`-tuples of rows of `words` that partially fill the diagram.
-
-    `order` maps tuple slots to bearing indices (defaults to 1..upto);
-    repeats are allowed, matching the i.i.d. sampling semantics.
-    """
-    order = tuple(order) if order is not None else tuple(range(1, upto + 1))
-    order = order[:upto]
-    N = len(words)
-    if N**upto > budget:
-        raise BudgetExceededError(
-            f"{N}^{upto} tuples exceed the tuple budget {budget}", budget=budget
-        )
-    return _count_partial_fillings(compile_constraints(diagram, alphabet), words, upto, order)
-
-
-def _count_partial_fillings(cons: CompiledConstraints, words: np.ndarray, upto: int,
+def _count_partial_fillings(cons: CompiledConstraints, words: np.ndarray,
                             order: tuple[int, ...]) -> int:
-    """The count above for compiled constraints; slot s bears order[s]."""
+    """Number of len(order)-tuples of rows of `words` that partially fill the
+    compiled diagram, where slot s bears index order[s]; repeats are allowed,
+    matching the i.i.d. sampling semantics."""
     if cons.never_fillable:
         return 0
-    N = len(words)
+    N, upto = len(words), len(order)
 
     def along(column: np.ndarray, slot: int) -> np.ndarray:
         shape = [1] * upto

@@ -553,8 +553,9 @@ def max_piece_length(
       An owner's rank is its first end's stream position + 1, any other
       class's the length of its longest word.
 
-    `max_piece_length_quadratic` is the independent length oracle, and the
-    full automaton in the tests the witness oracle.
+    The all-pairs scan in `tests/oracles.py` is the independent length
+    oracle, and the full automaton in `tests/test_words.py` the witness
+    oracle.
     """
     texts = _relator_texts(relators)
     l = _text_length(texts)
@@ -661,26 +662,6 @@ def _relator_coincidences(texts: np.ndarray) -> list[tuple[int, int]]:
     return sorted(pair for g in groups for pair in combinations(g.tolist(), 2))
 
 
-def max_piece_length_quadratic(relators: Sequence[str]) -> int:
-    """All-pairs scan over rotation windows; the test oracle for max_piece_length."""
-    texts = _relator_texts(relators)
-    l = _text_length(texts)
-    if l < 2:
-        return 0
-    rows = [tuple(t) for t in texts.tolist()]
-    for L in range(l - 1, 0, -1):
-        seen: dict[tuple, tuple] = {}
-        for tid, t in enumerate(rows):
-            for p in range(l):
-                w = t[p : p + L]
-                slot = (tid, p)
-                prev = seen.get(w)
-                if prev is not None and prev != slot:
-                    return L
-                seen.setdefault(w, slot)
-    return 0
-
-
 def _has_repeated_window(texts: np.ndarray, L: int) -> bool:
     """Does some length-L subword occur at two distinct slots of `texts`?"""
     if not 1 <= L <= _text_length(texts) - 1:
@@ -697,12 +678,16 @@ def has_piece_of_length(relators: Sequence[str], L: int) -> bool:
     return _has_repeated_window(_relator_texts(relators), L)
 
 
+def check_lambda(lam: Fraction) -> None:
+    if not (0 < lam < 1):
+        raise DomainError(f"λ must lie in (0,1), got {lam}")
+
+
 def check_c_prime(relators: Sequence[str] | np.ndarray, lam: Fraction) -> bool:
     """Strict metric small cancellation C'(λ): every piece shorter than λ·l.
     The relators are words or an (R, l) letter-code matrix (`_relator_texts`)."""
     lam = Fraction(lam)
-    if not (0 < lam < 1):
-        raise DomainError(f"λ must lie in (0,1), got {lam}")
+    check_lambda(lam)
     texts = _relator_texts(relators)
     l = _text_length(texts)
     # max_piece >= λl  <=>  a repeated window of length ceil(λl) exists

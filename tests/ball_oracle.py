@@ -8,6 +8,10 @@ closure.  Its engine reduces every rewritten word in full and builds every
 complement word afresh, as the original did, and it builds its own set of
 detect windows, so it shares with the array path only the verified
 presentation and the arc index.
+
+`check_ball_invariants` asserts what any ball must satisfy, whichever way
+it was built: its graph-distance checks walk the recorded adjacency by
+levels.
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ import functools
 import json
 from dataclasses import dataclass
 
-from randomgroups.cayley import DEFAULT_CLOSURE_BUDGET, DEFAULT_VERTEX_BUDGET, DehnEngine
+import numpy as np
+
+from randomgroups.cayley import (
+    DEFAULT_CLOSURE_BUDGET,
+    DEFAULT_VERTEX_BUDGET,
+    CayleyBall,
+    DehnEngine,
+)
 from randomgroups.errors import BudgetExceededError, PartialBallError
 from randomgroups.model import Presentation
 from randomgroups.words import _reduce_ints, _relator_texts, _slot_windows
@@ -249,3 +260,45 @@ def cayley_ball_oracle(
         dist=dist,
         adjacency=adjacency,
     )
+
+
+def check_ball_invariants(ball: CayleyBall, samples: int = 200, seed: int = 0) -> None:
+    """Assert the origin is "1" at distance 0, every edge joins adjacent
+    levels and is recorded both ways, every vertex inside the rim is
+    closed, and `samples` random pairs satisfy the triangle inequality
+    through the origin."""
+    adj, dist = ball.adjacency, ball.dist
+    assert dist[0] == 0 and ball.words[0] == "1"
+    u, x = np.nonzero(adj >= 0)
+    v = adj[u, x]
+    assert (np.abs(dist[u] - dist[v]) <= 1).all()
+    assert (adj[v, x ^ 1] == u).all()
+    open_ = np.flatnonzero((adj < 0).any(axis=1) & (dist < ball.radius))
+    assert not open_.size, (
+        f"vertex {open_[0]} at distance {dist[open_[0]]} is not closed"
+    )
+    rng = np.random.default_rng(seed)
+    n = len(ball.words)
+    for _ in range(samples):
+        a, b = int(rng.integers(n)), int(rng.integers(n))
+        assert abs(int(dist[a]) - int(dist[b])) <= _graph_distance(ball, a, b)
+
+
+def _graph_distance(ball: CayleyBall, a: int, b: int) -> int:
+    """Length of a shortest path from a to b inside the ball, by levels."""
+    if a == b:
+        return 0
+    seen = np.zeros(len(ball.dist), dtype=bool)
+    seen[a] = True
+    frontier = np.array([a])
+    d = 0
+    while frontier.size:
+        d += 1
+        nxt = ball.adjacency[frontier].ravel()
+        nxt = np.unique(nxt[nxt >= 0])
+        nxt = nxt[~seen[nxt]]
+        if (nxt == b).any():
+            return d
+        seen[nxt] = True
+        frontier = nxt
+    return int(ball.dist.max()) * 2 + 1  # disconnected within the ball: only at the rim

@@ -39,7 +39,6 @@ from randomgroups.diagrams import (
     boundary_walks,
     enumerate_diagrams,
     fill,
-    fill_tuples_bruteforce,
     glue_face,
     restrict_boundary,
     single_face_diagram,
@@ -55,12 +54,12 @@ from randomgroups.words import (
     Alphabet,
     enumerate_cyclically_reduced,
     max_piece_length,
-    max_piece_length_quadratic,
     rivin_count,
     sample_cyclically_reduced,
 )
 
 from tests.conftest import TREE_DEMO
+from tests.oracles import fill_tuples_bruteforce, max_piece_length_quadratic
 
 
 class _Criterion:

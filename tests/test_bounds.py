@@ -155,6 +155,33 @@ def test_exact_fillability_budget():
         exact_fillability(d, 2, 3, budget=10)
 
 
+@pytest.mark.parametrize("exact", [exact_fillability, exact_partial_fillability_sequence])
+def test_tuple_budget_checked_before_enumerating(monkeypatch, exact):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated words before checking the tuple budget")
+
+    monkeypatch.setattr(bounds_mod, "enumerate_cyclically_reduced", no_enumeration)
+    # 4 782 972 words of length 14 at m = 2
+    with pytest.raises(BudgetExceededError):
+        exact(single_face_diagram(14), 2, 14, budget=1000)
+    # the message names the N^n tuples of p_n, though N^1 = 28 fits
+    bigon = glue_face(single_face_diagram(3), 0, 1, bears=2)
+    with pytest.raises(BudgetExceededError, match=r"^28\^2 tuples exceed the tuple budget 100$"):
+        exact(bigon, 2, 3, budget=100)
+
+
+def test_exact_fillability_is_the_last_term_of_the_sequence():
+    rng = random.Random(11)
+    for l in (3, 4):
+        diagrams, _ = enumerate_diagrams(2, l)
+        for d in diagrams:
+            walk = boundary_walks(d)[0]
+            pat = {i: "aAbB"[rng.randrange(4)] for i in rng.sample(range(len(walk)), 2)}
+            for dd in (d, restrict_boundary(d, pat)):
+                assert exact_fillability(dd, 2, l).exact == \
+                    exact_partial_fillability_sequence(dd, 2, l)[-1]
+
+
 def test_inductive_fill_bound_example():
     # single face, E_1 = 3 restricted edges, m=2: p_1 bound = 4/27
     d = restrict_boundary(single_face_diagram(4), {0: "a", 1: "b", 2: "B"})
@@ -291,8 +318,9 @@ def test_exact_sequence_compiles_the_diagram_once(monkeypatch):
     arr = np.array([ab.encode(w) for w in enumerate_cyclically_reduced(2, 4)], dtype=np.int8)
     order = belonging(d).order
     N = len(arr)
-    per_index = [Fraction(diagrams_mod.count_partial_fillings_vectorized(d, arr, i, ab, order),
-                          N**i) for i in range(1, d.n + 1)]
+    cons = diagrams_mod.compile_constraints(d, ab)
+    per_index = [Fraction(diagrams_mod._count_partial_fillings(cons, arr, order[:i]), N**i)
+                 for i in range(1, d.n + 1)]
     calls = []
     real = diagrams_mod.compile_constraints
 

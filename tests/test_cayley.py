@@ -16,7 +16,6 @@ from randomgroups.cayley import (
     cprime_genericity_scan,
     dehn_reduce,
     distance,
-    exact_cprime_fraction_single_relator,
     hyperbolicity_delta_bound,
     is_dehn_ready,
     is_geodesic,
@@ -34,8 +33,9 @@ from randomgroups.words import (
     reduce_word,
 )
 
-from tests.ball_oracle import _oracle_engine, cayley_ball_oracle
+from tests.ball_oracle import _oracle_engine, cayley_ball_oracle, check_ball_invariants
 from tests.conftest import find_verified_presentation
+from tests.oracles import exact_cprime_fraction_single_relator
 
 
 def _random_reduced_word(ab, length, rng):
@@ -98,7 +98,7 @@ def test_free_ball_below_half(verified_presentation):
 
 def test_ball_invariants_and_closure(verified_presentation):
     ball = cayley_ball(verified_presentation, 6)
-    ball.check_invariants(samples=100, seed=1)
+    check_ball_invariants(ball, samples=100, seed=1)
 
 
 def test_radius_zero_and_one(verified_presentation):

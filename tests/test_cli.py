@@ -338,6 +338,10 @@ BAD_INPUTS = {
                         "--seed -1",
     "scan-negative-seed": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials 1 --seed -1",
     "scan-negative-trials": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials -1",
+    # a scan of no trials refuses what a scan of three does
+    "scan-no-trials-lam-2": "cprime-scan --m 2 --l 8 --lam 2 --d-grid 0 --trials 0",
+    "scan-no-trials-d-2": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 2 --trials 0",
+    "scan-no-trials-m-1-l-0": "cprime-scan --m 1 --l 0 --lam 1/3 --d-grid 0 --trials 0",
     "confdim-const-zero": "bounds --which confdim --d 1/4 --const 0",
     "confdim-const-negative": "bounds --which confdim --d 1/4 --const -1",
     "confdim-const-huge": "bounds --which confdim --d 1/4 --const 1e400",

@@ -89,7 +89,6 @@ UNREAD_PUBLIC_NAMES = {
     # library API for the paper's statements, checked only by tests
     "bounds.rule_out_dominates": "exact test that p is below the rule-out bound",
     "bounds.q_constant": "path-fillability factor for user-supplied constants",
-    "bounds.exact_partial_fillability_sequence": "exact p_1..p_n of a diagram",
     "bounds.presentation_fill_probability_exact": "closed form for n(X) = 1 diagrams",
     "cayley.is_geodesic": "geodesic query beside `distance`",
     "diagrams.boundary_word": "boundary label of a filled diagram",
@@ -100,10 +99,6 @@ UNREAD_PUBLIC_NAMES = {
     "words.cyclically_reduce": "word algebra, re-exported by the package",
     "words.inverse_word": "word algebra",
     "words.has_piece_of_length": "exact piece test for one length",
-    # oracles that tests compare the fast paths against
-    "cayley.exact_cprime_fraction_single_relator": "enumeration oracle for the C' scan",
-    "diagrams.fill_tuples_bruteforce": "brute-force oracle for the filler",
-    "words.max_piece_length_quadratic": "all-pairs oracle for max_piece_length",
 }
 
 

@@ -27,13 +27,13 @@ from randomgroups.words import (
     inverse_word,
     is_cyclically_reduced_word,
     max_piece_length,
-    max_piece_length_quadratic,
     reduce_word,
     rivin_count,
     sample_cyclically_reduced,
 )
 
 from tests.conftest import long_relator_sets, relator_sets
+from tests.oracles import max_piece_length_quadratic
 
 
 def test_alphabet_round_trip():
