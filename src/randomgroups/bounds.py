@@ -21,7 +21,6 @@ from .diagrams import (
     Diagram,
     _count_partial_fillings,
     _search,
-    belonging,
     compile_constraints,
 )
 from .errors import BudgetExceededError, DomainError, PreconditionError
@@ -33,10 +32,10 @@ DEFAULT_TUPLE_BUDGET = 10**7
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials <= 0:
         raise DomainError("Wilson interval needs at least one trial")
-    p = successes / trials
+    p, z = successes / trials, _Z99
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
@@ -153,8 +152,10 @@ def inductive_fill_bounds(
     """Cumulative per-index bounds p_i <= 2m(2m-1)^(-E_i) p_{i-1} and
     P_i <= (2m-1)^(i d l) p_i, with exact exponent arithmetic.
 
-    Indices follow the report's multiplicity-sorted order.
+    Indices follow the report's multiplicity-sorted order.  PreconditionError
+    unless the diagram's faces are l-gons.
     """
+    _check_l(report.face_size, l)
     d = Fraction(d)
     base = 2 * m - 1
     out = []
@@ -292,6 +293,14 @@ def q_constant(C: int, N, P) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_l(face_size: int | None, l: int) -> None:
+    """PreconditionError unless the diagram's faces, of size `face_size`
+    (None when sizes differ), are l-gons."""
+    if face_size != l:
+        faces = "faces of several sizes" if face_size is None else f"{face_size}-gon faces"
+        raise PreconditionError(f"the diagram has {faces}, not l={l}")
+
+
 def exact_fillability(
     diagram: Diagram, m: int, l: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> FillProbability:
@@ -309,18 +318,19 @@ def exact_partial_fillability_sequence(
 ) -> list[Fraction]:
     """Exact p_1, ..., p_n in multiplicity-sorted order (tuples may repeat),
     by exhaustive tuple enumeration.  The N^n tuples of p_n bound every
-    prefix's N^i, so the budget is checked once, before any word is listed."""
+    prefix's N^i, so the budget is checked once, before any word is listed.
+    PreconditionError unless the diagram is made of l-gons."""
     N, n = rivin_count(m, l), diagram.n
     if N**n > budget:
         raise BudgetExceededError(
             f"{N}^{n} tuples exceed the tuple budget {budget}", budget=budget
         )
     ab = Alphabet(m)
-    order = belonging(diagram).order
     cons = compile_constraints(diagram, ab)
+    _check_l(cons.l, l)
     words = enumerate_cyclically_reduced(m, l, budget)
     arr = np.array([ab.encode(w) for w in words], dtype=np.int8)
-    return [Fraction(_count_partial_fillings(cons, arr, order[:i]), N**i)
+    return [Fraction(_count_partial_fillings(cons, arr, cons.order[:i]), N**i)
             for i in range(1, n + 1)]
 
 
@@ -369,8 +379,7 @@ def mc_fillability(
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     check_seed(seed)
     cons = compile_constraints(diagram, Alphabet(m))
-    if cons.l != l:
-        raise PreconditionError(f"the diagram has {cons.l}-gon faces, not l={l}")
+    _check_l(cons.l, l)
     jobs = min(jobs, os.cpu_count() or 1, trials)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -7,8 +7,8 @@ bigon diagrams.  The ball construction identifies vertices through that swap
 closure, so every vertex carries the lexicographically least geodesic word.
 
 Presentations that are not verified refuse all exact queries.  A separate
-naive-closure mode returns distance upper bounds with an explicit warning
-flag and no exactness claim (used by the high-density probes).
+naive-closure mode returns distance upper bounds (`UnverifiedBall`), with no
+exactness claim (used by the high-density probes).
 """
 
 from __future__ import annotations
@@ -594,8 +594,6 @@ class UnverifiedBall:
     """
 
     presentation: Presentation
-    word_cap: int
-    warning: str
     _index: dict[tuple[int, ...], int]
     _root: list[int]
     _dist: dict[int, int]
@@ -706,11 +704,6 @@ def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
                     q.append(rv)
     return UnverifiedBall(
         presentation=p,
-        word_cap=word_cap,
-        warning=(
-            "distances are upper bounds from a bounded relator closure; "
-            "no small-cancellation guarantee applies"
-        ),
         _index=index,
         _root=root,
         _dist=dist,

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import BudgetExceededError, PreconditionError, RandomGroupsError
+from .errors import BudgetExceededError, DomainError, PreconditionError, RandomGroupsError
 from . import bounds as bounds_mod
 from . import cayley as cayley_mod
 from . import diagrams as diagrams_mod
@@ -392,6 +392,9 @@ def cmd_transfer_params(args, cfg):
 
 
 def cmd_roundtree_build(args, cfg):
+    levels = _resolve(args, cfg, "levels", int, required=True)
+    if levels < 0:
+        raise DomainError(f"need --levels >= 0, got {levels}")
     host = _load_presentation(args)
     params = roundtree_mod.RoundTreeParams(
         V=_resolve(args, cfg, "branching-v", int, required=True),
@@ -402,7 +405,6 @@ def cmd_roundtree_build(args, cfg):
         search_budget=_resolve(args, cfg, "search-budget", int,
                                default=roundtree_mod.DEFAULT_SEARCH_BUDGET),
     )
-    levels = _resolve(args, cfg, "levels", int, required=True)
     tree = roundtree_mod.init_round_tree(host, params)
     for _ in range(levels):
         tree.grow_level()

@@ -8,8 +8,11 @@ face with orientation -1 reads its word against that storage direction.
 The k-th edge of a face (k = 1..l) starts at the distinguished edge and
 follows the face's own reading direction.
 
-Filling reads a `CompiledConstraints` that `compile_constraints` makes once
-per diagram: `fill`, the exact counts and each Monte Carlo trial share it.
+`belonging` is the one pass over a diagram's edges: it validates the
+diagram once and reads its side map once, for the charges behind the degree
+of constraint and for the filling conditions.  `compile_constraints` is that
+report with its letters coded, made once per diagram: `fill`, the exact
+counts and each Monte Carlo trial share it.
 
 Conventions fixed here (the module's canonical isomorphism):
   * interior edges must be traversed oppositely by their two face sides
@@ -267,7 +270,13 @@ class ConstraintReport:
     restricted_count: int
     boundary_count: int
     face_count: int
-    face_size: int
+    face_size: int | None                # the diagram's l; None when face sizes differ
+    # the filling conditions by bearing index, each shared edge at its later
+    # (i, k) end; `flip` is 1 where both faces read the edge the same way,
+    # so its letters satisfy x == y ^ 1
+    letters: dict[int, list[tuple[int, str]]]          # i -> [(k, restricted letter)]
+    same: dict[int, list[tuple[int, int, int]]]        # i -> [(k1, k2, flip)]
+    cross: dict[int, list[tuple[int, int, int, int]]]  # later i2 -> [(i1, k1, k2, flip)]
 
     def to_rows(self) -> list[dict]:
         return [
@@ -282,39 +291,53 @@ class ConstraintReport:
 
 
 def belonging(diagram: Diagram) -> ConstraintReport:
-    """Charge every constrained edge to a face ("the second face it meets").
+    """One pass over a valid diagram's edges: the charges and the filling
+    conditions.  PreconditionError, naming the first violation, unless the
+    diagram is valid.
 
-    Relator indices are normalized so multiplicities are non-increasing
-    (order is a presentation convention); the report records the order used.
-    Tie edges are charged to the later face and flag the diagram
-    never-fillable, keeping d_c = |I| + |r^-1(1)| exact for every reduced
-    diagram.
+    Every constrained edge is charged to a face ("the second face it
+    meets").  Relator indices are normalized so multiplicities are
+    non-increasing (order is a presentation convention); the report records
+    the order used.  Tie edges are charged to the later face and flag the
+    diagram never-fillable, keeping d_c = |I| + |r^-1(1)| exact for every
+    reduced diagram.  A tie is the same test on bearing indices as on their
+    ranks, since ranking is a bijection.
     """
-    if not validate(diagram).valid:
-        raise PreconditionError("belonging requires a valid diagram")
+    report = validate(diagram)
+    if not report.valid:
+        raise PreconditionError(f"the diagram is not valid: {report.violations[0]}")
     n = diagram.n
     mult = {i: sum(1 for f in diagram.faces if f.bears == i) for i in range(1, n + 1)}
     order = tuple(sorted(mult, key=lambda i: (-mult[i], i)))
     rank = {orig: pos + 1 for pos, orig in enumerate(order)}  # original -> sorted position
 
-    sides = diagram.side_map()
+    letters: dict[int, list] = {i: [] for i in mult}
+    same: dict[int, list] = {i: [] for i in mult}
+    cross: dict[int, list] = {i: [] for i in mult}
     belongs: dict[int, int] = {}
     ties: list[int] = []
-    for e, s in sides.items():
+    internal = 0
+    for e, s in diagram.side_map().items():
         if len(s) == 2:
+            internal += 1
             (f1, p1, _), (f2, p2, _) = s
             a, b = diagram.faces[f1], diagram.faces[f2]
-            key1 = (rank[a.bears], k_of(a, p1))
-            key2 = (rank[b.bears], k_of(b, p2))
-            if key1 > key2:
-                belongs[e] = f1
-            elif key2 > key1:
-                belongs[e] = f2
-            else:
+            ka, kb = k_of(a, p1), k_of(b, p2)
+            key1, key2 = (rank[a.bears], ka), (rank[b.bears], kb)
+            belongs[e] = max((key1, f1), (key2, f2))[1]
+            if key1 == key2:
                 ties.append(e)
-                belongs[e] = max(f1, f2)
+            flip = int(a.orientation == b.orientation)
+            (i1, k1), (i2, k2) = sorted([(a.bears, ka), (b.bears, kb)])
+            if i1 == i2:
+                same[i1].append((k1, k2, flip))
+            else:
+                cross[i2].append((i1, k1, k2, flip))
         elif len(s) == 1 and e in diagram.restrictions:
-            belongs[e] = s[0][0]
+            (f1, p1, _) = s[0]
+            belongs[e] = f1
+            f = diagram.faces[f1]
+            letters[f.bears].append((k_of(f, p1), diagram.restrictions[e]))
 
     E_per_face = {fi: 0 for fi in range(len(diagram.faces))}
     for fi in belongs.values():
@@ -326,7 +349,7 @@ def belonging(diagram: Diagram) -> ConstraintReport:
         )
         for orig, pos in rank.items()
     }
-    boundary = diagram.boundary_edges()
+    sizes = diagram.face_sizes
     return ConstraintReport(
         belongs=belongs,
         E_per_face=E_per_face,
@@ -336,11 +359,14 @@ def belonging(diagram: Diagram) -> ConstraintReport:
         d_c=sum(E_per_face.values()),
         tie_edges=ties,
         never_fillable=bool(ties),
-        internal_count=len(diagram.internal_edges()),
+        internal_count=internal,
         restricted_count=len(diagram.restrictions),
-        boundary_count=len(boundary),
+        boundary_count=len(diagram.edges) - internal,  # `validate`: at most two sides an edge
         face_count=len(diagram.faces),
-        face_size=max(diagram.face_sizes) if diagram.faces else 0,
+        face_size=min(sizes) if len(sizes) == 1 else None,
+        letters=letters,
+        same=same,
+        cross=cross,
     )
 
 
@@ -351,11 +377,11 @@ def belonging(diagram: Diagram) -> ConstraintReport:
 
 @dataclass
 class CompiledConstraints:
-    """A diagram's filling conditions by bearing index.  `flip` is 1 where both
-    faces read a shared edge the same way, so its letters satisfy x == y ^ 1."""
+    """`belonging`'s filling conditions with the restricted letters coded."""
 
     n: int
     l: int
+    order: tuple[int, ...]                              # `belonging`'s order
     alphabet: Alphabet
     unary: dict[int, list[tuple[int, int]]]             # i -> [(k, letter code)]
     same: dict[int, list[tuple[int, int, int]]]         # i -> [(k1, k2, flip)]
@@ -364,41 +390,21 @@ class CompiledConstraints:
 
 
 def compile_constraints(diagram: Diagram, alphabet: Alphabet) -> CompiledConstraints:
-    """The constraints every filling routine reads; PreconditionError unless
-    the diagram is valid, bridgeless and made of l-gons of one size.
-
-    Each shared edge is ordered so (i1, k1) <= (i2, k2); equality is a tie,
-    exactly `belonging`'s test, since ranking bearing indices is a bijection.
-    """
-    report = validate(diagram)
-    if not report.valid:
-        raise PreconditionError(f"filling requires a valid diagram: {report.violations[0]}")
-    if diagram.bridges():
+    """The constraints every filling routine reads: `belonging`'s report with
+    its letters coded.  PreconditionError unless the diagram is valid,
+    bridgeless and made of l-gons of one size."""
+    rep = belonging(diagram)
+    # an internal edge has two face sides and every other edge one, unless
+    # it is a bridge, with none
+    if rep.boundary_count + 2 * rep.internal_count != sum(len(f.boundary) for f in diagram.faces):
         raise PreconditionError("filling assumes every edge bounds a face")
-    sizes = diagram.face_sizes
-    if len(sizes) != 1:
+    if rep.face_size is None:
         raise PreconditionError("filling assumes all faces are l-gons of equal size")
-    indices = range(1, diagram.n + 1)
-    cons = CompiledConstraints(
-        n=diagram.n, l=sizes.pop(), alphabet=alphabet, unary={i: [] for i in indices},
-        same={i: [] for i in indices}, cross={i: [] for i in indices}, never_fillable=False,
+    return CompiledConstraints(
+        n=diagram.n, l=rep.face_size, order=rep.order, alphabet=alphabet,
+        unary={i: [(k, alphabet.encode(x)[0]) for k, x in ks] for i, ks in rep.letters.items()},
+        same=rep.same, cross=rep.cross, never_fillable=rep.never_fillable,
     )
-    for e, s in diagram.side_map().items():
-        if len(s) == 2:
-            (f1, p1, _), (f2, p2, _) = s
-            a, b = diagram.faces[f1], diagram.faces[f2]
-            flip = int(a.orientation == b.orientation)
-            (i1, k1), (i2, k2) = sorted([(a.bears, k_of(a, p1)), (b.bears, k_of(b, p2))])
-            cons.never_fillable |= (i1, k1) == (i2, k2)
-            if i1 == i2:
-                cons.same[i1].append((k1, k2, flip))
-            else:
-                cons.cross[i2].append((i1, k1, k2, flip))
-        elif len(s) == 1 and e in diagram.restrictions:
-            (f1, p1, _) = s[0]
-            f = diagram.faces[f1]
-            cons.unary[f.bears].append((k_of(f, p1), alphabet.encode(diagram.restrictions[e])[0]))
-    return cons
 
 
 def _index_mask(words: np.ndarray, cons: CompiledConstraints, i: int) -> np.ndarray:
@@ -595,11 +601,22 @@ def boundary_walks(diagram: Diagram) -> list[list[tuple[int, int]]]:
     return walks
 
 
-def boundary_word(diagram: Diagram, filling: Sequence[str]) -> tuple[str, str]:
-    """Boundary label word of a filled diagram and its free reduction."""
+def _require_filling(diagram: Diagram, filling: Sequence[str]) -> Alphabet:
+    """The alphabet of `filling`; PreconditionError unless it is n(X) words,
+    each as long as the faces bearing it, that fill the diagram."""
+    if len(filling) != diagram.n or any(
+            len(filling[f.bears - 1]) != len(f.boundary) for f in diagram.faces):
+        raise PreconditionError(
+            f"a filling is {diagram.n} words, one per bearing index, as long as its faces")
     ab = _infer_alphabet(list(filling))
     if not verify_filling(diagram, filling, ab):
         raise PreconditionError("the given words do not fill the diagram")
+    return ab
+
+
+def boundary_word(diagram: Diagram, filling: Sequence[str]) -> tuple[str, str]:
+    """Boundary label word of a filled diagram and its free reduction."""
+    ab = _require_filling(diagram, filling)
     walks = boundary_walks(diagram)
     if not walks:
         raise PreconditionError("diagram has no boundary")
@@ -634,9 +651,7 @@ def isoperimetric_check(
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     if filling is not None:
-        ab = _infer_alphabet(list(filling))
-        if not verify_filling(diagram, filling, ab):
-            raise PreconditionError("the given words do not fill the diagram")
+        _require_filling(diagram, filling)
     l = max(diagram.face_sizes)
     ratio = Fraction(len(diagram.boundary_edges()), l * len(diagram.faces))
     return ratio, ratio >= 1 - 2 * d - epsilon
@@ -872,8 +887,6 @@ def _code_from_root(diagram: Diagram, sides, root: int) -> tuple:
 @dataclass
 class EnumerationReport:
     count: int
-    faces_budget: int
-    face_size: int
     log_l_count: float
     shape_bound_exponent: int  # the l-exponent 4C of the counting bound
 
@@ -956,8 +969,6 @@ def enumerate_diagrams(
 
     report = EnumerationReport(
         count=len(out),
-        faces_budget=C,
-        face_size=l,
         log_l_count=math.log(len(out), l) if len(out) and l > 1 else 0.0,
         shape_bound_exponent=4 * C,
     )

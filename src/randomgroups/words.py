@@ -524,10 +524,7 @@ def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
     return _WindowIndex(_relator_texts(relators))
 
 
-def max_piece_length(
-    relators: Sequence[str],
-    lambdas: Sequence[Fraction] = _DEFAULT_LAMBDAS,
-) -> PieceReport:
+def max_piece_length(relators: Sequence[str]) -> PieceReport:
     """Maximum piece length over all rotations of the relators and inverses.
 
     The length is one sort: the length-(l-1) slot windows are sorted, and the
@@ -572,7 +569,7 @@ def max_piece_length(
             tids = np.unique(order[np.concatenate([pairs, pairs + 1])] // l)
             report.max_piece_length = plen
             report.witness = _piece_witness(texts, tids.tolist(), plen)
-    report.lambda_threshold_passed = {lam: report.passes(lam) for lam in lambdas}
+    report.lambda_threshold_passed = {lam: report.passes(lam) for lam in _DEFAULT_LAMBDAS}
     return report
 
 

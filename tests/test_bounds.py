@@ -26,6 +26,9 @@ from randomgroups.bounds import (
 from randomgroups import bounds as bounds_mod
 from randomgroups import diagrams as diagrams_mod
 from randomgroups.diagrams import (
+    Diagram,
+    Edge,
+    Face,
     belonging,
     boundary_walks,
     enumerate_diagrams,
@@ -96,7 +99,7 @@ def test_emanating_bound_simplification_at_k_eq_dl():
 
 def test_transfer_params_values():
     tp = transfer_params(Fraction(1, 4))
-    assert tp.epsilon == Fraction(1, 4)
+    assert tp.d_t == Fraction(1, 4) and tp.epsilon == Fraction(1, 4)
     assert tp.d_s == Fraction(1, 10**7) / 64
     assert tp.beta == Fraction(1, 10**7) / 16
     assert tp.eta == Fraction(1, 10**8) / 256
@@ -333,6 +336,50 @@ def test_exact_sequence_compiles_the_diagram_once(monkeypatch):
     assert per_index[-1] > 0
     assert exact_partial_fillability_sequence(d, 2, 4) == per_index
     assert calls == [d]
+
+
+def test_exact_sequence_validates_the_diagram_once(monkeypatch):
+    calls = []
+    real = diagrams_mod.validate
+
+    def counting(diagram):
+        calls.append(diagram)
+        return real(diagram)
+
+    monkeypatch.setattr(diagrams_mod, "validate", counting)
+    d = restrict_boundary(glue_face(single_face_diagram(3), 0, 1, bears=2), {0: "a"})
+    exact_partial_fillability_sequence(d, 2, 3)
+    assert calls == [d]
+
+
+@pytest.mark.parametrize("l", [3, 5, 40])
+def test_bounds_refuse_faces_that_are_not_l_gons(l):
+    # a square restricted at all four positions
+    d = restrict_boundary(single_face_diagram(4), dict(enumerate("abAB")))
+    message = f"^the diagram has 4-gon faces, not l={l}$"
+    if l < 40:
+        for exact in (exact_fillability, exact_partial_fillability_sequence):
+            with pytest.raises(PreconditionError, match=message):
+                exact(d, 2, l)
+        with pytest.raises(PreconditionError, match=message):
+            presentation_fill_probability_exact(d, 2, l, Fraction(1, 4))
+        with pytest.raises(PreconditionError, match=message):
+            mc_fillability(d, 2, l, Fraction(1, 4), trials=5, seed=0)
+    with pytest.raises(PreconditionError, match=message):
+        inductive_fill_bounds(belonging(d), 2, l, Fraction(1, 4))
+
+
+def test_inductive_refuses_faces_of_several_sizes():
+    # a triangle and a square glued along edge 1
+    edges = {i: Edge(i, s, t) for i, s, t in
+             [(1, 0, 1), (2, 1, 2), (3, 2, 0), (4, 0, 3), (5, 3, 4), (6, 4, 1)]}
+    faces = (Face(bears=1, orientation=1, boundary=(1, 2, 3)),
+             Face(bears=2, orientation=1, boundary=(-1, 4, 5, 6)))
+    d = Diagram(vertices=tuple(range(5)), edges=edges, faces=faces)
+    rep = belonging(d)
+    assert rep.face_size is None and rep.d_c == 1
+    with pytest.raises(PreconditionError, match="^the diagram has faces of several sizes, not l=4$"):
+        inductive_fill_bounds(rep, 2, 4, Fraction(1, 4))
 
 
 @pytest.mark.parametrize("index", [0, 3])

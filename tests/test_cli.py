@@ -369,6 +369,24 @@ BAD_INPUTS = {
     "fill-bears-not-int": "fill --diagram {bears_str} --words abAB",
     "exact-label-not-string": "fillprob-exact --diagram {label_int} --m 2 --l 4",
     "constraint-vertex-not-int": "constraint --diagram {vertex_list}",
+    # a square's faces are not --l-gons
+    "exact-l-below-faces": "fillprob-exact --diagram {square_restricted} --m 2 --l 3",
+    "exact-l-above-faces": "fillprob-exact --diagram {square_restricted} --m 2 --l 5",
+    "inductive-l-not-faces": "bounds --which inductive --diagram {square_restricted} "
+                             "--l 40 --d 1/4",
+    "build-negative-levels": "roundtree-build --in {host} --branching-v 2 --bigh 4 "
+                             "--ext-offset 1 --ext-len 1 --levels -3",
+    "probe-radius-0": "roundtree-probe --tree {tree} --target {verified} "
+                      "--which distortion --radius 0 --samples 3",
+    "probe-radius-negative": "roundtree-probe --tree {tree} --target {verified} "
+                             "--which distortion --radius -2 --samples 3",
+}
+
+# the flag that the error of a BAD_INPUTS case must name
+NAMED_FLAG = {
+    "build-negative-levels": "--levels",
+    "probe-radius-0": "radius",
+    "probe-radius-negative": "radius",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget
@@ -398,6 +416,7 @@ def _bad_input_files(tmp_path) -> dict:
     bears_str["faces"][0]["bears"] = "1"
     label_int["restrictions"] = [{"edge": 1, "label": 5}]
     vertex_list["vertices"][0] = [0]
+    square_restricted = restrict_boundary(single_face_diagram(4), dict(enumerate("abAB")))
     texts = {
         "bad": "this is not JSON\n",
         "triangle": json.dumps(triangle),
@@ -407,6 +426,7 @@ def _bad_input_files(tmp_path) -> dict:
         "bears_str": json.dumps(bears_str),
         "label_int": json.dumps(label_int),
         "vertex_list": json.dumps(vertex_list),
+        "square_restricted": diagram_to_json(square_restricted),
         # "-1" would index the tree's vertices from the end
         "path_negative": "path=-1,0\n",
         "zero_denominator": "gromov-presentation v1\nm=2 l=4 d=1/0 seed=0 count=1 "
@@ -451,6 +471,7 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_pr
     assert run(BAD_INPUTS[case].format(**files).split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert NAMED_FLAG.get(case, "") in err
 
 
 @pytest.mark.parametrize("case", sorted(OVER_BUDGET_INPUTS))

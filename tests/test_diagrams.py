@@ -11,6 +11,7 @@ from randomgroups.diagrams import (
     Diagram,
     Edge,
     Face,
+    _filling_conditions,
     belonging,
     boundary_walks,
     boundary_word,
@@ -176,6 +177,38 @@ def test_compiled_never_fillable_matches_belonging(l):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("C, l", [(1, 3), (2, 3), (2, 4), (3, 3)])
+def test_compiled_conditions_match_the_oracle(C, l):
+    # as sets, 0-based, each shared edge with its ends in (i, k) order
+    ab = Alphabet(2)
+    rng = random.Random(19 * C + l)
+    for d in enumerate_diagrams(C, l)[0][:60]:
+        walk = boundary_walks(d)[0]
+        pat = {i: rng.choice(ab.letters) for i in rng.sample(range(len(walk)), rng.randint(0, 3))}
+        rd = restrict_boundary(d, pat)
+        cons = compile_constraints(rd, ab)
+        pairs, letters = _filling_conditions(rd, ab, rd.n)
+        assert {(i - 1, k - 1, code) for i, ks in cons.unary.items() for k, code in ks} == \
+            set(letters)
+        compiled = {(i - 1, k1 - 1, i - 1, k2 - 1, flip)
+                    for i, ks in cons.same.items() for k1, k2, flip in ks}
+        compiled |= {(i1 - 1, k1 - 1, i2 - 1, k2 - 1, flip)
+                     for i2, ks in cons.cross.items() for i1, k1, k2, flip in ks}
+        assert compiled == {(*min(a[:2], a[2:4]), *max(a[:2], a[2:4]), a[4]) for a in pairs}
+
+
+def test_invalid_diagram_message_names_the_violation():
+    d = single_face_diagram(3)
+    edges = dict(d.edges)
+    edges[1] = Edge(1, 77, edges[1].dst)
+    bad = Diagram(vertices=d.vertices, edges=edges, faces=d.faces)
+    violation = validate(bad).violations[0]
+    for reads in (belonging, lambda x: compile_constraints(x, Alphabet(2)),
+                  lambda x: fill(x, ["abA"])):
+        with pytest.raises(PreconditionError, match=f"^the diagram is not valid: {violation}$"):
+            reads(bad)
+
+
 def test_fill_single_bigon():
     # single 2-gon face, relator "ab"
     d = single_face_diagram(2)
@@ -292,6 +325,20 @@ def test_boundary_word_requires_filling():
         boundary_word(d, ("abA", "abA"))
 
 
+@pytest.mark.parametrize("d, filling", [
+    (single_face_diagram(3), ["ab"]),
+    (single_face_diagram(3), ["abAB"]),
+    (single_face_diagram(3), ["abA", "abA"]),
+    (two_face_diagram(3, 1, bears=(1, 2)), ["abA"]),
+    (two_face_diagram(3, 1, bears=(1, 2)), ["abA", "AbAb"]),
+])
+def test_filling_of_the_wrong_shape_refused(d, filling):
+    with pytest.raises(PreconditionError, match="one per bearing index"):
+        boundary_word(d, filling)
+    with pytest.raises(PreconditionError, match="one per bearing index"):
+        isoperimetric_check(d, filling, Fraction(1, 4), Fraction(1, 10))
+
+
 def test_isoperimetric_examples():
     d = single_face_diagram(6)
     ratio, passes = isoperimetric_check(d, ["ababab"[:6]], Fraction(1, 4), Fraction(1, 100))
@@ -310,7 +357,7 @@ def test_ladder_examples():
     # single 2-cell: a ladder from one boundary arc to the opposite one
     d = single_face_diagram(4)
     v = classify_ladder(d, [0, 1], [2, 3])
-    assert v.is_ladder and len(v.cell_sequence) == 1
+    assert v.is_ladder and len(v.cell_sequence) == 1 and v.reason == ""
     # chain of 3 cells sharing only consecutive arcs
     d3 = single_face_diagram(4)
     d3 = glue_face(d3, 0, 1, bears=1)
@@ -331,7 +378,10 @@ def test_ladder_examples():
     b1 = sorted(faces_meet[0] - faces_meet[1])[:2]
     b2 = sorted(faces_meet[2] - faces_meet[1])[:2]
     v3 = classify_ladder(d3, b1, b2)
-    assert v3.is_ladder and len(v3.cell_sequence) == 3
+    assert v3.is_ladder and len(v3.cell_sequence) == 3 and v3.reason == ""
+    # beta1 may not reach the second cell
+    seam = sorted(faces_meet[0] & faces_meet[1])[:1]
+    assert classify_ladder(d3, b1 + seam, b2).reason == "beta1 meets R_2"
     # triangle of three mutually touching cells is not a ladder
     dt = single_face_diagram(4)
     dt = glue_face(dt, 0, 1, bears=1)
@@ -341,7 +391,8 @@ def test_ladder_examples():
         b1 = sorted(fm[0] - fm[1] - fm[2])[:1]
         b2 = sorted(fm[2] - fm[1] - fm[0])[:1]
         if b1 and b2:
-            assert not classify_ladder(dt, b1, b2).is_ladder
+            vt = classify_ladder(dt, b1, b2)
+            assert not vt.is_ladder and vt.reason == "cell intersection graph is not a path"
 
 
 def _vertices_of_face(d, fi):

@@ -9,6 +9,8 @@
   is read somewhere in `src/` outside its own definition (a re-export in
   `__init__.py` is no read), or is named in `UNREAD_PUBLIC_NAMES` with the
   reason it stays.
+- Every dataclass field in `src/randomgroups` is read as an attribute
+  somewhere in `src/` or `tests/`.
 """
 
 import ast
@@ -127,3 +129,21 @@ def test_every_public_name_is_read_or_listed():
               if not _is_read(name, path, first, last, mentions)]
     # a listed name that is read again, or gone, leaves the list
     assert sorted(unread) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of every annotated field of a `@dataclass` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    read = {node.attr for path in MODULES for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls}.{name}" for path in SOURCES
+              for cls, name in _dataclass_fields(_parse(path)) if name not in read]
+    assert unread == []

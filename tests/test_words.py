@@ -344,7 +344,7 @@ def _witness_from_state(d, rows, l, plen) -> PieceWitness:
     return PieceWitness(first=slots[0], second=slots[1], subword=sub)
 
 
-def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
+def _automaton_report(relators):
     """The full-automaton piece report: one suffix automaton over every
     doubled text; the witness oracle for `max_piece_length`."""
     texts = words._relator_texts(relators)
@@ -378,7 +378,7 @@ def _automaton_report(relators, lambdas=words._DEFAULT_LAMBDAS):
         if best_v >= 0:
             report.max_piece_length = best_len
             report.witness = _witness_from_state(slots[best_v], rows, l, best_len)
-    report.lambda_threshold_passed = {lam: report.passes(lam) for lam in lambdas}
+    report.lambda_threshold_passed = {lam: report.passes(lam) for lam in words._DEFAULT_LAMBDAS}
     return report
 
 
@@ -449,8 +449,10 @@ _LAMBDAS = (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 @settings(max_examples=300, deadline=None)
 def test_lambda_flags_match_check_c_prime(case):
     _m, rels = case
-    flags = max_piece_length(rels, _LAMBDAS).lambda_threshold_passed
-    assert flags == {lam: check_c_prime(rels, lam) for lam in _LAMBDAS}
+    report = max_piece_length(rels)
+    assert report.lambda_threshold_passed == {
+        lam: check_c_prime(rels, lam) for lam in words._DEFAULT_LAMBDAS}
+    assert [report.passes(lam) for lam in _LAMBDAS] == [check_c_prime(rels, lam) for lam in _LAMBDAS]
 
 
 def test_relator_coincidences_reported():
