@@ -34,11 +34,7 @@ from .words import (
     _decode_rows,
     _join,
     _reduce_ints,
-    _relator_texts,
     _relator_windows,
-    _slot_windows,
-    _text_length,
-    _window_keys,
     check_c_prime,
     check_lambda,
     max_piece_length,
@@ -74,48 +70,17 @@ def ensure_dehn_ready(p: Presentation) -> PieceReport:
     return rep
 
 
-class _RelatorArcs:
-    """Occurrence index over the cyclic rotations of relators and inverses:
-    the slot (text ti, position q) of `texts` of each length-`gram` window.
-
-    A window longer than every piece lies at one slot only, so each window
-    maps to its one slot.  The Dehn engine's grams are such: under the gate,
-    6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
-    """
-
-    def __init__(self, texts: np.ndarray, gram: int):
-        self.l = _text_length(texts)
-        self.gram = gram
-        self.texts = [tuple(t) for t in texts.tolist()]
-        windows = map(tuple, _slot_windows(texts, gram).tolist())
-        self.index = {key: divmod(slot, self.l) for slot, key in enumerate(windows)}
-        assert len(self.index) == len(self.texts) * self.l, "a window lies at two slots"
-
-    def match(self, word: tuple[int, ...], i: int) -> tuple[int, int, int] | None:
-        """The maximal arc match (text, q, length) starting at position i, or
-        None."""
-        # every key has gram letters, so a shorter tail finds none
-        hit = self.index.get(word[i : i + self.gram])
-        if hit is None:
-            return None
-        ti, q = hit
-        t = self.texts[ti]
-        n = len(word)
-        j = self.gram
-        # t has 2l-1 letters and q, j < l, so t[q + j] is always inside it
-        while i + j < n and j < self.l and word[i + j] == t[q + j]:
-            j += 1
-        return ti, q, j
-
-    def complement_inverse(self, ti: int, q: int, j: int) -> tuple[int, ...]:
-        """For a matched arc s = t[q:q+j], the word c^-1 with s =_G c^-1,
-        where c = t[q+j:q+l]: a slice of the inverse row ti ^ 1, where c^-1
-        starts at position l - q (the text repeats, so q = 0 starts at l)."""
-        return self.texts[ti ^ 1][self.l - q : 2 * self.l - q - j]
-
-
 class DehnEngine:
-    """Preprocessed rewriting machinery for one verified presentation."""
+    """Preprocessed rewriting machinery for one verified presentation.
+
+    Every rotation of the relators and their inverses is read off the one
+    window index (`words._relator_windows`).  `arcs` maps the first t_move
+    letters of each rotation to the rotation and its inverse; a window
+    longer than every piece starts one rotation only, and under the gate
+    6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
+    The complement of an arc rotation[:j] is rotation[j:], and its inverse
+    the first l - j letters of the rotation's inverse.
+    """
 
     def __init__(self, p: Presentation):
         self.report = ensure_dehn_ready(p)
@@ -129,19 +94,35 @@ class DehnEngine:
         self.t_move = max(1, -(-p.l // 2) - 2 * self.pmax)
         self.t_detect = max(1, p.l - self.pmax - p.l // 2)
         self.slack = p.l - 2 * self.t_move
-        texts = _relator_texts(p.relators)
-        self.arcs = _RelatorArcs(texts, self.t_move)
-        # the detect windows as sorted keys, b bits a letter for all 2m
-        # letters a ball word may use (the relators need not use them all)
-        self.bits = (2 * p.m - 1).bit_length()
-        self.detect_keys = np.sort(_window_keys(_slot_windows(texts, self.t_detect), self.bits))
+        self.windows = _relator_windows(p.relators)
+        rows = self.windows.rows(self.windows.keys)
+        self.arcs = {
+            window[: self.t_move]: (window, inverse)
+            for window, inverse in zip(map(tuple, rows.tolist()),
+                                       map(tuple, (rows[:, ::-1] ^ 1).tolist()))
+        }
+        assert len(self.arcs) == len(p.relators) * 2 * p.l, "a window lies at two slots"
+
+    def _match(self, w: tuple[int, ...], i: int):
+        """The maximal arc match ((window, inverse), j) starting at position
+        i of w: w[i : i + j] = window[:j], or None."""
+        # every key has t_move letters, so a shorter tail finds none
+        hit = self.arcs.get(w[i : i + self.t_move])
+        if hit is None:
+            return None
+        window = hit[0]
+        n = len(w)
+        j = self.t_move
+        while i + j < n and j < self.l and w[i + j] == window[j]:
+            j += 1
+        return hit, j
 
     def _find_arc(self, w: tuple[int, ...], k: int):
-        """The first arc match (i, ti, q, j) in w of at least k letters, or
-        None; k is at least t_move, the index's gram."""
+        """The first arc match (i, (window, inverse), j) in w of at least k
+        letters, or None; k is at least t_move, the arcs' key length."""
         for i in range(len(w) - k + 1):
-            hit = self.arcs.match(w, i)
-            if hit is not None and hit[2] >= k:
+            hit = self._match(w, i)
+            if hit is not None and hit[1] >= k:
                 return (i, *hit)
         return None
 
@@ -159,8 +140,8 @@ class DehnEngine:
         found = self._find_arc(w, self.half)
         if found is None:
             return None
-        i, ti, q, j = found
-        return _join(_join(w[:i], self.arcs.complement_inverse(ti, q, j)), w[i + j :])
+        i, (_, inverse), j = found
+        return _join(_join(w[:i], inverse[: self.l - j]), w[i + j :])
 
     def dehn_reduce(self, w: tuple[int, ...]) -> tuple[int, ...]:
         w = _reduce_ints(w)
@@ -183,20 +164,19 @@ class DehnEngine:
         seen = {w}
         frontier = [w]
         same = {w}
-        comp = self.arcs.complement_inverse
         while frontier:
             nxt = []
             for u in frontier:
                 for i in range(len(u)):
-                    hit = self.arcs.match(u, i)
+                    hit = self._match(u, i)
                     if hit is None:
                         continue
-                    ti, q, j = hit
+                    (_, inverse), j = hit
                     # swapping any prefix of at least t_move letters of the
                     # matched arc s gives this one word: the rest of s
                     # cancels against the end of the longer complement.  u
                     # and the pieces are reduced, so only seams cancel
-                    v = _join(_join(u[:i], comp(ti, q, j)), u[i + j :])
+                    v = _join(_join(u[:i], inverse[: self.l - j]), u[i + j :])
                     if len(v) > cap or v in seen:
                         continue
                     if len(v) < n:
@@ -305,7 +285,8 @@ def cayley_ball(
     - a word that is not suspicious (`DehnEngine.is_suspicious`; always so
       while 2n < l) is a new vertex of its own.  Its only window that
       words[u] lacks is its tail, so it is suspicious exactly when u is or
-      that tail is a detect window: one array lookup of the tails' keys;
+      that tail starts a relator rotation: one prefix range of the engine's
+      window index for all the tails at once;
     - a suspicious word goes through Python: Dehn reduction or the geodesic
       swap closure finds a strictly shorter word, which walks back through
       the completed levels, or the class of equal geodesic words, named by
@@ -316,11 +297,12 @@ def cayley_ball(
     the edges between vertices at the radius, which only suspicious rim
     candidates can have; when l is even the graph is bipartite and has none.
 
-    Words are stored as one (count, n) int8 letter-code matrix per level;
-    tails and detect windows are compared as `words._window_keys` keys, b =
-    (2m-1).bit_length() bits a letter (or byte rows past 64 bits).  A level
-    that would take the ball past `vertex_budget` vertices raises
-    PartialBallError before any of its rows are made.
+    Words are stored as one (count, n) int8 letter-code matrix per level,
+    and the tails of a level are searched in the window index as such a
+    matrix (`_WindowIndex.prefix_ranges`, which finds nothing for a letter
+    no relator uses).  A level that would take the ball past
+    `vertex_budget` vertices raises PartialBallError before any of its rows
+    are made.
     """
     if radius < 0:
         raise DomainError(f"need a ball radius >= 0, got {radius}")
@@ -371,7 +353,8 @@ def cayley_ball(
             tails = np.concatenate(
                 [prev[rows, n - eng.t_detect :], x.astype(np.int8)[:, None]], axis=1
             )
-            hit |= np.isin(_window_keys(tails, eng.bits), eng.detect_keys)
+            starts, stops = eng.windows.prefix_ranges(tails)
+            hit |= stops > starts
         suspicious = hit if 2 * n >= p.l else np.zeros_like(hit)
         target = np.full(len(u), -1, dtype=np.int64)  # an existing vertex, else -1
         creates = np.zeros_like(hit) if rim else ~suspicious
@@ -639,8 +622,11 @@ def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
     The merge pairs are therefore a fixed set, and one union over them is the
     closure.  Each union hangs the larger root under the smaller, so each
     class's root is its least node whatever the order of the merges.  A free
-    ball of more than CLOSURE_NODE_BUDGET words raises BudgetExceededError.
+    ball of more than CLOSURE_NODE_BUDGET words raises BudgetExceededError,
+    and a word cap below 0 DomainError.
     """
+    if word_cap < 0:
+        raise DomainError(f"need a word cap >= 0, got {word_cap}")
     m = p.m
     nodes: list[tuple[int, ...]] = [()]
     bounds = [0, 1]  # the nodes of length n are nodes[bounds[n] : bounds[n + 1]]

@@ -940,10 +940,13 @@ def distortion_probe(
     With a verified target the ratios are exact; otherwise only the pairs
     whose distance is pinned (upper bound equal to the 1-Lipschitz lower
     bound regime) are certified, the rest are reported inconclusive.  The
-    sample count is bounded by TRIAL_BUDGET, and DomainError unless the
-    radius is at least 1, which every distinct pair needs."""
+    sample count is bounded by TRIAL_BUDGET.  DomainError unless the radius
+    is at least 1, which every distinct pair needs, and unless at least one
+    pair is sampled."""
     if radius < 1:
         raise DomainError(f"need a probe radius >= 1, got {radius}")
+    if samples < 1:
+        raise DomainError(f"need probe samples >= 1, got {samples}")
     check_seed(seed)
     check_trials(samples)
     _require_nested(tree, target)

@@ -15,10 +15,14 @@ common length l it has shape (2R, 2l-1): row 2i is rᵢ·rᵢ[:-1] and row 2i+1
 the same for rᵢ⁻¹, so the window of length L <= l starting at position q
 (0 <= q < l) of row t is the subword of length L at slot
 (relator t // 2, orientation ±1, position q).  Slot order is relator, then
-orientation (the relator before its inverse), then position; the piece
-search and the Dehn arc index consume slots in that order (`_slot_windows`).
-The round trees and the naive closure read the rotations through one
-sorted, deduplicated index of their keys instead (`_relator_windows`).
+orientation (the relator before its inverse), then position.  Only this
+module reads slots: the piece search, the coincidence test and the C'(λ)
+check key the slot windows in that order (`_slot_view`, `_slot_keys`).
+Every other layer reads the rotations through one sorted, deduplicated
+index of their keys (`_relator_windows`): the round trees' window search,
+the naive closure's seams, and the Dehn engine's arcs and the Cayley
+ball's tails in `cayley`.  So the slot layout and the key format are
+decided here alone.
 
 Pieces are found by sorting windows: a repeated length-L window is a piece
 of length L, and the longest piece is the longest common prefix of two
@@ -377,12 +381,6 @@ def _slot_view(texts: np.ndarray, L: int) -> np.ndarray:
     return np.ndarray(shape, texts.dtype, texts, 0, texts.strides + texts.strides[1:])
 
 
-def _slot_windows(texts: np.ndarray, L: int) -> np.ndarray:
-    """The length-L window at every slot, one C-contiguous row per slot in
-    slot order: a (2R·l, L) matrix made with one copy."""
-    return _slot_view(texts, L).reshape(-1, L)
-
-
 def _key_bits(texts: np.ndarray) -> int:
     """Bits per letter of a packed window key: (2m-1).bit_length() for the
     m generators that the largest letter code in `texts` needs."""
@@ -515,7 +513,8 @@ class _WindowIndex:
 def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
     """All rotations of the relators and their inverses, deduplicated and in
     lexicographic order, as the keys of a `_WindowIndex`: the round trees'
-    cell-word candidates and the naive closure's seam index.
+    cell-word candidates, the naive closure's seam index, and the Dehn
+    engine's arcs and ball tails.
 
     The order matters: the window search shuffles positions in this order,
     so the windows must come out in the same order for a tree to be
@@ -564,7 +563,7 @@ def max_piece_length(relators: Sequence[str]) -> PieceReport:
         plen = int(lcp.max(initial=0))
         if plen > 0:
             # both slots of every neighbour pair sharing plen letters; a slot
-            # of text t is t·l + position (`_slot_windows`)
+            # of text t is t·l + position (`_slot_keys`)
             pairs = np.flatnonzero(lcp == plen)
             tids = np.unique(order[np.concatenate([pairs, pairs + 1])] // l)
             report.max_piece_length = plen

@@ -5,9 +5,11 @@ ball was built level by level on arrays, kept as an independent check of it.
 It names every vertex by its lex-least geodesic word and identifies each
 candidate word one at a time, through Dehn reduction and the geodesic swap
 closure.  Its engine reduces every rewritten word in full and builds every
-complement word afresh, as the original did, and it builds its own set of
-detect windows, so it shares with the array path only the verified
-presentation and the arc index.
+complement word afresh, as the original did.  It builds its own arcs and
+detect windows from the relator strings, as the rotations (s + s)[q : q + l]
+of each relator s and of its inverse, and matches and complements arcs on
+them, so it shares with the array path only the verified presentation (and
+the thresholds that its piece bound sets), never the window index.
 
 `check_ball_invariants` asserts what any ball must satisfy, whichever way
 it was built: its graph-distance checks walk the recorded adjacency by
@@ -30,7 +32,7 @@ from randomgroups.cayley import (
 )
 from randomgroups.errors import BudgetExceededError, PartialBallError
 from randomgroups.model import Presentation
-from randomgroups.words import _reduce_ints, _relator_texts, _slot_windows
+from randomgroups.words import _reduce_ints, inverse_word
 
 
 class _OracleEngine(DehnEngine):
@@ -38,25 +40,39 @@ class _OracleEngine(DehnEngine):
 
     def __init__(self, p: Presentation):
         super().__init__(p)
-        windows = _slot_windows(_relator_texts(p.relators), self.t_detect)
-        self.detect = set(map(tuple, windows.tolist()))
+        ab, l = p.alphabet, p.l
+        rotations = [(s + s)[q : q + l] for r in p.relators
+                     for s in (r, inverse_word(r, ab)) for q in range(l)]
+        self.arcs = {ab.encode(rot[: self.t_move]):
+                     (ab.encode(rot), ab.encode(inverse_word(rot, ab))) for rot in rotations}
+        self.detect = {ab.encode(rot[: self.t_detect]) for rot in rotations}
+
+    def _match(self, w: tuple[int, ...], i: int):
+        """The rotation that w reads from position i for at least t_move
+        letters, and how far it reads it: ((rotation, inverse), j), or None."""
+        hit = self.arcs.get(w[i : i + self.t_move])
+        if hit is None:
+            return None
+        rotation = hit[0]
+        tail = w[i : i + self.l]
+        j = next((j for j, (a, b) in enumerate(zip(tail, rotation)) if a != b), len(tail))
+        return hit, j
 
     def is_suspicious(self, w: tuple[int, ...]) -> bool:
         """Does w hold a detect window?  Looked up in the oracle's own set."""
         k = self.t_detect
         return any(w[i : i + k] in self.detect for i in range(len(w) - k + 1))
 
-    def complement_inverse(self, ti: int, q: int, j: int) -> tuple[int, ...]:
-        t = self.arcs.texts[ti]
-        c = t[q + j : q + self.l]
-        return tuple(x ^ 1 for x in reversed(c))
+    def complement_inverse(self, rotation: tuple[int, ...], j: int) -> tuple[int, ...]:
+        """The inverse of the complement rotation[j:] of the arc rotation[:j]."""
+        return tuple(x ^ 1 for x in reversed(rotation[j:]))
 
     def dehn_step(self, w: tuple[int, ...]):
         found = self._find_arc(w, self.half)
         if found is None:
             return None
-        i, ti, q, j = found
-        return _reduce_ints(w[:i] + self.complement_inverse(ti, q, j) + w[i + j :])
+        i, (rotation, _), j = found
+        return _reduce_ints(w[:i] + self.complement_inverse(rotation, j) + w[i + j :])
 
     def dehn_reduce(self, w: tuple[int, ...]) -> tuple[int, ...]:
         w = _reduce_ints(w)
@@ -83,12 +99,12 @@ class _OracleEngine(DehnEngine):
             nxt = []
             for u in frontier:
                 for i in range(len(u)):
-                    hit = self.arcs.match(u, i)
+                    hit = self._match(u, i)
                     if hit is None:
                         continue
-                    ti, q, j = hit
+                    (rotation, _), j = hit
                     for jj in range(self.t_move, j + 1):
-                        repl = self.complement_inverse(ti, q, jj)
+                        repl = self.complement_inverse(rotation, jj)
                         v = _reduce_ints(u[:i] + repl + u[i + jj :])
                         if len(v) > cap or v in seen:
                             continue

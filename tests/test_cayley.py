@@ -27,8 +27,6 @@ from randomgroups.model import Presentation, sample_presentation
 from randomgroups.words import (
     _reduce_ints,
     _relator_texts,
-    _slot_windows,
-    _window_keys,
     inverse_word,
     reduce_word,
 )
@@ -246,14 +244,32 @@ def test_ball_oracle_odd_l_shortened_candidates(monkeypatch, odd_presentation):
 
 def test_ball_oracle_byte_row_keys(monkeypatch, verified_presentation, oracle_r6):
     # windows wider than 64 bits are keyed as byte rows; force that format
-    # for the tails and detect windows of a ball that packs them otherwise
+    # into the window index whose prefix ranges a ball's tails are searched
+    # in, for a ball that packs them otherwise
     p = verified_presentation
     eng = cayley_mod._engine(p)
-    detect = _slot_windows(_relator_texts(p.relators), eng.t_detect)
-    monkeypatch.setattr(eng, "bits", 64)
-    monkeypatch.setattr(eng, "detect_keys", np.sort(_window_keys(detect, 64)))
-    assert eng.detect_keys.dtype.kind == "V"
+    monkeypatch.setattr(words_mod, "_key_bits", lambda texts: 64)
+    monkeypatch.setattr(eng, "windows", words_mod._relator_windows(p.relators))
+    assert eng.windows.keys.dtype.kind == "V"
     _assert_same_ball(cayley_ball(p, 6), oracle_r6, exports=False)
+
+
+@pytest.mark.parametrize("m, l", [(2, 13), (3, 12), (4, 12)])
+def test_dehn_arcs_match_string_rotations(m, l):
+    # the engine's arcs, read off the window index, are the oracle's
+    # rotations built from the relator strings, and each complement slice
+    # that a match hands out is the string complement's inverse
+    p = _verified_host(m, l)
+    eng, oracle = cayley_mod._engine(p), _oracle_engine(p)
+    assert eng.arcs == oracle.arcs
+    ab = p.alphabet
+    for window, inverse in eng.arcs.values():
+        rotation = ab.decode(window)
+        for j in range(eng.t_move, l + 1):
+            hit, got = eng._match(window[:j], 0)
+            assert hit == (window, inverse) and got == j
+            want = ab.encode(inverse_word(rotation[j:], ab))
+            assert inverse[: l - j] == want
 
 
 def _ball_outcome(build, p, radius, budget):
@@ -502,7 +518,6 @@ def test_naive_closure_below_half_l_reads_no_relator_text(monkeypatch):
     def unread(*args):
         raise AssertionError("relator texts read")
 
-    monkeypatch.setattr(cayley_mod, "_relator_texts", unread)
     monkeypatch.setattr(words_mod, "_relator_texts", unread)
     nb = naive_closure_ball(p, word_cap=5)
     assert len(nb._index) == 1 + 4 * (3**5 - 1) // 2

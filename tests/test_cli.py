@@ -380,6 +380,17 @@ BAD_INPUTS = {
                       "--which distortion --radius 0 --samples 3",
     "probe-radius-negative": "roundtree-probe --tree {tree} --target {verified} "
                              "--which distortion --radius -2 --samples 3",
+    "probe-samples-0": "roundtree-probe --tree {tree} --target {verified} "
+                       "--which distortion --radius 2 --samples 0",
+    "probe-samples-negative": "roundtree-probe --tree {tree} --target {verified} "
+                              "--which distortion --radius 2 --samples -3",
+    # an unverified target bounds distances by a naive closure under the cap
+    "probe-local-geodesic-word-cap-negative":
+        "roundtree-probe --tree {tree_level0} --target {host} --which local-geodesic "
+        "--path 0,1 --window 1 --word-cap -3",
+    "probe-distortion-word-cap-negative":
+        "roundtree-probe --tree {tree_level0} --target {host} --which distortion "
+        "--radius 2 --samples 3 --word-cap -3",
 }
 
 # the flag that the error of a BAD_INPUTS case must name
@@ -387,6 +398,10 @@ NAMED_FLAG = {
     "build-negative-levels": "--levels",
     "probe-radius-0": "radius",
     "probe-radius-negative": "radius",
+    "probe-samples-0": "samples",
+    "probe-samples-negative": "samples",
+    "probe-local-geodesic-word-cap-negative": "word cap",
+    "probe-distortion-word-cap-negative": "word cap",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget

@@ -11,6 +11,9 @@
   reason it stays.
 - Every dataclass field in `src/randomgroups` is read as an attribute
   somewhere in `src/` or `tests/`.
+- No module in `src/` but `words` imports the names that fix the slot
+  layout of relator texts or the format of window keys: the other layers
+  read rotations through the window index alone.
 """
 
 import ast
@@ -147,3 +150,15 @@ def test_every_dataclass_field_is_read():
     unread = [f"{path.stem}.{cls}.{name}" for path in SOURCES
               for cls, name in _dataclass_fields(_parse(path)) if name not in read]
     assert unread == []
+
+
+# the names of `words` that know the slot layout or the key format
+SLOT_AND_KEY_NAMES = {"_relator_texts", "_text_length", "_slot_view", "_slot_keys",
+                      "_window_keys", "_key_bits", "_neighbour_lcp"}
+
+
+def test_private_slot_and_key_names_stay_in_words():
+    imported = [f"{path.stem}: {alias.name}" for path in SOURCES if path.stem != "words"
+                for node in ast.walk(_parse(path)) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in SLOT_AND_KEY_NAMES]
+    assert imported == []

@@ -491,9 +491,9 @@ def test_slot_windows_match_string_slots(case):
     for L in range(1, l + 1):
         want = [(s + s)[q : q + L] for r in rels for s in (r, inverse_word(r, ab))
                 for q in range(l)]
-        got = words._slot_windows(texts, L)
-        assert got.flags.c_contiguous
-        assert [ab.decode(row) for row in got.tolist()] == want
+        got = words._slot_view(texts, L)
+        assert got.shape == (2 * len(rels), l, L)
+        assert [ab.decode(row) for row in got.reshape(-1, L).tolist()] == want
 
 
 @pytest.mark.parametrize("check", [
