@@ -30,14 +30,11 @@ from .errors import (
 from .model import Presentation, _trial_relators, check_seed, check_trials, relator_count
 from .words import (
     EMPTY_WORD,
-    PieceReport,
     _decode_rows,
     _join,
     _reduce_ints,
-    _relator_windows,
     check_c_prime,
     check_lambda,
-    max_piece_length,
 )
 from .bounds import wilson_interval
 
@@ -48,45 +45,42 @@ CLOSURE_NODE_BUDGET = 300_000  # free-ball words of one naive closure
 LAMBDA_DEHN = Fraction(1, 6)
 
 
-@functools.lru_cache(maxsize=64)
-def small_cancellation_report(p: Presentation) -> PieceReport:
-    return max_piece_length(list(p.relators))
-
-
 def is_dehn_ready(p: Presentation) -> bool:
-    """Strict C'(1/6), the correctness condition for every exact query here."""
-    rep = small_cancellation_report(p)
-    return rep.passes(LAMBDA_DEHN) and not rep.relator_coincidences
+    """Strict C'(1/6), the correctness condition for every exact query here:
+    no window of the index at two slots (so no coincident relators) and every
+    piece shorter than l/6, both read off the presentation's window index."""
+    w, lam = p.windows, LAMBDA_DEHN
+    return not w.repeats and w.longest_piece * lam.denominator < lam.numerator * p.l
 
 
-def ensure_dehn_ready(p: Presentation) -> PieceReport:
-    rep = small_cancellation_report(p)
+def ensure_dehn_ready(p: Presentation) -> None:
     if not is_dehn_ready(p):
         den = LAMBDA_DEHN.denominator
         raise NotVerifiedError(
             f"presentation is not verified C'({LAMBDA_DEHN}): max piece "
-            f"{rep.max_piece_length} vs l/{den} = {p.l}/{den}"
+            f"{p.windows.longest_piece} vs l/{den} = {p.l}/{den}"
         )
-    return rep
 
 
 class DehnEngine:
     """Preprocessed rewriting machinery for one verified presentation.
 
-    Every rotation of the relators and their inverses is read off the one
-    window index (`words._relator_windows`).  `arcs` maps the first t_move
-    letters of each rotation to the rotation and its inverse; a window
-    longer than every piece starts one rotation only, and under the gate
-    6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
+    Every rotation of the relators and their inverses, and the longest
+    piece, are read off the presentation's window index
+    (`Presentation.windows`), the one the gate has read.  `arcs` maps the
+    first t_move letters of each rotation to the rotation and its inverse; a
+    window longer than every piece starts one rotation only, and under the
+    gate 6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
     The complement of an arc rotation[:j] is rotation[j:], and its inverse
     the first l - j letters of the rotation's inverse.
     """
 
     def __init__(self, p: Presentation):
-        self.report = ensure_dehn_ready(p)
+        ensure_dehn_ready(p)
         self.l = p.l
         self.ab = p.alphabet
-        self.pmax = self.report.max_piece_length
+        self.windows = p.windows
+        self.pmax = self.windows.longest_piece
         self.half = p.l // 2 + 1  # smallest length strictly more than half
         # arc thresholds from the verified piece bound: interior ladder cells
         # expose at least ceil(l/2) - 2*pmax letters on a geodesic side, end
@@ -94,7 +88,6 @@ class DehnEngine:
         self.t_move = max(1, -(-p.l // 2) - 2 * self.pmax)
         self.t_detect = max(1, p.l - self.pmax - p.l // 2)
         self.slack = p.l - 2 * self.t_move
-        self.windows = _relator_windows(p.relators)
         rows = self.windows.rows(self.windows.keys)
         self.arcs = {
             window[: self.t_move]: (window, inverse)
@@ -613,11 +606,13 @@ def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
     w[:n-k] + ρ[k:] for the length k of the cancellation at the seam, and it
     has length ≤ cap exactly when k ≥ k0 = max(0, ⌈(n + l - cap)/2⌉).  So
     only the rotations whose first k0 letters invert the last k0 letters of w
-    are tried: a prefix range of the window index that round trees search
-    (`words._relator_windows`).  The nodes of one length share k0 and ask for
-    their ranges at once (`prefix_ranges`); each range found is unpacked
-    once.  The index is built for the first length with k0 ≤ min(n, l), so a
-    cap below l/2, where no node can merge, reads no relator text.
+    are tried: a prefix range of the presentation's window index
+    (`Presentation.windows`), the one that the gate and round trees read.
+    The nodes of one length share k0 and ask for their ranges at once
+    (`prefix_ranges`); each range found is unpacked once.  The index is first
+    read for the first length with k0 ≤ min(n, l), so a cap below l/2, where
+    no node can merge, reads no relator text when nothing has built the
+    index before.
 
     The merge pairs are therefore a fixed set, and one union over them is the
     closure.  Each union hangs the larger root under the smaller, so each
@@ -644,13 +639,12 @@ def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
         bounds.append(len(nodes))
     index = {w: i for i, w in enumerate(nodes)}
     root = list(range(len(nodes)))
-    windows = None
     rotations: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # by key range
     for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         k0 = max(0, -(-(n + p.l - word_cap) // 2))
         if k0 > min(n, p.l):
             continue
-        windows = windows or _relator_windows(p.relators)
+        windows = p.windows
         tails = np.array(nodes[lo:hi], dtype=np.int8).reshape(hi - lo, n)[:, n - k0 :]
         starts, stops = windows.prefix_ranges(tails[:, ::-1] ^ 1)
         hit = np.flatnonzero(stops > starts)

@@ -44,9 +44,11 @@ from .errors import (
 )
 from .words import (
     Alphabet,
+    _WindowIndex,
     _decode_rows,
     _letter_codes,
     _not_cyclically_reduced,
+    _relator_windows,
     sample_cyclically_reduced,
 )
 
@@ -191,6 +193,13 @@ class Presentation:
     def _fingerprint(self) -> str:
         # computed once: every field that serialize() reads is frozen
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
+
+    @cached_property
+    def windows(self) -> _WindowIndex:
+        """The window index of the relators (`words._relator_windows`), built
+        on first use: the C'(1/6) gate, the Dehn engine, the naive closure
+        and the round-tree window search all read this one object."""
+        return _relator_windows(self.relators)
 
 
 def check_seed(seed: int) -> None:

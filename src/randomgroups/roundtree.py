@@ -24,9 +24,11 @@ key per window (`words._WindowIndex`).  A key packs the window's letters
 into one uint64, b = (2m-1).bit_length() bits a letter, whenever l·b <= 64
 (l <= 32 at m = 2, l <= 21 at m = 3 or 4); wider windows sort as byte
 strings, and only `words` tells the two apart.  On a 38 050-relator host
-the index is 1.8 M keys.  A tree builds it on its first `grow_level`, never
-on `init_round_tree` or `tree_from_json`, so the read-side operations
-(emanating words, probes) never pay for it.
+the index is 1.8 M keys.  The host presentation builds it once, on first use
+(`Presentation.windows`), and the C'(1/6) gate, the Dehn engine and the
+naive closure read the same object.  A tree asks for it on its first
+`grow_level`, never on `init_round_tree` or `tree_from_json`, so emanating
+words never pay for it; a probe's target builds its own through the gate.
 
 The index is the only structure the search reads candidates from, and every
 question it asks is a prefix range of it, as in a suffix array.  Since the
@@ -66,7 +68,6 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from .errors import (
     PreconditionError,
 )
 from .model import Presentation, check_seed, check_trials, parse_presentation
-from .words import Alphabet, _WindowIndex, _reduce_ints, _relator_windows
+from .words import Alphabet, _reduce_ints
 
 DEFAULT_SEARCH_BUDGET = 200_000
 LEVEL_BUDGET = 20_000  # new cells per level
@@ -186,12 +187,6 @@ class RoundTree:
         self._init_base_cell()
 
     # -- construction ------------------------------------------------------
-
-    @cached_property
-    def _windows(self) -> _WindowIndex:
-        """The cell-word candidates (`words._relator_windows`), built on first
-        use: the first `grow_level`, never on init or load."""
-        return _relator_windows(self.host.relators)
 
     def _new_vertex(self) -> int:
         self.out.append({})
@@ -399,7 +394,7 @@ class RoundTree:
         off_n = prm.ext_offset
         oe = prm.ext_offset + prm.ext_len
         l = self.host.l
-        W = self._windows
+        W = self.host.windows
         piece_labels = [tuple(int(x) for (_v, x) in p) for p in pieces]
         piece_windows = []
         for lab in piece_labels:
@@ -852,9 +847,12 @@ def _require_nested(tree: RoundTree, target: Presentation):
 def _target_distance(target: Presentation, word_cap: int):
     """Whether the target's metric is exact, and its distance function: the
     Dehn `distance` of a verified target, else the upper bound of a naive
-    closure under `word_cap` (None for a word the closure cannot locate)."""
+    closure under `word_cap` (None for a word the closure cannot locate).
+    DomainError for a word cap below 0, whichever the target."""
     from .cayley import distance, is_dehn_ready, naive_closure_ball
 
+    if word_cap < 0:
+        raise DomainError(f"need a word cap >= 0, got {word_cap}")
     if is_dehn_ready(target):
         return True, lambda word: distance(target, word)
     return False, naive_closure_ball(target, word_cap=word_cap).distance_upper

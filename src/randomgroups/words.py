@@ -19,10 +19,11 @@ orientation (the relator before its inverse), then position.  Only this
 module reads slots: the piece search, the coincidence test and the C'(λ)
 check key the slot windows in that order (`_slot_view`, `_slot_keys`).
 Every other layer reads the rotations through one sorted, deduplicated
-index of their keys (`_relator_windows`): the round trees' window search,
-the naive closure's seams, and the Dehn engine's arcs and the Cayley
-ball's tails in `cayley`.  So the slot layout and the key format are
-decided here alone.
+index of their keys (`_relator_windows`), which each presentation builds
+once, on first use (`model.Presentation.windows`): the C'(1/6) gate reads
+its longest piece, and the Dehn engine's arcs, the Cayley ball's tails, the
+naive closure's seams and the round trees' window search read its ranges.
+So the slot layout and the key format are decided here alone.
 
 Pieces are found by sorting windows: a repeated length-L window is a piece
 of length L, and the longest piece is the longest common prefix of two
@@ -43,6 +44,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -440,7 +442,9 @@ class _WindowIndex:
     Every query is a range of keys, as in a suffix array: the windows that
     start with a word are one run of the index (`prefix_range`), and since
     the index holds every rotation of each window, those that read a word
-    from position a are that run rotated right by a (`reading`).
+    from position a are that run rotated right by a (`reading`).  The index
+    also knows whether the dedup dropped a key (`repeats`) and the longest
+    piece (`longest_piece`), which is all the C'(1/6) gate asks.
     """
 
     def __init__(self, texts: np.ndarray):
@@ -449,7 +453,17 @@ class _WindowIndex:
         keys = _slot_keys(texts, self.width)
         keys.sort()
         self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        # a window at two slots: a periodic relator, or a coincidence
+        self.repeats = len(self.keys) < len(keys)
         self._packed = keys.dtype == np.uint64
+
+    @cached_property
+    def longest_piece(self) -> int:
+        """The longest piece, as `max_piece_length` finds it.  Any two keys
+        share at most the prefix that some two sorted neighbours share, and a
+        window at two slots shares its first l-1 letters with itself."""
+        return self.width - 1 if self.repeats else int(
+            _neighbour_lcp(self.keys, self.width, self.bits).max(initial=0))
 
     def prefix_range(self, word: Sequence[int]) -> range:
         """The positions of the keys whose windows start with `word`: two
@@ -512,9 +526,10 @@ class _WindowIndex:
 
 def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
     """All rotations of the relators and their inverses, deduplicated and in
-    lexicographic order, as the keys of a `_WindowIndex`: the round trees'
-    cell-word candidates, the naive closure's seam index, and the Dehn
-    engine's arcs and ball tails.
+    lexicographic order, as the keys of a `_WindowIndex`: the C'(1/6) gate's
+    longest piece, the round trees' cell-word candidates, the naive
+    closure's seam index, and the Dehn engine's arcs and ball tails.  Built
+    once per presentation, by `model.Presentation.windows`.
 
     The order matters: the window search shuffles positions in this order,
     so the windows must come out in the same order for a tree to be

@@ -32,7 +32,6 @@ from randomgroups.cayley import (
     cprime_genericity_scan,
     dehn_reduce,
     is_dehn_ready,
-    small_cancellation_report,
 )
 from randomgroups.diagrams import (
     belonging,
@@ -252,7 +251,7 @@ def test_criterion_8_dehn_bfs_agreement_as_stated():
             if is_dehn_ready(p):
                 verified = p
                 break
-            rep = small_cancellation_report(p)
+            rep = max_piece_length(list(p.relators))
             print(f"  seed {seed}: max piece {rep.max_piece_length} >= 12/6, not C'(1/6)")
         assert verified is not None, "no seed yields a C'(1/6)-verified presentation"
 

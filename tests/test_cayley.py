@@ -20,14 +20,15 @@ from randomgroups.cayley import (
     is_dehn_ready,
     is_geodesic,
     naive_closure_ball,
-    small_cancellation_report,
 )
 from randomgroups.errors import DomainError, NotVerifiedError, PartialBallError
 from randomgroups.model import Presentation, sample_presentation
+from randomgroups.roundtree import RoundTreeParams, distortion_probe, init_round_tree
 from randomgroups.words import (
     _reduce_ints,
     _relator_texts,
     inverse_word,
+    max_piece_length,
     reduce_word,
 )
 
@@ -59,7 +60,7 @@ def test_gate_rejects_unverified():
 def test_pigeonhole_at_l12_m2_all_seeds():
     for seed in range(200):
         p = sample_presentation(2, 12, Fraction(1, 20), seed=seed)
-        assert small_cancellation_report(p).max_piece_length >= 2
+        assert max_piece_length(list(p.relators)).max_piece_length >= 2
 
 
 def test_dehn_reduce_examples(verified_presentation):
@@ -525,6 +526,45 @@ def test_naive_closure_below_half_l_reads_no_relator_text(monkeypatch):
     # at l/2 the longest nodes can merge, and the index is built
     with pytest.raises(AssertionError, match="relator texts read"):
         naive_closure_ball(p, word_cap=6)
+
+
+def test_gate_engine_ball_and_closure_share_the_presentation_windows(
+        monkeypatch, verified_presentation):
+    # each presentation builds one window index, and the gate, the Dehn
+    # engine, the ball and the naive closure all read it; the piece search
+    # never runs.  Fresh copies, so no earlier test has built their index
+    v = verified_presentation
+    p = Presentation(m=v.m, l=v.l, density=v.density, relators=v.relators, seed=v.seed)
+    target = Presentation(
+        m=v.m, l=v.l, density=Fraction(1, 20),
+        relators=(v.relators[0], sample_presentation(3, 12, 0, seed=9999).relators[0]),
+        seed=0, parent_fingerprint=v.fingerprint(),
+    )
+
+    def unread(*args):
+        raise AssertionError("piece search run")
+
+    for name in ("max_piece_length", "_relator_coincidences", "_piece_witness"):
+        monkeypatch.setattr(words_mod, name, unread)
+    built = []
+    init = words_mod._WindowIndex.__init__
+
+    def counting(self, texts):
+        built.append(self)
+        init(self, texts)
+
+    monkeypatch.setattr(words_mod._WindowIndex, "__init__", counting)
+    cayley_mod._engine.cache_clear()  # an equal presentation's engine holds its own index
+    assert is_dehn_ready(p)
+    assert dehn_reduce(p.relators[0], p) == "1"
+    assert len(cayley_ball(p, 4).words) == 1 + 6 * (5**4 - 1) // 4
+    assert distance(p, "abc") == 3
+    assert cayley_mod._engine(p).windows is p.windows
+    tree = init_round_tree(p, RoundTreeParams(V=2, H=4, ext_offset=1, ext_len=1, seg_len=3))
+    assert not is_dehn_ready(target)
+    stats = distortion_probe(tree, target, radius=3, samples=10, seed=1, word_cap=6)
+    assert stats.certified + stats.inconclusive == stats.samples
+    assert built == [p.windows, target.windows]
 
 
 def test_scan_micro_oracle_at_d0():

@@ -391,6 +391,13 @@ BAD_INPUTS = {
     "probe-distortion-word-cap-negative":
         "roundtree-probe --tree {tree_level0} --target {host} --which distortion "
         "--radius 2 --samples 3 --word-cap -3",
+    # a verified target reads no closure, and refuses the cap all the same
+    "probe-local-geodesic-word-cap-negative-verified":
+        "roundtree-probe --tree {tree} --target {verified} --which local-geodesic "
+        "--path 0,1 --window 1 --word-cap -3",
+    "probe-distortion-word-cap-negative-verified":
+        "roundtree-probe --tree {tree} --target {verified} --which distortion "
+        "--radius 2 --samples 3 --word-cap -3",
 }
 
 # the flag that the error of a BAD_INPUTS case must name
@@ -402,6 +409,8 @@ NAMED_FLAG = {
     "probe-samples-negative": "samples",
     "probe-local-geodesic-word-cap-negative": "word cap",
     "probe-distortion-word-cap-negative": "word cap",
+    "probe-local-geodesic-word-cap-negative-verified": "word cap",
+    "probe-distortion-word-cap-negative-verified": "word cap",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget

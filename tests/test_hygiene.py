@@ -14,6 +14,8 @@
 - No module in `src/` but `words` imports the names that fix the slot
   layout of relator texts or the format of window keys: the other layers
   read rotations through the window index alone.
+- In `src/` only `model` reads `_relator_windows`: each presentation builds
+  its window index once (`Presentation.windows`), and every reader shares it.
 """
 
 import ast
@@ -162,3 +164,9 @@ def test_private_slot_and_key_names_stay_in_words():
                 for node in ast.walk(_parse(path)) if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name in SLOT_AND_KEY_NAMES]
     assert imported == []
+
+
+def test_only_model_builds_relator_windows():
+    readers = [path.stem for path in SOURCES
+               if any(name == "_relator_windows" for name, _ in _mentions(_parse(path)))]
+    assert readers == ["model"]

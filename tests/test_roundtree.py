@@ -36,7 +36,7 @@ from randomgroups.roundtree import (
 )
 from randomgroups.words import Alphabet, _relator_windows, inverse_word, reduce_word
 
-from tests.conftest import find_verified_presentation, long_relator_sets, relator_sets
+from tests.conftest import long_relator_sets, relator_sets
 
 
 def _level0_tree(p, seg=3):
@@ -45,14 +45,16 @@ def _level0_tree(p, seg=3):
 
 
 def test_init_round_tree(verified_presentation):
-    p = verified_presentation
+    v = verified_presentation
+    # a fresh copy: the gate that found the fixture has built its index
+    p = Presentation(m=v.m, l=v.l, density=v.density, relators=v.relators, seed=v.seed)
     tree = _level0_tree(p)
     assert len(tree.cells) == 1
     assert len(tree.cells[0].steps) == p.l
     assert tree.base in tree.cells[0].vertices()
     assert tree.cells[0].word == p.relators[0]
     assert tree.levels == 0
-    assert "_windows" not in vars(tree)  # the index waits for grow_level
+    assert "windows" not in vars(tree.host)  # the index waits for grow_level
 
 
 def test_init_requires_relators():
@@ -283,8 +285,7 @@ def test_distortion_probe_unverified_modes(verified_presentation):
     r = p.relators[0]
     target = Presentation(
         m=p.m, l=p.l, density=Fraction(1, 20),
-        relators=(r, find_verified_presentation(3, 12, 0, 1).relators[0]
-                  if False else sample_presentation(3, 12, 0, seed=9999).relators[0]),
+        relators=(r, sample_presentation(3, 12, 0, seed=9999).relators[0]),
         seed=0, parent_fingerprint=p.fingerprint(),
     )
     stats = distortion_probe(tree, target, radius=3, samples=30, seed=1, word_cap=5)
@@ -372,7 +373,7 @@ def test_tree_json_round_trip(demo_tree):
     assert e1.words == e2.words and e1.path_count == e2.path_count
     assert tree_to_json(tree2) == text
     # loading and the read-side queries never build the window index
-    assert "_windows" not in vars(tree2)
+    assert "windows" not in vars(tree2.host)
 
 
 # sha256 of the demo tree's file (host seed 0, the fixture's parameters):
@@ -407,7 +408,9 @@ def test_saved_tree_grows_like_direct_build(demo_tree):
     saved = tree_to_json(tree)
     tree.grow_level()
     loaded = tree_from_json(saved)
+    assert "windows" not in vars(loaded.host)
     loaded.grow_level()
+    assert "windows" in vars(loaded.host)  # built by the first window search
     assert tree_to_json(loaded) == tree_to_json(tree)
 
 

@@ -423,6 +423,57 @@ def test_pieces_match_oracles_at_key_width(case):
         assert has_piece_of_length(rels, L) == (mp >= L)
 
 
+def _check_longest_piece(rels):
+    """The window index's longest piece and repeats against
+    `max_piece_length`, its gate against the report's, and its repeats
+    against the string rotations: some rotation lies at two slots."""
+    l = len(rels[0])
+    report = max_piece_length(rels)
+    index = words._relator_windows(rels)
+    rotations = [(s + s)[q : q + l] for r in rels for s in (r, inverse_word(r))
+                 for q in range(l)]
+    assert index.repeats == (len(set(rotations)) < len(rotations))
+    assert index.longest_piece == report.max_piece_length
+    if index.repeats:
+        assert report.max_piece_length == l - 1
+    if report.relator_coincidences:
+        assert index.repeats
+    lam = Fraction(1, 6)
+    gate = not index.repeats and index.longest_piece * lam.denominator < lam.numerator * l
+    assert gate == (report.passes(lam) and not report.relator_coincidences)
+
+
+@given(relator_sets())
+@example((2, ["abab"]))
+@example((2, ["aabAB", "ABaab"]))  # a relator and a rotation of its inverse
+@example((2, ["a", "A"]))  # l = 1: a piece of 0 letters, but a repeat
+@example((2, ["a", "b"]))
+@settings(max_examples=1000, deadline=None)
+def test_longest_piece_matches_max_piece_length(case):
+    _m, rels = case
+    _check_longest_piece(rels)
+
+
+@given(long_relator_sets())
+@example((2, ["B" * 32, "B" * 31 + "a"]))
+@example((2, ["B" * 33, "B" * 32 + "a", "a" + "B" * 32]))
+@settings(max_examples=300, deadline=None)
+def test_longest_piece_at_key_width(case):
+    # length-l keys are packed at l·b <= 64 and byte rows above it
+    _m, rels = case
+    _check_longest_piece(rels)
+
+
+def test_longest_piece_gates_on_repeats_alone():
+    # at l = 1 the piece bound 0·6 < 1 holds, so only the repeat fails the gate
+    index = words._relator_windows(["a", "A"])
+    assert (index.repeats, index.longest_piece) == (True, 0)
+    index = words._relator_windows(["a", "b"])
+    assert (index.repeats, index.longest_piece) == (False, 0)
+    index = words._relator_windows(["abab"])
+    assert (index.repeats, index.longest_piece) == (True, 3)
+
+
 def test_bit_length_is_exact_at_key_width():
     values = [0, 1, 2, 3] + [v for k in range(2, 65) for v in (2**k - 1, 2**k - 2, 2 ** (k - 1) + 1)]
     rng = random.Random(1)
