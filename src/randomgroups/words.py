@@ -16,8 +16,9 @@ the same for rᵢ⁻¹, so the window of length L <= l starting at position q
 (0 <= q < l) of row t is the subword of length L at slot
 (relator t // 2, orientation ±1, position q).  Slot order is relator, then
 orientation (the relator before its inverse), then position.  Only this
-module reads slots: the piece search, the coincidence test and the C'(λ)
-check key the slot windows in that order (`_slot_view`, `_slot_keys`).
+module reads slots: the window index, the piece witness search, the
+coincidence test and the C'(λ) check key the slot windows in that order
+(`_slot_view`, `_slot_keys`).
 Every other layer reads the rotations through one sorted, deduplicated
 index of their keys (`_relator_windows`), which each presentation builds
 once, on first use (`model.Presentation.windows`): the C'(1/6) gate reads
@@ -26,17 +27,18 @@ naive closure's seams and the round trees' window search read its ranges.
 So the slot layout and the key format are decided here alone.
 
 Pieces are found by sorting windows: a repeated length-L window is a piece
-of length L, and the longest piece is the longest common prefix of two
-neighbouring length-(l-1) windows in sorted order.  Each window sorts as one
-key (`_slot_keys`).  A letter takes b = (2m-1).bit_length() bits, for the m
-generators the letters need, so a window of L letters packs into one uint64,
-first letter highest, whenever L·b <= 64: L <= 32 at m = 2 and L <= 21 at
-m = 3 or 4.  Numeric order of the keys is then the lexicographic order of
-the windows (the k-mer packing of Marçais & Kingsford), and the common
-prefix of two keys is read off the highest bit in which they differ.  Wider
-windows fall back to sorting each row as one opaque byte string.  The
-witness of `max_piece_length` is read off the occurrences of the longest
-pieces in the few texts that hold one.
+of length L.  The longest piece is computed in one place, the window index
+(`_WindowIndex.longest_piece`): l-1 when a rotation lies at two slots, else
+the longest common prefix of two neighbouring length-l windows in sorted
+order.  Each window sorts as one key (`_slot_keys`).  A letter takes
+b = (2m-1).bit_length() bits, for the m generators the letters need, so a
+window of L letters packs into one uint64, first letter highest, whenever
+L·b <= 64: L <= 32 at m = 2 and L <= 21 at m = 3 or 4.  Numeric order of
+the keys is then the lexicographic order of the windows (the k-mer packing
+of Marçais & Kingsford), and the common prefix of two keys is read off the
+highest bit in which they differ.  Wider windows fall back to sorting each
+row as one opaque byte string.  The witness of `max_piece_length` is read
+off the occurrences of the longest pieces in the few texts that hold one.
 """
 
 from __future__ import annotations
@@ -452,16 +454,19 @@ class _WindowIndex:
         self.bits = _key_bits(texts)
         keys = _slot_keys(texts, self.width)
         keys.sort()
-        self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        # the first key of each run; the slice drops the leading True when
+        # there is no key (no relator, or relators of length 0)
+        self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)]]
         # a window at two slots: a periodic relator, or a coincidence
         self.repeats = len(self.keys) < len(keys)
         self._packed = keys.dtype == np.uint64
 
     @cached_property
     def longest_piece(self) -> int:
-        """The longest piece, as `max_piece_length` finds it.  Any two keys
-        share at most the prefix that some two sorted neighbours share, and a
-        window at two slots shares its first l-1 letters with itself."""
+        """The longest piece: the one place it is computed, for the C'(1/6)
+        gate and `max_piece_length` alike.  Any two keys share at most the
+        prefix that some two sorted neighbours share, and a window at two
+        slots shares its first l-1 letters with itself."""
         return self.width - 1 if self.repeats else int(
             _neighbour_lcp(self.keys, self.width, self.bits).max(initial=0))
 
@@ -541,11 +546,15 @@ def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
 def max_piece_length(relators: Sequence[str]) -> PieceReport:
     """Maximum piece length over all rotations of the relators and inverses.
 
-    The length is one sort: the length-(l-1) slot windows are sorted, and the
-    longest common prefix of two sorted neighbours is the longest piece
-    plen (Manber & Myers), capped at l-1 by construction.  The witness is
-    the one a generalized suffix automaton of all the texts gives, read off
-    the texts that hold a slot of a longest piece (`_piece_witness`):
+    The length plen is the window index's `longest_piece`: the longest
+    common prefix of two sorted neighbours among the length-l windows
+    (Manber & Myers), or l-1 when a window lies at two slots.  Relator
+    coincidences are sought only then, since a coincidence repeats a
+    rotation.  The texts that hold a slot of a longest piece are the texts
+    of the slots whose length-plen window equals one at another slot, found
+    by sorting those windows by value.  The witness is the one a generalized
+    suffix automaton of all the texts gives, read off those texts
+    (`_piece_witness`):
 
     - The texts form one stream: text t starts at t·2l, and each text's
       start is a letter of its own.  An occurrence is its end (t, e), in
@@ -569,20 +578,21 @@ def max_piece_length(relators: Sequence[str]) -> PieceReport:
     oracle.
     """
     texts = _relator_texts(relators)
-    l = _text_length(texts)
-    report = PieceReport(0, None, {}, _relator_coincidences(texts), l)
-    if l >= 2:
-        keys = _slot_keys(texts, l - 1)
-        order = np.argsort(keys, kind="stable")
-        lcp = _neighbour_lcp(keys[order], l - 1, _key_bits(texts))
-        plen = int(lcp.max(initial=0))
-        if plen > 0:
-            # both slots of every neighbour pair sharing plen letters; a slot
-            # of text t is t·l + position (`_slot_keys`)
-            pairs = np.flatnonzero(lcp == plen)
-            tids = np.unique(order[np.concatenate([pairs, pairs + 1])] // l)
-            report.max_piece_length = plen
-            report.witness = _piece_witness(texts, tids.tolist(), plen)
+    index = _WindowIndex(texts)
+    l, plen = index.width, index.longest_piece
+    # a coincidence repeats a rotation, but at l = 0 there is no window and
+    # every relator is the empty word
+    coincidences = _relator_coincidences(texts) if index.repeats or l == 0 else []
+    report = PieceReport(plen, None, {}, coincidences, l)
+    if plen > 0:
+        # the texts of the slots whose length-plen window lies at another
+        # slot; a slot of text t is t·l + position (`_slot_keys`)
+        keys = _slot_keys(texts, plen)
+        ranked = np.sort(keys)
+        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+        held = repeated.take(np.searchsorted(repeated, keys), mode="clip") == keys
+        tids = np.unique(np.flatnonzero(held) // l)
+        report.witness = _piece_witness(texts, tids.tolist(), plen)
     report.lambda_threshold_passed = {lam: report.passes(lam) for lam in _DEFAULT_LAMBDAS}
     return report
 

@@ -16,6 +16,9 @@
   read rotations through the window index alone.
 - In `src/` only `model` reads `_relator_windows`: each presentation builds
   its window index once (`Presentation.windows`), and every reader shares it.
+- The window index is the one place the longest piece is computed: in `src/`
+  only `_WindowIndex` reads `_neighbour_lcp`, and `max_piece_length` calls no
+  `argsort`.
 """
 
 import ast
@@ -170,3 +173,16 @@ def test_only_model_builds_relator_windows():
     readers = [path.stem for path in SOURCES
                if any(name == "_relator_windows" for name, _ in _mentions(_parse(path)))]
     assert readers == ["model"]
+
+
+def test_the_window_index_alone_finds_the_longest_piece():
+    tree = _parse(ROOT / "src" / "randomgroups" / "words.py")
+    spans = {node.name: range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    lcp_readers = [f"{path.stem}:{line}" for path in SOURCES
+                   for name, line in _mentions(_parse(path)) if name == "_neighbour_lcp"
+                   if path.stem != "words" or line not in spans["_WindowIndex"]]
+    assert lcp_readers == []
+    sorts = [line for name, line in _mentions(tree)
+             if name == "argsort" and line in spans["max_piece_length"]]
+    assert sorts == []

@@ -196,6 +196,8 @@ def test_piece_examples():
     assert max_piece_length(["ab"]).max_piece_length == 0
     # empty set
     assert max_piece_length([]).max_piece_length == 0
+    # l = 0: no window, yet two empty relators coincide
+    assert max_piece_length(["1", "1"]).relator_coincidences == [(0, 1)]
 
 
 def test_piece_witness_is_genuine():
@@ -385,6 +387,7 @@ def _automaton_report(relators):
 @given(relator_sets())
 @example((2, []))
 @example((2, ["1"]))
+@example((2, ["1", "1"]))
 @example((2, ["a"]))
 @example((2, ["a", "a"]))
 @example((2, ["a", "A", "b"]))
@@ -424,18 +427,18 @@ def test_pieces_match_oracles_at_key_width(case):
 
 
 def _check_longest_piece(rels):
-    """The window index's longest piece and repeats against
-    `max_piece_length`, its gate against the report's, and its repeats
-    against the string rotations: some rotation lies at two slots."""
+    """The window index's longest piece against the all-pairs scan, its
+    repeats against the string rotations (some rotation lies at two slots),
+    and its gate against the report of `max_piece_length`."""
     l = len(rels[0])
     report = max_piece_length(rels)
     index = words._relator_windows(rels)
     rotations = [(s + s)[q : q + l] for r in rels for s in (r, inverse_word(r))
                  for q in range(l)]
     assert index.repeats == (len(set(rotations)) < len(rotations))
-    assert index.longest_piece == report.max_piece_length
+    assert index.longest_piece == max_piece_length_quadratic(rels)
     if index.repeats:
-        assert report.max_piece_length == l - 1
+        assert index.longest_piece == l - 1
     if report.relator_coincidences:
         assert index.repeats
     lam = Fraction(1, 6)
@@ -472,6 +475,13 @@ def test_longest_piece_gates_on_repeats_alone():
     assert (index.repeats, index.longest_piece) == (False, 0)
     index = words._relator_windows(["abab"])
     assert (index.repeats, index.longest_piece) == (True, 3)
+
+
+@pytest.mark.parametrize("rels", [[], ["1"], ["1", "1"]])
+def test_relator_windows_without_windows(rels):
+    # no relator, or relators of length 0: the index holds no key
+    index = words._relator_windows(rels)
+    assert (len(index.keys), index.repeats, index.longest_piece) == (0, False, 0)
 
 
 def test_bit_length_is_exact_at_key_width():
@@ -526,6 +536,7 @@ def _coincidences_by_string(rels):
 
 
 @given(relator_sets())
+@example((2, ["1", "1"]))
 @settings(max_examples=300, deadline=None)
 def test_relator_coincidences_match_string_oracle(case):
     _m, rels = case
