@@ -230,14 +230,12 @@ class CayleyBall:
         u, x = np.nonzero(self.adjacency >= 0)
         return u, x, self.adjacency[u, x]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_dict(self) -> dict:
+    def _edge_columns(self) -> tuple[list[int], list[int], list[str]]:
+        """The ball's edges as (low, high, letter) columns, sorted and each
+        edge once: the letter is read from the low end, so both directions
+        of an edge give the same triple."""
         letters = np.array(list(self.presentation.alphabet.letters))
         u, x, v = self._edges()
-        # one (low, high, letter) triple per recorded direction, the letter
-        # read from the low end; both directions of an edge give the same one
         forward = u < v
         lo, hi = np.where(forward, u, v), np.where(forward, v, u)
         label = letters[np.where(forward, x, x ^ 1)]
@@ -245,6 +243,12 @@ class CayleyBall:
         lo, hi, label = lo[order], hi[order], label[order]
         keep = np.ones(len(lo), dtype=bool)
         keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (label[1:] != label[:-1])
+        return lo[keep].tolist(), hi[keep].tolist(), label[keep].tolist()
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    def to_dict(self) -> dict:
         return {
             "m": self.presentation.m,
             "l": self.presentation.l,
@@ -253,8 +257,26 @@ class CayleyBall:
                 {"id": i, "word": w, "distance": d}
                 for i, (w, d) in enumerate(zip(self.words, self.dist.tolist()))
             ],
-            "edges": list(zip(lo[keep].tolist(), hi[keep].tolist(), label[keep].tolist())),
+            "edges": list(zip(*self._edge_columns())),
         }
+
+    def json_text(self, indent: str = "") -> str:
+        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)` with every
+        line after the first led by `indent`, written from the arrays with
+        one template per row.  Words and letters are ASCII letters or
+        EMPTY_WORD, so no string needs escaping."""
+        i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+        rows = ",\n" + i2
+        edge = f'[\n{i3}%d,\n{i3}%d,\n{i3}"%s"\n{i2}]'
+        vertex = f'{{\n{i3}"distance": %d,\n{i3}"id": %d,\n{i3}"word": "%s"\n{i2}}}'
+        edges = rows.join([edge % e for e in zip(*self._edge_columns())])
+        edges = f"[\n{i2}{edges}\n{i1}]" if edges else "[]"
+        vertices = rows.join([vertex % v for v in zip(self.dist.tolist(), range(len(self.words)),
+                                                        self.words)])
+        p = self.presentation
+        return (f'{{\n{i1}"edges": {edges},\n{i1}"l": {p.l},\n{i1}"m": {p.m},\n'
+                f'{i1}"radius": {self.radius},\n'
+                f'{i1}"vertices": [\n{i2}{vertices}\n{i1}]\n{indent}}}')
 
     def adjacency_csv(self) -> str:
         letters = self.presentation.alphabet.letters

@@ -17,7 +17,6 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -78,79 +77,27 @@ def _resolve(args, config, key, cast, default=None, required=False):
         raise PreconditionError(f"--{key}: cannot read {text!r}: {e}") from e
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), character for character.
-
-    With an indent, json falls back to its pure-Python encoder.  Here only
-    the containers are laid out in Python: a run of scalars (a list of
-    them, or a dict's values) goes through the C encoder in one call, with
-    the newline and indent as its separator, and so does a list of such
-    runs of one kind (`_flat_kind`), whose boundaries are then re-indented.
-    """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        if not obj:
-            return "{}"
-        if _holds_containers(obj.values()):
-            body = sep.join(json.dumps(k) + ": " + _json_text(v, inner)
-                            for k, v in sorted(obj.items()))
-        else:
-            body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kind = _flat_kind(obj) if _holds_containers(obj) else ""
-        if kind is None:
-            body = sep.join(_json_text(v, inner) for v in obj)
-        elif not kind:
-            body = json.dumps(obj, separators=(sep, ": "))[1:-1]
-        else:
-            # a newline is only ever a separator, and no scalar ends with a
-            # closing or starts with an opening bracket: so `close, open`
-            # across a newline is exactly a boundary between two items
-            (o, c), deeper = kind, inner + "  "
-            dense = json.dumps(obj, sort_keys=True, separators=(",\n" + deeper, ": "))[2:-2]
-            body = (o + "\n" + deeper
-                    + dense.replace(c + ",\n" + deeper + o, "\n" + inner + c + sep + o + "\n" + deeper)
-                    + "\n" + inner + c)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    # scalars, and dicts with keys that json converts
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
-def _holds_containers(values) -> bool:
-    return any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
-
-
-def _flat_kind(items) -> str | None:
-    """"{}" if every item is a non-empty dict of scalar values, "[]" if
-    every item is a non-empty list or tuple of scalars, else None."""
-    types = set(map(type, items))
-    if not all(items):
-        return None
-    if types == {dict}:
-        inside, kind = chain.from_iterable(map(dict.values, items)), "{}"
-    elif types <= {list, tuple}:
-        inside, kind = chain.from_iterable(items), "[]"
-    else:
-        return None
-    return None if _holds_containers(inside) else kind
-
-
 def _emit(args, config: dict, result, csv_text: str | None = None):
     """Write the command's CSV text, or its JSON payload: the command name,
-    its resolved config, its result, the tool version and a timestamp."""
+    its resolved config, its result, the tool version and a timestamp.
+
+    A CayleyBall result writes its own text (`CayleyBall.json_text`), which
+    is spliced in at the `result` key of the payload's layout."""
     if args.format == "csv":
         if csv_text is None:
             raise PreconditionError("this command has no CSV format")
         text = csv_text
     else:
-        payload = {"command": args.command, "config": config, "result": result,
-                   "version": __version__,
+        ball = isinstance(result, cayley_mod.CayleyBall)
+        payload = {"command": args.command, "config": config,
+                   "result": None if ball else result, "version": __version__,
                    "timestamp": datetime.now(timezone.utc).isoformat()}
-        text = _json_text(payload) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if ball:
+            # a JSON string holds no raw newline and the config's keys sit
+            # one level deeper, so this is the top-level result key
+            head, _, tail = text.partition('\n  "result": null')
+            text = head + '\n  "result": ' + result.json_text("  ") + tail
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -248,9 +195,8 @@ def cmd_ball(args, cfg):
     radius = _resolve(args, cfg, "radius", int, required=True)
     budget = _resolve(args, cfg, "budget", int, default=cayley_mod.DEFAULT_VERTEX_BUDGET)
     ball = cayley_mod.cayley_ball(p, radius, vertex_budget=budget)
-    csv = args.format == "csv"
-    _emit(args, {"in": str(args.infile), "radius": radius}, None if csv else ball.to_dict(),
-          csv_text=ball.adjacency_csv() if csv else None)
+    _emit(args, {"in": str(args.infile), "radius": radius}, ball,
+          csv_text=ball.adjacency_csv() if args.format == "csv" else None)
 
 
 def cmd_diagrams_enumerate(args, cfg):

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,15 @@ def find_verified_presentation(m, l, d, max_seeds=5000):
         if is_dehn_ready(p):
             return p
     return None
+
+
+def assert_same_text(text, oracle):
+    """text == oracle, reported at their first difference: pytest's own diff
+    of megabytes of JSON takes minutes."""
+    if text != oracle:
+        at = len(os.path.commonprefix([text, oracle]))
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"the texts differ from offset {at}: {text[near]!r} against {oracle[near]!r}")
 
 
 def build_demo_tree(levels=3, max_seeds=20):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import random
 from collections import OrderedDict, deque
 from fractions import Fraction
@@ -33,7 +34,7 @@ from randomgroups.words import (
 )
 
 from tests.ball_oracle import _oracle_engine, cayley_ball_oracle, check_ball_invariants
-from tests.conftest import find_verified_presentation
+from tests.conftest import assert_same_text, find_verified_presentation
 from tests.oracles import exact_cprime_fraction_single_relator
 
 
@@ -253,6 +254,17 @@ def test_ball_oracle_byte_row_keys(monkeypatch, verified_presentation, oracle_r6
     monkeypatch.setattr(eng, "windows", words_mod._relator_windows(p.relators))
     assert eng.windows.keys.dtype.kind == "V"
     _assert_same_ball(cayley_ball(p, 6), oracle_r6, exports=False)
+
+
+def test_ball_json_text_matches_json_dumps(odd_presentation):
+    # the text written from the arrays is the json.dumps layout of to_dict(),
+    # nested at any indent; radius 0 has no edges, and the odd-l host has
+    # edges inside a level from radius 7
+    for radius in range(8):
+        ball = cayley_ball(odd_presentation, radius)
+        oracle = json.dumps(ball.to_dict(), indent=2, sort_keys=True)
+        for indent in ("", "  ", "\t "):
+            assert_same_text(ball.json_text(indent), oracle.replace("\n", "\n" + indent))
 
 
 @pytest.mark.parametrize("m, l", [(2, 13), (3, 12), (4, 12)])

@@ -16,13 +16,14 @@ from randomgroups import cli
 from randomgroups.cli import (
     BOUNDS_DISPATCH,
     COMMANDS,
-    _json_text,
     build_parser,
     main,
 )
 from randomgroups.diagrams import diagram_to_json, restrict_boundary, single_face_diagram
 from randomgroups.model import load_presentation, sample_presentation, save_presentation
 from randomgroups.roundtree import RoundTreeParams, init_round_tree, tree_to_json
+
+from tests.conftest import assert_same_text, find_verified_presentation
 
 
 def run(argv):
@@ -177,6 +178,53 @@ def test_ball_csv_builds_no_payload(tmp_path, monkeypatch, verified_presentation
     # the export bytes pinned in test_cayley.py
     assert hashlib.sha256(csvfile.read_bytes()).hexdigest() == (
         "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
+
+
+def _refuse_to_dict(self):
+    raise AssertionError("the ball's result went through to_dict")
+
+
+def _ball_payload_oracle(ball, pfile, text):
+    """The payload bytes `ball` gave before its result was written from the
+    arrays: json.dumps of its to_dict(), with the timestamp read off `text`."""
+    payload = {"command": "ball", "config": {"in": str(pfile), "radius": ball.radius},
+               "result": ball.to_dict(), "version": __version__,
+               "timestamp": json.loads(text)["timestamp"]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# radii 0 (no edges), 1, l//2 and l//2 + 1 on verified hosts with m = 2, 3
+# and 4, odd l among them; at m = 4 the radius-7 ball passes the default
+# vertex budget, so that host stops at l//2
+@pytest.mark.parametrize("m, l, radius", [
+    (2, 13, 0), (2, 13, 1), (2, 13, 6), (2, 13, 7),
+    (3, 12, 0), (3, 12, 1), (3, 12, 6), (3, 12, 7),
+    (4, 12, 0), (4, 12, 1), (4, 12, 6),
+])
+def test_ball_json_from_arrays_matches_json_dumps(m, l, radius, tmp_path, monkeypatch):
+    p = find_verified_presentation(m, l, 0)
+    pfile = tmp_path / "v.txt"
+    save_presentation(p, pfile)
+    ball = cayley_ball(p, radius)
+    monkeypatch.setattr(CayleyBall, "to_dict", _refuse_to_dict)
+    out = tmp_path / "ball.json"
+    assert run(["ball", "--in", str(pfile), "--radius", str(radius), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    text = out.read_text()
+    assert_same_text(text, _ball_payload_oracle(ball, pfile, text))
+
+
+def test_ball_json_splice_lands_on_the_result_key(tmp_path, verified_presentation):
+    # a path that holds the spliced key itself, a raw newline, a quote, a
+    # backslash and a letter that json escapes
+    pfile = tmp_path / 'v\n  "result": null \\ é.txt'
+    save_presentation(verified_presentation, pfile)
+    out = tmp_path / "ball.json"
+    assert run(["ball", "--in", str(pfile), "--radius", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert json.loads(text)["config"]["in"] == str(pfile)
+    ball = cayley_ball(verified_presentation, 2)
+    assert_same_text(text, _ball_payload_oracle(ball, pfile, text))
 
 
 def test_ball_budget_exit_code(tmp_path, verified_presentation):
@@ -502,36 +550,6 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_pr
 def test_over_budget_input_exits_3(case, tmp_path, capsys):
     assert run(OVER_BUDGET_INPUTS[case].format(**_bad_input_files(tmp_path)).split()) == 3
     assert capsys.readouterr().err.startswith("budget exhausted: ")
-
-
-_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
-                 | st.floats(allow_nan=False) | st.text(max_size=8))
-_JSON_KEYS = st.text(max_size=6)
-# payload-like trees: dicts with str (or all int) keys, lists and
-# tuples, among them runs of flat containers of one kind
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
-                   | st.dictionaries(_JSON_KEYS, inner, max_size=4)
-                   | st.dictionaries(st.integers(0, 9), inner, max_size=3)
-                   | st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=3), max_size=4)
-                   | st.lists(st.lists(_JSON_SCALARS, max_size=3), max_size=4)),
-    max_leaves=30,
-)
-
-
-@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
-@settings(max_examples=300, deadline=None)
-def test_json_text_matches_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-
-def test_json_text_edge_layouts():
-    for payload in ({}, [], {"a": []}, {"a": {}}, {"é": "ü\n\u2028"}, {"x": [{}, {"a": 1}]},
-                    {"x": [[], [1]]}, {"x": [[1, "]"], ["[", 2]]}, {"x": [{"a": "}"}, {"b": "{"}]},
-                    {"x": [{"b": 1, "a": 2}, {"a": [1]}]}, {"x": [(1, 2.5), [True, None]]},
-                    {"x": [{"a": 1}, [1]]}, {2: "int key", 1: [1e300, -0.0]}):
-        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_jobs_only_on_fillprob_mc(capsys):
