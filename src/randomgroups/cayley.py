@@ -9,13 +9,17 @@ closure, so every vertex carries the lexicographically least geodesic word.
 Presentations that are not verified refuse all exact queries.  A separate
 naive-closure mode returns distance upper bounds (`UnverifiedBall`), with no
 exactness claim (used by the high-density probes).
+
+What a query learns about a presentation stays on that presentation object:
+its window index (`Presentation.windows`), its Dehn engine
+(`Presentation.engine`) and the largest ball `distance` has built
+(`DehnEngine.ball`).  This module keeps nothing across presentations, so an
+equal presentation loaded again builds its own.
 """
 
 from __future__ import annotations
 
-import functools
-import json
-from collections import OrderedDict, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,6 +77,9 @@ class DehnEngine:
     gate 6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
     The complement of an arc rotation[:j] is rotation[j:], and its inverse
     the first l - j letters of the rotation's inverse.
+
+    `ball` is the largest ball `distance` has built, or None: a ball of
+    radius r answers every query of Dehn-reduced length at most r.
     """
 
     def __init__(self, p: Presentation):
@@ -95,6 +102,7 @@ class DehnEngine:
                                        map(tuple, (rows[:, ::-1] ^ 1).tolist()))
         }
         assert len(self.arcs) == len(p.relators) * 2 * p.l, "a window lies at two slots"
+        self.ball: CayleyBall | None = None
 
     def _match(self, w: tuple[int, ...], i: int):
         """The maximal arc match ((window, inverse), j) starting at position
@@ -187,18 +195,13 @@ class DehnEngine:
         return same, None
 
 
-@functools.lru_cache(maxsize=16)
-def _engine(p: Presentation) -> DehnEngine:
-    return DehnEngine(p)
-
-
 def dehn_reduce(word: str, p: Presentation) -> str:
     """Greedy >half-relator replacement to a Dehn-irreducible word.
 
     For a verified C'(1/6) presentation the result is empty exactly when the
     input represents the identity.
     """
-    eng = _engine(p)
+    eng = p.engine
     return eng.ab.decode(eng.dehn_reduce(eng.ab.encode(word)))
 
 
@@ -245,26 +248,14 @@ class CayleyBall:
         keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (label[1:] != label[:-1])
         return lo[keep].tolist(), hi[keep].tolist(), label[keep].tolist()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.presentation.m,
-            "l": self.presentation.l,
-            "radius": self.radius,
-            "vertices": [
-                {"id": i, "word": w, "distance": d}
-                for i, (w, d) in enumerate(zip(self.words, self.dist.tolist()))
-            ],
-            "edges": list(zip(*self._edge_columns())),
-        }
-
     def json_text(self, indent: str = "") -> str:
-        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)` with every
-        line after the first led by `indent`, written from the arrays with
-        one template per row.  Words and letters are ASCII letters or
-        EMPTY_WORD, so no string needs escaping."""
+        """The ball as indented, key-sorted JSON, with every line after the
+        first led by `indent`, written from the arrays with one template per
+        row: the layout of `json.dumps(..., indent=2, sort_keys=True)` of
+        {"edges", "l", "m", "radius", "vertices"}, the edges as
+        `_edge_columns` rows and each vertex as {"distance", "id", "word"}.
+        Words and letters are ASCII letters or EMPTY_WORD, so no string needs
+        escaping."""
         i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
         rows = ",\n" + i2
         edge = f'[\n{i3}%d,\n{i3}%d,\n{i3}"%s"\n{i2}]'
@@ -321,7 +312,7 @@ def cayley_ball(
     """
     if radius < 0:
         raise DomainError(f"need a ball radius >= 0, got {radius}")
-    eng = _engine(p)
+    eng = p.engine
     k = 2 * p.m
     adjacency = np.full((1, k), -1, dtype=np.int32)
     levels = [np.zeros((1, 0), dtype=np.int8)]  # level n: its words as letter codes
@@ -429,44 +420,25 @@ def cayley_ball(
     )
 
 
-# (presentation fingerprint, radius) -> ball, least recently used first
-_BALL_CACHE: OrderedDict[tuple[str, int], CayleyBall] = OrderedDict()
-_BALL_CACHE_SIZE = 8
-
-
-def _cached_ball(p: Presentation, radius: int) -> CayleyBall:
-    """A cached ball of radius >= `radius` for p, else a new one, cached.
-    Every ball here is built under DEFAULT_VERTEX_BUDGET, so the key needs
-    no budget."""
-    fp = p.fingerprint()
-    key = next((k for k in _BALL_CACHE if k[0] == fp and k[1] >= radius), None)
-    if key is not None:
-        _BALL_CACHE.move_to_end(key)
-        return _BALL_CACHE[key]
-    ball = cayley_ball(p, radius)
-    _BALL_CACHE[(fp, radius)] = ball
-    if len(_BALL_CACHE) > _BALL_CACHE_SIZE:
-        _BALL_CACHE.popitem(last=False)
-    return ball
-
-
 def distance(p: Presentation, word: str) -> int:
     """Exact distance from the identity.
 
     The word is Dehn-reduced first (an upper bound on the distance), then the
-    element is located in a ball of that radius.
+    element is located in the engine's ball, which is rebuilt at that radius
+    only when it is smaller.
     """
-    eng = _engine(p)
+    eng = p.engine
     w = eng.dehn_reduce(eng.ab.encode(word))
     if not w:
         return 0
-    ball = _cached_ball(p, len(w))
-    vid = ball.vertex_of_word(eng.ab.decode(w))
-    return int(ball.dist[vid])
+    if eng.ball is None or eng.ball.radius < len(w):
+        eng.ball = cayley_ball(p, len(w))
+    vid = eng.ball.vertex_of_word(eng.ab.decode(w))
+    return int(eng.ball.dist[vid])
 
 
 def is_geodesic(p: Presentation, word: str) -> bool:
-    eng = _engine(p)
+    eng = p.engine
     w = eng.ab.encode(word)
     if _reduce_ints(w) != w:
         return False

@@ -7,7 +7,9 @@ built from that table once, at import (PARSER).  Outputs are
 machine-readable: a JSON payload embedding the full resolved configuration
 and a tool version, with the timestamp confined to a single header field so
 reruns are byte-comparable.  Exit codes: 0 success, 2 precondition/domain
-errors, 3 budget exhaustion.
+errors and obstructed constructions, 3 budget exhaustion.  A round-tree build
+that stops is obstructed whatever stopped it, so it exits 2 also when its
+window-search budget (`--search-budget`) runs out.
 """
 
 from __future__ import annotations

@@ -19,6 +19,12 @@ oracle.  The contract rests on numpy's documented stream algorithms
 (SeedSequence, Philox, `Generator.integers`); the tier-1 properties named
 `stream` in tests/test_model.py pin it, so a numpy release that changed a
 stream would fail them rather than drift.
+
+A `Presentation` also holds what is computed from its relators, each part
+built on first use and kept for the object's life: its window index
+(`windows`), its Dehn engine (`engine`), and through the engine the largest
+Cayley ball that `cayley.distance` has built.  No module keeps a cache, so
+nothing is shared across presentations, equal ones included.
 """
 
 from __future__ import annotations
@@ -200,6 +206,16 @@ class Presentation:
         on first use: the C'(1/6) gate, the Dehn engine, the naive closure
         and the round-tree window search all read this one object."""
         return _relator_windows(self.relators)
+
+    @cached_property
+    def engine(self):
+        """The Dehn engine of the relators (`cayley.DehnEngine`), built on
+        first use: every exact query of `cayley` reads this one object, and
+        it keeps the largest Cayley ball that `cayley.distance` has built.
+        An unverified presentation raises NotVerifiedError on every access."""
+        from .cayley import DehnEngine
+
+        return DehnEngine(self)
 
 
 def check_seed(seed: int) -> None:

@@ -14,6 +14,10 @@ the thresholds that its piece bound sets), never the window index.
 `check_ball_invariants` asserts what any ball must satisfy, whichever way
 it was built: its graph-distance checks walk the recorded adjacency by
 levels.
+
+`ball_dict` and `ball_json` read a `CayleyBall`'s arrays into the dict and
+the `json.dumps` text that its export bytes are pinned against; the library
+writes those bytes only through `CayleyBall.json_text`.
 """
 
 from __future__ import annotations
@@ -165,6 +169,25 @@ class OracleBall:
             for x, v in sorted(nbrs.items()):
                 lines.append(f"{u},{v},{letters[x]}")
         return "\n".join(lines) + "\n"
+
+
+def ball_dict(ball: CayleyBall) -> dict:
+    """The ball as a dict: m, l, radius, each vertex's id, word and
+    distance, and the edges as `CayleyBall._edge_columns` rows."""
+    return {
+        "m": ball.presentation.m,
+        "l": ball.presentation.l,
+        "radius": ball.radius,
+        "vertices": [
+            {"id": i, "word": w, "distance": d}
+            for i, (w, d) in enumerate(zip(ball.words, ball.dist.tolist()))
+        ],
+        "edges": list(zip(*ball._edge_columns())),
+    }
+
+
+def ball_json(ball: CayleyBall) -> str:
+    return json.dumps(ball_dict(ball), indent=2)
 
 
 def cayley_ball_oracle(

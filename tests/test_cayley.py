@@ -2,7 +2,7 @@ import functools
 import hashlib
 import json
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,13 @@ from randomgroups.words import (
     reduce_word,
 )
 
-from tests.ball_oracle import _oracle_engine, cayley_ball_oracle, check_ball_invariants
+from tests.ball_oracle import (
+    _oracle_engine,
+    ball_dict,
+    ball_json,
+    cayley_ball_oracle,
+    check_ball_invariants,
+)
 from tests.conftest import assert_same_text, find_verified_presentation
 from tests.oracles import exact_cprime_fraction_single_relator
 
@@ -162,7 +168,7 @@ def test_vertex_budget():
 
 def test_ball_exports(verified_presentation):
     ball = cayley_ball(verified_presentation, 2)
-    js = ball.to_json()
+    js = ball_json(ball)
     assert '"radius": 2' in js
     csv = ball.adjacency_csv()
     assert csv.startswith("src,dst,letter")
@@ -170,7 +176,7 @@ def test_ball_exports(verified_presentation):
     # pin the export bytes
     ball = cayley_ball(verified_presentation, 6)
     assert len(ball.words) == 23425
-    assert hashlib.sha256(ball.to_json().encode()).hexdigest() == (
+    assert hashlib.sha256(ball_json(ball).encode()).hexdigest() == (
         "76c4184e960743940563007340f78690fea1a65b9a2e30db60c68badfbe18048")
     assert hashlib.sha256(ball.adjacency_csv().encode()).hexdigest() == (
         "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
@@ -190,7 +196,7 @@ def _assert_same_ball(ball, oracle, exports=True):
     assert ball.dist.tolist() == oracle.dist
     assert np.array_equal(ball.adjacency, _dense(oracle))
     if exports:
-        assert ball.to_json() == oracle.to_json()
+        assert_same_text(ball_json(ball), oracle.to_json())
         assert ball.adjacency_csv() == oracle.adjacency_csv()
 
 
@@ -226,7 +232,7 @@ def test_ball_oracle_even_l_merged_classes(verified_presentation, oracle_r6):
 
 def test_ball_oracle_odd_l_shortened_candidates(monkeypatch, odd_presentation):
     p = odd_presentation
-    eng = cayley_mod._engine(p)
+    eng = p.engine
     shortened = []
     reduce_ = eng.dehn_reduce
 
@@ -249,7 +255,7 @@ def test_ball_oracle_byte_row_keys(monkeypatch, verified_presentation, oracle_r6
     # into the window index whose prefix ranges a ball's tails are searched
     # in, for a ball that packs them otherwise
     p = verified_presentation
-    eng = cayley_mod._engine(p)
+    eng = p.engine
     monkeypatch.setattr(words_mod, "_key_bits", lambda texts: 64)
     monkeypatch.setattr(eng, "windows", words_mod._relator_windows(p.relators))
     assert eng.windows.keys.dtype.kind == "V"
@@ -257,12 +263,12 @@ def test_ball_oracle_byte_row_keys(monkeypatch, verified_presentation, oracle_r6
 
 
 def test_ball_json_text_matches_json_dumps(odd_presentation):
-    # the text written from the arrays is the json.dumps layout of to_dict(),
+    # the text written from the arrays is the json.dumps layout of its dict,
     # nested at any indent; radius 0 has no edges, and the odd-l host has
     # edges inside a level from radius 7
     for radius in range(8):
         ball = cayley_ball(odd_presentation, radius)
-        oracle = json.dumps(ball.to_dict(), indent=2, sort_keys=True)
+        oracle = json.dumps(ball_dict(ball), indent=2, sort_keys=True)
         for indent in ("", "  ", "\t "):
             assert_same_text(ball.json_text(indent), oracle.replace("\n", "\n" + indent))
 
@@ -273,7 +279,7 @@ def test_dehn_arcs_match_string_rotations(m, l):
     # rotations built from the relator strings, and each complement slice
     # that a match hands out is the string complement's inverse
     p = _verified_host(m, l)
-    eng, oracle = cayley_mod._engine(p), _oracle_engine(p)
+    eng, oracle = p.engine, _oracle_engine(p)
     assert eng.arcs == oracle.arcs
     ab = p.alphabet
     for window, inverse in eng.arcs.values():
@@ -339,42 +345,39 @@ def test_closure_and_dehn_match_ball_oracle_engine(case):
     t = texts[rot % len(texts)].tolist()
     q = rot % p.l
     w = _reduce_ints(pre + t[q : q + min(k, p.l)] + post)
-    eng, oracle = cayley_mod._engine(p), _oracle_engine(p)
+    eng, oracle = p.engine, _oracle_engine(p)
     assert eng.dehn_reduce(w) == oracle.dehn_reduce(w)
     assert eng.geodesic_closure(w) == oracle.geodesic_closure(w)
     assert eng.is_suspicious(w) == oracle.is_suspicious(w)
 
 
-def test_ball_cache_is_a_bounded_lru(monkeypatch):
+def test_engine_keeps_its_largest_ball(monkeypatch, verified_presentation):
     built = []
 
-    def fake_ball(p, radius):
-        built.append((p.seed, radius))
-        return (p.seed, radius)
+    def recording(p, radius):
+        built.append(radius)
+        return cayley_ball(p, radius)
 
-    monkeypatch.setattr(cayley_mod, "cayley_ball", fake_ball)
-    monkeypatch.setattr(cayley_mod, "_BALL_CACHE", OrderedDict())
-    size = cayley_mod._BALL_CACHE_SIZE
-    ps = [sample_presentation(2, 4, 0, seed=s) for s in range(size + 1)]
-    cached = cayley_mod._cached_ball
-    # a larger cached ball serves a smaller radius; a larger radius builds
-    assert cached(ps[0], 5) == (0, 5)
-    assert cached(ps[0], 3) == (0, 5)
-    assert cached(ps[0], 6) == (0, 6)
-    assert built == [(0, 5), (0, 6)]
-    for p in ps[1:size - 1]:
-        cached(p, 1)
-    assert len(cayley_mod._BALL_CACHE) == size
-    # touching (0, 5) makes (0, 6) the least recently used entry
-    assert cached(ps[0], 4) == (0, 5)
-    cached(ps[size - 1], 1)
-    assert len(cayley_mod._BALL_CACHE) == size
-    assert (ps[0].fingerprint(), 6) not in cayley_mod._BALL_CACHE
-    assert (ps[0].fingerprint(), 5) in cayley_mod._BALL_CACHE
-    del built[:]
-    assert cached(ps[0], 6) == (0, 6)
-    assert built == [(0, 6)]
-    assert (ps[1].fingerprint(), 1) not in cayley_mod._BALL_CACHE
+    monkeypatch.setattr(cayley_mod, "cayley_ball", recording)
+    # fresh objects equal to the fixture, whose engine may hold a ball already
+    p, q = (sample_presentation(3, 12, 0, seed=verified_presentation.seed) for _ in range(2))
+    assert p == q == verified_presentation
+    # reduced words of at most l/2 letters are Dehn-irreducible, so each
+    # query asks for a ball of its own length: a larger ball serves a
+    # smaller radius, and a larger radius builds
+    assert [distance(p, w) for w in ("abcab", "abc", "abcabc", "abca")] == [5, 3, 6, 4]
+    assert built == [5, 6]
+    # and a ball of the radius asked for serves too
+    assert distance(p, "cbacba") == 6
+    assert built == [5, 6]
+    assert p.engine.ball.radius == 6
+    # an equal presentation builds its own engine, on its own index, and its
+    # own ball
+    assert q.engine is not p.engine
+    assert q.engine.windows is q.windows
+    assert q.engine.ball is None
+    assert distance(q, "abc") == 3
+    assert built == [5, 6, 3]
 
 
 def test_fingerprint_computed_once(monkeypatch):
@@ -566,12 +569,11 @@ def test_gate_engine_ball_and_closure_share_the_presentation_windows(
         init(self, texts)
 
     monkeypatch.setattr(words_mod._WindowIndex, "__init__", counting)
-    cayley_mod._engine.cache_clear()  # an equal presentation's engine holds its own index
     assert is_dehn_ready(p)
     assert dehn_reduce(p.relators[0], p) == "1"
     assert len(cayley_ball(p, 4).words) == 1 + 6 * (5**4 - 1) // 4
     assert distance(p, "abc") == 3
-    assert cayley_mod._engine(p).windows is p.windows
+    assert p.engine.windows is p.windows
     tree = init_round_tree(p, RoundTreeParams(V=2, H=4, ext_offset=1, ext_len=1, seg_len=3))
     assert not is_dehn_ready(target)
     stats = distortion_probe(tree, target, radius=3, samples=10, seed=1, word_cap=6)

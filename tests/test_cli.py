@@ -23,6 +23,7 @@ from randomgroups.diagrams import diagram_to_json, restrict_boundary, single_fac
 from randomgroups.model import load_presentation, sample_presentation, save_presentation
 from randomgroups.roundtree import RoundTreeParams, init_round_tree, tree_to_json
 
+from tests.ball_oracle import ball_dict, ball_json
 from tests.conftest import assert_same_text, find_verified_presentation
 
 
@@ -153,12 +154,12 @@ def test_dehn_and_ball_verified(tmp_path, capsys, verified_presentation):
     assert run(["ball", "--in", str(pfile), "--radius", "6", "--out", str(ballfile)]) == 0
     ball = json.loads(ballfile.read_text())
     assert ball["result"]["radius"] == 6
-    # the payload bytes are those of a round trip through CayleyBall.to_json
+    # the payload bytes are those of a round trip through the ball's JSON
     exact = cayley_ball(verified_presentation, 6)
     old = {"command": "ball", "config": {"in": str(pfile), "radius": 6},
-           "result": json.loads(exact.to_json()), "version": __version__,
+           "result": json.loads(ball_json(exact)), "version": __version__,
            "timestamp": ball["timestamp"]}
-    assert ballfile.read_text() == json.dumps(old, indent=2, sort_keys=True) + "\n"
+    assert_same_text(ballfile.read_text(), json.dumps(old, indent=2, sort_keys=True) + "\n")
     csvfile = tmp_path / "ball.csv"
     assert run(["ball", "--in", str(pfile), "--radius", "6", "--format", "csv",
                 "--out", str(csvfile)]) == 0
@@ -166,12 +167,12 @@ def test_dehn_and_ball_verified(tmp_path, capsys, verified_presentation):
 
 
 def test_ball_csv_builds_no_payload(tmp_path, monkeypatch, verified_presentation):
-    def refuse(self):
+    def refuse(self, indent=""):
         raise AssertionError("the JSON payload was built for CSV output")
 
     pfile = tmp_path / "v.txt"
     save_presentation(verified_presentation, pfile)
-    monkeypatch.setattr(CayleyBall, "to_dict", refuse)
+    monkeypatch.setattr(CayleyBall, "json_text", refuse)
     csvfile = tmp_path / "ball.csv"
     assert run(["ball", "--in", str(pfile), "--radius", "6", "--format", "csv",
                 "--out", str(csvfile)]) == 0
@@ -180,15 +181,11 @@ def test_ball_csv_builds_no_payload(tmp_path, monkeypatch, verified_presentation
         "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
 
 
-def _refuse_to_dict(self):
-    raise AssertionError("the ball's result went through to_dict")
-
-
 def _ball_payload_oracle(ball, pfile, text):
     """The payload bytes `ball` gave before its result was written from the
-    arrays: json.dumps of its to_dict(), with the timestamp read off `text`."""
+    arrays: json.dumps of its dict, with the timestamp read off `text`."""
     payload = {"command": "ball", "config": {"in": str(pfile), "radius": ball.radius},
-               "result": ball.to_dict(), "version": __version__,
+               "result": ball_dict(ball), "version": __version__,
                "timestamp": json.loads(text)["timestamp"]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -201,15 +198,13 @@ def _ball_payload_oracle(ball, pfile, text):
     (3, 12, 0), (3, 12, 1), (3, 12, 6), (3, 12, 7),
     (4, 12, 0), (4, 12, 1), (4, 12, 6),
 ])
-def test_ball_json_from_arrays_matches_json_dumps(m, l, radius, tmp_path, monkeypatch):
+def test_ball_json_from_arrays_matches_json_dumps(m, l, radius, tmp_path):
     p = find_verified_presentation(m, l, 0)
     pfile = tmp_path / "v.txt"
     save_presentation(p, pfile)
     ball = cayley_ball(p, radius)
-    monkeypatch.setattr(CayleyBall, "to_dict", _refuse_to_dict)
     out = tmp_path / "ball.json"
     assert run(["ball", "--in", str(pfile), "--radius", str(radius), "--out", str(out)]) == 0
-    monkeypatch.undo()
     text = out.read_text()
     assert_same_text(text, _ball_payload_oracle(ball, pfile, text))
 
@@ -446,9 +441,13 @@ BAD_INPUTS = {
     "probe-distortion-word-cap-negative-verified":
         "roundtree-probe --tree {tree} --target {verified} --which distortion "
         "--radius 2 --samples 3 --word-cap -3",
+    # an obstructed build exits 2 whatever stopped it, a spent search budget too
+    "build-search-budget-1": "roundtree-build --in {verified} --branching-v 2 --bigh 4 "
+                             "--ext-offset 1 --ext-len 1 --seg-len 3 --levels 1 "
+                             "--search-budget 1",
 }
 
-# the flag that the error of a BAD_INPUTS case must name
+# the flag or cause that the error of a BAD_INPUTS case must name
 NAMED_FLAG = {
     "build-negative-levels": "--levels",
     "probe-radius-0": "radius",
@@ -459,6 +458,7 @@ NAMED_FLAG = {
     "probe-distortion-word-cap-negative": "word cap",
     "probe-local-geodesic-word-cap-negative-verified": "word cap",
     "probe-distortion-word-cap-negative-verified": "word cap",
+    "build-search-budget-1": "window search budget exhausted",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget
@@ -533,9 +533,9 @@ def _bad_input_files(tmp_path) -> dict:
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_presentation):
     files = _bad_input_files(tmp_path)
+    files["verified"] = tmp_path / "verified.txt"
+    save_presentation(verified_presentation, files["verified"])
     if "{tree}" in BAD_INPUTS[case]:
-        files["verified"] = tmp_path / "verified.txt"
-        save_presentation(verified_presentation, files["verified"])
         files["tree"] = tmp_path / "tree.json"
         assert run(["roundtree-build", "--in", str(files["verified"]), "--branching-v", "2",
                     "--bigh", "4", "--ext-offset", "1", "--ext-len", "1", "--seg-len", "3",

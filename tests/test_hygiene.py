@@ -19,6 +19,10 @@
 - The window index is the one place the longest piece is computed: in `src/`
   only `_WindowIndex` reads `_neighbour_lcp`, and `max_piece_length` calls no
   `argsort`.
+- `src/` keeps no module-level cache: no function is decorated with
+  `functools.lru_cache` or `functools.cache`, and no module-level name that
+  holds `CACHE` is assigned.  What is computed for a presentation lives on
+  that object (`Presentation.windows`, `Presentation.engine`).
 """
 
 import ast
@@ -186,3 +190,26 @@ def test_the_window_index_alone_finds_the_longest_piece():
     sorts = [line for name, line in _mentions(tree)
              if name == "argsort" and line in spans["max_piece_length"]]
     assert sorts == []
+
+
+def _module_caches(tree: ast.Module):
+    """(what, line) of every `lru_cache` or `cache` decorator, at any depth,
+    and of every module-level assignment to a name that holds CACHE."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for d in node.decorator_list:
+                name = ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1]
+                if name in ("lru_cache", "cache"):
+                    yield f"@{name} {node.name}", d.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if "CACHE" in name.upper():
+                    yield name, node.lineno
+
+
+def test_src_keeps_no_module_level_cache():
+    caches = [f"{path.stem}:{line} {what}" for path in SOURCES
+              for what, line in _module_caches(_parse(path))]
+    assert caches == []
