@@ -210,7 +210,7 @@ def cmd_diagrams_enumerate(args, cfg):
         "count": rep.count,
         "log_l_count": rep.log_l_count,
         "shape_bound_exponent": rep.shape_bound_exponent,
-        "diagrams": [json.loads(diagrams_mod.diagram_to_json(d)) for d in out],
+        "diagrams": [diagrams_mod.diagram_record(d) for d in out],
     }
     csv_text = "faces,l,count,log_l_count,shape_bound_exponent\n" + \
         f"{C},{l},{rep.count},{rep.log_l_count},{rep.shape_bound_exponent}\n"

@@ -10,9 +10,12 @@ follows the face's own reading direction.
 
 `belonging` is the one pass over a diagram's edges: it validates the
 diagram once and reads its side map once, for the charges behind the degree
-of constraint and for the filling conditions.  `compile_constraints` is that
-report with its letters coded, made once per diagram: `fill`, the exact
-counts and each Monte Carlo trial share it.
+of constraint and for the filling conditions.  It is the module's one
+reading of those conditions.  `compile_constraints` is that report with its
+letters coded, made once per diagram: `fill`, the exact counts and each
+Monte Carlo trial share it.  `boundary_word` and `isoperimetric_check` check
+a given filling against the same report.  The independent reading, straight
+off the faces and restrictions, is the test oracle in `tests/oracles.py`.
 
 Conventions fixed here (the module's canonical isomorphism):
   * interior edges must be traversed oppositely by their two face sides
@@ -21,7 +24,10 @@ Conventions fixed here (the module's canonical isomorphism):
     r reads a rotation of r;
   * a "tie" edge ((i1,k1) == (i2,k2)) is charged to the later face so the
     identity d_c = |I| + |r^-1(1)| holds for every reduced diagram, and the
-    diagram is flagged never-fillable;
+    diagram is flagged never-fillable.  On a reduced diagram both faces read
+    a tie edge the same way, so its letter would equal its own inverse and
+    the flag is the definition; on a non-reduced mirrored pair it is `fill`'s
+    counting convention (see `fill`);
   * enumeration glues faces along single connected boundary arcs, which is
     exactly the contractible planar edge-glued family; vertex-pinched
     complexes validate but are never enumerated.
@@ -33,6 +39,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -99,9 +106,6 @@ class Diagram:
 
     def internal_edges(self) -> set[int]:
         return {e for e, s in self.side_map().items() if len(s) == 2}
-
-    def boundary_edges(self) -> set[int]:
-        return {e for e, s in self.side_map().items() if len(s) <= 1}
 
     def bridges(self) -> set[int]:
         return {e for e, s in self.side_map().items() if len(s) == 0}
@@ -418,54 +422,15 @@ def _index_mask(words: np.ndarray, cons: CompiledConstraints, i: int) -> np.ndar
     return mask
 
 
-def verify_filling(
-    diagram: Diagram,
-    words: Sequence[str],
-    alphabet: Alphabet | None = None,
-    upto: int | None = None,
-) -> bool:
-    """Independent checker of the two filling conditions, straight off their text.
-
-    `words` are the candidate relator words for indices 1..len(words); with
-    `upto = m` only faces bearing indices <= m constrain the outcome.
-    """
-    ab = alphabet or _infer_alphabet(list(words))
-    conditions = _filling_conditions(diagram, ab, upto if upto is not None else len(words))
-    return _meets_conditions([ab.encode(w) for w in words], conditions)
-
-
-def _filling_conditions(diagram: Diagram, ab: Alphabet, upto: int):
-    """The filling conditions of the faces bearing indices <= upto, read off
-    the diagram's faces and restrictions alone: each shared edge as (i1, k1,
-    i2, k2, flip), whose letters satisfy x == y ^ flip, and each restricted
-    boundary edge as (i, k, letter code), with 0-based i and k."""
-    pairs, letters = [], []
-    for e, s in diagram.side_map().items():
-        if len(s) == 2:
-            (fa, pa, _), (fb, pb, _) = s
-            a, b = diagram.faces[fa], diagram.faces[fb]
-            if a.bears <= upto and b.bears <= upto:
-                pairs.append((a.bears - 1, k_of(a, pa) - 1, b.bears - 1, k_of(b, pb) - 1,
-                              int(a.orientation == b.orientation)))
-        elif len(s) == 1 and e in diagram.restrictions:
-            (fa, pa, _) = s[0]
-            f = diagram.faces[fa]
-            if f.bears <= upto:
-                letters.append((f.bears - 1, k_of(f, pa) - 1,
-                                ab.encode(diagram.restrictions[e])[0]))
-    return pairs, letters
-
-
-def _meets_conditions(coded: Sequence[Sequence[int]], conditions) -> bool:
-    """Do the coded words, one per bearing index, meet `_filling_conditions`?"""
-    pairs, letters = conditions
-    return (all(coded[i1][k1] == coded[i2][k2] ^ flip for i1, k1, i2, k2, flip in pairs)
-            and all(coded[i][k] == code for i, k, code in letters))
-
-
 def fill(diagram: Diagram, relators: Sequence[str], mode: str = "all", distinct: bool = True):
     """Assignments of relator words to bearing indices satisfying both
     filling conditions.
+
+    A diagram with a tie edge is never filled.  On a reduced diagram that is
+    the definition.  On a non-reduced mirrored pair, whose faces read the
+    tie edge oppositely, the tie's condition x == x holds and the conditions
+    accept every word, as `boundary_word` does; `fill` still finds nothing,
+    so it agrees with the definition on reduced diagrams only.
 
     With `distinct=True` (fill-by-presentation) the words assigned to
     different indices must be pairwise distinct; `distinct=False` is the raw
@@ -601,22 +566,32 @@ def boundary_walks(diagram: Diagram) -> list[list[tuple[int, int]]]:
     return walks
 
 
-def _require_filling(diagram: Diagram, filling: Sequence[str]) -> Alphabet:
-    """The alphabet of `filling`; PreconditionError unless it is n(X) words,
-    each as long as the faces bearing it, that fill the diagram."""
+def _require_filling(diagram: Diagram,
+                     filling: Sequence[str]) -> tuple[ConstraintReport, Alphabet]:
+    """`belonging`'s report of the diagram and the alphabet of `filling`;
+    PreconditionError unless `filling` is n(X) words, each as long as the
+    faces bearing it, that meet every filling condition of the report, tie
+    edges included."""
     if len(filling) != diagram.n or any(
             len(filling[f.bears - 1]) != len(f.boundary) for f in diagram.faces):
         raise PreconditionError(
             f"a filling is {diagram.n} words, one per bearing index, as long as its faces")
+    rep = belonging(diagram)
     ab = _infer_alphabet(list(filling))
-    if not verify_filling(diagram, filling, ab):
+    coded = dict(enumerate((ab.encode(w) for w in filling), start=1))  # by bearing index
+    letters = [(i, k, ab.encode(x)[0]) for i, ks in rep.letters.items() for k, x in ks]
+    if not (all(coded[i][k - 1] == code for i, k, code in letters)
+            and all(coded[i][k1 - 1] == coded[i][k2 - 1] ^ flip
+                    for i, ks in rep.same.items() for k1, k2, flip in ks)
+            and all(coded[i1][k1 - 1] == coded[i2][k2 - 1] ^ flip
+                    for i2, ks in rep.cross.items() for i1, k1, k2, flip in ks)):
         raise PreconditionError("the given words do not fill the diagram")
-    return ab
+    return rep, ab
 
 
 def boundary_word(diagram: Diagram, filling: Sequence[str]) -> tuple[str, str]:
     """Boundary label word of a filled diagram and its free reduction."""
-    ab = _require_filling(diagram, filling)
+    _, ab = _require_filling(diagram, filling)
     walks = boundary_walks(diagram)
     if not walks:
         raise PreconditionError("diagram has no boundary")
@@ -645,15 +620,16 @@ def boundary_word(diagram: Diagram, filling: Sequence[str]) -> tuple[str, str]:
 def isoperimetric_check(
     diagram: Diagram, filling: Sequence[str] | None, d, epsilon
 ) -> tuple[Fraction, bool]:
-    """|∂D| / (l·|D|) against the linear isoperimetric threshold 1 - 2d - ε."""
+    """|∂D| / (l·|D|) against the linear isoperimetric threshold 1 - 2d - ε,
+    with |∂D| and |D| read off `belonging`'s report.  PreconditionError,
+    naming the first violation, unless the diagram is valid, and unless
+    `filling`, when given, fills it."""
     d = Fraction(d)
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    if filling is not None:
-        _require_filling(diagram, filling)
-    l = max(diagram.face_sizes)
-    ratio = Fraction(len(diagram.boundary_edges()), l * len(diagram.faces))
+    rep = belonging(diagram) if filling is None else _require_filling(diagram, filling)[0]
+    ratio = Fraction(rep.boundary_count, max(diagram.face_sizes) * rep.face_count)
     return ratio, ratio >= 1 - 2 * d - epsilon
 
 
@@ -913,9 +889,6 @@ def enumerate_diagrams(
         walk = boundary_walks(diag)[0]
         for start in range(len(walk)):
             for j in range(1, min(l - 1, len(walk) - 1) + 1):
-                arc = [walk[(start + i) % len(walk)] for i in range(j)]
-                if len({e for (e, _) in arc}) != j:
-                    continue
                 try:
                     bigger = glue_face(diag, start, j, bears=1)
                 except DomainError:
@@ -965,8 +938,6 @@ def enumerate_diagrams(
                         continue
                     seen[code] = cand
     out = list(seen.values())
-    import math
-
     report = EnumerationReport(
         count=len(out),
         log_l_count=math.log(len(out), l) if len(out) and l > 1 else 0.0,
@@ -1002,8 +973,9 @@ def restrict_boundary(diagram: Diagram, labels: dict[int, str]) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def diagram_to_json(diagram: Diagram) -> str:
-    payload = {
+def diagram_record(diagram: Diagram) -> dict:
+    """The diagram as the JSON record that `diagram_to_json` writes."""
+    return {
         "vertices": list(diagram.vertices),
         "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in diagram.edges.values()],
         "faces": [
@@ -1020,7 +992,10 @@ def diagram_to_json(diagram: Diagram) -> str:
             {"edge": e, "label": lab} for e, lab in sorted(diagram.restrictions.items())
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def diagram_to_json(diagram: Diagram) -> str:
+    return json.dumps(diagram_record(diagram), indent=2, sort_keys=True)
 
 
 def diagram_from_json(text: str) -> Diagram:

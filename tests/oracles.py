@@ -3,6 +3,14 @@
 Each one is the plain, slow definition of what it checks, and none reads the
 path it checks:
 
+- `verify_filling` reads the two filling conditions straight off a
+  diagram's faces and restrictions (`_filling_conditions`), where the
+  library reads them through `belonging`: `fill`, the exact counts, Monte
+  Carlo and the filling gate of `boundary_word` and `isoperimetric_check`
+  all do.  It checks every condition, tie edges included, so it agrees with
+  `fill` on reduced diagrams only: on a non-reduced mirrored pair the tie's
+  condition x == x holds and the oracle accepts every word, while `fill`
+  counts the diagram as never fillable;
 - `fill_tuples_bruteforce` filters the full tuple product through the
   filling conditions as `verify_filling` reads them off the diagram, not
   through the compiled constraints that `fill` and the exact counts share;
@@ -19,13 +27,59 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from randomgroups.diagrams import Diagram, _filling_conditions, _meets_conditions
+from randomgroups.diagrams import Diagram, k_of
 from randomgroups.words import (
+    Alphabet,
     _infer_alphabet,
     _relator_texts,
     _text_length,
     enumerate_cyclically_reduced,
 )
+
+
+def verify_filling(
+    diagram: Diagram,
+    words: Sequence[str],
+    alphabet: Alphabet | None = None,
+    upto: int | None = None,
+) -> bool:
+    """Independent checker of the two filling conditions, straight off their text.
+
+    `words` are the candidate relator words for indices 1..len(words); with
+    `upto = m` only faces bearing indices <= m constrain the outcome.
+    """
+    ab = alphabet or _infer_alphabet(list(words))
+    conditions = _filling_conditions(diagram, ab, upto if upto is not None else len(words))
+    return _meets_conditions([ab.encode(w) for w in words], conditions)
+
+
+def _filling_conditions(diagram: Diagram, ab: Alphabet, upto: int):
+    """The filling conditions of the faces bearing indices <= upto, read off
+    the diagram's faces and restrictions alone: each shared edge as (i1, k1,
+    i2, k2, flip), whose letters satisfy x == y ^ flip, and each restricted
+    boundary edge as (i, k, letter code), with 0-based i and k."""
+    pairs, letters = [], []
+    for e, s in diagram.side_map().items():
+        if len(s) == 2:
+            (fa, pa, _), (fb, pb, _) = s
+            a, b = diagram.faces[fa], diagram.faces[fb]
+            if a.bears <= upto and b.bears <= upto:
+                pairs.append((a.bears - 1, k_of(a, pa) - 1, b.bears - 1, k_of(b, pb) - 1,
+                              int(a.orientation == b.orientation)))
+        elif len(s) == 1 and e in diagram.restrictions:
+            (fa, pa, _) = s[0]
+            f = diagram.faces[fa]
+            if f.bears <= upto:
+                letters.append((f.bears - 1, k_of(f, pa) - 1,
+                                ab.encode(diagram.restrictions[e])[0]))
+    return pairs, letters
+
+
+def _meets_conditions(coded: Sequence[Sequence[int]], conditions) -> bool:
+    """Do the coded words, one per bearing index, meet `_filling_conditions`?"""
+    pairs, letters = conditions
+    return (all(coded[i1][k1] == coded[i2][k2] ^ flip for i1, k1, i2, k2, flip in pairs)
+            and all(coded[i][k] == code for i, k, code in letters))
 
 
 def fill_tuples_bruteforce(

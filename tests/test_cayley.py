@@ -22,7 +22,12 @@ from randomgroups.cayley import (
     is_geodesic,
     naive_closure_ball,
 )
-from randomgroups.errors import DomainError, NotVerifiedError, PartialBallError
+from randomgroups.errors import (
+    BudgetExceededError,
+    DomainError,
+    NotVerifiedError,
+    PartialBallError,
+)
 from randomgroups.model import Presentation, sample_presentation
 from randomgroups.roundtree import RoundTreeParams, distortion_probe, init_round_tree
 from randomgroups.words import (
@@ -541,6 +546,20 @@ def test_naive_closure_below_half_l_reads_no_relator_text(monkeypatch):
     # at l/2 the longest nodes can merge, and the index is built
     with pytest.raises(AssertionError, match="relator texts read"):
         naive_closure_ball(p, word_cap=6)
+
+
+def test_naive_closure_budget_allows_cap_10_at_m2():
+    # the free ball at m = 2 holds 2·3^c − 1 words, so within the node budget
+    # the cap is at most 10, and a merge (cap >= l/2) needs l <= 20; against
+    # l = 24 every distance is the free length
+    assert 2 * 3**10 - 1 <= cayley_mod.CLOSURE_NODE_BUDGET < 2 * 3**11 - 1
+    p = sample_presentation(2, 24, Fraction(1, 24), seed=0)
+    nb = naive_closure_ball(p, word_cap=10)
+    assert len(nb._index) == 2 * 3**10 - 1
+    assert nb._root == list(range(len(nb._index)))
+    assert nb.distance_upper("ab" * 5) == 10
+    with pytest.raises(BudgetExceededError, match="at cap 11"):
+        naive_closure_ball(p, word_cap=11)
 
 
 def test_gate_engine_ball_and_closure_share_the_presentation_windows(

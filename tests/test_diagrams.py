@@ -11,7 +11,6 @@ from randomgroups.diagrams import (
     Diagram,
     Edge,
     Face,
-    _filling_conditions,
     belonging,
     boundary_walks,
     boundary_word,
@@ -28,12 +27,11 @@ from randomgroups.diagrams import (
     restrict_boundary,
     single_face_diagram,
     validate,
-    verify_filling,
 )
-from randomgroups.errors import DomainError, PreconditionError
+from randomgroups.errors import DomainError, MalformedWordError, PreconditionError
 from randomgroups.words import Alphabet, enumerate_cyclically_reduced, inverse_word
 
-from tests.oracles import fill_tuples_bruteforce
+from tests.oracles import _filling_conditions, fill_tuples_bruteforce, verify_filling
 
 
 def two_face_diagram(l, arc_len, bears=(1, 2), orientations=(1, 1), dists=(0, 0)):
@@ -201,12 +199,82 @@ def test_invalid_diagram_message_names_the_violation():
     d = single_face_diagram(3)
     edges = dict(d.edges)
     edges[1] = Edge(1, 77, edges[1].dst)
-    bad = Diagram(vertices=d.vertices, edges=edges, faces=d.faces)
-    violation = validate(bad).violations[0]
-    for reads in (belonging, lambda x: compile_constraints(x, Alphabet(2)),
-                  lambda x: fill(x, ["abA"])):
-        with pytest.raises(PreconditionError, match=f"^the diagram is not valid: {violation}$"):
-            reads(bad)
+    dangling = Diagram(vertices=d.vertices, edges=edges, faces=d.faces)
+    # the face names edge 2, which the diagram lacks
+    missing = Diagram(vertices=d.vertices, edges={1: d.edges[1], 3: d.edges[3]}, faces=d.faces)
+    dens, eps = Fraction(1, 4), Fraction(1, 10)
+    for bad in (dangling, missing):
+        violation = validate(bad).violations[0]
+        for reads in (belonging, lambda x: compile_constraints(x, Alphabet(2)),
+                      lambda x: fill(x, ["abA"]), lambda x: boundary_word(x, ["abA"]),
+                      lambda x: isoperimetric_check(x, ["abA"], dens, eps),
+                      lambda x: isoperimetric_check(x, None, dens, eps)):
+            with pytest.raises(PreconditionError, match=f"^the diagram is not valid: {violation}$"):
+                reads(bad)
+
+
+def _gate_verdict(d, tup):
+    """True or False as `boundary_word` and `isoperimetric_check` accept or
+    refuse the filling `tup`, or the class of any other exception; both
+    must agree."""
+    verdicts = []
+    for gate in (lambda: boundary_word(d, tup),
+                 lambda: isoperimetric_check(d, tup, Fraction(1, 4), Fraction(1, 10))):
+        try:
+            gate()
+            verdicts.append(True)
+        except Exception as e:
+            refused = type(e) is PreconditionError and \
+                str(e) == "the given words do not fill the diagram"
+            verdicts.append(False if refused else type(e))
+    assert verdicts[0] == verdicts[1]
+    return verdicts[0]
+
+
+def _oracle_verdict(d, tup):
+    try:
+        return verify_filling(d, tup)
+    except Exception as e:
+        return type(e)
+
+
+# a non-reduced mirrored pair: its tie edge is read oppositely by its faces
+MIRRORED_TIE = glue_face(single_face_diagram(3), 0, 1, bears=1, orientation=-1)
+
+
+def test_filling_gate_matches_the_oracle():
+    # random restrictions, sometimes with letters beyond the words' alphabet,
+    # fed random word tuples and the fillings `fill` finds
+    rng = random.Random(2027)
+    diagrams = [d for C, l in ((1, 3), (2, 3), (2, 4)) for d in enumerate_diagrams(C, l)[0]]
+    seen = set()
+    for d in diagrams + [MIRRORED_TIE] * 10:
+        l = max(d.face_sizes)
+        allwords = enumerate_cyclically_reduced(2, l)
+        walk = boundary_walks(d)[0]
+        letters = "aAbBcC" if rng.random() < 0.2 else "aAbB"
+        pat = {i: rng.choice(letters)
+               for i in rng.sample(range(len(walk)), rng.randint(0, min(3, len(walk))))}
+        rd = restrict_boundary(d, pat)
+        tuples = [tuple(rng.choice(allwords) for _ in range(rd.n)) for _ in range(8)]
+        if set(pat.values()) <= set("aAbB"):
+            tuples += fill(rd, rng.sample(allwords, 12), mode="all", distinct=False)[:4]
+        for tup in tuples:
+            verdict = _oracle_verdict(rd, tup)
+            assert _gate_verdict(rd, tup) == verdict, (rd, tup)
+            seen.add(verdict)
+    assert seen == {True, False, MalformedWordError}
+
+
+def test_mirrored_tie_is_fills_convention_not_the_oracles():
+    # `fill` counts a tie as never fillable; the conditions themselves, read
+    # by the oracle and the gate, hold for every word here
+    d = MIRRORED_TIE
+    words = enumerate_cyclically_reduced(2, 3)
+    assert not is_reduced(d) and belonging(d).tie_edges
+    assert fill(d, words, mode="count", distinct=False) == 0
+    assert len(words) == 28 and all(verify_filling(d, (w,)) for w in words)
+    assert boundary_word(d, ["abA"]) == ("aBbA", "1")
 
 
 def test_fill_single_bigon():

@@ -19,6 +19,11 @@
 - The window index is the one place the longest piece is computed: in `src/`
   only `_WindowIndex` reads `_neighbour_lcp`, and `max_piece_length` calls no
   `argsort`.
+- No top-level name that `tests/oracles.py` defines is defined anywhere in
+  `src/`: the oracles live beside the tests, and the library keeps one
+  reading of what they check.
+- Every name in `UNREAD_PUBLIC_NAMES` is documented in the README's
+  "Library API" section.
 - `src/` keeps no module-level cache: no function is decorated with
   `functools.lru_cache` or `functools.cache`, and no module-level name that
   holds `CACHE` is assigned.  What is computed for a presentation lives on
@@ -105,6 +110,7 @@ UNREAD_PUBLIC_NAMES = {
     "bounds.q_constant": "path-fillability factor for user-supplied constants",
     "bounds.presentation_fill_probability_exact": "closed form for n(X) = 1 diagrams",
     "cayley.is_geodesic": "geodesic query beside `distance`",
+    "diagrams.diagram_to_json": "writes the diagram files that `fill` and the benchmark read",
     "diagrams.boundary_word": "boundary label of a filled diagram",
     "diagrams.isoperimetric_check": "linear isoperimetric threshold of a filling",
     "diagrams.classify_ladder": "ladder shape of a bigon diagram",
@@ -114,6 +120,12 @@ UNREAD_PUBLIC_NAMES = {
     "words.inverse_word": "word algebra",
     "words.has_piece_of_length": "exact piece test for one length",
 }
+
+
+def test_unread_public_names_are_documented():
+    readme = (ROOT / "README.md").read_text()
+    undocumented = [name for name in UNREAD_PUBLIC_NAMES if f"`{name}`" not in readme]
+    assert undocumented == []
 
 
 def _public_definitions(tree: ast.Module):
@@ -213,3 +225,29 @@ def test_src_keeps_no_module_level_cache():
     caches = [f"{path.stem}:{line} {what}" for path in SOURCES
               for what, line in _module_caches(_parse(path))]
     assert caches == []
+
+
+def _top_level_names(tree: ast.Module):
+    """Every function, class and assigned name at the top of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _definitions(tree: ast.Module):
+    """The top-level names of a module and every function, method and class
+    it defines at any depth."""
+    yield from _top_level_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_src_defines_no_oracle():
+    oracles = set(_top_level_names(_parse(ROOT / "tests" / "oracles.py")))
+    defined = {f"{path.stem}.{name}" for path in SOURCES
+               for name in _definitions(_parse(path)) if name in oracles}
+    assert defined == set()
