@@ -354,7 +354,7 @@ def _mc_hits(args) -> int:
     cons, m, l, d, seed, lo, hi = args
     keys = np.arange(lo, hi, dtype=np.uint32)[:, None]
     return sum(_search(cons, rows, "first", True) is not None
-               for rows in _trial_relators(m, l, d, seed, keys))
+               for block in _trial_relators(m, l, d, seed, keys) for rows in block)
 
 
 def mc_fillability(

@@ -34,10 +34,10 @@ from .errors import (
 from .model import Presentation, _trial_relators, check_seed, check_trials, relator_count
 from .words import (
     EMPTY_WORD,
+    _c_prime_block,
     _decode_rows,
     _join,
     _reduce_ints,
-    check_c_prime,
     check_lambda,
 )
 from .bounds import wilson_interval
@@ -528,10 +528,12 @@ def cprime_genericity_scan(
 ) -> GenericityScanReport:
     """Per-cell fraction of sampled presentations satisfying C'(λ).  Trial
     t of cell ci samples with the derived seed SeedSequence(seed,
-    spawn_key=(ci, t)); the trials' relators are drawn in batches
-    (`_trial_relators`) and the trial count is bounded by TRIAL_BUDGET.
-    λ and every cell's relator count are checked before the first draw, so
-    a scan of no trials refuses the same inputs as any other."""
+    spawn_key=(ci, t)); the trials' relators are drawn a block of trials at
+    a time (`_trial_relators`), and each block is checked at once, its
+    trials' keys sorted together (`words._c_prime_block`).  The trial count
+    is bounded by TRIAL_BUDGET.  λ and every cell's relator count are
+    checked before the first draw, so a scan of no trials refuses the same
+    inputs as any other."""
     check_seed(seed)
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -545,7 +547,8 @@ def cprime_genericity_scan(
     for ci, d in enumerate(d_grid):
         t = np.arange(trials, dtype=np.uint32)
         keys = np.stack([np.full_like(t, ci), t], axis=1)
-        passes = sum(check_c_prime(rows, lam) for rows in _trial_relators(m, l, d, seed, keys))
+        passes = sum(int(_c_prime_block(block, lam).sum())
+                     for block in _trial_relators(m, l, d, seed, keys))
         report.cells.append(ScanCell(d=d, trials=trials, passes=passes))
     return report
 

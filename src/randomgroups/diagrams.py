@@ -571,12 +571,13 @@ def _require_filling(diagram: Diagram,
     """`belonging`'s report of the diagram and the alphabet of `filling`;
     PreconditionError unless `filling` is n(X) words, each as long as the
     faces bearing it, that meet every filling condition of the report, tie
-    edges included."""
+    edges included.  The diagram is validated first, so the shape check
+    reads only bearings in 1..n(X)."""
+    rep = belonging(diagram)
     if len(filling) != diagram.n or any(
             len(filling[f.bears - 1]) != len(f.boundary) for f in diagram.faces):
         raise PreconditionError(
             f"a filling is {diagram.n} words, one per bearing index, as long as its faces")
-    rep = belonging(diagram)
     ab = _infer_alphabet(list(filling))
     coded = dict(enumerate((ab.encode(w) for w in filling), start=1))  # by bearing index
     letters = [(i, k, ab.encode(x)[0]) for i, ks in rep.letters.items() for k, x in ks]

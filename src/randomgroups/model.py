@@ -447,12 +447,15 @@ def _relator_codes(m: int, l: int, entropy, indices) -> np.ndarray:
 
 
 def _trial_relators(m: int, l: int, d, seed: int, keys: np.ndarray):
-    """For each row of a (T, k) matrix of spawn keys, the (count, l) relator
-    codes of sample_presentation(m, l, d, seed=s), where s is the trial seed
-    SeedSequence(seed, spawn_key=key).generate_state(1)[0].
+    """The relators of the trials of a (T, k) matrix of spawn keys, one
+    (t, count, l) int8 block per chunk of t trials, in key order: row i of
+    a block holds the relator codes of sample_presentation(m, l, d,
+    seed=s), where s is its trial seed SeedSequence(seed,
+    spawn_key=key).generate_state(1)[0].
 
-    Trials are drawn a chunk at a time, every relator of a chunk in one
-    `_relator_codes` call; nothing is computed for no trials.
+    A chunk is _TRIAL_ROWS // count trials (at least one), every relator of
+    a chunk drawn in one `_relator_codes` call; nothing is computed for no
+    trials.
     """
     if len(keys) == 0:
         return
@@ -461,8 +464,7 @@ def _trial_relators(m: int, l: int, d, seed: int, keys: np.ndarray):
     for lo in range(0, len(keys), per_chunk):
         seeds = _trial_seeds(seed, keys[lo : lo + per_chunk])
         codes = _relator_codes(m, l, np.repeat(seeds, count), np.tile(np.arange(count), len(seeds)))
-        for t in range(len(seeds)):
-            yield codes[t * count : (t + 1) * count]
+        yield codes.reshape(len(seeds), count, l)
 
 
 def sample_presentation(

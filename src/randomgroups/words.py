@@ -18,7 +18,8 @@ the same for rᵢ⁻¹, so the window of length L <= l starting at position q
 orientation (the relator before its inverse), then position.  Only this
 module reads slots: the window index, the piece witness search, the
 coincidence test and the C'(λ) check key the slot windows in that order
-(`_slot_view`, `_slot_keys`).
+(`_slot_view`, `_slot_keys`).  The C'(λ) check reads a block of T stacked
+presentations, a (T, 2R, 2l-1) block of texts, with one row of keys each.
 Every other layer reads the rotations through one sorted, deduplicated
 index of their keys (`_relator_windows`), which each presentation builds
 once, on first use (`model.Presentation.windows`): the C'(1/6) gate reads
@@ -138,12 +139,13 @@ def _decode_rows(codes: np.ndarray) -> list[str]:
 
 
 def _not_cyclically_reduced(codes: np.ndarray) -> np.ndarray:
-    """The mask of rows of an (R, l) letter-code matrix that are not
+    """The mask of rows of an (..., l) letter-code array that are not
     cyclically reduced: a letter next to its inverse, the wrap-around pair
     included."""
-    if codes.shape[1] < 2:
-        return np.zeros(len(codes), dtype=bool)
-    return (codes[:, 1:] == codes[:, :-1] ^ 1).any(axis=1) | (codes[:, -1] == codes[:, 0] ^ 1)
+    if codes.shape[-1] < 2:
+        return np.zeros(codes.shape[:-1], dtype=bool)
+    return ((codes[..., 1:] == codes[..., :-1] ^ 1).any(axis=-1)
+            | (codes[..., -1] == codes[..., 0] ^ 1))
 
 
 def _reduce_ints(w: Sequence[int]) -> tuple[int, ...]:
@@ -347,8 +349,10 @@ def _relator_texts(relators: Sequence[str] | np.ndarray) -> np.ndarray:
     This is the one place that validates relators for rotation work: every
     letter must be a valid symbol, all relators must share one length, and
     each must be cyclically reduced (checked on the code matrix).  The
-    relators may also come as an (R, l) int8 letter-code matrix, as the
-    model's sampler draws them; only their reducedness is checked then.
+    relators may also come as an (R, l) int8 letter-code matrix, or as a
+    (T, R, l) block of T stacked presentations, as the model's sampler
+    draws them; only their reducedness is checked then, over the whole
+    block at once, and the texts are a (T, 2R, 2l-1) block.
     """
     if isinstance(relators, np.ndarray):
         codes = relators
@@ -361,28 +365,29 @@ def _relator_texts(relators: Sequence[str] | np.ndarray) -> np.ndarray:
         if any(len(w) != l for w in words):
             raise HeterogeneousLengthError("relators of unequal length")
         codes = codes.reshape(len(words), l)
-    bad = _not_cyclically_reduced(codes)
+    *lead, R, l = codes.shape
+    bad = _not_cyclically_reduced(codes).ravel()
     if bad.any():
-        word = _decode_rows(codes[[int(bad.argmax())]])[0]
+        word = _decode_rows(codes.reshape(-1, l)[[int(bad.argmax())]])[0]
         raise MalformedWordError(f"relator {word!r} is not cyclically reduced")
-    l = codes.shape[1]
-    both = np.stack([codes, codes[:, ::-1] ^ 1], axis=1).reshape(2 * len(codes), l)
-    return np.concatenate([both, both[:, :-1]], axis=1)
+    both = np.stack([codes, codes[..., ::-1] ^ 1], axis=-2).reshape(*lead, 2 * R, l)
+    return np.concatenate([both, both[..., :-1]], axis=-1)
 
 
 def _text_length(texts: np.ndarray) -> int:
-    """The relator length l of a `_relator_texts` matrix."""
-    return (texts.shape[1] + 1) // 2
+    """The relator length l of a `_relator_texts` matrix or block."""
+    return (texts.shape[-1] + 1) // 2
 
 
 def _slot_view(texts: np.ndarray, L: int) -> np.ndarray:
     """The length-L window (1 <= L <= l) at every slot as a (2R, l, L) view
-    of the texts: window [t, q] is texts[t, q:q+L].  Built by hand, as one
-    strided view, because `sliding_window_view` costs several times more
-    than the small-presentation key builds that call this."""
+    of the texts, or (T, 2R, l, L) of a block: window [..., t, q] is
+    texts[..., t, q:q+L].  Built by hand, as one strided view, because
+    `sliding_window_view` costs several times more than the
+    small-presentation key builds that call this."""
     texts = np.ascontiguousarray(texts)
-    shape = (len(texts), _text_length(texts), L)
-    return np.ndarray(shape, texts.dtype, texts, 0, texts.strides + texts.strides[1:])
+    shape = texts.shape[:-1] + (_text_length(texts), L)
+    return np.ndarray(shape, texts.dtype, texts, 0, texts.strides + texts.strides[-1:])
 
 
 def _key_bits(texts: np.ndarray) -> int:
@@ -411,9 +416,12 @@ def _window_keys(windows: np.ndarray, b: int) -> np.ndarray:
 
 def _slot_keys(texts: np.ndarray, L: int) -> np.ndarray:
     """One `_window_keys` key per length-L slot window, in slot order, with
-    b = `_key_bits` bits a letter.  The packed keys are read off the texts
-    in place, with no (2R·l, L) temporary."""
-    return _window_keys(_slot_view(texts, L), _key_bits(texts)).ravel()
+    b = `_key_bits` bits a letter: 2R·l keys, or a (T, 2R·l) row of them
+    per presentation of a block, whose keys share the block's b.  The
+    packed keys are read off the texts in place, with no (2R·l, L)
+    temporary."""
+    keys = _window_keys(_slot_view(texts, L), _key_bits(texts))
+    return keys.reshape(texts.shape[:-2] + (texts.shape[-2] * _text_length(texts),))
 
 
 _POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -683,20 +691,37 @@ def _relator_coincidences(texts: np.ndarray) -> list[tuple[int, int]]:
     return sorted(pair for g in groups for pair in combinations(g.tolist(), 2))
 
 
-def _has_repeated_window(texts: np.ndarray, L: int) -> bool:
-    """Does some length-L subword occur at two distinct slots of `texts`?"""
+# keys sorted at once by `_has_repeated_window`: 512 KiB of packed keys.  A
+# 12-trial chunk of 2 724-relator presentations at l = 24 (12.5 MiB of keys)
+# checked 35 % slower in one sort than in 12, while slices of this size
+# checked chunks of 195-relator presentations 20 % faster than one sort (both
+# on a 2-core Xeon VM)
+_SORT_KEYS = 1 << 16
+
+
+def _has_repeated_window(texts: np.ndarray, L: int) -> np.ndarray:
+    """The (T,) mask of the presentations of a (T, 2R, 2l-1) block of
+    `_relator_texts` in which some length-L subword occurs at two distinct
+    slots: one sort along the rows of a (t, 2R·l) key matrix answers t
+    presentations at once, t as many as fill _SORT_KEYS keys (at least
+    one)."""
+    out = np.zeros(len(texts), dtype=bool)
     if not 1 <= L <= _text_length(texts) - 1:
-        return False
-    # distinct keys are distinct slots by construction, so a key equal to its
-    # sorted neighbour is exactly a piece of length L
-    keys = _slot_keys(texts, L)
-    keys.sort()
-    return bool((keys[1:] == keys[:-1]).any())
+        return out
+    step = max(1, _SORT_KEYS // max(1, texts.shape[1] * _text_length(texts)))
+    for lo in range(0, len(texts), step):
+        # distinct keys are distinct slots by construction, so a key equal to
+        # its sorted neighbour is exactly a piece of length L
+        keys = _slot_keys(texts[lo : lo + step], L)
+        keys.sort(axis=1)
+        out[lo : lo + step] = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+    return out
 
 
 def has_piece_of_length(relators: Sequence[str], L: int) -> bool:
-    """Exact test: does some length-L subword occur at two distinct slots?"""
-    return _has_repeated_window(_relator_texts(relators), L)
+    """Exact test: does some length-L subword occur at two distinct slots?
+    The block test of `_has_repeated_window` on a block of one."""
+    return bool(_has_repeated_window(_relator_texts(relators)[None], L)[0])
 
 
 def check_lambda(lam: Fraction) -> None:
@@ -706,12 +731,24 @@ def check_lambda(lam: Fraction) -> None:
 
 def check_c_prime(relators: Sequence[str] | np.ndarray, lam: Fraction) -> bool:
     """Strict metric small cancellation C'(λ): every piece shorter than λ·l.
-    The relators are words or an (R, l) letter-code matrix (`_relator_texts`)."""
+    The relators are words or an (R, l) letter-code matrix (`_relator_texts`),
+    checked as a block of one by `_c_prime_block`."""
+    return bool(_c_prime_block(relators, lam)[0])
+
+
+def _c_prime_block(relators: Sequence[str] | np.ndarray, lam: Fraction) -> np.ndarray:
+    """C'(λ) of every presentation of a (T, R, l) int8 letter-code block, as
+    `model._trial_relators` draws them, as a (T,) mask; one presentation, as
+    `check_c_prime` takes it, is a block of one.  The presentations are
+    answered together by sorts along the rows of key matrices
+    (`_has_repeated_window`), not one check at a time."""
     lam = Fraction(lam)
     check_lambda(lam)
     texts = _relator_texts(relators)
+    if texts.ndim == 2:
+        texts = texts[None]
     l = _text_length(texts)
     # max_piece >= λl  <=>  a repeated window of length ceil(λl) exists
     # (piece lengths are integers, capped at l-1)
     threshold = -((-lam.numerator * l) // lam.denominator)  # ceil(λl)
-    return not _has_repeated_window(texts, threshold)
+    return ~_has_repeated_window(texts, threshold)

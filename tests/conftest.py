@@ -16,13 +16,17 @@ TREE_DEMO = dict(m=2, l=24, d=Fraction(2, 5), seg_len=6, V=2, H=4,
 
 
 @st.composite
-def relator_sets(draw):
+def relator_sets(draw, l=None):
     """(m, relators): equal-length cyclically reduced relators on m in {2, 3}
     generators, with periodic relators (whose rotations coincide) and
-    repeated relators, rotated or inverted, among them."""
+    repeated relators, rotated or inverted, among them.  The length is l
+    when given, else a period of 1 to 4 letters times 1 to 3."""
     m = draw(st.sampled_from([2, 3]))
-    period = draw(st.integers(1, 4))
-    l = period * draw(st.integers(1, 3))
+    if l is None:
+        period = draw(st.integers(1, 4))
+        l = period * draw(st.integers(1, 3))
+    else:
+        period = draw(st.sampled_from([p for p in range(1, 5) if l % p == 0]))
 
     def word(n):
         w = [draw(st.integers(0, 2 * m - 1))]
@@ -44,7 +48,7 @@ def relator_sets(draw):
 
 
 @st.composite
-def long_relator_sets(draw):
+def long_relator_sets(draw, l=None):
     """(m, relators): cyclically reduced relators on m in {2, 3, 4}
     generators whose windows straddle the packed-key width.  With
     b = (2m-1).bit_length() bits a letter, l is 64 // b, one more or two
@@ -54,10 +58,12 @@ def long_relator_sets(draw):
     the sets hold that letter's power, whose windows have the largest key
     (all ones at m = 2).  Later relators share a prefix of any length with
     an earlier one (pieces up to l - 1 letters), and rotated or inverted
-    copies make coincidences."""
+    copies make coincidences.  A given l >= 2 is kept for every m, so a
+    set on fewer generators can sit beside one on more."""
     m = draw(st.sampled_from([2, 3, 4]))
     top = 2 * m - 1
-    l = 64 // top.bit_length() + draw(st.integers(0, 2))
+    if l is None:
+        l = 64 // top.bit_length() + draw(st.integers(0, 2))
 
     def extend(w):
         # the prefix w (reduced, shorter than l) made cyclically reduced of length l

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomgroups import cayley as cayley_mod
+from randomgroups import model as model_mod
 from randomgroups import words as words_mod
 from randomgroups.cayley import (
     cayley_ball,
@@ -33,6 +34,7 @@ from randomgroups.roundtree import RoundTreeParams, distortion_probe, init_round
 from randomgroups.words import (
     _reduce_ints,
     _relator_texts,
+    check_c_prime,
     inverse_word,
     max_piece_length,
     reduce_word,
@@ -608,6 +610,32 @@ def test_scan_micro_oracle_at_d0():
     lo, hi = cell.interval()
     assert lo <= float(exact) <= hi
     assert not cell.empty
+
+
+@pytest.mark.parametrize("m, l, lam, grid, trials, rows, sort_keys", [
+    (2, 8, Fraction(1, 3), [Fraction(0), Fraction(1, 8)], 30, None, None),
+    (3, 6, Fraction(1, 2), [Fraction(0), Fraction(1, 10)], 25, 8, None),  # 4 and 7 chunks
+    (4, 5, Fraction(2, 5), [Fraction(0), Fraction(1, 10)], 20, 3, None),  # blocks of 3 and 1
+    (2, 24, Fraction(1, 3), [Fraction(1, 20), Fraction(1, 10)], 30, 50, 300),  # 2 a sort, then 1
+    (3, 23, Fraction(43, 46), [Fraction(1, 10)], 6, None, None),  # 66-bit keys: bytes
+    (2, 33, Fraction(32, 33), [Fraction(1, 10)], 6, None, None),  # 64-bit keys: packed
+])
+def test_cprime_scan_passes_match_per_trial_oracle(monkeypatch, m, l, lam, grid, trials, rows,
+                                                   sort_keys):
+    # each cell's passes are check_c_prime of every trial's presentation,
+    # sampled on its own from the derived seed, however the trials are
+    # chunked and sorted
+    if rows is not None:
+        monkeypatch.setattr(model_mod, "_TRIAL_ROWS", rows)
+    if sort_keys is not None:
+        monkeypatch.setattr(words_mod, "_SORT_KEYS", sort_keys)
+    rep = cprime_genericity_scan(m, l, lam, grid, trials, seed=5)
+    for ci, (d, cell) in enumerate(zip(grid, rep.cells, strict=True)):
+        seeds = [int(np.random.SeedSequence(5, spawn_key=(ci, t)).generate_state(1)[0])
+                 for t in range(trials)]
+        assert (cell.d, cell.trials) == (d, trials)
+        assert cell.passes == sum(check_c_prime(sample_presentation(m, l, d, s).relators, lam)
+                                  for s in seeds)
 
 
 def test_scan_zero_trials_flagged():

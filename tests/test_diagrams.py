@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -211,6 +213,20 @@ def test_invalid_diagram_message_names_the_violation():
                       lambda x: isoperimetric_check(x, None, dens, eps)):
             with pytest.raises(PreconditionError, match=f"^the diagram is not valid: {violation}$"):
                 reads(bad)
+
+
+@pytest.mark.parametrize("bears", [-3, 0])
+def test_filled_reads_validate_bearings_first(bears):
+    # a bearing below 1 beside a face bearing 1: the filling's shape check
+    # must not index the filling with it before the diagram is validated
+    d = glue_face(single_face_diagram(3), 0, 1, bears=1)
+    bad = Diagram(vertices=d.vertices, edges=d.edges,
+                  faces=[d.faces[0], replace(d.faces[1], bears=bears)])
+    violation = re.escape(validate(bad).violations[0])
+    for reads in (lambda: boundary_word(bad, ["abA"]),
+                  lambda: isoperimetric_check(bad, ["abA"], Fraction(1, 4), Fraction(1, 10))):
+        with pytest.raises(PreconditionError, match=f"^the diagram is not valid: {violation}$"):
+            reads()
 
 
 def _gate_verdict(d, tup):

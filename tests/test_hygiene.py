@@ -119,6 +119,7 @@ UNREAD_PUBLIC_NAMES = {
     "words.cyclically_reduce": "word algebra, re-exported by the package",
     "words.inverse_word": "word algebra",
     "words.has_piece_of_length": "exact piece test for one length",
+    "words.check_c_prime": "C'(λ) of one presentation, re-exported by the package",
 }
 
 

@@ -356,10 +356,16 @@ def test_stream_trial_relators_match_sample_presentation(monkeypatch, m, l, d, s
     monkeypatch.setattr(model, "_TRIAL_ROWS", 100)
     t = np.arange(25, dtype=np.uint32)
     keys = t[:, None] if ci is None else np.stack([np.full_like(t, ci), t], axis=1)
-    drawn = list(_trial_relators(m, l, d, seed, keys))
-    assert len(drawn) == len(keys)
+    blocks = list(_trial_relators(m, l, d, seed, keys))
+    # one (t, count, l) block per chunk of _TRIAL_ROWS // count trials
+    count = relator_count(m, l, d)
+    per_chunk = max(1, 100 // count)
+    sizes = [min(per_chunk, len(keys) - lo) for lo in range(0, len(keys), per_chunk)]
+    assert [b.shape for b in blocks] == [(t, count, l) for t in sizes]
+    assert all(b.dtype == np.int8 for b in blocks)
+    drawn = [rows for b in blocks for rows in b]
     ab = Alphabet(m)
-    for key, rows in zip(keys, drawn):
+    for key, rows in zip(keys, drawn, strict=True):
         s = int(np.random.SeedSequence(seed, spawn_key=tuple(int(x) for x in key))
                 .generate_state(1)[0])
         assert tuple(ab.decode(r) for r in rows.tolist()) == _oracle_relators(m, l, d, s)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -289,6 +290,76 @@ def test_check_c_prime_matches_strict_definition():
         mp = max_piece_length_quadratic(rels)
         for lam in (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
             assert check_c_prime(rels, lam) == (mp * lam.denominator < lam.numerator * l)
+
+
+@st.composite
+def _c_prime_blocks(draw):
+    """(l, trials, λ): T presentations of one relator length l and one
+    relator count R (0 included), each cut from a `relator_sets` or a
+    `long_relator_sets` draw at that l, so trials on fewer generators sit
+    beside trials on more; at the long lengths the block's key bits can
+    exceed one trial's, and the threshold ceil(λl) = L, drawn from 1..l,
+    falls on both sides of the packed-key width."""
+    long = draw(st.booleans())
+    l = draw(st.sampled_from([21, 22, 23, 32, 33, 34]) if long else st.integers(1, 12))
+    sets = long_relator_sets if long else relator_sets
+    trials = [draw(sets(l=l))[1] for _ in range(draw(st.integers(1, 5)))]
+    R = draw(st.integers(0, min(map(len, trials))))
+    L = draw(st.integers(1, l))
+    return l, [rels[:R] for rels in trials], Fraction(2 * L - 1, 2 * l)
+
+
+def _code_block(l, trials):
+    """The (T, R, l) int8 letter codes of T presentations of R relators."""
+    ab = Alphabet(4)
+    return np.array([[ab.encode(r) for r in rels] for rels in trials],
+                    dtype=np.int8).reshape(len(trials), len(trials[0]), l)
+
+
+@given(_c_prime_blocks())
+@example((5, [[], [], []], Fraction(1, 3)))                       # no relators
+@example((4, [["abab"], ["abAB"]], Fraction(1, 2)))               # one relator
+@example((6, [["ababab"], ["aaaaaa"], ["abAB" + "ab"]], Fraction(11, 12)))  # ceil(λl) = l
+@example((23, [["B" * 23, "B" * 22 + "a"], ["cab" + "a" * 20, "cbAbabCbcaBcbcAbcbaCabc"]],
+          Fraction(43, 46)))                                       # packed alone, bytes in the block
+@settings(max_examples=400, deadline=None)
+def test_c_prime_block_matches_oracles(case):
+    l, trials, lam = case
+    block = _code_block(l, trials)
+    mask = words._c_prime_block(block, lam)
+    assert mask.shape == (len(trials),) and mask.dtype == bool
+    per_trial = [check_c_prime(rels, lam) for rels in trials]
+    quadratic = [max_piece_length_quadratic(rels) * lam.denominator < lam.numerator * l
+                 for rels in trials]
+    assert mask.tolist() == per_trial == quadratic
+    # sorts of one and of two trials' keys, each slice with its own key bits
+    for sort_keys in (1, 2 * block.shape[1] * 2 * l):
+        with patch.object(words, "_SORT_KEYS", sort_keys):
+            assert words._c_prime_block(block, lam).tolist() == quadratic
+    if -(-lam.numerator * l // lam.denominator) == l:
+        assert mask.all()  # a piece is at most l - 1 letters
+
+
+def test_c_prime_block_key_width_follows_the_block():
+    # at L = 22 a trial on 2 generators packs its keys alone (44 bits), but
+    # beside a trial that needs a third generator every key takes 3 bits a
+    # letter (66 bits) and the block sorts byte rows: the verdicts agree
+    trials = [["B" * 23, "B" * 22 + "a"], ["cab" + "a" * 20, "cbAbabCbcaBcbcAbcbaCabc"]]
+    block = _code_block(23, trials)
+    assert words._slot_keys(words._relator_texts(block[:1]), 22).dtype == np.uint64
+    assert words._slot_keys(words._relator_texts(block), 22).dtype.kind == "V"
+    lam = Fraction(43, 46)
+    assert words._c_prime_block(block[:1], lam).tolist() == [False]
+    assert words._c_prime_block(block, lam).tolist() == [False, True]
+    assert [check_c_prime(rels, lam) for rels in trials] == [False, True]
+
+
+def test_c_prime_block_rejects_bad_relators_in_any_trial():
+    block = _code_block(3, [["abb"], ["aBA"]])  # 'aBA' is not cyclically reduced
+    with pytest.raises(MalformedWordError, match="'aBA'"):
+        words._c_prime_block(block, Fraction(1, 3))
+    with pytest.raises(DomainError):
+        words._c_prime_block(block, Fraction(3, 2))
 
 
 class _SuffixAutomaton:
