@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
 from .model import Presentation, _trial_relators, check_seed, check_trials, relator_count
 from .words import (
     EMPTY_WORD,
+    _BYTE_OF_CODE,
     _c_prime_block,
     _decode_rows,
     _join,
@@ -205,19 +207,66 @@ def dehn_reduce(word: str, p: Presentation) -> str:
     return eng.ab.decode(eng.dehn_reduce(eng.ab.encode(word)))
 
 
+def _text_rows(parts: list, count: int) -> np.ndarray:
+    """`count` rows of ASCII text as one uint8 array, each row the
+    concatenation of `parts` in turn: a bytes part is the same in every row,
+    an int array (values >= 0) gives each row its value in decimal, and a
+    (count, w) uint8 matrix each row its own w bytes.
+
+    The rows are one (count, width) byte matrix, filled from a template row
+    and then a column slice per varying part.  A number fills the columns of
+    the widest value right-aligned, with zero bytes to its left; no other
+    part holds a zero byte, so when the values differ in width a mask of the
+    nonzero bytes drops that padding."""
+    if not count:
+        return np.zeros(0, dtype=np.uint8)
+    spans = [len(part) if isinstance(part, bytes)
+             else part.shape[1] if part.ndim == 2 else len(str(part.max()))
+             for part in parts]
+    template = np.frombuffer(b"".join(part if isinstance(part, bytes) else bytes(span)
+                                      for part, span in zip(parts, spans)), dtype=np.uint8)
+    rows = np.empty((count, len(template)), dtype=np.uint8)
+    rows[:] = template
+    padded = False
+    at = 0
+    for part, span in zip(parts, spans):
+        if isinstance(part, np.ndarray) and part.ndim == 2:
+            rows[:, at : at + span] = part
+        elif isinstance(part, np.ndarray):
+            # the digits column by column, last first, each column
+            # contiguous; a column past a value's leading digit is zero
+            digits = np.empty((span, count), dtype=np.uint8)
+            value = part.astype(np.int64)
+            digits[-1] = value % 10 + 48
+            for col in range(span - 2, -1, -1):
+                value //= 10
+                digits[col] = (value % 10 + 48) * (value > 0)
+            rows[:, at : at + span] = digits.T
+            padded |= span > 1 and not value.all()
+        at += span
+    return rows[rows > 0] if padded else rows
+
+
 @dataclass
 class CayleyBall:
     """A ball of the Cayley graph, vertex ids in BFS order.
 
-    `adjacency[v, x]` is the vertex that letter code x leads to from v, or
-    -1 where that edge leaves the ball (only at the rim).
+    `levels[n]` holds the words of the vertices at distance n as a (count,
+    n) int8 letter-code matrix, in id order.  `adjacency[v, x]` is the
+    vertex that letter code x leads to from v, or -1 where that edge leaves
+    the ball (only at the rim).
     """
 
     presentation: Presentation
     radius: int
-    words: list[str]                     # canonical (lex-least geodesic) per vertex
+    levels: list[np.ndarray]             # canonical (lex-least geodesic) words per level
     dist: np.ndarray                     # (N,) int32
     adjacency: np.ndarray                # (N, 2m) int32, -1 past the rim
+
+    @cached_property
+    def words(self) -> list[str]:
+        """Each vertex's word as a string, EMPTY_WORD for the origin."""
+        return [EMPTY_WORD] + [w for block in self.levels[1:] for w in _decode_rows(block)]
 
     def vertex_of_word(self, word: str) -> int | None:
         """Walk a word from the origin through recorded adjacency."""
@@ -233,48 +282,63 @@ class CayleyBall:
         u, x = np.nonzero(self.adjacency >= 0)
         return u, x, self.adjacency[u, x]
 
-    def _edge_columns(self) -> tuple[list[int], list[int], list[str]]:
-        """The ball's edges as (low, high, letter) columns, sorted and each
-        edge once: the letter is read from the low end, so both directions
-        of an edge give the same triple."""
-        letters = np.array(list(self.presentation.alphabet.letters))
-        u, x, v = self._edges()
-        forward = u < v
-        lo, hi = np.where(forward, u, v), np.where(forward, v, u)
-        label = letters[np.where(forward, x, x ^ 1)]
-        order = np.lexsort((label, hi, lo))
-        lo, hi, label = lo[order], hi[order], label[order]
-        keep = np.ones(len(lo), dtype=bool)
-        keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (label[1:] != label[:-1])
-        return lo[keep].tolist(), hi[keep].tolist(), label[keep].tolist()
+    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ball's edges as (low, high, letter byte) columns, each edge
+        once, sorted by low end, high end and letter.  Every edge is recorded
+        from both ends, so its entry at the low end names it, with the letter
+        read from there.  One int64 key per such entry, (low * N + high) *
+        256 + letter byte, is sorted; the byte order of ASCII letters is
+        their order as strings."""
+        n = len(self.dist)
+        low, x = np.nonzero(self.adjacency > np.arange(n)[:, None])
+        key = (low * n + self.adjacency[low, x]) << 8 | _BYTE_OF_CODE[x]
+        key.sort()
+        pair = key >> 8
+        return pair // n, pair % n, (key & 255).astype(np.uint8)
 
     def json_text(self, indent: str = "") -> str:
         """The ball as indented, key-sorted JSON, with every line after the
-        first led by `indent`, written from the arrays with one template per
-        row: the layout of `json.dumps(..., indent=2, sort_keys=True)` of
-        {"edges", "l", "m", "radius", "vertices"}, the edges as
-        `_edge_columns` rows and each vertex as {"distance", "id", "word"}.
-        Words and letters are ASCII letters or EMPTY_WORD, so no string needs
+        first led by `indent`: the layout of `json.dumps(..., indent=2,
+        sort_keys=True)` of {"edges", "l", "m", "radius", "vertices"}, the
+        edges as `_edge_columns` rows and each vertex as {"distance", "id",
+        "word"}.  Its rows are written in bulk from the arrays
+        (`_text_rows`): the edges at once, and the vertices one block per
+        level and id width, whose rows are all of one width.  Words and
+        letters are ASCII letters or EMPTY_WORD, so no string needs
         escaping."""
-        i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
-        rows = ",\n" + i2
-        edge = f'[\n{i3}%d,\n{i3}%d,\n{i3}"%s"\n{i2}]'
-        vertex = f'{{\n{i3}"distance": %d,\n{i3}"id": %d,\n{i3}"word": "%s"\n{i2}}}'
-        edges = rows.join([edge % e for e in zip(*self._edge_columns())])
-        edges = f"[\n{i2}{edges}\n{i1}]" if edges else "[]"
-        vertices = rows.join([vertex % v for v in zip(self.dist.tolist(), range(len(self.words)),
-                                                        self.words)])
+        i1, i2, i3 = (f"\n{indent}{pad}".encode() for pad in ("  ", "    ", "      "))
+        sep = b"," + i2
+        low, high, letter = self._edge_columns()
+        edges = _text_rows([b"[" + i3, low, b"," + i3, high, b"," + i3 + b'"', letter[:, None],
+                            b'"' + i2 + b"]" + sep], len(low))
+        origin = np.frombuffer(EMPTY_WORD.encode(), dtype=np.uint8)[None]
+        vertices = []
+        start = 0
+        for n, block in enumerate(self.levels):
+            words = _BYTE_OF_CODE[block] if n else origin
+            stop = start + len(block)
+            cuts = [10**k for k in range(len(str(start)), len(str(stop - 1)))]  # id widths
+            for a, b in zip([start, *cuts], [*cuts, stop]):
+                vertices.append(_text_rows(
+                    [b"{" + i3 + b'"distance": %d,' % n + i3 + b'"id": ', np.arange(a, b),
+                     b"," + i3 + b'"word": "', words[a - start : b - start],
+                     b'"' + i2 + b"}" + sep], b - a))
+            start = stop
+        # the last row of each list ends without its separator
+        vertices[-1] = vertices[-1].reshape(-1)[: -len(sep)]
+        edges = [b"[" + i2, edges.reshape(-1)[: -len(sep)], i1 + b"]"] if len(low) else [b"[]"]
         p = self.presentation
-        return (f'{{\n{i1}"edges": {edges},\n{i1}"l": {p.l},\n{i1}"m": {p.m},\n'
-                f'{i1}"radius": {self.radius},\n'
-                f'{i1}"vertices": [\n{i2}{vertices}\n{i1}]\n{indent}}}')
+        return b"".join([
+            b"{" + i1 + b'"edges": ', *edges,
+            b"," + i1 + b'"l": %d,' % p.l + i1 + b'"m": %d,' % p.m,
+            i1 + b'"radius": %d,' % self.radius + i1 + b'"vertices": [' + i2, *vertices,
+            i1 + b"]" + f"\n{indent}}}".encode(),
+        ]).decode("ascii")
 
     def adjacency_csv(self) -> str:
-        letters = self.presentation.alphabet.letters
         u, x, v = self._edges()
-        lines = ["src,dst,letter"]
-        lines += [f"{a},{b},{letters[c]}" for a, b, c in zip(u.tolist(), v.tolist(), x.tolist())]
-        return "\n".join(lines) + "\n"
+        rows = _text_rows([u, b",", v, b",", _BYTE_OF_CODE[x][:, None], b"\n"], len(u))
+        return b"".join([b"src,dst,letter\n", rows]).decode("ascii")
 
 
 def cayley_ball(
@@ -304,14 +368,19 @@ def cayley_ball(
     candidates can have; when l is even the graph is bipartite and has none.
 
     Words are stored as one (count, n) int8 letter-code matrix per level,
-    and the tails of a level are searched in the window index as such a
-    matrix (`_WindowIndex.prefix_ranges`, which finds nothing for a letter
-    no relator uses).  A level that would take the ball past
+    which the ball keeps (`CayleyBall.levels`), and the tails of a level
+    are searched in the window index as such a matrix
+    (`_WindowIndex.prefix_ranges`, which finds nothing for a letter no
+    relator uses).  A level that would take the ball past
     `vertex_budget` vertices raises PartialBallError before any of its rows
-    are made.
+    are made, and a budget below 1, which not even the origin fits, raises
+    it before anything is built.
     """
     if radius < 0:
         raise DomainError(f"need a ball radius >= 0, got {radius}")
+    if vertex_budget < 1:
+        raise PartialBallError(f"vertex budget {vertex_budget} exhausted",
+                               completed_radius=-1, budget=vertex_budget)
     eng = p.engine
     k = 2 * p.m
     adjacency = np.full((1, k), -1, dtype=np.int32)
@@ -414,7 +483,7 @@ def cayley_ball(
     return CayleyBall(
         presentation=p,
         radius=radius,
-        words=[EMPTY_WORD] + [w for block in levels[1:] for w in _decode_rows(block)],
+        levels=levels,
         dist=np.repeat(np.arange(len(levels), dtype=np.int32), [len(b) for b in levels]),
         adjacency=adjacency,
     )

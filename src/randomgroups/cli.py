@@ -15,6 +15,7 @@ window-search budget (`--search-budget`) runs out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -84,26 +85,26 @@ def _emit(args, config: dict, result, csv_text: str | None = None):
     its resolved config, its result, the tool version and a timestamp.
 
     A CayleyBall result writes its own text (`CayleyBall.json_text`), which
-    is spliced in at the `result` key of the payload's layout."""
+    is spliced in at the `result` key of the payload's layout: the parts
+    are written in turn, never joined into one string."""
     if args.format == "csv":
         if csv_text is None:
             raise PreconditionError("this command has no CSV format")
-        text = csv_text
+        parts = [csv_text]
     else:
         ball = isinstance(result, cayley_mod.CayleyBall)
         payload = {"command": args.command, "config": config,
                    "result": None if ball else result, "version": __version__,
                    "timestamp": datetime.now(timezone.utc).isoformat()}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        parts = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
         if ball:
             # a JSON string holds no raw newline and the config's keys sit
             # one level deeper, so this is the top-level result key
-            head, _, tail = text.partition('\n  "result": null')
-            text = head + '\n  "result": ' + result.json_text("  ") + tail
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+            head, _, tail = parts[0].partition('\n  "result": null')
+            parts = [head + '\n  "result": ', result.json_text("  "), tail]
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        for part in parts:
+            out.write(part)
 
 
 # ---------------------------------------------------------------------------

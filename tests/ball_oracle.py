@@ -15,9 +15,10 @@ the thresholds that its piece bound sets), never the window index.
 it was built: its graph-distance checks walk the recorded adjacency by
 levels.
 
-`ball_dict` and `ball_json` read a `CayleyBall`'s arrays into the dict and
-the `json.dumps` text that its export bytes are pinned against; the library
-writes those bytes only through `CayleyBall.json_text`.
+`ball_dict` and `ball_json` read a `CayleyBall`'s words, distances and
+adjacency in plain Python into the dict and the `json.dumps` text that its
+export bytes are pinned against; the library writes those bytes only
+through `CayleyBall.json_text`, in bulk from the arrays.
 """
 
 from __future__ import annotations
@@ -173,7 +174,9 @@ class OracleBall:
 
 def ball_dict(ball: CayleyBall) -> dict:
     """The ball as a dict: m, l, radius, each vertex's id, word and
-    distance, and the edges as `CayleyBall._edge_columns` rows."""
+    distance, and the edges as the sorted set of (low, high, letter) triples
+    read off the adjacency in plain Python, as `OracleBall.to_dict` does."""
+    letters = ball.presentation.alphabet.letters
     return {
         "m": ball.presentation.m,
         "l": ball.presentation.l,
@@ -182,7 +185,14 @@ def ball_dict(ball: CayleyBall) -> dict:
             {"id": i, "word": w, "distance": d}
             for i, (w, d) in enumerate(zip(ball.words, ball.dist.tolist()))
         ],
-        "edges": list(zip(*ball._edge_columns())),
+        "edges": sorted(
+            {
+                (min(u, v), max(u, v), letters[x if u < v else x ^ 1])
+                for u, row in enumerate(ball.adjacency.tolist())
+                for x, v in enumerate(row)
+                if v >= 0
+            }
+        ),
     }
 
 
@@ -200,8 +210,16 @@ def cayley_ball_oracle(
     BFS by levels; candidate words are identified through Dehn reduction
     (strictly shorter words walk back through completed adjacency) and the
     geodesic swap closure (same-length merges).  Identification is skipped
-    entirely while 2n < l, where no relation can close up.
+    entirely while 2n < l, where no relation can close up.  The origin
+    counts against the vertex budget, so a budget below 1 completes no
+    radius.
     """
+    if vertex_budget < 1:
+        raise PartialBallError(
+            f"vertex budget {vertex_budget} exhausted",
+            completed_radius=-1,
+            budget=vertex_budget,
+        )
     eng = _oracle_engine(p)
     ab = eng.ab
     words: list[tuple[int, ...]] = [()]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -269,15 +270,49 @@ def test_ball_oracle_byte_row_keys(monkeypatch, verified_presentation, oracle_r6
     _assert_same_ball(cayley_ball(p, 6), oracle_r6, exports=False)
 
 
-def test_ball_json_text_matches_json_dumps(odd_presentation):
+def test_ball_json_text_matches_json_dumps(odd_presentation, verified_presentation):
     # the text written from the arrays is the json.dumps layout of its dict,
-    # nested at any indent; radius 0 has no edges, and the odd-l host has
-    # edges inside a level from radius 7
-    for radius in range(8):
-        ball = cayley_ball(odd_presentation, radius)
+    # nested at any indent; radius 0 has no edges, the odd-l host has edges
+    # inside a level from radius 7, and in the radius-6 ball of the (3, 12, 0)
+    # host the ids 10, 100, 1 000 and 10 000 each lie inside a level
+    balls = [cayley_ball(odd_presentation, radius) for radius in range(8)]
+    balls.append(cayley_ball(verified_presentation, 6))
+    ends = set(np.cumsum([len(level) for level in balls[-1].levels]).tolist())
+    assert len(balls[-1].dist) > 10000 and not ends & {10, 100, 1000, 10000}
+    for ball in balls:
         oracle = json.dumps(ball_dict(ball), indent=2, sort_keys=True)
         for indent in ("", "  ", "\t "):
             assert_same_text(ball.json_text(indent), oracle.replace("\n", "\n" + indent))
+
+
+# ints in [0, 2**31), every power of ten below 2**31 and its neighbours among them
+_EDGE_INTS = sorted({10**k + d for k in range(10) for d in (-1, 0, 1)} | {2**31 - 1})
+_INTS = st.one_of(st.integers(0, 2**31 - 1), st.sampled_from(_EDGE_INTS))
+
+
+@given(st.lists(st.tuples(_INTS, _INTS), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_text_rows_write_ints_as_str(pairs):
+    # the row writer's digits are str(int)'s, padded or not, in any column
+    first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    rows = cayley_mod._text_rows([b"[", first, b",", second, b"]\n"], len(pairs))
+    assert rows.tobytes().decode() == "".join(f"[{a},{b}]\n" for a, b in pairs)
+
+
+def test_distance_reads_no_word_strings(monkeypatch, verified_presentation):
+    # distance and is_geodesic walk the ball's adjacency: no vertex's word is
+    # decoded into a string, on a presentation whose engine has no ball yet
+    def refuse(self):
+        raise AssertionError("a ball's words were decoded")
+
+    monkeypatch.setattr(cayley_mod.CayleyBall, "words", property(refuse))
+    p = dataclasses.replace(verified_presentation)
+    r = p.relators[0]
+    assert distance(p, r) == 0
+    assert distance(p, r[: p.l // 2 + 1]) == p.l - (p.l // 2 + 1)
+    assert is_geodesic(p, r[: p.l // 2])
+    assert not is_geodesic(p, r[: p.l // 2 + 1])
+    assert p.engine.ball is not None
 
 
 @pytest.mark.parametrize("m, l", [(2, 13), (3, 12), (4, 12)])
@@ -306,8 +341,9 @@ def _ball_outcome(build, p, radius, budget):
 
 
 def test_ball_oracle_budget_parity(verified_presentation, oracle_r6):
-    # budgets at every level boundary and one either side, and budgets <= 0:
-    # the same error at the same radius, or the same ball
+    # budgets at every level boundary and one either side, and budgets <= 0,
+    # which not even the origin fits, at radii 6, 1 and 0: the same error at
+    # the same radius, or the same ball
     p = verified_presentation
     sizes = np.cumsum(np.bincount(oracle_r6.dist)).tolist()
     budgets = sorted({s + d for s in sizes for d in (-1, 0, 1)} | {0, -1, -7})
@@ -320,7 +356,7 @@ def test_ball_oracle_budget_parity(verified_presentation, oracle_r6):
             raised += 1
         else:
             _assert_same_ball(got, want, exports=False)
-    assert raised == sum(b < sizes[-1] for b in budgets) + 1
+    assert raised == sum(b < sizes[-1] for b in budgets) + 3
 
 
 @functools.lru_cache(maxsize=None)

@@ -181,6 +181,32 @@ def test_ball_csv_builds_no_payload(tmp_path, monkeypatch, verified_presentation
         "d3e6c56b578fdf3b76a74140cae5616804ade3c1ae9bff2aacf43fe64a7229c1")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ball_decodes_no_word_strings(fmt, tmp_path, monkeypatch, verified_presentation):
+    # the payload is written from the ball's level matrices: no vertex's
+    # word is decoded into a string
+    def refuse(self):
+        raise AssertionError("the ball's words were decoded")
+
+    pfile = tmp_path / "v.txt"
+    save_presentation(verified_presentation, pfile)
+    monkeypatch.setattr(CayleyBall, "words", property(refuse))
+    out = tmp_path / f"ball.{fmt}"
+    assert run(["ball", "--in", str(pfile), "--radius", "6", "--format", fmt,
+                "--out", str(out)]) == 0
+    monkeypatch.undo()
+    ball = cayley_ball(verified_presentation, 6)
+    text = out.read_text()
+    if fmt == "json":
+        want = _ball_payload_oracle(ball, pfile, text)
+    else:  # each recorded edge in (src, letter) order, formatted in plain Python
+        letters = verified_presentation.alphabet.letters
+        want = "src,dst,letter\n" + "".join(
+            f"{u},{v},{letters[x]}\n" for u, row in enumerate(ball.adjacency.tolist())
+            for x, v in enumerate(row) if v >= 0)
+    assert_same_text(text, want)
+
+
 def _ball_payload_oracle(ball, pfile, text):
     """The payload bytes `ball` gave before its result was written from the
     arrays: json.dumps of its dict, with the timestamp read off `text`."""
@@ -472,10 +498,12 @@ OVER_BUDGET_INPUTS = {
     "scan-huge-trials": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials {huge}",
     "probe-huge-samples": "roundtree-probe --tree {tree_level0} --target {host} "
                           "--which distortion --radius 2 --samples {huge}",
+    # not even the origin fits a vertex budget below 1, whatever the radius
+    "ball-budget-0-radius-0": "ball --in {verified} --radius 0 --budget 0",
 }
 
 
-def _bad_input_files(tmp_path) -> dict:
+def _bad_input_files(tmp_path, verified_presentation) -> dict:
     triangle = json.loads(diagram_to_json(single_face_diagram(3)))
     dangling = json.loads(diagram_to_json(single_face_diagram(3)))
     dangling["faces"][0]["boundary"] = [1, 2, 9]
@@ -513,6 +541,8 @@ def _bad_input_files(tmp_path) -> dict:
     files["directory"].mkdir()
     files["host"] = tmp_path / "host.txt"
     save_presentation(sample_presentation(2, 4, 0, seed=0), files["host"])
+    files["verified"] = tmp_path / "verified.txt"
+    save_presentation(verified_presentation, files["verified"])
     files["huge"] = "1" + "0" * 400
     # level-0 trees on that host: a valid one, one with no vertex at all, and
     # one with letter 9 (m = 2 has 0-3) on the first edge
@@ -532,9 +562,7 @@ def _bad_input_files(tmp_path) -> dict:
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_presentation):
-    files = _bad_input_files(tmp_path)
-    files["verified"] = tmp_path / "verified.txt"
-    save_presentation(verified_presentation, files["verified"])
+    files = _bad_input_files(tmp_path, verified_presentation)
     if "{tree}" in BAD_INPUTS[case]:
         files["tree"] = tmp_path / "tree.json"
         assert run(["roundtree-build", "--in", str(files["verified"]), "--branching-v", "2",
@@ -547,8 +575,9 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys, verified_pr
 
 
 @pytest.mark.parametrize("case", sorted(OVER_BUDGET_INPUTS))
-def test_over_budget_input_exits_3(case, tmp_path, capsys):
-    assert run(OVER_BUDGET_INPUTS[case].format(**_bad_input_files(tmp_path)).split()) == 3
+def test_over_budget_input_exits_3(case, tmp_path, capsys, verified_presentation):
+    files = _bad_input_files(tmp_path, verified_presentation)
+    assert run(OVER_BUDGET_INPUTS[case].format(**files).split()) == 3
     assert capsys.readouterr().err.startswith("budget exhausted: ")
 
 
