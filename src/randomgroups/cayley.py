@@ -129,15 +129,6 @@ class DehnEngine:
                 return (i, *hit)
         return None
 
-    def is_suspicious(self, w: tuple[int, ...]) -> bool:
-        """Might w merge with another geodesic or fail to be geodesic?
-
-        Any such word contains at least t_detect consecutive letters of a
-        relator rotation (end-cell arc of the connecting bigon ladder): an
-        arc match of at least t_detect letters, since t_detect >= t_move.
-        """
-        return self._find_arc(w, self.t_detect) is not None
-
     def dehn_step(self, w: tuple[int, ...]):
         """One >half-arc replacement in the reduced word w, or None."""
         found = self._find_arc(w, self.half)
@@ -247,6 +238,17 @@ def _text_rows(parts: list, count: int) -> np.ndarray:
     return rows[rows > 0] if padded else rows
 
 
+def _walk(adjacency: np.ndarray, codes) -> int | None:
+    """The vertex that a word's letter codes lead to from the origin through
+    a ball's adjacency, or None where they leave the ball."""
+    at = 0
+    for x in codes:
+        at = adjacency.item(at, x)
+        if at < 0:
+            return None
+    return at
+
+
 @dataclass
 class CayleyBall:
     """A ball of the Cayley graph, vertex ids in BFS order.
@@ -270,12 +272,7 @@ class CayleyBall:
 
     def vertex_of_word(self, word: str) -> int | None:
         """Walk a word from the origin through recorded adjacency."""
-        at = 0
-        for x in self.presentation.alphabet.encode(word):
-            at = self.adjacency.item(at, x)
-            if at < 0:
-                return None
-        return at
+        return _walk(self.adjacency, self.presentation.alphabet.encode(word))
 
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every recorded (u, x, v) with adjacency[u, x] = v, ordered by u, x."""
@@ -352,15 +349,19 @@ def cayley_ball(
     are the open pairs (u, x) of level n-1, in BFS order, and each maps to a
     vertex that depends only on its word words[u] + x:
 
-    - a word that is not suspicious (`DehnEngine.is_suspicious`; always so
-      while 2n < l) is a new vertex of its own.  Its only window that
-      words[u] lacks is its tail, so it is suspicious exactly when u is or
-      that tail starts a relator rotation: one prefix range of the engine's
-      window index for all the tails at once;
+    - a word is suspicious when it holds t_detect consecutive letters of a
+      relator rotation (the end-cell arc of a bigon ladder), as every word
+      that equals another geodesic or a shorter word does.  A word that is
+      not suspicious (always so while 2n < l) is a new vertex of its own.
+      Its only window that words[u] lacks is its tail, so it is suspicious
+      exactly when u is or that tail starts a relator rotation: one prefix
+      range of the engine's window index for all the tails at once;
     - a suspicious word goes through Python: Dehn reduction or the geodesic
       swap closure finds a strictly shorter word, which walks back through
       the completed levels, or the class of equal geodesic words, named by
-      its least member.  Such a class holds only suspicious words.
+      its least member.  Such a class holds only suspicious words, and a
+      class of one is the suspicious candidate itself, so a new class's
+      least word is suspicious by construction.
 
     So the new vertices are the non-suspicious candidates and the first
     candidate of each new class, in candidate order.  A final rim pass adds
@@ -385,14 +386,8 @@ def cayley_ball(
     k = 2 * p.m
     adjacency = np.full((1, k), -1, dtype=np.int32)
     levels = [np.zeros((1, 0), dtype=np.int8)]  # level n: its words as letter codes
-    susp = np.zeros(1, dtype=bool)              # eng.is_suspicious, last level
+    susp = np.zeros(1, dtype=bool)              # suspicious words, last level
     canon_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def walk(w: tuple[int, ...]) -> int:
-        at = 0
-        for x in w:
-            at = adjacency.item(at, x)
-        return at
 
     def identify(w: tuple[int, ...]) -> int | tuple[int, ...]:
         """The vertex of a suspicious candidate w equal to a shorter word,
@@ -400,10 +395,10 @@ def cayley_ball(
         n = len(w)
         short = eng.dehn_reduce(w)
         if len(short) < n:
-            return walk(short)
+            return _walk(adjacency, short)
         same, shorter = eng.geodesic_closure(w)
         if shorter is not None:
-            return walk(eng.dehn_reduce(shorter))
+            return _walk(adjacency, eng.dehn_reduce(shorter))
         key = min(same)
         for member in same:
             canon_cache[member] = key
@@ -472,7 +467,7 @@ def cayley_ball(
             if first:
                 at = ids[list(first.values())] - size
                 words[at] = list(first)
-                susp[at] = [eng.is_suspicious(w) for w in first]
+                susp[at] = True  # a new class's least word is suspicious by construction
             levels.append(words)
             adjacency = np.concatenate([adjacency, np.full((total, k), -1, dtype=np.int32)])
             start = size
@@ -502,8 +497,7 @@ def distance(p: Presentation, word: str) -> int:
         return 0
     if eng.ball is None or eng.ball.radius < len(w):
         eng.ball = cayley_ball(p, len(w))
-    vid = eng.ball.vertex_of_word(eng.ab.decode(w))
-    return int(eng.ball.dist[vid])
+    return int(eng.ball.dist[_walk(eng.ball.adjacency, w)])
 
 
 def is_geodesic(p: Presentation, word: str) -> bool:

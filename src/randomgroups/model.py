@@ -122,9 +122,11 @@ def as_density(d) -> Fraction:
 
 
 def relator_count(m: int, l: int, d, budget: int = DEFAULT_COUNT_BUDGET) -> int:
-    """Exact ⌊(2m-1)^(dl)⌋ via integer q-th roots of (2m-1)^(pl)."""
+    """Exact ⌊(2m-1)^(dl)⌋ via integer q-th roots of (2m-1)^(pl).  It is
+    the one gate of m and l before any relator is drawn."""
     if m < 2 or l < 1:
         raise DomainError(f"need m >= 2 and l >= 1, got m={m}, l={l}")
+    Alphabet(m)  # m names at most 26 generators
     if l > MAX_RELATOR_LENGTH:
         raise DomainError(f"relators longer than {MAX_RELATOR_LENGTH} letters are out of scope")
     d = as_density(d)
@@ -176,6 +178,7 @@ class Presentation:
         bad = _first_bad_relator(self.relators, self.m, self.l)
         if bad is not None:
             raise bad[1]
+        check_seed(self.seed)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -430,10 +433,9 @@ def _relator_codes(m: int, l: int, entropy, indices) -> np.ndarray:
     """The (R, l) int8 letter codes of `sample_cyclically_reduced(m, l,
     _relator_rng(e, i))` for each row's entropy e and index i: `entropy` is
     the seed of every row or a uint32 array of one seed per row.  From
-    _BATCH_MIN_ROWS rows on they come from `_batch_codes`."""
-    if m < 2 or l < 1:
-        raise DomainError(f"need m >= 2 and l >= 1, got m={m}, l={l}")
-    ab = Alphabet(m)  # at most 26 generators
+    _BATCH_MIN_ROWS rows on they come from `_batch_codes`.  Its callers
+    have passed m and l through `relator_count`."""
+    ab = Alphabet(m)
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) >= _BATCH_MIN_ROWS:
         codes, redo = _batch_codes(m, l, entropy, indices)

@@ -171,8 +171,6 @@ class Sector:
 class RoundTree:
     def __init__(self, host: Presentation, params: RoundTreeParams):
         params.validate(host.l)
-        if not host.relators:
-            raise PreconditionError("host presentation has no relators")
         self.host = host
         self.params = params
         self.ab: Alphabet = host.alphabet
@@ -1100,10 +1098,14 @@ def tree_from_json(text: str) -> RoundTree:
 
 def _tree_from_payload(data: dict, host: Presentation) -> RoundTree:
     # the constructor validates the params against the host and lays down the
-    # base cell at vertex 0; the file's records then replace the whole complex
+    # base cell at vertex 0; the file's records then replace the whole complex,
+    # which is connected, so a vertex count past len(edges) + 1 is refused
+    # before any vertex is made
     tree = RoundTree(host, _from_record(RoundTreeParams, data["params"]))
     tree.levels = data["levels"]
     n, letters = data["vertices"], 2 * host.m
+    if n > len(data["edges"]) + 1:
+        raise ParseError(f"{n} vertices cannot be connected by {len(data['edges'])} edges")
     tree.out = [dict() for _ in range(n)]
     for (v, x, w) in data["edges"]:
         if not (0 <= v < n and 0 <= w < n and 0 <= x < letters):

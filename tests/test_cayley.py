@@ -380,8 +380,7 @@ def _arc_words(draw):
 @settings(max_examples=80, deadline=None)
 def test_closure_and_dehn_match_ball_oracle_engine(case):
     # the engine's seam joins, complement slices and one swap per matched
-    # arc give the oracle engine's full reductions and per-prefix swaps, and
-    # its arc lookup finds the words that hold a detect window
+    # arc give the oracle engine's full reductions and per-prefix swaps
     ab_size, rot, k, pre, post = case
     p = _verified_host(ab_size // 2, 12 if ab_size == 6 else 13)
     texts = _relator_texts(p.relators)
@@ -391,7 +390,31 @@ def test_closure_and_dehn_match_ball_oracle_engine(case):
     eng, oracle = p.engine, _oracle_engine(p)
     assert eng.dehn_reduce(w) == oracle.dehn_reduce(w)
     assert eng.geodesic_closure(w) == oracle.geodesic_closure(w)
-    assert eng.is_suspicious(w) == oracle.is_suspicious(w)
+
+
+@pytest.mark.parametrize("m, l, radius", [(2, 13, 8), (3, 12, 7), (4, 12, 6)])
+def test_class_representatives_are_suspicious(monkeypatch, m, l, radius):
+    # cayley_ball marks each new class's least word suspicious without
+    # scanning it: every class the closure finds has a least word that holds
+    # a detect window of the oracle engine's own set
+    p = _verified_host(m, l)
+    closure = cayley_mod.DehnEngine.geodesic_closure
+    classes = []
+
+    def recording(self, w):
+        same, shorter = closure(self, w)
+        if shorter is None:
+            classes.append(same)
+        return same, shorter
+
+    monkeypatch.setattr(cayley_mod.DehnEngine, "geodesic_closure", recording)
+    ball = cayley_ball(p, radius)
+    monkeypatch.undo()
+    oracle = _oracle_engine(p)
+    least = [min(same) for same in classes]
+    assert least and all(map(oracle.is_suspicious, least))
+    # some classes are new vertices inside the ball
+    assert {p.alphabet.decode(w) for w in least} & set(ball.words)
 
 
 def test_engine_keeps_its_largest_ball(monkeypatch, verified_presentation):

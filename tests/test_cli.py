@@ -411,6 +411,9 @@ BAD_INPUTS = {
     "scan-no-trials-lam-2": "cprime-scan --m 2 --l 8 --lam 2 --d-grid 0 --trials 0",
     "scan-no-trials-d-2": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 2 --trials 0",
     "scan-no-trials-m-1-l-0": "cprime-scan --m 1 --l 0 --lam 1/3 --d-grid 0 --trials 0",
+    # more than 26 generators are refused before a count or a draw
+    "scan-no-trials-m-30": "cprime-scan --m 30 --l 4 --lam 1/6 --d-grid 0 --trials 0",
+    "sample-m-30-count-over-budget": "sample --m 30 --l 24 --d 1/2 --seed 0",
     "confdim-const-zero": "bounds --which confdim --d 1/4 --const 0",
     "confdim-const-negative": "bounds --which confdim --d 1/4 --const -1",
     "confdim-const-huge": "bounds --which confdim --d 1/4 --const 1e400",
@@ -430,6 +433,11 @@ BAD_INPUTS = {
                             "--ext-offset 1 --ext-len 1 --levels 1",
     "emanate-tree-bad-letter": "roundtree-emanate --tree {tree_bad_letter} --k 2",
     "emanate-tree-no-vertices": "roundtree-emanate --tree {tree_no_vertices} --k 1",
+    "emanate-tree-huge-vertex-count": "roundtree-emanate --tree {tree_huge_count} --k 2",
+    # a presentation file's seed is SeedSequence entropy, as a sampler's is
+    "build-negative-seed-host": "roundtree-build --in {negative_seed} --branching-v 2 "
+                                "--bigh 2 --ext-offset 1 --ext-len 1 --levels 1",
+    "emanate-tree-negative-seed-host": "roundtree-emanate --tree {tree_negative_seed} --k 2",
     "probe-path-off-tree": "roundtree-probe --tree {tree} --target {verified} "
                            "--which local-geodesic --path 99,0 --window 1",
     "probe-config-path-off-tree": "roundtree-probe --tree {tree} --target {verified} "
@@ -485,6 +493,11 @@ NAMED_FLAG = {
     "probe-local-geodesic-word-cap-negative-verified": "word cap",
     "probe-distortion-word-cap-negative-verified": "word cap",
     "build-search-budget-1": "window search budget exhausted",
+    "scan-no-trials-m-30": "26 generators",
+    "sample-m-30-count-over-budget": "26 generators",
+    "emanate-tree-huge-vertex-count": "cannot be connected",
+    "build-negative-seed-host": "seed",
+    "emanate-tree-negative-seed-host": "seed",
 }
 
 # inputs that used to hang, exhaust memory or crash, and now exhaust a budget
@@ -543,6 +556,12 @@ def _bad_input_files(tmp_path, verified_presentation) -> dict:
     save_presentation(sample_presentation(2, 4, 0, seed=0), files["host"])
     files["verified"] = tmp_path / "verified.txt"
     save_presentation(verified_presentation, files["verified"])
+    # the verified host and the tree host with seed -1 (and a fingerprint to
+    # match in the tree): a build reaches its window search on the first
+    seed = f" seed={verified_presentation.seed} "
+    files["negative_seed"] = tmp_path / "negative_seed.txt"
+    files["negative_seed"].write_text(files["verified"].read_text().replace(seed, " seed=-1 "))
+    negative_host = files["host"].read_text().replace(" seed=0 ", " seed=-1 ")
     files["huge"] = "1" + "0" * 400
     # level-0 trees on that host: a valid one, one with no vertex at all, and
     # one with letter 9 (m = 2 has 0-3) on the first edge
@@ -554,6 +573,12 @@ def _bad_input_files(tmp_path, verified_presentation) -> dict:
     files["tree_no_vertices"] = tmp_path / "tree_no_vertices.json"
     files["tree_no_vertices"].write_text(json.dumps(
         dict(tree, vertices=0, edges=[], cells=[], sectors={})))
+    files["tree_huge_count"] = tmp_path / "tree_huge_count.json"
+    files["tree_huge_count"].write_text(json.dumps(dict(tree, vertices=10**9)))
+    files["tree_negative_seed"] = tmp_path / "tree_negative_seed.json"
+    files["tree_negative_seed"].write_text(json.dumps(dict(
+        tree, host=negative_host,
+        host_fingerprint=hashlib.sha256(negative_host.encode()).hexdigest())))
     tree["edges"][0][1] = 9
     files["tree_bad_letter"] = tmp_path / "tree_bad_letter.json"
     files["tree_bad_letter"].write_text(json.dumps(tree))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -200,6 +201,17 @@ def test_parse_rejects_bad_files():
     with pytest.raises(ParseError) as e:
         parse_presentation(huge)
     assert e.value.line == 3
+
+
+def test_negative_seed_refused_on_load():
+    # a file's seed is SeedSequence entropy, as a sampler's is: the
+    # constructor refuses a negative one, and the parser names line 2
+    p = sample_presentation(2, 6, 0, seed=1)
+    with pytest.raises(DomainError, match="seed"):
+        dataclasses.replace(p, seed=-1)
+    with pytest.raises(ParseError, match="seed") as e:
+        parse_presentation(p.serialize().replace(" seed=1 ", " seed=-1 "))
+    assert e.value.line == 2
 
 
 # ⌊51^(4·159/181)⌋ = 1 000 186 relators of length 4 on 26 generators: just

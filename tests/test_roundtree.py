@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomgroups import cayley
+from randomgroups import roundtree as roundtree_mod
 from randomgroups.bounds import emanating_bound
 from randomgroups.cayley import is_dehn_ready
 from randomgroups.errors import (
@@ -542,6 +543,20 @@ def test_tree_from_json_rejects_bad_files(verified_presentation, demo_tree):
         except ParseError:
             pass
     assert accepted == []
+
+
+def test_tree_vertex_count_refused_before_allocation(monkeypatch, verified_presentation):
+    # a complex is connected, so a count past its edges plus one is refused,
+    # and before any vertex is allocated: a file's count is not trusted
+    data = json.loads(tree_to_json(_level0_tree(verified_presentation)))
+
+    def no_vertex():
+        raise AssertionError("a vertex was allocated")
+
+    monkeypatch.setattr(roundtree_mod, "dict", no_vertex, raising=False)
+    for n in (len(data["edges"]) + 2, 10**9):
+        with pytest.raises(ParseError, match="cannot be connected"):
+            tree_from_json(json.dumps(dict(data, vertices=n)))
 
 
 def _windows_by_unique(relators, m):
