@@ -19,7 +19,6 @@ equal presentation loaded again builds its own.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -47,6 +46,7 @@ from .bounds import wilson_interval
 DEFAULT_VERTEX_BUDGET = 10**6
 DEFAULT_CLOSURE_BUDGET = 20_000
 CLOSURE_NODE_BUDGET = 300_000  # free-ball words of one naive closure
+CLOSURE_PAIR_BLOCK = 1 << 17   # merge pairs of one naive closure ranked at once
 
 LAMBDA_DEHN = Fraction(1, 6)
 
@@ -625,41 +625,48 @@ def cprime_genericity_scan(
 class UnverifiedBall:
     """Quotient of the free ball by relator closure within a word-length cap.
 
+    The nodes are the reduced words of length at most the cap, numbered as
+    in `naive_closure_ball`: `starts[n]` is the first node of length n, and
+    the last entry is the node count.  `label[v]` is the least node of v's
+    class, and `dist[v]` the quotient distance of that class.
+
     Distances here are upper bounds for the true word metric (every quotient
     edge is a real Cayley edge); nothing is claimed exact.
     """
 
     presentation: Presentation
-    _index: dict[tuple[int, ...], int]
-    _root: list[int]
-    _dist: dict[int, int]
-
-    def _find(self, a: int) -> int:
-        return _find(self._root, a)
+    starts: list[int]
+    label: np.ndarray  # (N,) int64
+    dist: np.ndarray   # (N,) int64
 
     def class_of_word(self, word: str) -> int | None:
         w = _reduce_ints(self.presentation.alphabet.encode(word))
-        vid = self._index.get(w)
-        return None if vid is None else self._find(vid)
+        if len(w) >= len(self.starts) - 1:
+            return None
+        rank = w[0] if w else 0
+        for prev, x in zip(w, w[1:]):
+            rank = rank * (2 * self.presentation.m - 1) + x - (x > prev ^ 1)
+        return int(self.label[self.starts[len(w)] + rank])
 
     def distance_upper(self, word: str) -> int | None:
         """Upper bound on d(1, word); None when the word leaves the cap."""
         c = self.class_of_word(word)
-        if c is None:
-            return None
-        return self._dist.get(c)
-
-
-def _find(root: list[int], a: int) -> int:
-    """Union-find root of node a, halving the path on the way."""
-    while root[a] != a:
-        root[a] = root[root[a]]
-        a = root[a]
-    return a
+        return None if c is None else int(self.dist[c])
 
 
 def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
     """Bounded congruence closure: no termination or exactness guarantee.
+
+    The nodes are the reduced words of length at most the cap, shortest
+    first and in generation order within a length: the first letter in base
+    2m, then each later code c, which cannot be the inverse of the letter
+    before, as the digit c − (c > prev ^ 1) in base 2m − 1.  So a word's node
+    is its length's offset plus that mixed-radix rank, and the words of one
+    length are one (count, n) int8 letter-code matrix, each made from the
+    last by appending every digit to every row.  The free ball's size is
+    summed one length at a time first: a ball of more than
+    CLOSURE_NODE_BUDGET words raises BudgetExceededError before any matrix
+    is made, and a word cap below 0 raises DomainError.
 
     Every node w is merged with the node w·ρ for each relator rotation ρ that
     lands inside the cap.  Both words are reduced, so w·ρ reduces to
@@ -669,82 +676,99 @@ def naive_closure_ball(p: Presentation, word_cap: int) -> UnverifiedBall:
     are tried: a prefix range of the presentation's window index
     (`Presentation.windows`), the one that the gate and round trees read.
     The nodes of one length share k0 and ask for their ranges at once
-    (`prefix_ranges`); each range found is unpacked once.  The index is first
-    read for the first length with k0 ≤ min(n, l), so a cap below l/2, where
-    no node can merge, reads no relator text when nothing has built the
-    index before.
+    (`prefix_ranges`).  Each (node, rotation) pair found then takes its own
+    seam, which can pass k0, and ranks its joined word by arithmetic: the
+    prefix's rank is w's rank divided by (2m − 1)^k, and ρ's letters after
+    the seam follow as digits.  The index is first read for the first length
+    with k0 ≤ min(n, l), so a cap below l/2, where no node can merge, reads
+    no relator text when nothing has built the index before.
 
-    The merge pairs are therefore a fixed set, and one union over them is the
-    closure.  Each union hangs the larger root under the smaller, so each
-    class's root is its least node whatever the order of the merges.  A free
-    ball of more than CLOSURE_NODE_BUDGET words raises BudgetExceededError,
-    and a word cap below 0 DomainError.
+    The merge pairs are therefore a fixed set, and the classes are its
+    connected components.  The pairs are ranked CLOSURE_PAIR_BLOCK at a
+    time, so memory follows the block and not the pair count, and each block
+    is joined into the node labels by min-label pointer jumping
+    (`_least_labels`).  A label only ever falls to a smaller node of its
+    component, so each class ends labelled by its least node, whatever the
+    order of the pairs: the node numbers are the generation order, so that
+    is its shortest, then first generated, word.  The distances are a
+    level-synchronous search from the origin's class over the free edges
+    (w, parent of w), with both ends mapped to their labels: in generation
+    order the origin has 2m children and every later node 2m − 1, in a row.
     """
     if word_cap < 0:
         raise DomainError(f"need a word cap >= 0, got {word_cap}")
-    m = p.m
-    nodes: list[tuple[int, ...]] = [()]
-    bounds = [0, 1]  # the nodes of length n are nodes[bounds[n] : bounds[n + 1]]
-    for _ in range(word_cap):
-        for w in nodes[bounds[-2] : bounds[-1]]:
-            for x in range(2 * m):
-                if w and w[-1] == (x ^ 1):
-                    continue
-                if len(nodes) >= CLOSURE_NODE_BUDGET:
-                    raise BudgetExceededError(
-                        f"naive closure exceeded {CLOSURE_NODE_BUDGET} nodes at cap {word_cap}",
-                        budget=CLOSURE_NODE_BUDGET,
-                    )
-                nodes.append(w + (x,))
-        bounds.append(len(nodes))
-    index = {w: i for i, w in enumerate(nodes)}
-    root = list(range(len(nodes)))
-    rotations: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # by key range
-    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+    k, base = 2 * p.m, 2 * p.m - 1
+    starts = [0, 1]  # the first node of each length, then the node count
+    for n in range(1, word_cap + 1):
+        starts.append(starts[-1] + k * base ** (n - 1))
+        if starts[-1] > CLOSURE_NODE_BUDGET:
+            raise BudgetExceededError(
+                f"naive closure exceeded {CLOSURE_NODE_BUDGET} nodes at cap {word_cap}",
+                budget=CLOSURE_NODE_BUDGET,
+            )
+    levels = [np.zeros((1, 0), dtype=np.int8), np.arange(k, dtype=np.int8)[:, None]]
+    digits = np.arange(base, dtype=np.int8)
+    for _ in range(2, word_cap + 1):
+        prev = levels[-1]
+        x = digits + (digits >= prev[:, -1:] ^ 1)
+        levels.append(np.concatenate([np.repeat(prev, base, axis=0), x.reshape(-1, 1)], axis=1))
+    first = np.array(starts)
+    label = np.arange(starts[-1])
+    for n, words in enumerate(levels[: word_cap + 1]):
         k0 = max(0, -(-(n + p.l - word_cap) // 2))
         if k0 > min(n, p.l):
             continue
         windows = p.windows
-        tails = np.array(nodes[lo:hi], dtype=np.int8).reshape(hi - lo, n)[:, n - k0 :]
-        starts, stops = windows.prefix_ranges(tails[:, ::-1] ^ 1)
-        hit = np.flatnonzero(stops > starts)
-        for a, s, e in zip((lo + hit).tolist(), starts[hit].tolist(), stops[hit].tolist()):
-            if (s, e) not in rotations:
-                rotations[s, e] = list(map(tuple, windows.rows(windows.keys[s:e]).tolist()))
-            for rho in rotations[s, e]:
-                # index holds every reduced word within the cap
-                ra, rb = _find(root, a), _find(root, index[_join(nodes[a], rho)])
-                root[max(ra, rb)] = min(ra, rb)
-    # BFS over the quotient graph: classes are vertices, free-graph steps
-    # between member words are the edges
-    members: dict[int, list[int]] = defaultdict(list)
-    for i in range(len(nodes)):
-        members[_find(root, i)].append(i)
-    start = _find(root, 0)
-    dist: dict[int, int] = {start: 0}
-    q = deque([start])
-    while q:
-        c = q.popleft()
-        for i in members[c]:
-            w = nodes[i]
-            neighbors = []
-            if w:
-                neighbors.append(w[:-1])
-            if len(w) < word_cap:
-                for x in range(2 * m):
-                    if not w or w[-1] != (x ^ 1):
-                        neighbors.append(w + (x,))
-            for v in neighbors:
-                vi = index.get(v)
-                if vi is None:
-                    continue
-                rv = _find(root, vi)
-                if rv not in dist:
-                    dist[rv] = dist[c] + 1
-                    q.append(rv)
-    return UnverifiedBall(
-        presentation=p,
-        _index=index,
-        _root=root,
-        _dist=dist,
-    )
+        lo, hi = windows.prefix_ranges(words[:, n - k0 :][:, ::-1] ^ 1)
+        ends = np.cumsum(hi - lo)  # the pairs of row r end at ends[r]
+        for at in range(0, int(ends[-1]), CLOSURE_PAIR_BLOCK):
+            pair = np.arange(at, min(at + CLOSURE_PAIR_BLOCK, int(ends[-1])))
+            row = np.searchsorted(ends, pair, side="right")
+            rho = windows.rows(windows.keys[hi[row] - ends[row] + pair])
+            w = words[row]
+            seam = np.full(len(row), k0)
+            on = np.ones(len(row), dtype=bool)
+            for t in range(k0, min(n, p.l)):
+                on &= w[:, n - 1 - t] == rho[:, t] ^ 1
+                seam += on
+            head = n - seam
+            rank = np.where(head > 0, row // base**seam, 0)
+            # the inverse of the letter before the seam, which cannot follow
+            # it; k where no letter is left
+            barred = np.concatenate([np.full((len(row), 1), k, dtype=np.int8), w ^ 1],
+                                    axis=1)[np.arange(len(row)), head]
+            for j in range(p.l):
+                past = j >= seam
+                x = rho[:, j]
+                rank = np.where(past, rank * base + x - (x > barred), rank)
+                barred = np.where(past, x ^ 1, barred)
+            label = _least_labels(label, starts[n] + row, first[head + p.l - seam] + rank)
+    nodes = np.arange(1, starts[-1])  # each with the label of its parent
+    a, b = label[nodes], label[np.maximum((nodes - k - 1) // base + 1, 0)]
+    dist = np.full(starts[-1], -1)
+    dist[0] = 0
+    d = 0
+    while len(a):
+        da, db = dist[a], dist[b]
+        dist[np.concatenate([b[(da == d) & (db < 0)], a[(db == d) & (da < 0)]])] = d + 1
+        live = (da < 0) | (db < 0)  # an edge with an end not yet reached
+        a, b, d = a[live], b[live], d + 1
+    return UnverifiedBall(presentation=p, starts=starts, label=label, dist=dist[label])
+
+
+def _least_labels(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Node labels with the pairs (a, b) joined, by min-label pointer
+    jumping.  `label` maps every node to the least node of its component so
+    far (label[label] == label).  Each round hangs the larger label of every
+    pair that still differs under the smaller, then jumps every label to its
+    root.  A label never rises and never leaves its component, so each
+    component ends labelled by its least node."""
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        a, b, la, lb = a[differ], b[differ], la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while (label[label] != label).any():
+            label = label[label]

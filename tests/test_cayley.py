@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randomgroups import cayley as cayley_mod
@@ -513,16 +513,19 @@ def test_naive_closure_finds_planted_shortcut():
     assert upper is not None and upper <= 5  # the shortcut is a real path
 
 
-def _closure_oracle(p, nb):
-    """The all-rotations scan: every node of nb's free ball against every
-    rotation of every relator and inverse, repeated until a scan merges
-    nothing.  Returns the least member of each node's class and the quotient
-    BFS distances by class."""
+def _closure_oracle(p, cap):
+    """The all-rotations scan: every reduced word within the cap, in
+    generation order, against every rotation of every relator and inverse,
+    repeated until a scan merges nothing.  Returns the words, the least
+    member of each word's class and the quotient BFS distances by class."""
     ab = p.alphabet
     rotations = [ab.encode(s[q:] + s[:q]) for r in p.relators
                  for s in (r, inverse_word(r, ab)) for q in range(p.l)]
-    index = nb._index
-    nodes = sorted(index, key=index.get)
+    nodes = [()]
+    for w in nodes:
+        if len(w) < cap:
+            nodes += [w + (x,) for x in range(ab.size) if not w or x != w[-1] ^ 1]
+    index = {w: i for i, w in enumerate(nodes)}
     root = list(range(len(nodes)))
 
     def find(a):
@@ -555,28 +558,40 @@ def _closure_oracle(p, nb):
             if e not in dist:
                 dist[e] = dist[c] + 1
                 queue.append(e)
-    return cls, dist
+    return nodes, cls, dist
+
+
+def _assert_closure_matches_oracle(p, cap):
+    nb = naive_closure_ball(p, word_cap=cap)
+    nodes, cls, dist = _closure_oracle(p, cap)
+    assert nb.label.tolist() == cls
+    assert nb.dist.tolist() == [dist[c] for c in cls]
+    # a word is reduced before it is located: a longest word with a
+    # cancelling pair appended is still inside the cap, and one letter more
+    # that does not cancel leaves it
+    ab, w = p.alphabet, nodes[-1]
+    assert nb.distance_upper(ab.decode(w + (0, 1))) == dist[cls[-1]]
+    assert nb.distance_upper(ab.decode(w + (w[-1:] or (0,)))) is None
 
 
 @st.composite
 def _closure_cases(draw):
-    m = draw(st.sampled_from([2, 3]))
+    m = draw(st.sampled_from([2, 3, 4]))
     l = draw(st.integers(2, 6))
     d = draw(st.sampled_from([Fraction(0), Fraction(1, 6), Fraction(1, 4)]))
-    cap = draw(st.integers(1, 7 if m == 2 else 5))
+    cap = draw(st.integers(1, {2: 7, 3: 5, 4: 3}[m]))
     return sample_presentation(m, l, d, seed=draw(st.integers(0, 2**32))), cap
 
 
 @given(_closure_cases())
+@example((sample_presentation(3, 4, 0, seed=1), 3))  # seams that cancel past k0
+@example((sample_presentation(2, 3, 0, seed=0), 3))  # merges onto shorter words
+@example((sample_presentation(2, 4, 0, seed=0), 0))  # the origin alone
 @settings(max_examples=40, deadline=None)
 def test_naive_closure_matches_all_rotations_scan(case):
     # caps below l, where short nodes are skipped, and at or above l + |w|,
     # where every rotation is tried (k0 = 0), both occur
-    p, cap = case
-    nb = naive_closure_ball(p, word_cap=cap)
-    cls, dist = _closure_oracle(p, nb)
-    assert [nb._find(i) for i in range(len(cls))] == cls
-    assert nb._dist == dist
+    _assert_closure_matches_oracle(*case)
 
 
 @pytest.mark.parametrize("m, l, d, cap", [
@@ -585,11 +600,16 @@ def test_naive_closure_matches_all_rotations_scan(case):
     (2, 8, Fraction(4, 5), 2),    # 1 131 relators
 ])
 def test_naive_closure_matches_all_rotations_scan_on_many_relators(m, l, d, cap):
-    p = sample_presentation(m, l, d, seed=0)
-    nb = naive_closure_ball(p, word_cap=cap)
-    cls, dist = _closure_oracle(p, nb)
-    assert [nb._find(i) for i in range(len(cls))] == cls
-    assert nb._dist == dist
+    _assert_closure_matches_oracle(sample_presentation(m, l, d, seed=0), cap)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_naive_closure_blocks_of_pairs_give_the_same_classes(monkeypatch, block):
+    # the merge pairs are ranked and joined a block at a time; this ball's
+    # 485 nodes fall into 106 classes of more than one node, over many more
+    # pairs than the smallest blocks
+    monkeypatch.setattr(cayley_mod, "CLOSURE_PAIR_BLOCK", block)
+    _assert_closure_matches_oracle(sample_presentation(2, 6, Fraction(1, 6), seed=0), 5)
 
 
 def test_naive_closure_below_half_l_reads_no_relator_text(monkeypatch):
@@ -602,8 +622,8 @@ def test_naive_closure_below_half_l_reads_no_relator_text(monkeypatch):
 
     monkeypatch.setattr(words_mod, "_relator_texts", unread)
     nb = naive_closure_ball(p, word_cap=5)
-    assert len(nb._index) == 1 + 4 * (3**5 - 1) // 2
-    assert nb._root == list(range(len(nb._index)))
+    assert len(nb.label) == 1 + 4 * (3**5 - 1) // 2
+    assert nb.label.tolist() == list(range(len(nb.label)))
     # at l/2 the longest nodes can merge, and the index is built
     with pytest.raises(AssertionError, match="relator texts read"):
         naive_closure_ball(p, word_cap=6)
@@ -616,11 +636,27 @@ def test_naive_closure_budget_allows_cap_10_at_m2():
     assert 2 * 3**10 - 1 <= cayley_mod.CLOSURE_NODE_BUDGET < 2 * 3**11 - 1
     p = sample_presentation(2, 24, Fraction(1, 24), seed=0)
     nb = naive_closure_ball(p, word_cap=10)
-    assert len(nb._index) == 2 * 3**10 - 1
-    assert nb._root == list(range(len(nb._index)))
+    assert len(nb.label) == 2 * 3**10 - 1
+    assert nb.label.tolist() == list(range(len(nb.label)))
     assert nb.distance_upper("ab" * 5) == 10
     with pytest.raises(BudgetExceededError, match="at cap 11"):
         naive_closure_ball(p, word_cap=11)
+
+
+def test_naive_closure_budget_is_refused_before_any_array(monkeypatch):
+    # the free ball's size is summed one length at a time, so a cap past the
+    # budget, however large, is refused before numpy makes anything
+    p = sample_presentation(2, 24, Fraction(1, 24), seed=0)
+
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} read")
+
+    monkeypatch.setattr(cayley_mod, "np", NoArrays())
+    for cap in (11, 10**9):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^naive closure exceeded 300000 nodes at cap {cap}$"):
+            naive_closure_ball(p, word_cap=cap)
 
 
 def test_gate_engine_ball_and_closure_share_the_presentation_windows(

@@ -511,6 +511,9 @@ OVER_BUDGET_INPUTS = {
     "scan-huge-trials": "cprime-scan --m 2 --l 8 --lam 1/3 --d-grid 0 --trials {huge}",
     "probe-huge-samples": "roundtree-probe --tree {tree_level0} --target {host} "
                           "--which distortion --radius 2 --samples {huge}",
+    # a closure cap whose free ball passes the node budget, refused before any is built
+    "probe-huge-word-cap": "roundtree-probe --tree {tree_level0} --target {host} "
+                           "--which distortion --radius 2 --samples 3 --word-cap 1000000000",
     # not even the origin fits a vertex budget below 1, whatever the radius
     "ball-budget-0-radius-0": "ball --in {verified} --radius 0 --budget 0",
 }
