@@ -41,7 +41,10 @@ search unpacks letters only from the keys of the windows it tries.
 In a tree file each `Cell`, `Sector` (less its key, which names the record)
 and `Bracket` record is its dataclass's fields in declaration order, written
 and read by one pair of helpers (`_record`, `_from_record`): a field change is
-a format change.  Loading goes through the `RoundTree` constructor, which
+a format change.  The file is the text the standard `json` encoder writes
+for its payload at indent 1, but written without that encoder: the edges
+and the step lists, most of the file, go out as rows of text in bulk
+(`tree_to_json`).  Loading goes through the `RoundTree` constructor, which
 validates the parameters against the host, and then puts the file's complex
 in place of the base cell it lays down, once its vertices and letters are in
 range, its edges agree and every record's steps are edges of it.
@@ -68,9 +71,12 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .cayley import _text_rows
 from .errors import (
     BracketUnfillableError,
     BudgetExceededError,
@@ -384,6 +390,15 @@ class RoundTree:
         asks only whether each later slot of the two touched classes still
         has a candidate, which is whether its range is empty.
 
+        Each window and each forward-check word is worked out once per call,
+        in three memos kept across the attempts: a window's letters, by
+        piece and position in the piece's list (`decoded`); what it needs
+        of the table at a slot, or that it never fits there (`fits`; the
+        complex does not change while the search runs); and whether a
+        forward-check word starts some window (`opens`).  Candidate order,
+        shuffles and the budget are as without them: the budget still
+        counts candidates, a memoised one too, and not forward checks.
+
         Runs several randomized passes with per-pass node budgets: dead ends
         hinge on early table commitments, so shuffled restarts are far more
         effective than one deep exhaustive search.
@@ -437,6 +452,12 @@ class RoundTree:
         # slots fill in order, so a stale window is overwritten before it is read
         assignment: dict[tuple[int, int], tuple[int, ...]] = {}
         budget = [0]
+        # the memos of this call: the letters of piece i's window at position
+        # pos of its list, by (i, pos); `fit` of slot si and pos, by (si, pos);
+        # whether a forward-check word starts some window, by the word
+        decoded: dict[tuple[int, int], tuple[int, ...]] = {}
+        fits: dict[tuple[int, int], tuple] = {}
+        opens: dict[tuple[int, ...], bool] = {}
 
         def slot_query(i, j):
             """The word that piece i and the legs fixed for branch j spell on a
@@ -457,13 +478,40 @@ class RoundTree:
             pos = np.searchsorted(piece_windows[i], W.reading(word, at))
             return pos[np.argsort(ranks[i][pos])]
 
+        def has_candidate(sj):
+            """Does some window read what slot sj's piece and fixed legs spell?"""
+            word = slot_query(*slots[sj])[0]
+            found = opens.get(word)
+            if found is None:
+                found = opens[word] = len(W.prefix_range(word)) > 0
+            return found
+
+        def fit(si, pos):
+            """Window pos of slot si's piece and the table entries it needs
+            there, or () when it never fits the slot: its two legs differ for
+            one class, or a leg's first letter is already an edge at its
+            point (the complex does not change during the search)."""
+            i, j = slots[si]
+            window = decoded.get((i, pos))
+            if window is None:
+                window = decoded[(i, pos)] = W.letters(piece_windows[i][pos])
+            bl = 2 * oe + len(piece_labels[i])
+            ends = ((points[i], classes[i]), (points[i + 1], classes[i + 1]))
+            legs = (tuple(x ^ 1 for x in reversed(window[:oe])), window[bl - oe : bl])
+            if classes[i] == classes[i + 1] and legs[0] != legs[1]:
+                return ()
+            if any(leg[0] in self.out[u] for (u, _c), leg in zip(ends, legs)):
+                return ()
+            need = [(("label", window[:bl]), window)]
+            for (u, c), leg in zip(ends, legs):
+                need += [(("off", c), leg[:off_n]), (("ext", c, j), leg[off_n:]),
+                         (("tip", c, leg[off_n]), j), (("lead", u, leg[0]), c)]
+            return window, need
+
         def try_slot(si):
             if si == len(slots):
                 return True
             i, j = slots[si]
-            plen = len(piece_labels[i])
-            bl = 2 * oe + plen
-            ends = ((points[i], classes[i]), (points[i + 1], classes[i + 1]))
             # adjacent same-branch cells share an extension tip: this cell's
             # free arc may not end by undoing the first letter of the previous
             undo = None
@@ -475,17 +523,13 @@ class RoundTree:
                     raise ConstructionObstructedError(
                         "window search budget exhausted", sector=sector.key
                     )
-                window = W.letters(piece_windows[i][pos])
-                legs = (tuple(x ^ 1 for x in reversed(window[:oe])), window[oe + plen : bl])
-                if classes[i] == classes[i + 1] and legs[0] != legs[1]:
+                entry = fits.get((si, pos))
+                if entry is None:
+                    entry = fits[(si, pos)] = fit(si, pos)
+                if not entry:
                     continue
-                if window[l - 1] == undo or any(leg[0] in self.out[u] for (u, _c), leg in zip(ends, legs)):
-                    continue
-                need = [(("label", window[:bl]), window)]
-                for (u, c), leg in zip(ends, legs):
-                    need += [(("off", c), leg[:off_n]), (("ext", c, j), leg[off_n:]),
-                             (("tip", c, leg[off_n]), j), (("lead", u, leg[0]), c)]
-                if any(fixed.get(k, v) != v for k, v in need):
+                window, need = entry
+                if window[l - 1] == undo or any(fixed.get(k, v) != v for k, v in need):
                     continue
                 added = []
                 for k, v in need:
@@ -495,7 +539,7 @@ class RoundTree:
                 assignment[(i, j)] = window
                 later = {sj for c in (classes[i], classes[i + 1])
                          for sj in slots_by_class[c] if sj > si}
-                if all(len(W.prefix_range(slot_query(*slots[sj])[0])) for sj in later) and try_slot(si + 1):
+                if all(has_candidate(sj) for sj in later) and try_slot(si + 1):
                     return True
                 for k in added:
                     del fixed[k]
@@ -1042,7 +1086,86 @@ def _from_record(cls, record: dict, **known):
     return cls(**known, **read)
 
 
+class _Written(str):
+    """JSON text already written, which `_json_text` inserts as it stands."""
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """`value` as the `json` encoder writes it at indent 1 and nesting `depth`:
+    dicts and lists one item a line, indented one space a level, and each
+    scalar as json.dumps writes it (strings through its own C escaper, ints
+    as their decimal); a `_Written` value as it stands.  Every key is a
+    string."""
+    if isinstance(value, _Written):
+        return value
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, dict):
+        items, brackets = [f"{encode_basestring_ascii(k)}: {_json_text(v, depth + 1)}"
+                           for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(v, depth + 1) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
+# 10, 100, ..., 10^18: a value v >= 0 has 1 + searchsorted(_TENS, v, "right") digits
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _json_row_lists(rows: np.ndarray, counts: list[int], depth: int) -> list[_Written]:
+    """Lists of the rows of an (n, k) matrix of ints >= 0, the first counts[0]
+    rows, then the next counts[1], and so on, each list written as
+    `_json_text` writes a list of k-int lists at nesting `depth`.  All rows
+    are written at once by `cayley._text_rows`, each ending in ",\\n"; a
+    list is then the span of its rows less that last separator, and a row's
+    span is its fixed bytes and its digits."""
+    if not len(rows):
+        return [_Written("[]")] * len(counts)
+    inner, item = "\n" + " " * (depth + 2), " " * (depth + 1)
+    parts = [f"{item}[{inner}".encode(), rows[:, 0]]
+    for column in rows.T[1:]:
+        parts += [f",{inner}".encode(), column]
+    parts.append(f"\n{item}],\n".encode())
+    text = _text_rows(parts, len(rows)).tobytes().decode("ascii")
+    fixed = sum(len(part) for part in parts if isinstance(part, bytes))
+    spans = fixed + rows.shape[1] + np.searchsorted(_TENS, rows, side="right").sum(axis=1)
+    ends = np.concatenate(([0], np.cumsum(spans))).tolist()
+    cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    close = "\n" + " " * depth + "]"
+    return [_Written(f"[\n{text[ends[a] : ends[b] - 2]}{close}" if b > a else "[]")
+            for a, b in zip(cuts, cuts[1:])]
+
+
 def tree_to_json(tree: RoundTree) -> str:
+    """The tree file: the text that the `json` encoder writes at indent 1
+    for the payload below, byte for byte (`tests/oracles.py` keeps that
+    encoder call as the oracle).  CPython's encoder runs in pure Python
+    when it indents, so the big sections, the edges and every cell's and
+    sector's step list, are rows of ints written in bulk
+    (`_json_row_lists`), and `_json_text` writes the rest around them.  An
+    edge is listed once, as the least of (v, x, w) and its reverse
+    (w, x ^ 1, v), in sorted order."""
+    edges = np.fromiter(chain.from_iterable((v, x, w) for v, nbrs in enumerate(tree.out)
+                                            for x, w in nbrs.items()), dtype=np.int64).reshape(-1, 3)
+    v, x, w = edges.T
+    edges = edges[(v < w) | ((v == w) & (x % 2 == 0))]
+    edges = edges[np.lexsort(edges.T[::-1])]
+    cells = [_record(c) for c in tree.cells]
+    sectors = {",".join(map(str, k)): _record(sec, skip=("key",)) for k, sec in tree.sectors.items()}
+    step_lists = [(rec, "steps") for rec in cells] + [
+        (rec, f) for rec in sectors.values() for f in ("outer", "lray", "rray")]
+    steps = np.fromiter(chain.from_iterable(chain.from_iterable(rec[f] for rec, f in step_lists)),
+                        dtype=np.int64).reshape(-1, 2)
+    written = _json_row_lists(steps, [len(rec[f]) for rec, f in step_lists], depth=3)
+    for (rec, f), text in zip(step_lists, written):
+        rec[f] = text
     payload = {
         "host": tree.host.serialize(),
         "host_fingerprint": tree.host.fingerprint(),
@@ -1057,13 +1180,9 @@ def tree_to_json(tree: RoundTree) -> str:
         },
         "levels": tree.levels,
         "vertices": len(tree.out),
-        "edges": sorted(
-            (v, x, w) for v, nbrs in enumerate(tree.out) for x, w in nbrs.items() if (v, x, w) <= (w, x ^ 1, v)
-        ),
-        "cells": [_record(c) for c in tree.cells],
-        "sectors": {
-            ",".join(map(str, k)): _record(sec, skip=("key",)) for k, sec in tree.sectors.items()
-        },
+        "edges": _json_row_lists(edges, [len(edges)], depth=1)[0],
+        "cells": cells,
+        "sectors": sectors,
         "brackets": [_record(b) for b in tree.brackets],
         "extension_paths": tree.extension_paths,
         "offset_words": {c: tree.ab.decode(w) for c, w in tree.offset_words.items()},
@@ -1072,7 +1191,7 @@ def tree_to_json(tree: RoundTree) -> str:
             for c, ws in tree.ext_words.items()
         },
     }
-    return json.dumps(payload, indent=1)
+    return _json_text(payload)
 
 
 def tree_from_json(text: str) -> RoundTree:

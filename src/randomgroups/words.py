@@ -38,7 +38,12 @@ L·b <= 64: L <= 32 at m = 2 and L <= 21 at m = 3 or 4.  Numeric order of
 the keys is then the lexicographic order of the windows (the k-mer packing
 of Marçais & Kingsford), and the common prefix of two keys is read off the
 highest bit in which they differ.  Wider windows fall back to sorting each
-row as one opaque byte string.  The witness of `max_piece_length` is read
+row as one opaque byte string.  When a whole rotation packs (l·b <= 64) the
+slot keys come from the rotations: each text's first l letters pack into
+one key, and every rotation and every shorter window of it is two shifts
+and an or of that key (`_slot_keys`).  Packing letter by letter, by Horner
+steps (`_window_keys`), remains for wider texts and for the padded query
+words of `prefix_ranges`.  The witness of `max_piece_length` is read
 off the occurrences of the longest pieces in the few texts that hold one.
 """
 
@@ -414,14 +419,43 @@ def _window_keys(windows: np.ndarray, b: int) -> np.ndarray:
     return keys
 
 
+# keys whose wrapped letters `_slot_keys` or's in at once: 512 KiB of
+# temporaries.  Shifting all 1.8 M keys of the 38 050-relator demo host at
+# once made a second 14 MiB array, and the `tree_build` benchmark's peak RSS
+# then read 102 MiB in about half its runs, against 88 MiB
+_KEY_BLOCK = 1 << 16
+
+
 def _slot_keys(texts: np.ndarray, L: int) -> np.ndarray:
     """One `_window_keys` key per length-L slot window, in slot order, with
     b = `_key_bits` bits a letter: 2R·l keys, or a (T, 2R·l) row of them
-    per presentation of a block, whose keys share the block's b.  The
-    packed keys are read off the texts in place, with no (2R·l, L)
-    temporary."""
-    keys = _window_keys(_slot_view(texts, L), _key_bits(texts))
-    return keys.reshape(texts.shape[:-2] + (texts.shape[-2] * _text_length(texts),))
+    per presentation of a block, whose keys share the block's b.
+
+    When l·b <= 64 the keys come from the rotations: each row's first l
+    letters pack into one key K (l Horner steps over 2R values), rotation q
+    is K shifted left by b·q, cut to l letters, or'ed with K shifted right
+    by b·(l-q), and the window of length L at q is that rotation shifted
+    right by b·(l-L).  Rotation 0 is K itself: its right shift is 0, not
+    b·l, which is 64 at the widest and undefined for a uint64.  The keys
+    are built in place; the right shifts are or'ed in _KEY_BLOCK keys at a
+    time, so no second array of all the keys is made.  Wider texts are keyed
+    window by window, by `_window_keys` on `_slot_view`."""
+    l, b = _text_length(texts), _key_bits(texts)
+    if l * b > 64:
+        keys = _window_keys(_slot_view(texts, L), b)
+    else:
+        first = _window_keys(texts[..., :l], b).reshape(-1, 1)
+        q = np.arange(l, dtype=np.uint64)
+        right = (np.uint64(l) - q) * np.uint64(b)
+        right[:1] = 0
+        keys = np.left_shift(first, q * np.uint64(b))
+        keys &= np.uint64((1 << b * l) - 1)
+        rows = max(1, _KEY_BLOCK // max(l, 1))
+        for lo in range(0, len(keys), rows):
+            keys[lo : lo + rows] |= first[lo : lo + rows] >> right
+        if L < l:
+            keys >>= np.uint64(b * (l - L))
+    return keys.reshape(texts.shape[:-2] + (texts.shape[-2] * l,))
 
 
 _POWERS_OF_TWO = np.uint64(1) << np.arange(64, dtype=np.uint64)

@@ -18,16 +18,21 @@ path it checks:
   `max_piece_length` sorts packed window keys;
 - `exact_cprime_fraction_single_relator` enumerates every relator and
   tests C'(λ) through the all-pairs scan, where `cprime_genericity_scan`
-  samples and checks repeated windows.
+  samples and checks repeated windows;
+- `tree_file_by_json_dumps` writes a round tree's file as one
+  `json.dumps(payload, indent=1)` call, CPython's encoder, where
+  `tree_to_json` writes its edges and step lists as rows of text in bulk.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from typing import Sequence
 
 from randomgroups.diagrams import Diagram, k_of
+from randomgroups.roundtree import RoundTree, _record
 from randomgroups.words import (
     Alphabet,
     _infer_alphabet,
@@ -132,3 +137,37 @@ def exact_cprime_fraction_single_relator(m: int, l: int, lam) -> Fraction:
     words = enumerate_cyclically_reduced(m, l)
     good = sum(1 for w in words if max_piece_length_quadratic([w]) < lam * l)
     return Fraction(good, len(words))
+
+
+def tree_file_by_json_dumps(tree: RoundTree) -> str:
+    """The tree file as `json.dumps` writes its payload at indent 1."""
+    payload = {
+        "host": tree.host.serialize(),
+        "host_fingerprint": tree.host.fingerprint(),
+        "params": {
+            "V": tree.params.V,
+            "H": tree.params.H,
+            "ext_offset": tree.params.ext_offset,
+            "ext_len": tree.params.ext_len,
+            "seg_len": tree.params.segment_length(tree.host.l),
+            "beta": None if tree.params.beta is None else str(tree.params.beta),
+            "eta": None if tree.params.eta is None else str(tree.params.eta),
+        },
+        "levels": tree.levels,
+        "vertices": len(tree.out),
+        "edges": sorted(
+            (v, x, w) for v, nbrs in enumerate(tree.out) for x, w in nbrs.items() if (v, x, w) <= (w, x ^ 1, v)
+        ),
+        "cells": [_record(c) for c in tree.cells],
+        "sectors": {
+            ",".join(map(str, k)): _record(sec, skip=("key",)) for k, sec in tree.sectors.items()
+        },
+        "brackets": [_record(b) for b in tree.brackets],
+        "extension_paths": tree.extension_paths,
+        "offset_words": {c: tree.ab.decode(w) for c, w in tree.offset_words.items()},
+        "ext_words": {
+            c: [None if w is None else tree.ab.decode(w) for w in ws]
+            for c, ws in tree.ext_words.items()
+        },
+    }
+    return json.dumps(payload, indent=1)

@@ -20,7 +20,8 @@ from randomgroups.errors import (
     ParseError,
     PreconditionError,
 )
-from randomgroups.model import Presentation, sample_presentation
+from randomgroups.cli import main
+from randomgroups.model import Presentation, sample_presentation, save_presentation
 from randomgroups.roundtree import (
     Cell,
     _ball_in_tree,
@@ -37,7 +38,8 @@ from randomgroups.roundtree import (
 )
 from randomgroups.words import Alphabet, _relator_windows, inverse_word, reduce_word
 
-from tests.conftest import long_relator_sets, relator_sets
+from tests.conftest import assert_same_text, long_relator_sets, relator_sets
+from tests.oracles import tree_file_by_json_dumps
 
 
 def _level0_tree(p, seg=3):
@@ -466,6 +468,113 @@ def test_search_failure_pinned(case):
             tree.grow_level()
     assert type(e.value) is error and str(e.value) == message
     assert tree.levels == 1
+
+
+@pytest.mark.parametrize("case", ["demo", "level0", "loop"] + sorted(PINNED_TREES))
+def test_tree_file_matches_json_dumps(case, request):
+    # a level-0 tree has empty lists (its rays, brackets), empty dicts (its
+    # words) and the sector key ""; on a one-letter relator its edge is a loop
+    tree = (request.getfixturevalue("demo_tree") if case == "demo"
+            else _level0_tree(request.getfixturevalue("verified_presentation")) if case == "level0"
+            else _level0_tree(sample_presentation(2, 1, 0, seed=0), seg=1) if case == "loop"
+            else _pinned_tree(case))
+    assert_same_text(tree_to_json(tree), tree_file_by_json_dumps(tree))
+
+
+@given(l=st.sampled_from([12, 14, 16]), seed=st.integers(0, 40), V=st.integers(2, 3),
+       seg_len=st.integers(2, 5), levels=st.integers(0, 2),
+       beta=st.sampled_from([None, Fraction(1, 2)]), null_leg=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_tree_file_matches_json_dumps_at_any_level(l, seed, V, seg_len, levels, beta, null_leg):
+    host = sample_presentation(2, l, Fraction(2, 5), seed=seed)
+    tree = init_round_tree(host, RoundTreeParams(V=V, H=4, ext_offset=1, ext_len=1, seg_len=seg_len,
+                                                 beta=beta, search_budget=4000))
+    try:
+        for _ in range(levels):
+            tree.grow_level()
+    except ConstructionObstructedError:
+        pass  # a tree that stopped growing is written all the same
+    if null_leg and tree.ext_words:
+        tree.ext_words[next(iter(tree.ext_words))][-1] = None
+    assert_same_text(tree_to_json(tree), tree_file_by_json_dumps(tree))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=20)
+
+
+@given(_JSON_VALUES, st.integers(1, 3), st.lists(st.integers(0, 5), max_size=5),
+       st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_json_writers_match_json_dumps(value, k, counts, depth, data):
+    assert roundtree_mod._json_text(value) == json.dumps(value, indent=1)
+    # lists of k-int rows, written in bulk at `depth`, inside `depth` - 1 lists
+    rows = data.draw(st.lists(st.integers(0, 10**15), min_size=k * sum(counts),
+                              max_size=k * sum(counts)))
+    matrix = np.array(rows, dtype=np.int64).reshape(-1, k)
+    lists = np.split(matrix, np.cumsum(counts)[:-1]) if counts else []
+    plain, written = [m.tolist() for m in lists], roundtree_mod._json_row_lists(matrix, counts, depth)
+    for _ in range(depth - 1):
+        plain, written = [plain], [written]
+    assert roundtree_mod._json_text(written) == json.dumps(plain, indent=1)
+
+
+# the benchmark's trees: the host `sample --m 2 --l 24 --d 2/5 --seed S` for
+# each of its 16 host seeds, grown by `roundtree-build` with the options of
+# SWEEP_BUILD.  sha256 of the tree file after 3 levels for every seed, and
+# after 4 levels for the seeds that build that far; at 4 levels the seeds of
+# SWEEP_STOPS stop with that message and exit 2
+SWEEP_BUILD = dict(V=2, H=4, ext_offset=1, ext_len=1, seg_len=6)
+SWEEP_DIGESTS = {
+    0: "e77d84629eec7cbd701930a96a9113957f0ebe7fb608176a6d5790c6dfb85e30",
+    1: "69987ef90fdad8a2505f58b7b13a89c155db12cd2b55b7b2d2a47bd88a779cae",
+    2: "752f69dcc71c239e3fcc6ef0ccffb4ec82ee8ade0d7517680941abb492785bf4",
+    3: "b064f86c18b49973bbb7415b86a05be1c3664efcc6f106ddd95e6715b80e5c3d",
+    4: "76b882196738d0ee025ae167e344e6f4dd2da6aa80fa2245b24e9fcf1e72ccba",
+    5: "37fcf1d1fccb44fad96976168ff717c5f06f875a0d69271c223dfd632ebb04cc",
+    6: "252099a2ac79607b0cc3bdcd529503ae3e5a9af6f48e70300e266d2838fcdb41",
+    7: "c3734c0e42339638f4168f2dc985ec1f35599d4face2b138fd4c192780ce5a8f",
+    8: "79efc784a43d127bb131f80844461738e592ef0e5f4dac0e47b094bbeb1aaa74",
+    9: "88af2531ca5b56a1a799cd1aa33f2895ab3a3994dc885f09f85679382498f3f0",
+    10: "13d2c217b0f46a07c7804b4dea844892bb456a9332f8c3731a07c50ce3f285e6",
+    11: "08befc67d230cce4c11bcacbd5f9254af77a2c7f32bc6ab40effbc36ffe2a8bd",
+    12: "a7354f36e853a494c2e4cf412efc3888166030427b738bbb5db54c19d4d06023",
+    13: "84e63cd62338e8734e29c99802d3da89f14d70cc8b2e9e125e2c977a7664c201",
+    14: "becdd454a5df19297087d5bdcc01c1b51163bf295c9962af2f476b3c8932f355",
+    15: "a8548014d664f9d6b6a535cb2e09567339269c1f540acb06c35b5b5e7c02bbd2",
+}
+SWEEP_DIGESTS_4 = {
+    1: "7e00269f0e44d2a105263d86c90427c9b1ec24c0698ec4182403f4fca8b6c92d",
+    2: "063fa7067a6ec630732244f0a3510c92ce59f24145ea8e3fe5187a1766131989",
+}
+SWEEP_STOPS = {0: "window search budget exhausted", 3: "window search budget exhausted"}
+
+
+@pytest.fixture(scope="module", params=sorted(SWEEP_DIGESTS))
+def sweep_host(request):
+    """The demo host of one sweep seed, sampled once for all its checks."""
+    return sample_presentation(2, 24, Fraction(2, 5), seed=request.param)
+
+
+def test_demo_tree_sweep(sweep_host, tmp_path, capsys):
+    seed = sweep_host.seed
+    tree = init_round_tree(sweep_host, RoundTreeParams(**SWEEP_BUILD))
+    for _ in range(3):
+        tree.grow_level()
+    assert hashlib.sha256(tree_to_json(tree).encode()).hexdigest() == SWEEP_DIGESTS[seed]
+    if seed in SWEEP_DIGESTS_4:
+        tree.grow_level()
+        assert hashlib.sha256(tree_to_json(tree).encode()).hexdigest() == SWEEP_DIGESTS_4[seed]
+    if seed in SWEEP_STOPS:
+        host, out = tmp_path / "host.txt", tmp_path / "tree.json"
+        save_presentation(sweep_host, host)
+        assert main(["roundtree-build", "--in", str(host), "--out", str(out), "--levels", "4",
+                     "--branching-v", "2", "--bigh", "4", "--ext-offset", "1", "--ext-len", "1",
+                     "--seg-len", "6"]) == 2
+        assert capsys.readouterr().err == f"error: {SWEEP_STOPS[seed]}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["demo"] + sorted(PINNED_TREES))

@@ -629,6 +629,39 @@ def test_slot_windows_match_string_slots(case):
         assert [ab.decode(row) for row in got.reshape(-1, L).tolist()] == want
 
 
+@given(m=st.sampled_from([2, 3, 4]), l=st.integers(1, 34), trials=st.integers(0, 3),
+       R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(m=2, l=32, trials=0, R=3, seed=0)  # l·b = 64: the widest rotations
+@example(m=2, l=32, trials=3, R=2, seed=1)
+@example(m=2, l=33, trials=0, R=3, seed=0)  # one letter past: keyed window by window
+@example(m=2, l=33, trials=2, R=2, seed=1)
+@example(m=3, l=22, trials=0, R=3, seed=0)
+@example(m=3, l=22, trials=2, R=2, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_slot_keys_from_rotations_match_window_keys(m, l, trials, R, seed):
+    # the texts of one presentation (trials = 0) or of a block of them; the
+    # first relator is the power of the last letter, so the texts need all
+    # b bits and hold the largest key (all ones at m = 2, l = 32)
+    rng = np.random.default_rng(seed)
+    ab = Alphabet(m)
+    codes = np.array([ab.encode(sample_cyclically_reduced(m, l, rng))
+                      for _ in range(max(trials, 1) * R)], dtype=np.int8).reshape(-1, R, l)
+    codes[0, 0] = 2 * m - 1
+    texts = words._relator_texts(codes if trials else codes[0])
+    b = words._key_bits(texts)
+    assert b == (2 * m - 1).bit_length()
+    for L in range(1, l + 1):
+        want = words._window_keys(words._slot_view(texts, L), b)
+        got = words._slot_keys(texts, L)
+        assert got.shape == texts.shape[:-2] + (texts.shape[-2] * l,)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), L
+        # the wrapped letters or'ed a few rows at a time, in blocks of 1 to 5
+        # rows, as the largest presentations are
+        with patch.object(words, "_KEY_BLOCK", (seed % 5 + 1) * l):
+            assert words._slot_keys(texts, L).tobytes() == want.tobytes(), L
+
+
 @pytest.mark.parametrize("check", [
     max_piece_length,
     lambda rels: has_piece_of_length(rels, 1),
