@@ -349,19 +349,23 @@ def cayley_ball(
     are the open pairs (u, x) of level n-1, in BFS order, and each maps to a
     vertex that depends only on its word words[u] + x:
 
-    - a word is suspicious when it holds t_detect consecutive letters of a
-      relator rotation (the end-cell arc of a bigon ladder), as every word
-      that equals another geodesic or a shorter word does.  A word that is
-      not suspicious (always so while 2n < l) is a new vertex of its own.
-      Its only window that words[u] lacks is its tail, so it is suspicious
-      exactly when u is or that tail starts a relator rotation: one prefix
-      range of the engine's window index for all the tails at once;
+    - a candidate w = words[u] + x is suspicious when 2n >= l and its last
+      t_detect letters start a relator rotation: one prefix range of the
+      engine's window index for all the tails at once.  A candidate that is
+      not suspicious (always so while 2n < l) is a new vertex, named by
+      itself.  This is the end-cell argument.  The geodesics of w's element
+      that end in x are u's geodesics followed by x, so w is the least of
+      them and the only candidate among them.  Any other geodesic v does
+      not end in x, nor does any when the element lies at distance n - 1
+      (v = v' + x would name u in n - 2 letters).  So the last component of
+      the reduced bigon w v^-1 touches w's end, and its end cell exposes at
+      least l - p_max - floor(l/2) = t_detect letters as a suffix of w, as
+      v, a geodesic, holds at most floor(l/2) of them;
     - a suspicious word goes through Python: Dehn reduction or the geodesic
       swap closure finds a strictly shorter word, which walks back through
       the completed levels, or the class of equal geodesic words, named by
-      its least member.  Such a class holds only suspicious words, and a
-      class of one is the suspicious candidate itself, so a new class's
-      least word is suspicious by construction.
+      its least member.  Every member of such a class is suspicious by the
+      same argument.
 
     So the new vertices are the non-suspicious candidates and the first
     candidate of each new class, in candidate order.  A final rim pass adds
@@ -386,7 +390,6 @@ def cayley_ball(
     k = 2 * p.m
     adjacency = np.full((1, k), -1, dtype=np.int32)
     levels = [np.zeros((1, 0), dtype=np.int8)]  # level n: its words as letter codes
-    susp = np.zeros(1, dtype=bool)              # suspicious words, last level
     canon_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def identify(w: tuple[int, ...]) -> int | tuple[int, ...]:
@@ -418,16 +421,15 @@ def cayley_ball(
         # the open candidates (u, x) of the last level, in BFS order
         rows, x = np.nonzero(adjacency[start:] < 0)
         u = rows + start
-        hit = susp[rows]
-        if n >= eng.t_detect:
+        suspicious = np.zeros(len(u), dtype=bool)
+        if 2 * n >= p.l:  # so n >= ceil(l/2) >= t_detect
             tails = np.concatenate(
                 [prev[rows, n - eng.t_detect :], x.astype(np.int8)[:, None]], axis=1
             )
             starts, stops = eng.windows.prefix_ranges(tails)
-            hit |= stops > starts
-        suspicious = hit if 2 * n >= p.l else np.zeros_like(hit)
+            suspicious = stops > starts
         target = np.full(len(u), -1, dtype=np.int64)  # an existing vertex, else -1
-        creates = np.zeros_like(hit) if rim else ~suspicious
+        creates = np.zeros_like(suspicious) if rim else ~suspicious
         first: dict[tuple[int, ...], int] = {}  # new class key -> its first candidate
         again = []                              # (candidate, first candidate of its class)
         idx = np.flatnonzero(suspicious)
@@ -463,11 +465,8 @@ def cayley_ball(
             words = np.concatenate(
                 [prev[rows[creates]], x[creates].astype(np.int8)[:, None]], axis=1
             )
-            susp = hit[creates]
             if first:
-                at = ids[list(first.values())] - size
-                words[at] = list(first)
-                susp[at] = True  # a new class's least word is suspicious by construction
+                words[ids[list(first.values())] - size] = list(first)
             levels.append(words)
             adjacency = np.concatenate([adjacency, np.full((total, k), -1, dtype=np.int32)])
             start = size

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -157,7 +157,12 @@ def relator_count(m: int, l: int, d, budget: int = DEFAULT_COUNT_BUDGET) -> int:
 class Presentation:
     """A sampled point of the density model: (m, l, d, relators, seed).  It
     holds ⌊(2m-1)^(dl)⌋ relators, however many: that count is computed under
-    the larger of DEFAULT_COUNT_BUDGET and the number of relators given."""
+    the larger of DEFAULT_COUNT_BUDGET and the number of relators given.
+
+    `codes` is the relators' (R, l) int8 letter-code matrix, kept once they
+    are checked.  A caller that already holds it checked (a parsed file's,
+    or the sampler's own draw) passes it in, and the relators are not read
+    again; otherwise the constructor checks them and builds it."""
 
     m: int
     l: int
@@ -165,8 +170,9 @@ class Presentation:
     relators: tuple[str, ...]
     seed: int
     parent_fingerprint: str | None = None
+    codes: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, codes):
         Alphabet(self.m)  # m names at most 26 generators
         expected = relator_count(self.m, self.l, self.density,
                                  max(DEFAULT_COUNT_BUDGET, len(self.relators)))
@@ -175,10 +181,12 @@ class Presentation:
                 f"presentation must have ⌊(2m-1)^(dl)⌋ = {expected} relators, "
                 f"got {len(self.relators)}"
             )
-        bad = _first_bad_relator(self.relators, self.m, self.l)
-        if bad is not None:
-            raise bad[1]
+        if codes is None:
+            codes, bad = _checked_codes(self.relators, self.m, self.l)
+            if bad is not None:
+                raise bad[1]
         check_seed(self.seed)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -208,7 +216,7 @@ class Presentation:
         """The window index of the relators (`words._relator_windows`), built
         on first use: the C'(1/6) gate, the Dehn engine, the naive closure
         and the round-tree window search all read this one object."""
-        return _relator_windows(self.relators)
+        return _relator_windows(self.codes)
 
     @cached_property
     def engine(self):
@@ -235,12 +243,12 @@ def check_trials(trials: int) -> None:
         )
 
 
-def _first_bad_relator(
+def _checked_codes(
     relators: Sequence[str], m: int, l: int
-) -> tuple[int, PreconditionError] | None:
-    """The index of the first relator that is not a cyclically reduced word
-    of length l on m generators, with the error that says why; None if
-    there is none.
+) -> tuple[np.ndarray | None, tuple[int, PreconditionError] | None]:
+    """The relators' (R, l) int8 letter-code matrix and None when each is a
+    cyclically reduced word of length l on m generators; else None and the
+    index of the first relator that is not, with the error that says why.
 
     One array check: the relators before the first one of another length
     are joined and read through a byte table, their codes must lie below
@@ -256,16 +264,17 @@ def _first_bad_relator(
     if len(letters):
         n, pos = divmod(int(letters[0]), l)
     # no row of length l: l may be any int read from a file
-    unreduced = np.flatnonzero(_not_cyclically_reduced(codes[: n * l].reshape(n, l))) if n else ()
+    rows = codes[: n * l].reshape(n, l if n else 0)
+    unreduced = np.flatnonzero(_not_cyclically_reduced(rows))
     if len(unreduced):
         i = int(unreduced[0])
-        return i, DomainError(f"relator {relators[i]!r} is not cyclically reduced")
+        return None, (i, DomainError(f"relator {relators[i]!r} is not cyclically reduced"))
     if len(letters):
         ch = relators[n][pos]
-        return n, MalformedWordError(f"letter {ch!r} outside alphabet on {m} generators")
+        return None, (n, MalformedWordError(f"letter {ch!r} outside alphabet on {m} generators"))
     if n < len(relators):
-        return n, DomainError(f"relator length {lengths[n]} != l={l}")
-    return None
+        return None, (n, DomainError(f"relator length {lengths[n]} != l={l}"))
+    return rows, None
 
 
 def _relator_rng(seed: int, index: int) -> np.random.Generator:
@@ -476,8 +485,9 @@ def sample_presentation(
     check_seed(seed)
     d = as_density(d)
     count = relator_count(m, l, d, budget)
-    relators = tuple(_decode_rows(_relator_codes(m, l, seed, np.arange(count))))
-    return Presentation(m=m, l=l, density=d, relators=relators, seed=seed)
+    codes = _relator_codes(m, l, seed, np.arange(count))
+    return Presentation(m=m, l=l, density=d, relators=tuple(_decode_rows(codes)), seed=seed,
+                        codes=codes)
 
 
 def extend_presentation(base: Presentation, d_target, seed: int) -> Presentation:
@@ -490,16 +500,15 @@ def extend_presentation(base: Presentation, d_target, seed: int) -> Presentation
             f"target density {d_target} is below the base density {base.density}"
         )
     count = relator_count(base.m, base.l, d_target)
-    fresh = tuple(_decode_rows(
-        _relator_codes(base.m, base.l, seed, np.arange(len(base.relators), count))
-    ))
+    fresh = _relator_codes(base.m, base.l, seed, np.arange(len(base.relators), count))
     return Presentation(
         m=base.m,
         l=base.l,
         density=d_target,
-        relators=base.relators + fresh,
+        relators=base.relators + tuple(_decode_rows(fresh)),
         seed=seed,
         parent_fingerprint=base.fingerprint(),
+        codes=np.concatenate([base.codes, fresh]),
     )
 
 
@@ -537,7 +546,7 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError(f"bad parameter line: {e}", line=2)
     Alphabet(m)  # m names at most 26 generators
     relators = [r for raw in lines[2:] if (r := raw.strip())]
-    bad = _first_bad_relator(relators, m, l)
+    codes, bad = _checked_codes(relators, m, l)
     if bad is not None:
         numbered = (i for i, raw in enumerate(lines[2:], start=3) if raw.strip())
         raise ParseError(str(bad[1]), line=next(islice(numbered, bad[0], None)))
@@ -554,6 +563,7 @@ def parse_presentation(text: str) -> Presentation:
             relators=tuple(relators),
             seed=seed,
             parent_fingerprint=None if parent == "none" else parent,
+            codes=codes,
         )
     except DomainError as e:
         raise ParseError(str(e), line=2)

@@ -394,10 +394,13 @@ class RoundTree:
         in three memos kept across the attempts: a window's letters, by
         piece and position in the piece's list (`decoded`); what it needs
         of the table at a slot, or that it never fits there (`fits`; the
-        complex does not change while the search runs); and whether a
-        forward-check word starts some window (`opens`).  Candidate order,
-        shuffles and the budget are as without them: the budget still
-        counts candidates, a memoised one too, and not forward checks.
+        complex does not change while the search runs); and whether some
+        window reads what a piece and its fixed legs spell (`opens`, keyed
+        by the piece and the legs' table entries, so a hit builds no word).
+        Each attempt's ranks invert its shuffles in one scatter each, with
+        no sort.  Candidate order, shuffles and the budget are as without
+        them: the budget still counts candidates, a memoised one too, and
+        not forward checks.
 
         Runs several randomized passes with per-pass node budgets: dead ends
         hinge on early table commitments, so shuffled restarts are far more
@@ -427,11 +430,19 @@ class RoundTree:
         # each attempt shuffles orders[i], the order it tries piece i's windows
         # in, and ranks[i] is that order's inverse
         orders = [np.arange(len(rows)) for rows in piece_windows]
+        ranks = [np.empty_like(order) for order in orders]
         slots = [(i, j) for i in range(len(pieces)) for j in range(prm.V)]
         slots_by_class: dict[str, list[int]] = {}
         for si, (i, j) in enumerate(slots):
             slots_by_class.setdefault(classes[i], []).append(si)
             slots_by_class.setdefault(classes[i + 1], []).append(si)
+        # the later slots of slot si's two classes, which its forward check
+        # asks, and the table keys of slot si's legs: the offset and branch-j
+        # extension words of its two classes
+        later = [sorted({sj for c in (classes[i], classes[i + 1])
+                         for sj in slots_by_class[c] if sj > si}) for si, (i, j) in enumerate(slots)]
+        leg_keys = [(("off", classes[i]), ("ext", classes[i], j),
+                     ("off", classes[i + 1]), ("ext", classes[i + 1], j)) for i, j in slots]
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 entropy=self.host.seed,
@@ -454,10 +465,11 @@ class RoundTree:
         budget = [0]
         # the memos of this call: the letters of piece i's window at position
         # pos of its list, by (i, pos); `fit` of slot si and pos, by (si, pos);
-        # whether a forward-check word starts some window, by the word
+        # whether some window reads what a piece and its fixed legs spell, by
+        # the piece and the four leg entries of the table (None if unset)
         decoded: dict[tuple[int, int], tuple[int, ...]] = {}
         fits: dict[tuple[int, int], tuple] = {}
-        opens: dict[tuple[int, ...], bool] = {}
+        opens: dict[tuple, bool] = {}
 
         def slot_query(i, j):
             """The word that piece i and the legs fixed for branch j spell on a
@@ -479,11 +491,12 @@ class RoundTree:
             return pos[np.argsort(ranks[i][pos])]
 
         def has_candidate(sj):
-            """Does some window read what slot sj's piece and fixed legs spell?"""
-            word = slot_query(*slots[sj])[0]
-            found = opens.get(word)
+            """Does some window read what slot sj's piece and fixed legs spell?
+            The word is built only when the memo has not seen them."""
+            key = (slots[sj][0], *map(fixed.get, leg_keys[sj]))
+            found = opens.get(key)
             if found is None:
-                found = opens[word] = len(W.prefix_range(word)) > 0
+                found = opens[key] = len(W.prefix_range(slot_query(*slots[sj])[0])) > 0
             return found
 
         def fit(si, pos):
@@ -537,9 +550,7 @@ class RoundTree:
                         fixed[k] = v
                         added.append(k)
                 assignment[(i, j)] = window
-                later = {sj for c in (classes[i], classes[i + 1])
-                         for sj in slots_by_class[c] if sj > si}
-                if all(has_candidate(sj) for sj in later) and try_slot(si + 1):
+                if all(has_candidate(sj) for sj in later[si]) and try_slot(si + 1):
                     return True
                 for k in added:
                     del fixed[k]
@@ -548,9 +559,9 @@ class RoundTree:
         attempts = 8
         saw_budget_stop = False
         for _attempt in range(attempts):
-            for order in orders:
+            for order, rank in zip(orders, ranks):
                 rng.shuffle(order)
-            ranks = [np.argsort(order) for order in orders]
+                rank[order] = np.arange(len(order))
             budget[0] = max(1, prm.search_budget // attempts)
             fixed.clear()
             fixed.update(start)

@@ -571,7 +571,7 @@ class _WindowIndex:
         return tuple(key.tobytes())
 
 
-def _relator_windows(relators: Sequence[str]) -> _WindowIndex:
+def _relator_windows(relators: Sequence[str] | np.ndarray) -> _WindowIndex:
     """All rotations of the relators and their inverses, deduplicated and in
     lexicographic order, as the keys of a `_WindowIndex`: the C'(1/6) gate's
     longest piece, the round trees' cell-word candidates, the naive

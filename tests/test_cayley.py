@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import random
 from collections import deque
@@ -15,6 +16,7 @@ from randomgroups import cayley as cayley_mod
 from randomgroups import model as model_mod
 from randomgroups import words as words_mod
 from randomgroups.cayley import (
+    DEFAULT_VERTEX_BUDGET,
     cayley_ball,
     cprime_genericity_scan,
     dehn_reduce,
@@ -394,9 +396,9 @@ def test_closure_and_dehn_match_ball_oracle_engine(case):
 
 @pytest.mark.parametrize("m, l, radius", [(2, 13, 8), (3, 12, 7), (4, 12, 6)])
 def test_class_representatives_are_suspicious(monkeypatch, m, l, radius):
-    # cayley_ball marks each new class's least word suspicious without
-    # scanning it: every class the closure finds has a least word that holds
-    # a detect window of the oracle engine's own set
+    # every class the closure finds has a least word that holds a detect
+    # window of the oracle engine's own set, though the build scans no
+    # class's least word
     p = _verified_host(m, l)
     closure = cayley_mod.DehnEngine.geodesic_closure
     classes = []
@@ -415,6 +417,74 @@ def test_class_representatives_are_suspicious(monkeypatch, m, l, radius):
     assert least and all(map(oracle.is_suspicious, least))
     # some classes are new vertices inside the ball
     assert {p.alphabet.decode(w) for w in least} & set(ball.words)
+
+
+@pytest.mark.parametrize("m, l, radius, calls", [(3, 12, 7, 636), (2, 13, 8, 2704)])
+def test_closure_sees_only_tails_that_start_a_rotation(monkeypatch, m, l, radius, calls):
+    # a candidate goes to the closure only when its own last t_detect
+    # letters start a rotation of the oracle engine's own set, not because
+    # its parent did; the first host is the queries-type (3, 12, 0) host
+    p = _verified_host(m, l)
+    closure = cayley_mod.DehnEngine.geodesic_closure
+    seen = []
+
+    def recording(self, w):
+        seen.append(w)
+        return closure(self, w)
+
+    monkeypatch.setattr(cayley_mod.DehnEngine, "geodesic_closure", recording)
+    cayley_ball(p, radius)
+    monkeypatch.undo()
+    k = p.engine.t_detect
+    assert len(seen) == calls
+    assert all(w[-k:] in _oracle_engine(p).detect for w in seen)
+
+
+# verified hosts whose balls the dict-BFS oracle builds in a fraction of a
+# second up to the radius given, one or two levels past l/2: odd l, where
+# Dehn reduction finds words one letter shorter, and even l, where the
+# closure merges classes of two or more words, at m = 2, 3 and 4
+_CHEAP_HOSTS = {(2, 13): 6, (2, 15): 7, (3, 7): 4, (3, 8): 4, (3, 9): 5, (3, 10): 5,
+                (4, 7): 4, (4, 8): 4}
+
+
+@functools.lru_cache(maxsize=None)
+def _nth_verified_host(m, l, k):
+    """The k-th sample at (m, l, 0) that passes the C'(1/6) gate."""
+    samples = (sample_presentation(m, l, 0, seed) for seed in itertools.count())
+    return next(itertools.islice(filter(is_dehn_ready, samples), k, None))
+
+
+@st.composite
+def _ball_cases(draw):
+    """(host, radius, at): a radius within two levels of the host's
+    largest, and at None for the default budget or (level, d) for a budget
+    d in -1..1 away from the ball's size up to that level."""
+    (m, l), top = draw(st.sampled_from(sorted(_CHEAP_HOSTS.items())))
+    radius = draw(st.integers(top - 2, top))
+    budget = draw(st.none() | st.tuples(st.integers(0, radius), st.integers(-1, 1)))
+    return _nth_verified_host(m, l, draw(st.integers(0, 2))), radius, budget
+
+
+@given(_ball_cases())
+@example((_nth_verified_host(3, 8, 0), 4, None))     # merged classes
+@example((_nth_verified_host(3, 7, 0), 4, None))     # shorter words
+@example((_nth_verified_host(3, 8, 0), 4, (4, -1)))  # one short of the ball
+@settings(max_examples=30, deadline=None)
+def test_ball_json_text_matches_bfs_oracle(case):
+    # the ball built on the tail test alone is the dict BFS's, byte for byte
+    # in its JSON, or fails at the same level with the same error
+    p, radius, at = case
+    budget = DEFAULT_VERTEX_BUDGET
+    if at is not None:
+        level, d = at
+        budget = int(np.cumsum(np.bincount(cayley_ball(p, radius).dist))[level]) + d
+    got = _ball_outcome(cayley_ball, p, radius, budget)
+    want = _ball_outcome(cayley_ball_oracle, p, radius, budget)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_text(got.json_text(), json.dumps(want.to_dict(), indent=2, sort_keys=True))
 
 
 def test_engine_keeps_its_largest_ball(monkeypatch, verified_presentation):

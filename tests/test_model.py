@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randomgroups import model
+from randomgroups import words as words_mod
 from randomgroups.errors import (
     BudgetExceededError,
     DomainError,
@@ -32,6 +33,7 @@ from randomgroups.model import (
 )
 from randomgroups.words import (
     Alphabet,
+    _relator_windows,
     is_cyclically_reduced_word,
     rivin_count,
     sample_cyclically_reduced,
@@ -242,6 +244,38 @@ def test_file_past_the_default_count_budget_must_agree_with_its_header():
     with pytest.raises(ParseError, match="relators, got 1000186") as e:
         parse_presentation(text("158/181"))
     assert e.value.line == 2
+
+
+def test_relators_are_checked_once(monkeypatch, tmp_path):
+    # a loaded file's relators are checked once, by the parser, whose code
+    # matrix the constructor keeps; the samplers pass the matrix they drew,
+    # each row drawn cyclically reduced, so their relators are not read back
+    # from the strings; a direct construction checks them itself
+    p = sample_presentation(3, 10, Fraction(1, 5), seed=4)
+    save_presentation(p, tmp_path / "p.txt")
+    keys = _relator_windows(list(p.relators)).keys
+    checks = []
+    real = model._checked_codes
+    monkeypatch.setattr(model, "_checked_codes", lambda *args: checks.append(1) or real(*args))
+    loaded = load_presentation(tmp_path / "p.txt")
+    assert len(checks) == 1
+    sampled = sample_presentation(3, 10, Fraction(1, 5), seed=4)
+    extended = extend_presentation(sample_presentation(3, 10, Fraction(1, 10), seed=4),
+                                   Fraction(1, 5), seed=4)
+    assert len(checks) == 1
+    built = Presentation(m=3, l=10, density=Fraction(1, 5), relators=p.relators, seed=4)
+    assert len(checks) == 2
+    # each keeps its relators' codes, and builds its window index from them
+    # without reading a relator string again
+    def refuse(words):
+        raise AssertionError("relator strings read")
+
+    monkeypatch.setattr(words_mod, "_letter_codes", refuse)
+    for q in (loaded, sampled, built):
+        assert q == p
+        assert q.codes.tolist() == [list(Alphabet(3).encode(r)) for r in p.relators]
+        assert q.windows.keys.tobytes() == keys.tobytes()
+    assert extended.codes.tolist() == [list(Alphabet(3).encode(r)) for r in extended.relators]
 
 
 def test_presentation_invariants_enforced():
