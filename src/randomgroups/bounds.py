@@ -19,8 +19,9 @@ import numpy as np
 from .diagrams import (
     ConstraintReport,
     Diagram,
+    _candidates,
     _count_partial_fillings,
-    _search,
+    _fillings,
     compile_constraints,
 )
 from .errors import BudgetExceededError, DomainError, PreconditionError
@@ -350,11 +351,17 @@ def presentation_fill_probability_exact(
 
 
 def _mc_hits(args) -> int:
-    """Trials lo .. hi-1 of `mc_fillability` that fill, drawn a chunk at a time."""
+    """Trials lo .. hi-1 of `mc_fillability` that fill, decided a block at a
+    time: only the trials with a candidate at every bearing index are
+    searched, for a first filling."""
     cons, m, l, d, seed, lo, hi = args
     keys = np.arange(lo, hi, dtype=np.uint32)[:, None]
-    return sum(_search(cons, rows, "first", True) is not None
-               for block in _trial_relators(m, l, d, seed, keys) for rows in block)
+    hits = 0
+    for block in _trial_relators(m, l, d, seed, keys):
+        masks, ready = _candidates(cons, block)
+        hits += sum(next(_fillings(cons, block[t].tolist(), masks[:, t], True), None) is not None
+                    for t in np.flatnonzero(ready))
+    return hits
 
 
 def mc_fillability(
@@ -370,8 +377,10 @@ def mc_fillability(
     distinct relators; Wilson 99% CI.  Trial t uses the derived seed
     SeedSequence(seed, spawn_key=(t,)), so results are independent of jobs.
     The diagram is compiled once, the trials' relators are drawn in batches
-    (`_trial_relators`), the trial count is bounded by TRIAL_BUDGET, and
-    the pool never has more workers than CPUs or trials."""
+    (`_trial_relators`) and each batch is decided at once (`_mc_hits`); no
+    word is decoded, and a tie diagram gives 0 hits without drawing.  The
+    trial count is bounded by TRIAL_BUDGET, and the pool never has more
+    workers than CPUs or trials."""
     if trials <= 0:
         raise DomainError("trials must be positive")
     check_trials(trials)
@@ -381,7 +390,9 @@ def mc_fillability(
     cons = compile_constraints(diagram, Alphabet(m))
     _check_l(cons.l, l)
     jobs = min(jobs, os.cpu_count() or 1, trials)
-    if jobs > 1:
+    if cons.never_fillable:
+        hits = 0
+    elif jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         step = max(1, trials // (4 * jobs))

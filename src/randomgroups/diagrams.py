@@ -12,8 +12,12 @@ follows the face's own reading direction.
 diagram once and reads its side map once, for the charges behind the degree
 of constraint and for the filling conditions.  It is the module's one
 reading of those conditions.  `compile_constraints` is that report with its
-letters coded, made once per diagram: `fill`, the exact counts and each
-Monte Carlo trial share it.  `boundary_word` and `isoperimetric_check` check
+letters coded, made once per diagram: `fill`, the exact counts and Monte
+Carlo share it.  A filling is searched in two steps: `_candidates` marks,
+for a block of trials' relators at once, the rows each bearing index may
+take, and `_fillings` backtracks over one trial's candidates.  `fill` is
+the block of one, and Monte Carlo backtracks only the trials with a
+candidate at every index.  `boundary_word` and `isoperimetric_check` check
 a given filling against the same report.  The independent reading, straight
 off the faces and restrictions, is the test oracle in `tests/oracles.py`.
 
@@ -434,8 +438,10 @@ def fill(diagram: Diagram, relators: Sequence[str], mode: str = "all", distinct:
 
     With `distinct=True` (fill-by-presentation) the words assigned to
     different indices must be pairwise distinct; `distinct=False` is the raw
-    definition-level search.  Backtracking with constraint propagation;
-    `mode` is one of "first" | "all" | "count".
+    definition-level search.  The relators are a block of one trial for
+    `_candidates` and `_fillings`, the steps `mc_fillability` runs on a
+    block of trials, and only the fillings returned are decoded; `mode` is
+    one of "first" | "all" | "count".
     """
     if mode not in ("first", "all", "count"):
         raise DomainError(f"unknown fill mode {mode!r}")
@@ -446,49 +452,51 @@ def fill(diagram: Diagram, relators: Sequence[str], mode: str = "all", distinct:
         coded = []  # no word is read
     elif any(len(w) != cons.l for w in coded):
         raise PreconditionError("every relator must match the face size l")
-    return _search(cons, np.array(coded, dtype=np.int8).reshape(len(coded), cons.l), mode, distinct)
+    masks, _ = _candidates(cons, np.array(coded, dtype=np.int8).reshape(1, len(coded), cons.l))
+    found = _fillings(cons, coded, masks[:, 0], distinct)
+    if mode == "count":
+        return sum(1 for _ in found)
+    words = (tuple(cons.alphabet.decode(coded[r]) for r in chosen) for chosen in found)
+    return next(words, None) if mode == "first" else list(words)
 
 
-def _search(cons: CompiledConstraints, rows: np.ndarray, mode: str, distinct: bool):
-    """`fill` on compiled constraints and an (N, l) int8 matrix of relator
-    codes: index i takes its candidates in relator order, each cross pair
-    is checked once, at its later index, and only the words of the
-    fillings returned are decoded."""
-    if cons.never_fillable:
-        return None if mode == "first" else ([] if mode == "all" else 0)
-    coded = rows.tolist()
-    candidates = {
-        i: np.flatnonzero(_index_mask(rows, cons, i)).tolist() for i in range(1, cons.n + 1)
-    }
-    out: list[tuple[str, ...]] = []
-    count = 0
+def _candidates(cons: CompiledConstraints, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate step of filling, for a (T, N, l) int8 block of T
+    trials' relator codes (as `model._trial_relators` draws them): the
+    (n, T, N) masks of the rows that may sit at each bearing index (index i
+    at i - 1), and the (T,) mask of the trials that give every index a
+    candidate; the other trials cannot fill.  The tie rule is the
+    callers': a tie diagram reads no relator."""
+    T, N, l = block.shape
+    flat = block.reshape(T * N, l)
+    masks = np.stack([_index_mask(flat, cons, i).reshape(T, N) for i in range(1, cons.n + 1)])
+    return masks, masks.any(axis=2).all(axis=0)
+
+
+def _fillings(cons: CompiledConstraints, coded: Sequence[Sequence[int]], masks: np.ndarray,
+              distinct: bool):
+    """The fillings of one trial, lazily and in search order, each as the
+    tuple of rows of `coded` (its relator codes) placed at bearing indices
+    1..n.  Index i takes the rows of its mask `masks[i - 1]` in relator
+    order, and each cross pair is checked once, at its later index."""
+    candidates = [np.flatnonzero(mask).tolist() for mask in masks]
     chosen: list[int] = []  # the relator placed at each index 1..len(chosen)
 
     def rec(i: int):
-        nonlocal count
         if i > cons.n:
-            count += 1
-            if mode != "count":
-                out.append(tuple(cons.alphabet.decode(coded[r]) for r in chosen))
-            return mode == "first"
-        for r in candidates[i]:
+            yield tuple(chosen)
+            return
+        for r in candidates[i - 1]:
             w = coded[r]
             if distinct and any(w == coded[c] for c in chosen):
                 continue
             if all(coded[chosen[i1 - 1]][k1 - 1] == w[k2 - 1] ^ flip
                    for i1, k1, k2, flip in cons.cross[i]):
                 chosen.append(r)
-                if rec(i + 1):
-                    return True
+                yield from rec(i + 1)
                 chosen.pop()
-        return False
 
-    rec(1)
-    if mode == "first":
-        return out[0] if out else None
-    if mode == "count":
-        return count
-    return out
+    return rec(1)
 
 
 def _count_partial_fillings(cons: CompiledConstraints, words: np.ndarray,

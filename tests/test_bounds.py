@@ -38,7 +38,7 @@ from randomgroups.diagrams import (
     single_face_diagram,
 )
 from randomgroups.errors import BudgetExceededError, DomainError, PreconditionError
-from randomgroups.model import sample_presentation
+from randomgroups.model import _TRIAL_ROWS, relator_count, sample_presentation
 from randomgroups.words import Alphabet, enumerate_cyclically_reduced
 
 
@@ -382,20 +382,107 @@ def test_inductive_refuses_faces_of_several_sizes():
         inductive_fill_bounds(rep, 2, 4, Fraction(1, 4))
 
 
-@pytest.mark.parametrize("index", [0, 3])
+def _per_trial_fills(d, l, density, trials, seed, distinct=True):
+    """Whether `fill` fills d with the relators of each trial of
+    `mc_fillability(d, 2, l, density, trials, seed)`, one sampled
+    presentation at a time: the oracle of the block search."""
+    out = []
+    for t in range(trials):
+        s = int(np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(1)[0])
+        relators = sample_presentation(2, l, density, seed=s).relators
+        out.append(fill(d, relators, mode="first", distinct=distinct) is not None)
+    return out
+
+
+@pytest.mark.parametrize("index", range(6))
 def test_mc_hits_match_per_trial_fill(index):
     from tests.test_acceptance import _ruleout_catalogue
 
-    l, trials, seed = 6, 200, 7
-    d = _ruleout_catalogue(l)[index]
-    hits = 0
-    for t in range(trials):
-        s = int(np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(1)[0])
-        relators = sample_presentation(2, l, Fraction(1, 4), seed=s).relators
-        hits += fill(d, relators, mode="first") is not None
-    assert hits > 0
-    fp = mc_fillability(d, 2, l, Fraction(1, 4), trials=trials, seed=seed)
-    assert fp.estimate == hits / trials
+    trials, seed = 200, 7
+    for l in (6, 8):
+        d = _ruleout_catalogue(l)[index]
+        hits = sum(_per_trial_fills(d, l, Fraction(1, 4), trials, seed))
+        assert hits > 0
+        fp = mc_fillability(d, 2, l, Fraction(1, 4), trials=trials, seed=seed)
+        assert fp.estimate == hits / trials
+
+
+def _enumerated_cases(kind):
+    """(l, diagram) pairs at l = 3 and 4 of one kind, three enumerated
+    diagrams per l, each bare and restricted at one seeded position:
+    "three_faces" glues a face bearing index 3 onto a two-index diagram,
+    "one_index" has two faces bearing one index (its `same` constraints),
+    "tie" is never fillable and "two_index" is where `distinct` decides."""
+    rng = random.Random(34)
+    out = []
+    for l in (3, 4):
+        diagrams, _ = enumerate_diagrams(2, l)
+        picked = {
+            "three_faces": [glue_face(d, 0, 1, bears=3) for d in diagrams if d.n == 2],
+            "one_index": [d for d in diagrams if len(d.faces) == 2 and d.n == 1
+                          and not belonging(d).never_fillable],
+            "tie": [d for d in diagrams if belonging(d).never_fillable],
+            "two_index": [d for d in diagrams if d.n == 2],
+        }[kind]
+        for d in picked[:: len(picked) // 3][:3]:
+            walk = boundary_walks(d)[0]
+            pattern = {rng.randrange(len(walk)): "aAbB"[rng.randrange(4)]}
+            out += [(l, d), (l, restrict_boundary(d, pattern))]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["three_faces", "one_index", "tie", "two_index"])
+def test_mc_hits_match_per_trial_fill_enumerated(kind):
+    density, trials, seed = Fraction(2, 5), 100, 34
+    cases = _enumerated_cases(kind)
+    hits = loose = 0
+    for l, d in cases:
+        per_trial = sum(_per_trial_fills(d, l, density, trials, seed))
+        fp = mc_fillability(d, 2, l, density, trials=trials, seed=seed)
+        assert fp.estimate == per_trial / trials
+        hits += per_trial
+        loose += sum(_per_trial_fills(d, l, density, trials, seed, distinct=False))
+    if kind == "three_faces":
+        assert all(d.n == 3 for _, d in cases)
+    assert (hits == 0) == (kind == "tie")
+    # some trial has a candidate at both indices and fills them only with
+    # one word twice
+    assert (loose > hits) == (kind in ("three_faces", "two_index"))
+
+
+def test_mc_hits_match_per_trial_fill_across_chunks():
+    from tests.test_acceptance import _ruleout_catalogue
+
+    l, density, seed = 12, Fraction(2, 5), 11
+    per_chunk = _TRIAL_ROWS // relator_count(2, l, density)
+    trials = per_chunk + 40
+    d = _ruleout_catalogue(l)[0]
+    fills = _per_trial_fills(d, l, density, trials, seed)
+    assert any(fills[:per_chunk]) and any(fills[per_chunk:])
+    for jobs in (1, 2):
+        fp = mc_fillability(d, 2, l, density, trials=trials, seed=seed, jobs=jobs)
+        assert fp.estimate == sum(fills) / trials
+
+
+def test_mc_decodes_no_word(monkeypatch):
+    from tests.test_acceptance import _ruleout_catalogue
+
+    def no_decoding(self, codes):
+        raise AssertionError("decoded a word")
+
+    d = _ruleout_catalogue(6)[0]
+    monkeypatch.setattr(Alphabet, "decode", no_decoding)
+    assert mc_fillability(d, 2, 6, Fraction(1, 4), trials=200, seed=7).estimate > 0
+
+
+def test_mc_draws_nothing_for_a_tie(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled for a diagram that is never filled")
+
+    tie = next(d for d in enumerate_diagrams(2, 3)[0] if belonging(d).never_fillable)
+    monkeypatch.setattr(bounds_mod, "_trial_relators", no_sampling)
+    for jobs in (1, 2):
+        assert mc_fillability(tie, 2, 3, Fraction(2, 5), trials=50, seed=0, jobs=jobs).estimate == 0
 
 
 def test_mc_rejects_wrong_face_size_before_sampling(monkeypatch):

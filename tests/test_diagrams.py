@@ -336,6 +336,31 @@ def test_fill_oracle_equivalence_small():
                 assert got == want
 
 
+def test_fill_distinct_compares_word_content():
+    # a sampled presentation may draw one word twice: two rows with the same
+    # word are not distinct relators
+    rng = random.Random(34)
+    allwords = enumerate_cyclically_reduced(2, 3)
+    diagrams, _ = enumerate_diagrams(2, 3)
+    two_index = [d for d in diagrams if d.n == 2]
+    for d in two_index[::10] + [glue_face(d, 0, 1, bears=3) for d in two_index[::30]]:
+        words = rng.sample(allwords, 5)
+        words += words[:3]
+        want = sorted(fill_tuples_bruteforce(d, words, distinct=True))
+        assert sorted(fill(d, words, mode="all", distinct=True)) == want
+        assert fill(d, words, mode="count", distinct=True) == len(want)
+        assert all(len(set(t)) == len(t) for t in want)
+
+
+def test_fill_returns_words_in_every_mode():
+    d = restrict_boundary(glue_face(single_face_diagram(3), 0, 1, bears=2), {0: "a"})
+    words = enumerate_cyclically_reduced(2, 3)
+    every = fill(d, words, mode="all")
+    assert every and all(isinstance(w, str) and w in words for t in every for w in t)
+    assert fill(d, words, mode="first") == every[0]
+    assert fill(d, words, mode="count") == len(every)
+
+
 def test_every_fill_verifies():
     rng = random.Random(23)
     allwords = enumerate_cyclically_reduced(2, 4)
