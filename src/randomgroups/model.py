@@ -291,6 +291,16 @@ def _relator_rng(seed: int, index: int) -> np.random.Generator:
 # and of Generator.integers' 32-bit Lemire draw.  numpy's Philox starts
 # with an empty buffer, so its first block is at counter 1; each uint64 it
 # emits serves two 32-bit draws, low half first.
+#
+# `_batch_codes` draws in passes over the rows still open, each pass one
+# `_philox_draws` call per chunk of rows.  A pass costs a few hundred numpy
+# calls whatever its size (about 0.4 ms on a 2-core Xeon VM), about as much
+# as _PASS_ATTEMPTS row-attempts of l = 6 to 24, so once fewer rows than
+# that are open each draws _PASS_ATTEMPTS // open attempts in one pass: a
+# 1 000-row block of l = 6 takes 2 or 3 passes instead of 5 to 8.  In a
+# pass the ten Philox rounds are most of the work: the counter words keep
+# the shape they need, so round 0 costs one product of the B counters, and
+# `_mulhilo` makes 15 numpy calls.
 
 _M32 = 0xFFFFFFFF
 _U32, _U64 = np.uint32, np.uint64
@@ -305,9 +315,11 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _CHUNK_BLOCKS = 1 << 14
 # trial presentations drawn at once by `_trial_relators`
 _TRIAL_ROWS = 1 << 15
-# a batch pass costs about as much as 1-2 ms of per-relator sampling, so
-# fewer relators than this are drawn one at a time
-_BATCH_MIN_ROWS = 64
+# a batch costs 0.7-1.1 ms flat up to 128 rows and one relator drawn on
+# its own 30-40 µs, so fewer relators than this are drawn one at a time
+_BATCH_MIN_ROWS = 32
+# fewer open rows than this draw _PASS_ATTEMPTS // open attempts a pass
+_PASS_ATTEMPTS = 1 << 10
 
 
 def _seed_pool(entropy, spawn: list[np.ndarray]) -> list[np.ndarray]:
@@ -368,21 +380,33 @@ def _trial_seeds(seed: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low uint64 halves of the 128-bit products a·b."""
+    """The high and low uint64 halves of the 128-bit products a·b: three
+    32×32-bit partial sums, each below 2**64, added in place."""
     a_lo, a_hi = _U64(a & _M32), _U64(a >> 32)
     b_lo, b_hi = b & _U64(_M32), b >> _U64(32)
-    lh, hl = b_hi * a_lo, b_lo * a_hi
-    mid = ((b_lo * a_lo) >> _U64(32)) + (lh & _U64(_M32)) + (hl & _U64(_M32))
-    hi = b_hi * a_hi + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
+    t = b_lo * a_lo
+    t >>= _U64(32)
+    t += b_hi * a_lo
+    mid = t & _U64(_M32)
+    mid += b_lo * a_hi
+    hi = b_hi * a_hi
+    t >>= _U64(32)
+    hi += t
+    mid >>= _U64(32)
+    hi += mid
     return hi, b * _U64(a)
 
 
 def _philox_draws(keys: tuple[np.ndarray, np.ndarray], start: int, n: int) -> np.ndarray:
     """The 32-bit draws start .. start+n-1 of every row's Philox stream, as
-    an (R, n) uint64 array; `keys` are the rows' two key words."""
+    an (R, n) uint32 array; `keys` are the rows' two key words.
+
+    Each counter word keeps the smallest shape it has: the counter starts
+    as one (1, B) row shared by every key and c1 = c2 = c3 = 0, so round 0
+    multiplies the B counters alone and only its last xor meets the keys."""
     first, stop = start // 8, (start + n - 1) // 8 + 1  # 8 draws per block
-    c0 = np.broadcast_to(np.arange(first + 1, stop + 1, dtype=_U64), (len(keys[0]), stop - first))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    c0 = np.arange(first + 1, stop + 1, dtype=_U64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=_U64)
     k0, k1 = keys[0][:, None], keys[1][:, None]
     for r in range(10):
         if r:
@@ -390,8 +414,9 @@ def _philox_draws(keys: tuple[np.ndarray, np.ndarray], start: int, n: int) -> np
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    out = np.stack([c0, c1, c2, c3], axis=-1)
-    draws = np.stack([out & _U64(_M32), out >> _U64(32)], axis=-1).reshape(len(out), -1)
+    # each uint64 serves two draws, low half first: its little-endian words
+    out = np.stack([c0, c1, c2, c3], axis=-1).astype("<u8", copy=False)
+    draws = out.view("<u4").reshape(len(out), -1)
     return draws[:, start - 8 * first : start - 8 * first + n]
 
 
@@ -402,11 +427,14 @@ def _batch_codes(m: int, l: int, entropy, indices: np.ndarray) -> tuple[np.ndarr
     Row r's stream is SeedSequence(entropy, spawn_key=(indices[r],)) into
     Philox, `entropy` as in `_seed_pool`.  An attempt takes l draws: a
     first letter below 2m, then steps below 2m-1, each c -> c + (c >= the
-    previous letter's inverse).  Attempt k is draws k·l .. k·l+l-1, so
-    every row still open takes its next attempt in one pass.  A row is
-    done at its first cyclically reduced attempt; if a draw up to there
-    falls in Lemire's rejection zone, numpy would have redrawn it and the
-    row is left (zero) for the per-relator sampler.
+    previous letter's inverse).  Attempt k is draws k·l .. k·l+l-1.  A pass
+    gives every open row its next attempt, or its next K = _PASS_ATTEMPTS
+    // open ones when fewer than _PASS_ATTEMPTS rows are open, since a pass
+    costs about as much for a few rows as for that many.  A row ends at its
+    first attempt that is cyclically reduced or has a draw in Lemire's
+    rejection zone, which numpy would have redrawn: the first is its word,
+    the second leaves the row (zero) for the per-relator sampler.  Attempts
+    after the one a row ends at are drawn and ignored.
     """
     R = len(indices)
     w = [x.astype(_U64) for x in _seed_state(_seed_pool(entropy, [indices.astype(_U32)]), 4)]
@@ -416,25 +444,30 @@ def _batch_codes(m: int, l: int, entropy, indices: np.ndarray) -> tuple[np.ndarr
     bound = np.full(l, 2 * m - 1, dtype=_U64)
     bound[0] = 2 * m
     threshold = (_U64(1 << 32) - bound) % bound
-    chunk = max(1, _CHUNK_BLOCKS // (l // 8 + 2))
     pending, attempt = np.flatnonzero(~redo), 0
     while len(pending):
+        # one row's K attempts fit in _CHUNK_BLOCKS blocks
+        K = max(1, min(_PASS_ATTEMPTS // len(pending), 8 * (_CHUNK_BLOCKS - 2) // l))
+        chunk = max(1, _CHUNK_BLOCKS // (K * l // 8 + 2))
         left = []
         for lo in range(0, len(pending), chunk):
             rows = pending[lo : lo + chunk]
-            prod = _philox_draws((k0[rows], k1[rows]), attempt * l, l) * bound
+            prod = _philox_draws((k0[rows], k1[rows]), attempt * l, K * l).reshape(-1, l) * bound
             rejected = ((prod & _U64(_M32)) < threshold).any(axis=1)
-            steps = (prod >> _U64(32)).astype(np.int8)
-            word = np.empty_like(steps)
-            word[:, 0] = steps[:, 0]
+            # letter by letter over (l, attempts), each letter one contiguous row
+            word = (prod >> _U64(32)).T.astype(np.int8, order="C")
             for j in range(1, l):
-                word[:, j] = steps[:, j] + (steps[:, j] >= word[:, j - 1] ^ 1)
-            closed = ~_not_cyclically_reduced(word)
-            done = closed & ~rejected
-            codes[rows[done]] = word[done]
-            redo[rows[rejected]] = True
-            left.append(rows[~closed & ~rejected])
-        pending, attempt = np.concatenate(left), attempt + 1
+                word[j] += word[j] >= word[j - 1] ^ 1
+            # (rows, K): the attempts a row may end at; `at` is the column
+            # of word that holds each row's first
+            ends = (rejected | (word[-1] != word[0] ^ 1)).reshape(len(rows), K)
+            ended = ends.any(axis=1)
+            at = ends.argmax(axis=1) + K * np.arange(len(rows))
+            done = ended & ~rejected[at]
+            codes[rows[done]] = word.T[at[done]]
+            redo[rows[ended & rejected[at]]] = True
+            left.append(rows[~ended])
+        pending, attempt = np.concatenate(left), attempt + K
     return codes, redo
 
 

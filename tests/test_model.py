@@ -33,6 +33,7 @@ from randomgroups.model import (
 )
 from randomgroups.words import (
     Alphabet,
+    _not_cyclically_reduced,
     _relator_windows,
     is_cyclically_reduced_word,
     rivin_count,
@@ -368,6 +369,102 @@ def test_stream_forced_fallback_and_small_chunks(monkeypatch):
     per_row = _relator_codes(2, 11, seeds, indices)
     for r in range(80):
         assert np.array_equal(per_row[r], _oracle_codes(2, 11, int(seeds[r]), indices[r:r + 1])[0])
+
+
+def _draws_of(m, word, reject=False):
+    """32-bit draws that an attempt turns into `word` (m generators), each
+    the middle of its letter's Lemire interval.  A rejected attempt's second
+    draw is 0, in the rejection zone of every bound not a power of two."""
+    bounds = [2 * m] + [2 * m - 1] * (len(word) - 1)
+    steps = [word[0]] + [c - (c > p ^ 1) for p, c in zip(word, word[1:])]
+    draws = [((2 * s + 1) << 32) // (2 * b) for s, b in zip(steps, bounds)]
+    if reject:
+        draws[1] = 0
+    return draws
+
+
+def test_stream_widened_pass_keeps_the_sequential_rule(monkeypatch):
+    # scripted streams at (m=3, l=4): each row's attempts are open (not
+    # cyclically reduced), closed (a word to keep) or rejected (a draw
+    # numpy would redraw).  A row must end exactly as the per-relator
+    # sampler would: at its first closed or rejected attempt in order
+    m, l, rows = 3, 4, 40
+    open_word, closed_words = [5, 1, 2, 4], [[0, 2, 4, 2], [1, 3, 5, 3], [2, 0, 4, 0]]
+    assert _not_cyclically_reduced(np.array([open_word] + closed_words)).tolist() == [
+        True, False, False, False]
+    horizon = 3 * model._PASS_ATTEMPTS
+    K = model._PASS_ATTEMPTS // rows  # the first pass's attempts per row
+    rng = np.random.default_rng(5)
+    script = rng.choice(["open", "closed0", "closed1", "rejected"], p=[.6, .15, .15, .1],
+                        size=(rows, horizon)).astype(object)
+    script[0, :5] = ["open", "open", "closed0", "rejected", "closed1"]  # done at attempt 2
+    script[1, :3] = ["open", "rejected", "closed0"]  # rejected before it closes
+    script[2, : K + 3] = "open"  # still open after the first pass
+    script[2, K + 3] = "closed2"
+    draws = np.zeros((rows, horizon * l), dtype=np.uint32)
+    for r in range(rows):
+        for k, kind in enumerate(script[r]):
+            word = open_word if kind in ("open", "rejected") else closed_words[int(kind[-1])]
+            draws[r, k * l : (k + 1) * l] = _draws_of(m, word, kind == "rejected")
+
+    calls, row_of = [], {}
+
+    def scripted(keys, start, n):
+        if not row_of:
+            row_of.update((int(k), r) for r, k in enumerate(keys[0]))
+        which = [row_of[int(k)] for k in keys[0]]
+        calls.append((which, start, n))
+        return draws[which, start : start + n]
+
+    monkeypatch.setattr(model, "_philox_draws", scripted)
+    codes, redo = _batch_codes(m, l, 0, np.arange(rows))
+
+    for r in range(rows):  # the sequential rule, attempt by attempt
+        k = next(k for k, kind in enumerate(script[r]) if kind != "open")
+        assert redo[r] == (script[r][k] == "rejected")
+        if not redo[r]:
+            assert codes[r].tolist() == closed_words[int(script[r][k][-1])]
+    assert codes[0].tolist() == closed_words[0] and not redo[0]
+    assert redo[1]
+    assert codes[2].tolist() == closed_words[2] and not redo[2]
+    assert calls[0] == (list(range(rows)), 0, K * l)
+    # row 2 takes up at attempt K, the first that no pass has drawn
+    assert [start for which, start, _n in calls if 2 in which] == [0, K * l]
+
+
+def test_stream_pass_shapes(monkeypatch):
+    real, calls = model._philox_draws, []
+
+    def recorded(keys, start, n):
+        calls.append((len(keys[0]), start, n))
+        return real(keys, start, n)
+
+    def passes():  # (open rows, draws per row) of each pass, in order
+        starts = sorted({start for _rows, start, _n in calls})
+        return [(sum(r for r, s, _n in calls if s == start),
+                 {n for _r, s, n in calls if s == start}) for start in starts]
+
+    monkeypatch.setattr(model, "_philox_draws", recorded)
+    drawn = []
+    # the 38 050-row demo host: while at least _PASS_ATTEMPTS rows are open,
+    # each draws one attempt a pass
+    sample_presentation(2, 24, Fraction(2, 5), 0)
+    assert passes()[0] == (38_050, {24})
+    assert all(n == {24} for rows, n in passes() if rows >= model._PASS_ATTEMPTS)
+    drawn += calls
+    # a 200-trial block at (2, 6, 1/4), 1 000 rows, ends in at most 3 passes
+    for seed in range(5):
+        calls.clear()
+        list(_trial_relators(2, 6, Fraction(1, 4), seed, np.arange(200, dtype=np.uint32)[:, None]))
+        assert passes()[0] == (1000, {6}) and len(passes()) <= 3
+        drawn += calls
+    # one open row at (m=24, l=256) draws many attempts in one pass
+    calls.clear()
+    _batch_codes(24, 256, 0, np.array([5]))
+    assert calls[0][2] > 100 * 256
+    drawn += calls
+    for rows, start, n in drawn:  # no call computes more than _CHUNK_BLOCKS blocks
+        assert rows * ((start + n - 1) // 8 - start // 8 + 1) <= model._CHUNK_BLOCKS
 
 
 @pytest.mark.parametrize("m, l, d, seed", [
