@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ DEFAULT_VERTEX_BUDGET = 10**6
 DEFAULT_CLOSURE_BUDGET = 20_000
 CLOSURE_NODE_BUDGET = 300_000  # free-ball words of one naive closure
 CLOSURE_PAIR_BLOCK = 1 << 17   # merge pairs of one naive closure ranked at once
+SWAP_OWNER_BLOCK = 1 << 12     # ball candidates whose swap closures run at once
 
 LAMBDA_DEHN = Fraction(1, 6)
 
@@ -78,7 +80,9 @@ class DehnEngine:
     window longer than every piece starts one rotation only, and under the
     gate 6p < l for the longest piece p, so t_move = ceil(l/2) - 2p >= p + 1.
     The complement of an arc rotation[:j] is rotation[j:], and its inverse
-    the first l - j letters of the rotation's inverse.
+    the first l - j letters of the rotation's inverse.  `rotations` and
+    `inverses` hold the same rotations as two (2R·l, l) int8 matrices, in
+    the index's key order.
 
     `ball` is the largest ball `distance` has built, or None: a ball of
     radius r answers every query of Dehn-reduced length at most r.
@@ -97,11 +101,14 @@ class DehnEngine:
         self.t_move = max(1, -(-p.l // 2) - 2 * self.pmax)
         self.t_detect = max(1, p.l - self.pmax - p.l // 2)
         self.slack = p.l - 2 * self.t_move
-        rows = self.windows.rows(self.windows.keys)
+        # the rotations in key order, and their inverses, for the batched
+        # swap closure of the ball build (`_swap_closures`)
+        self.rotations = self.windows.rows(self.windows.keys)
+        self.inverses = self.rotations[:, ::-1] ^ 1
         self.arcs = {
             window[: self.t_move]: (window, inverse)
-            for window, inverse in zip(map(tuple, rows.tolist()),
-                                       map(tuple, (rows[:, ::-1] ^ 1).tolist()))
+            for window, inverse in zip(map(tuple, self.rotations.tolist()),
+                                       map(tuple, self.inverses.tolist()))
         }
         assert len(self.arcs) == len(p.relators) * 2 * p.l, "a window lies at two slots"
         self.ball: CayleyBall | None = None
@@ -145,48 +152,6 @@ class DehnEngine:
                 return w
             w = nxt
 
-    def geodesic_closure(self, w: tuple[int, ...]):
-        """All words of |w|'s length reachable by relator-arc swaps, or a
-        strictly shorter equal word if one appears.
-
-        Returns (class_words, shorter) with shorter=None when w is geodesic.
-        Words may temporarily grow by at most l - 2*t_move letters, enough to
-        cross any ladder cell given the verified piece bound.
-        """
-        n = len(w)
-        cap = n + self.slack
-        seen = {w}
-        frontier = [w]
-        same = {w}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(len(u)):
-                    hit = self._match(u, i)
-                    if hit is None:
-                        continue
-                    (_, inverse), j = hit
-                    # swapping any prefix of at least t_move letters of the
-                    # matched arc s gives this one word: the rest of s
-                    # cancels against the end of the longer complement.  u
-                    # and the pieces are reduced, so only seams cancel
-                    v = _join(_join(u[:i], inverse[: self.l - j]), u[i + j :])
-                    if len(v) > cap or v in seen:
-                        continue
-                    if len(v) < n:
-                        return same, v
-                    seen.add(v)
-                    if len(seen) > DEFAULT_CLOSURE_BUDGET:
-                        raise BudgetExceededError(
-                            f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
-                            budget=DEFAULT_CLOSURE_BUDGET,
-                        )
-                    if len(v) == n:
-                        same.add(v)
-                    nxt.append(v)
-            frontier = nxt
-        return same, None
-
 
 def dehn_reduce(word: str, p: Presentation) -> str:
     """Greedy >half-relator replacement to a Dehn-irreducible word.
@@ -198,42 +163,54 @@ def dehn_reduce(word: str, p: Presentation) -> str:
     return eng.ab.decode(eng.dehn_reduce(eng.ab.encode(word)))
 
 
-def _text_rows(parts: list, count: int) -> np.ndarray:
+def _decimal_digits(values: np.ndarray) -> np.ndarray:
+    """The ints >= 0 of `values` in decimal as a (count, span) uint8 matrix,
+    span the width of the largest: each row right-aligned, with zero bytes
+    to the left of a shorter value's leading digit."""
+    span = len(str(values.max())) if len(values) else 1
+    # the digits column by column, last first, each column contiguous; a
+    # column past a value's leading digit is zero
+    digits = np.empty((span, len(values)), dtype=np.uint8)
+    value = values.astype(np.int64)
+    digits[-1] = value % 10 + 48
+    for col in range(span - 2, -1, -1):
+        value //= 10
+        digits[col] = (value % 10 + 48) * (value > 0)
+    return np.ascontiguousarray(digits.T)
+
+
+def _text_rows(parts: list, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """`count` rows of ASCII text as one uint8 array, each row the
     concatenation of `parts` in turn: a bytes part is the same in every row,
-    an int array (values >= 0) gives each row its value in decimal, and a
-    (count, w) uint8 matrix each row its own w bytes.
+    an int array (values >= 0) gives each row its value in decimal
+    (`_decimal_digits`), and a (count, w) uint8 matrix each row its own w
+    bytes, less any zero bytes it starts with.
 
     The rows are one (count, width) byte matrix, filled from a template row
-    and then a column slice per varying part.  A number fills the columns of
-    the widest value right-aligned, with zero bytes to its left; no other
-    part holds a zero byte, so when the values differ in width a mask of the
-    nonzero bytes drops that padding."""
+    and then a column slice per varying part: `out` when it is given, a
+    uint8 array of that many bytes.  A number fills the columns of the
+    widest value right-aligned, with zero bytes to its left, as a matrix of
+    such numbers does; no other part holds a zero byte, so when a row starts
+    one of these parts with one, a mask of the nonzero bytes drops that
+    padding, into a new array."""
     if not count:
         return np.zeros(0, dtype=np.uint8)
-    spans = [len(part) if isinstance(part, bytes)
-             else part.shape[1] if part.ndim == 2 else len(str(part.max()))
+    parts = [part if isinstance(part, bytes) or part.ndim == 2 else _decimal_digits(part)
              for part in parts]
-    template = np.frombuffer(b"".join(part if isinstance(part, bytes) else bytes(span)
-                                      for part, span in zip(parts, spans)), dtype=np.uint8)
-    rows = np.empty((count, len(template)), dtype=np.uint8)
+    template = np.frombuffer(b"".join(part if isinstance(part, bytes) else bytes(part.shape[1])
+                                      for part in parts), dtype=np.uint8)
+    rows = (np.empty((count, len(template)), dtype=np.uint8) if out is None
+            else out.reshape(count, len(template)))
     rows[:] = template
     padded = False
     at = 0
-    for part, span in zip(parts, spans):
-        if isinstance(part, np.ndarray) and part.ndim == 2:
-            rows[:, at : at + span] = part
-        elif isinstance(part, np.ndarray):
-            # the digits column by column, last first, each column
-            # contiguous; a column past a value's leading digit is zero
-            digits = np.empty((span, count), dtype=np.uint8)
-            value = part.astype(np.int64)
-            digits[-1] = value % 10 + 48
-            for col in range(span - 2, -1, -1):
-                value //= 10
-                digits[col] = (value % 10 + 48) * (value > 0)
-            rows[:, at : at + span] = digits.T
-            padded |= span > 1 and not value.all()
+    for part in parts:
+        if isinstance(part, bytes):
+            at += len(part)
+            continue
+        span = part.shape[1]
+        rows[:, at : at + span] = part
+        padded |= span > 1 and not part[:, 0].all()
         at += span
     return rows[rows > 0] if padded else rows
 
@@ -286,10 +263,11 @@ class CayleyBall:
         read from there.  One int64 key per such entry, (low * N + high) *
         256 + letter byte, is sorted; the byte order of ASCII letters is
         their order as strings."""
-        n = len(self.dist)
-        low, x = np.nonzero(self.adjacency > np.arange(n)[:, None])
-        key = (low * n + self.adjacency[low, x]) << 8 | _BYTE_OF_CODE[x]
-        key.sort()
+        n, k = self.adjacency.shape
+        at = np.flatnonzero(self.adjacency > np.arange(n)[:, None])
+        low, x = np.divmod(at, k)
+        key = (low * n + self.adjacency.ravel()[at]) << 8 | _BYTE_OF_CODE[x]
+        key.sort(kind="stable")  # a merge sort: the keys come nearly sorted
         pair = key >> 8
         return pair // n, pair % n, (key & 255).astype(np.uint8)
 
@@ -300,42 +278,268 @@ class CayleyBall:
         edges as `_edge_columns` rows and each vertex as {"distance", "id",
         "word"}.  Its rows are written in bulk from the arrays
         (`_text_rows`): the edges at once, and the vertices one block per
-        level and id width, whose rows are all of one width.  Words and
-        letters are ASCII letters or EMPTY_WORD, so no string needs
-        escaping."""
+        level and id width, whose rows are all of one width, each straight
+        into its place in the one byte array that is decoded at the end.
+        Every id is written from one decimal table of the vertex ids,
+        sliced for the vertex rows and gathered for the two edge columns.
+        Words and letters are ASCII letters or EMPTY_WORD, so no string
+        needs escaping."""
         i1, i2, i3 = (f"\n{indent}{pad}".encode() for pad in ("  ", "    ", "      "))
         sep = b"," + i2
         low, high, letter = self._edge_columns()
-        edges = _text_rows([b"[" + i3, low, b"," + i3, high, b"," + i3 + b'"', letter[:, None],
-                            b'"' + i2 + b"]" + sep], len(low))
+        ids = _decimal_digits(np.arange(len(self.dist)))
+        edges = _text_rows([b"[" + i3, ids.take(low, axis=0), b"," + i3, ids.take(high, axis=0),
+                            b"," + i3 + b'"', letter[:, None], b'"' + i2 + b"]" + sep], len(low))
         origin = np.frombuffer(EMPTY_WORD.encode(), dtype=np.uint8)[None]
-        vertices = []
+        blocks = []  # (parts, rows, bytes) of each vertex block
         start = 0
         for n, block in enumerate(self.levels):
             words = _BYTE_OF_CODE[block] if n else origin
             stop = start + len(block)
             cuts = [10**k for k in range(len(str(start)), len(str(stop - 1)))]  # id widths
             for a, b in zip([start, *cuts], [*cuts, stop]):
-                vertices.append(_text_rows(
-                    [b"{" + i3 + b'"distance": %d,' % n + i3 + b'"id": ', np.arange(a, b),
-                     b"," + i3 + b'"word": "', words[a - start : b - start],
-                     b'"' + i2 + b"}" + sep], b - a))
+                parts = [b"{" + i3 + b'"distance": %d,' % n + i3 + b'"id": ',
+                         ids[a:b, ids.shape[1] - len(str(a)) :],
+                         b"," + i3 + b'"word": "', words[a - start : b - start],
+                         b'"' + i2 + b"}" + sep]
+                width = sum(len(part) if isinstance(part, bytes) else part.shape[1]
+                            for part in parts)
+                blocks.append((parts, b - a, (b - a) * width))
             start = stop
-        # the last row of each list ends without its separator
-        vertices[-1] = vertices[-1].reshape(-1)[: -len(sep)]
-        edges = [b"[" + i2, edges.reshape(-1)[: -len(sep)], i1 + b"]"] if len(low) else [b"[]"]
         p = self.presentation
-        return b"".join([
-            b"{" + i1 + b'"edges": ', *edges,
-            b"," + i1 + b'"l": %d,' % p.l + i1 + b'"m": %d,' % p.m,
-            i1 + b'"radius": %d,' % self.radius + i1 + b'"vertices": [' + i2, *vertices,
-            i1 + b"]" + f"\n{indent}}}".encode(),
-        ]).decode("ascii")
+        # the last row of each list ends without its separator
+        head = [b"{" + i1 + b'"edges": ',
+                *([b"[" + i2, edges.reshape(-1)[: -len(sep)], i1 + b"]"] if len(low) else [b"[]"]),
+                b"," + i1 + b'"l": %d,' % p.l + i1 + b'"m": %d,' % p.m + i1
+                + b'"radius": %d,' % self.radius + i1 + b'"vertices": [' + i2]
+        tail = np.frombuffer(i1 + b"]" + f"\n{indent}}}".encode(), dtype=np.uint8)
+        size = sum(map(len, head)) + sum(nbytes for *_, nbytes in blocks) - len(sep) + len(tail)
+        text = np.empty(size + len(sep), dtype=np.uint8)
+        at = 0
+        for part in head:
+            text[at : at + len(part)] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+            at += len(part)
+        for parts, count, nbytes in blocks:
+            _text_rows(parts, count, out=text[at : at + nbytes])
+            at += nbytes
+        text[at - len(sep) : size] = tail
+        return str(text[:size], "ascii")
 
     def adjacency_csv(self) -> str:
         u, x, v = self._edges()
         rows = _text_rows([u, b",", v, b",", _BYTE_OF_CODE[x][:, None], b"\n"], len(u))
         return b"".join([b"src,dst,letter\n", rows]).decode("ascii")
+
+
+def _walk_rows(adjacency: np.ndarray, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The vertex that the first `lengths[i]` letter codes of each row i of
+    a matrix lead to from the origin, through adjacency that holds every
+    edge they take."""
+    at = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        at = np.where(j < lengths, adjacency[at, rows[:, j]], at)
+    return at
+
+
+def _row_keys(rows: np.ndarray, b: int) -> list[np.ndarray]:
+    """uint64 columns that compare as the rows of a letter-code matrix do
+    lexicographically: b bits a letter, 64 // b letters a column."""
+    per = 64 // b
+    codes = rows.view(np.uint8)
+    cols = []
+    for a in range(0, rows.shape[1], per):
+        key = np.zeros(len(rows), dtype=np.uint64)
+        for j in range(a, min(a + per, rows.shape[1])):
+            key <<= np.uint64(b)
+            key |= codes[:, j]
+        cols.append(key)
+    return cols
+
+
+def _swaps(eng: DehnEngine, frontier: np.ndarray, length: np.ndarray):
+    """Every relator-arc swap in the words of a frontier, an (R, cap) int8
+    matrix whose row r holds a reduced word of length[r] letters, that
+    leaves at most cap letters and may be new: (rows, words, lengths), the
+    words zero-padded to cap letters and in generation order, by row and
+    then by position.
+
+    An arc is the first t_move letters of a rotation at some position i of
+    a word u: one membership test of all those windows in the window index
+    (`prefix_firsts`), and t_move > p_max, so they start one rotation only.
+    The match runs on for j <= l letters, and the swap is
+    u[:i] · inverse[:l - j] · u[i + j:], freely reduced.  When u[i - 1] is
+    the rotation's last letter, u reads the rotation that starts there from
+    i - 1 on, and the swap of that arc is this word, made first: the swap
+    is dropped.  So no letter cancels on the left, and none on the right
+    while some of the inverse is left, since j is maximal.  When none is
+    left (j = l, a whole relator), the two ends of u may cancel k letters.
+    This is the word that `_join` makes of the same parts."""
+    l, t = eng.l, eng.t_move
+    width = frontier.shape[1]
+    if width < t:
+        return np.zeros(0, dtype=np.int64), frontier[:0], length[:0]
+    windows = np.lib.stride_tricks.sliding_window_view(frontier, t, axis=1)
+    row, at = np.nonzero(np.arange(width - t + 1) + t <= length[:, None])
+    key = eng.windows.prefix_firsts(windows[row, at])
+    row, at, key = row[key >= 0], at[key >= 0], key[key >= 0]
+    flat, rot = frontier.ravel(), eng.rotations.ravel()
+    base, turn = row * width, key * l
+    first = (at == 0) | (flat[base + at - 1] != rot[turn + l - 1])
+    row, at, base, turn = row[first], at[first], base[first], turn[first]
+    size = length[row]
+
+    def letter(col):
+        return flat[base + np.clip(col, 0, width - 1)]
+
+    j = np.full(len(row), t)
+    on = np.ones(len(row), dtype=bool)
+    for s in range(t, l):
+        on &= (at + s < size) & (letter(at + s) == rot[turn + s])
+        if not on.any():
+            break
+        j += on
+    k = np.zeros_like(j)
+    on = j == l
+    for s in range(width):
+        on &= (s < at) & (s < size - at - l) & (letter(at - 1 - s) == letter(at + l + s) ^ 1)
+        if not on.any():
+            break
+        k += on
+    out = size + l - 2 * (j + k)
+    keep = out <= width
+    row, at, turn, base, j, k, out = (a[keep] for a in (row, at, turn, base, j, k, out))
+    # letter s of a swap: u[s] up to the head, then the inverse, then the
+    # rest of u from i + j + k, then zero; all read off one flat text of the
+    # frontier, the inverses and a zero
+    text = np.concatenate([flat, eng.inverses.ravel(), np.zeros(1, dtype=np.int8)])
+    head, mid = (at - k).astype(np.int32)[:, None], (l - j).astype(np.int32)[:, None]
+    s = np.arange(width, dtype=np.int32)
+    past = s - head
+    index = np.where(past < 0, (base.astype(np.int32)[:, None] + s),
+                     np.where(past < mid, (len(flat) + turn).astype(np.int32)[:, None] + past,
+                              (base + at + j + k).astype(np.int32)[:, None] + past - mid))
+    index[s >= out[:, None]] = len(text) - 1
+    return row, text[index], out
+
+
+class _Closures(NamedTuple):
+    """The swap closures of N words of one length n (`_swap_closures`)."""
+
+    short: np.ndarray      # (N, n) int8: each word's first strictly shorter word, zero-padded
+    short_len: np.ndarray  # (N,) that word's length, or -1 where none was found
+    owner: np.ndarray      # (M,) with `same`: the length-n words that each word
+    same: np.ndarray       # (M, n) reached, for those that found no shorter one, in word order
+    label: np.ndarray      # (N,) the first word of each word's class, or -1
+    least: np.ndarray      # (N, n) int8: at a class's first word, the class's least word
+    overrun: int           # the first word whose closure passed the budget, or N
+
+
+def _swap_closures(eng: DehnEngine, words: np.ndarray, classes: bool = True) -> _Closures:
+    """The geodesic swap closures of the rows of an (N, n) int8 matrix of
+    reduced words, run together on arrays, SWAP_OWNER_BLOCK words (owners)
+    at a time.
+
+    The closure of a word w explores the words that relator-arc swaps
+    (`_swaps`) reach from it, of at most cap = n + slack letters: enough to
+    cross any ladder cell under the verified piece bound.  It runs breadth
+    first, one round per step, with one frontier matrix for all owners and
+    an owner per row.  Each round generates its owners' swaps in the order
+    of a Python breadth-first search of each owner alone: frontier row,
+    then position.  A swap already seen by its owner, or seen earlier in
+    the round, is dropped: one lexicographic sort of (owner, length, packed
+    word) rows, the owner's seen words first.  An owner stops at its first
+    strictly shorter word.  In the first round it stops there whatever came
+    before: a shorter swap of w itself is a Dehn step.  Otherwise it passes
+    the budget when its seen words, w included, would number more than
+    DEFAULT_CLOSURE_BUDGET before its first shorter word; that is when the
+    search of that owner alone would have stopped, so the first such owner
+    is `overrun`, and no owner after it runs on.  A block holds its owners'
+    seen words together, so it is bounded by SWAP_OWNER_BLOCK times that
+    budget; on the radius-11 (2, 13, 0) ball a search sees 5.6 words on
+    average and 10 at most.
+
+    An owner that finds no shorter word is a geodesic, and its class is the
+    length-n words it reached.  When classes are asked for, owners that
+    reach a common word are merged (`_least_labels`), so each class is
+    labelled by its first owner and named by its least word."""
+    N, n = words.shape
+    cap = n + eng.slack
+    b = (eng.ab.size - 1).bit_length()
+    short = np.zeros((N, n), dtype=np.int8)
+    short_len = np.full(N, -1)
+    owners, sames = [np.arange(N)], [words]
+    overrun = N
+    for lo in range(0, N, SWAP_OWNER_BLOCK):
+        B = min(SWAP_OWNER_BLOCK, N - lo)
+        frontier = np.zeros((B, cap), dtype=np.int8)
+        frontier[:, :n] = words[lo : lo + B]
+        length, owner = np.full(B, n), np.arange(B)
+        seen_at, seen_keys = owner * (cap + 1) + n, _row_keys(frontier, b)
+        seen = np.ones(B, dtype=np.int64)
+        running = np.ones(B, dtype=bool)
+        first = True
+        while len(frontier):
+            row, swapped, size = _swaps(eng, frontier, length)
+            by = owner[row]
+            pos = np.arange(len(row))
+            shorter = size < n
+            stop = np.full(B, len(row))
+            who, at = np.unique(by[shorter], return_index=True)
+            stop[who] = pos[shorter][at]
+            # drop the swaps seen before, by their owner or earlier in the round
+            rest = np.flatnonzero(~shorter)
+            where = np.concatenate([seen_at, by[rest] * (cap + 1) + size[rest]])
+            keys = [np.concatenate(pair) for pair in zip(seen_keys, _row_keys(swapped[rest], b))]
+            order = np.lexsort([*keys[::-1], where])
+            where, keys = where[order], [k[order] for k in keys]
+            head = np.ones(len(order), dtype=bool)
+            head[1:] = where[1:] != where[:-1]
+            for k in keys:
+                head[1:] |= k[1:] != k[:-1]
+            fresh = order[head] - len(seen_at)
+            new = np.zeros(len(row), dtype=bool)
+            new[rest[fresh[fresh >= 0]]] = True
+            counted = np.bincount(by[new & (pos < stop[by])], minlength=B)
+            found = stop < len(row)
+            over = seen + counted > DEFAULT_CLOSURE_BUDGET
+            if first:
+                over &= ~found
+            found &= ~over
+            if over.any():
+                overrun = min(overrun, lo + int(np.argmax(over)))
+            f = np.flatnonzero(found)
+            short[lo + f] = swapped[stop[f], :n]
+            short_len[lo + f] = size[stop[f]]
+            running &= ~(found | over)
+            running[max(overrun - lo, 0) :] = False
+            nxt = new & running[by]
+            if classes:
+                level = nxt & (size == n)
+                owners.append(lo + by[level])
+                sames.append(swapped[level, :n])
+            seen += np.bincount(by[nxt], minlength=B)
+            live = running[where[head] // (cap + 1)]
+            seen_at, seen_keys = where[head][live], [k[head][live] for k in keys]
+            frontier, length, owner = swapped[nxt], size[nxt], by[nxt]
+            first = False
+        if overrun < N:
+            break
+    label = np.full(N, -1)
+    least = np.zeros((N, n), dtype=np.int8)
+    owner, same = np.concatenate(owners), np.concatenate(sames)
+    keep = (short_len[owner] < 0) & (owner < overrun) & classes
+    owner, same = owner[keep], same[keep]
+    keys = _row_keys(same, b)
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(owner))
+    owner, same, keys = owner[order], same[order], [k[order] for k in keys]
+    twice = np.ones(max(len(owner) - 1, 0), dtype=bool)
+    for k in keys:
+        twice &= k[1:] == k[:-1]
+    eligible = (short_len < 0) & (np.arange(N) < overrun) & classes
+    label[eligible] = _least_labels(np.arange(N), owner[1:][twice], owner[:-1][twice])[eligible]
+    cls, at = np.unique(label[owner], return_index=True)
+    least[cls] = same[at]
+    return _Closures(short, short_len, owner, same, label, least, overrun)
 
 
 def cayley_ball(
@@ -350,8 +554,10 @@ def cayley_ball(
     vertex that depends only on its word words[u] + x:
 
     - a candidate w = words[u] + x is suspicious when 2n >= l and its last
-      t_detect letters start a relator rotation: one prefix range of the
-      engine's window index for all the tails at once.  A candidate that is
+      t_detect letters start a relator rotation: one membership test of all
+      the tails of a level among the distinct t_detect-letter prefixes of
+      the engine's window index (`_WindowIndex.prefix_firsts`, which finds
+      nothing for a letter no relator uses).  A candidate that is
       not suspicious (always so while 2n < l) is a new vertex, named by
       itself.  This is the end-cell argument.  The geodesics of w's element
       that end in x are u's geodesics followed by x, so w is the least of
@@ -361,25 +567,34 @@ def cayley_ball(
       the reduced bigon w v^-1 touches w's end, and its end cell exposes at
       least l - p_max - floor(l/2) = t_detect letters as a suffix of w, as
       v, a geodesic, holds at most floor(l/2) of them;
-    - a suspicious word goes through Python: Dehn reduction or the geodesic
-      swap closure finds a strictly shorter word, which walks back through
-      the completed levels, or the class of equal geodesic words, named by
-      its least member.  Every member of such a class is suspicious by the
-      same argument.
+    - the suspicious candidates of a level run their geodesic swap
+      closures together (`_swap_closures`).  One that reaches a strictly
+      shorter word is that word's vertex: any word of fewer than n letters
+      walks through the completed levels, whose vertices below n - 1 have
+      all their edges, to the vertex of its element, so the first shorter
+      word found names the same vertex as every other, a Dehn reduction
+      included.  One that reaches none is a geodesic, and its class is the
+      equal geodesic words it reached, named by its least member; two
+      candidates that reach a common word are in one class.  Every member
+      of a class is suspicious by the same argument.
 
     So the new vertices are the non-suspicious candidates and the first
     candidate of each new class, in candidate order.  A final rim pass adds
     the edges between vertices at the radius, which only suspicious rim
-    candidates can have; when l is even the graph is bipartite and has none.
+    candidates that reach a shorter word can have, so the rim keeps no
+    class; when l is even the graph is bipartite and has no rim pass.
 
     Words are stored as one (count, n) int8 letter-code matrix per level,
-    which the ball keeps (`CayleyBall.levels`), and the tails of a level
-    are searched in the window index as such a matrix
-    (`_WindowIndex.prefix_ranges`, which finds nothing for a letter no
-    relator uses).  A level that would take the ball past
-    `vertex_budget` vertices raises PartialBallError before any of its rows
-    are made, and a budget below 1, which not even the origin fits, raises
-    it before anything is built.
+    which the ball keeps (`CayleyBall.levels`), and the tails and the
+    suspicious candidates of a level are such matrices too.  A level that
+    would take the ball past `vertex_budget` vertices raises
+    PartialBallError before any of its rows are made, and a budget below 1,
+    which not even the origin fits, raises it before anything is built.  A
+    closure that passes DEFAULT_CLOSURE_BUDGET words raises
+    BudgetExceededError, unless the vertices made by the candidates before
+    it already passed the vertex budget: the errors come as a search of one
+    candidate at a time, asking the vertex budget before each, would raise
+    them.
     """
     if radius < 0:
         raise DomainError(f"need a ball radius >= 0, got {radius}")
@@ -390,27 +605,10 @@ def cayley_ball(
     k = 2 * p.m
     adjacency = np.full((1, k), -1, dtype=np.int32)
     levels = [np.zeros((1, 0), dtype=np.int8)]  # level n: its words as letter codes
-    canon_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def identify(w: tuple[int, ...]) -> int | tuple[int, ...]:
-        """The vertex of a suspicious candidate w equal to a shorter word,
-        else the least word of its class."""
-        n = len(w)
-        short = eng.dehn_reduce(w)
-        if len(short) < n:
-            return _walk(adjacency, short)
-        same, shorter = eng.geodesic_closure(w)
-        if shorter is not None:
-            return _walk(adjacency, eng.dehn_reduce(shorter))
-        key = min(same)
-        for member in same:
-            canon_cache[member] = key
-        return key
 
     def past_budget(size: int, made: int) -> bool:
         # whether one of the `made` vertices new on a level of `size` took
-        # the ball past the budget.  It is asked in candidate order, so the
-        # error comes before any work on later candidates
+        # the ball past the budget
         return made > 0 and size + made > vertex_budget
 
     start = 0  # first id of the last level
@@ -419,36 +617,30 @@ def cayley_ball(
         size = len(adjacency)
         prev = levels[-1]
         # the open candidates (u, x) of the last level, in BFS order
-        rows, x = np.nonzero(adjacency[start:] < 0)
+        rows, x = np.divmod(np.flatnonzero(adjacency[start:] < 0), k)
         u = rows + start
+        x8 = x.astype(np.int8)[:, None]
         suspicious = np.zeros(len(u), dtype=bool)
         if 2 * n >= p.l:  # so n >= ceil(l/2) >= t_detect
-            tails = np.concatenate(
-                [prev[rows, n - eng.t_detect :], x.astype(np.int8)[:, None]], axis=1
-            )
-            starts, stops = eng.windows.prefix_ranges(tails)
-            suspicious = stops > starts
-        target = np.full(len(u), -1, dtype=np.int64)  # an existing vertex, else -1
-        creates = np.zeros_like(suspicious) if rim else ~suspicious
-        first: dict[tuple[int, ...], int] = {}  # new class key -> its first candidate
-        again = []                              # (candidate, first candidate of its class)
+            tails = np.concatenate([prev[:, n - eng.t_detect :].take(rows, axis=0), x8], axis=1)
+            suspicious = eng.windows.prefix_firsts(tails) >= 0
         idx = np.flatnonzero(suspicious)
-        for i, before, row, xi in zip(idx.tolist(), np.cumsum(creates)[idx].tolist(),
-                                      prev[rows[idx]].tolist(), x[idx].tolist()):
-            if past_budget(size, before + len(first)):
-                break
-            w = (*row, xi)
-            r = canon_cache.get(w)
-            if r is None:
-                r = identify(w)
-            if type(r) is int:
-                target[i] = r
-            elif not rim:  # a class key: rim classes lie outside the ball
-                j = first.setdefault(r, i)
-                if j == i:
-                    creates[i] = True
-                else:
-                    again.append((i, j))
+        found = _swap_closures(eng, np.concatenate([prev.take(rows[idx], axis=0), x8[idx]], axis=1),
+                               classes=not rim)
+        target = np.full(len(u), -1, dtype=np.int64)  # an existing vertex, else -1
+        has = found.short_len >= 0
+        target[idx[has]] = _walk_rows(adjacency, found.short[has], found.short_len[has])
+        new = found.label == np.arange(len(idx))  # the first candidate of a new class
+        creates = np.zeros(len(u), dtype=bool) if rim else ~suspicious
+        creates[idx[new]] = True
+        o = found.overrun
+        # the vertex budget is asked before each closure, in candidate order,
+        # so it wins when the vertices new before the overrun pass it
+        if o < len(idx) and not past_budget(size, 0 if rim else idx[o] - o + int(new[:o].sum())):
+            raise BudgetExceededError(
+                f"geodesic closure exceeded {DEFAULT_CLOSURE_BUDGET} words",
+                budget=DEFAULT_CLOSURE_BUDGET,
+            )
         total = int(creates.sum())
         if past_budget(size, total):
             raise PartialBallError(
@@ -459,14 +651,10 @@ def cayley_ball(
         if not rim:
             ids = size - 1 + np.cumsum(creates)
             target[creates] = ids[creates]
-            if again:
-                i, j = np.array(again).T
-                target[i] = target[j]
-            words = np.concatenate(
-                [prev[rows[creates]], x[creates].astype(np.int8)[:, None]], axis=1
-            )
-            if first:
-                words[ids[list(first.values())] - size] = list(first)
+            member = found.label >= 0
+            target[idx[member]] = target[idx[found.label[member]]]
+            words = np.concatenate([prev.take(rows[creates], axis=0), x8[creates]], axis=1)
+            words[ids[idx[new]] - size] = found.least[new]
             levels.append(words)
             adjacency = np.concatenate([adjacency, np.full((total, k), -1, dtype=np.int32)])
             start = size

@@ -137,6 +137,9 @@ def slot_of(face: Face, k: int) -> tuple[int, int]:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
+    # the side map the checks read, which `belonging` reads again; None when
+    # a face names a missing edge, since none can be built then
+    sides: dict[int, list[tuple[int, int, int]]] | None = None
 
     @property
     def valid(self) -> bool:
@@ -181,7 +184,7 @@ def validate(diagram: Diagram) -> ValidationReport:
                 f"bearing map is not surjective onto 1..{n}: bears {sorted(borne)}"
             )
 
-    sides = diagram.side_map()
+    sides = rep.sides = diagram.side_map()
     for e, s in sides.items():
         if len(s) > 2:
             rep.violations.append(f"edge {e} lies on more than two face sides")
@@ -325,7 +328,7 @@ def belonging(diagram: Diagram) -> ConstraintReport:
     belongs: dict[int, int] = {}
     ties: list[int] = []
     internal = 0
-    for e, s in diagram.side_map().items():
+    for e, s in report.sides.items():
         if len(s) == 2:
             internal += 1
             (f1, p1, _), (f2, p2, _) = s

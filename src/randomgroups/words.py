@@ -23,9 +23,10 @@ presentations, a (T, 2R, 2l-1) block of texts, with one row of keys each.
 Every other layer reads the rotations through one sorted, deduplicated
 index of their keys (`_relator_windows`), which each presentation builds
 once, on first use (`model.Presentation.windows`): the C'(1/6) gate reads
-its longest piece, and the Dehn engine's arcs, the Cayley ball's tails, the
-naive closure's seams and the round trees' window search read its ranges.
-So the slot layout and the key format are decided here alone.
+its longest piece, the naive closure's seams and the round trees' window
+search read its ranges, and the Cayley ball's tails and swap arcs read which
+key, if any, starts with a word (`prefix_firsts`).  So the slot layout and
+the key format are decided here alone.
 
 Pieces are found by sorting windows: a repeated length-L window is a piece
 of length L.  The longest piece is computed in one place, the window index
@@ -42,9 +43,10 @@ row as one opaque byte string.  When a whole rotation packs (l·b <= 64) the
 slot keys come from the rotations: each text's first l letters pack into
 one key, and every rotation and every shorter window of it is two shifts
 and an or of that key (`_slot_keys`).  Packing letter by letter, by Horner
-steps (`_window_keys`), remains for wider texts and for the padded query
-words of `prefix_ranges`.  The witness of `max_piece_length` is read
-off the occurrences of the longest pieces in the few texts that hold one.
+steps (`_window_keys`), remains for wider texts and for the query words of
+`prefix_ranges` and `prefix_firsts`.  The witness of `max_piece_length` is
+read off the occurrences of the longest pieces in the few texts that hold
+one.
 """
 
 from __future__ import annotations
@@ -478,6 +480,13 @@ def _neighbour_lcp(ranked: np.ndarray, L: int, b: int) -> np.ndarray:
     return np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
 
 
+# prefixes of at most this many bits are looked up in a table of every
+# prefix key (`_WindowIndex._prefixes`), 512 KiB at most: at 100 000 ball
+# tails of 5 letters (15 bits) the table took 0.4 ms where a binary search
+# of the distinct prefixes took 4.2 ms (2-core Xeon VM)
+_PREFIX_TABLE_BITS = 16
+
+
 class _WindowIndex:
     """The distinct length-l windows of a `_relator_texts` matrix, one
     `_slot_keys` key each, sorted: every rotation of every relator and its
@@ -502,6 +511,7 @@ class _WindowIndex:
         # a window at two slots: a periodic relator, or a coincidence
         self.repeats = len(self.keys) < len(keys)
         self._packed = keys.dtype == np.uint64
+        self._prefix_tables: dict[int, tuple] = {}
 
     @cached_property
     def longest_piece(self) -> int:
@@ -543,6 +553,52 @@ class _WindowIndex:
         if self._packed:  # a letter that no window holds finds none
             stops = np.where((words >> self.bits).any(axis=1), starts, stops)
         return starts, stops
+
+    def prefix_firsts(self, words: np.ndarray) -> np.ndarray:
+        """The position of the first key whose window starts with each row
+        of an (N, k) int8 letter-code matrix, k <= l, or -1 where none does.
+        Packed keys answer with one membership test among the distinct
+        k-letter prefixes of the keys (`_prefixes`), the rows packed as
+        they are; byte-row keys with `prefix_ranges`."""
+        if not self._packed:
+            starts, stops = self.prefix_ranges(words)
+            return np.where(stops > starts, starts, -1)
+        firsts, heads, table = self._prefixes(words.shape[1])
+        query = _window_keys(words, self.bits)
+        # a letter past the index's bits would spill into its neighbour's
+        spill = (words >> self.bits).any(axis=1) if words.size and words.max() >> self.bits else None
+        if spill is not None:
+            query[spill] = 0
+        if table is not None:
+            found = table[query]
+        elif len(heads):
+            at = np.minimum(np.searchsorted(heads, query), len(heads) - 1)
+            found = np.where(heads[at] == query, firsts[at], -1)
+        else:
+            found = np.full(len(words), -1)
+        if spill is not None:
+            found[spill] = -1
+        return found
+
+    def _prefixes(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The positions of the first keys of each distinct k-letter prefix
+        of the packed keys, those prefixes as keys of k letters (the keys are
+        sorted, so the prefixes are too), and, for prefixes of at most
+        _PREFIX_TABLE_BITS bits, a table from every k-letter key to the
+        position of its first key, or -1.  Made once per length."""
+        found = self._prefix_tables.get(k)
+        if found is None:
+            shift = self.bits * (self.width - k)
+            # a shift of 64 bits is undefined for a uint64: every key has
+            # the empty prefix
+            heads = self.keys >> np.uint64(shift) if shift < 64 else np.zeros_like(self.keys)
+            firsts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1]))[: len(heads)])
+            table = None
+            if self.bits * k <= _PREFIX_TABLE_BITS:
+                table = np.full(1 << self.bits * k, -1)
+                table[heads[firsts]] = firsts
+            found = self._prefix_tables[k] = firsts, heads[firsts], table
+        return found
 
     def reading(self, word: Sequence[int], at: int) -> np.ndarray:
         """The sorted keys of the windows that read `word` from position `at`."""

@@ -6,6 +6,7 @@ import json
 import random
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from randomgroups.words import (
     reduce_word,
 )
 
+from tests import ball_oracle
 from tests.ball_oracle import (
     _oracle_engine,
     ball_dict,
@@ -240,23 +242,33 @@ def test_ball_oracle_even_l_merged_classes(verified_presentation, oracle_r6):
     _assert_same_ball(ball, oracle_r6)
 
 
+def _recording_closures(monkeypatch) -> list:
+    """Record each level's batched swap closure as (candidate words, whether
+    classes were kept, result), in build order."""
+    calls = []
+    real = cayley_mod._swap_closures
+
+    def recording(eng, words, classes=True):
+        found = real(eng, words, classes)
+        calls.append((words, classes, found))
+        return found
+
+    monkeypatch.setattr(cayley_mod, "_swap_closures", recording)
+    return calls
+
+
 def test_ball_oracle_odd_l_shortened_candidates(monkeypatch, odd_presentation):
     p = odd_presentation
-    eng = p.engine
-    shortened = []
-    reduce_ = eng.dehn_reduce
-
-    def counting(w):
-        short = reduce_(w)
-        shortened.append(len(short) < len(w))
-        return short
-
-    monkeypatch.setattr(eng, "dehn_reduce", counting)
+    calls = _recording_closures(monkeypatch)
     ball = cayley_ball(p, 7)
     monkeypatch.undo()
-    # each end u of an edge inside a level is a candidate words[u] + x that
-    # Dehn reduction shortens to a vertex on u's own level
-    assert sum(shortened) == _merged_and_same_level(ball)[1] == 78
+    # each end u of an edge inside a level is a candidate words[u] + x whose
+    # closure finds a word on u's own level, and Dehn reduction shortens each
+    shortened = [w for words, _, found in calls
+                 for w in map(tuple, words[found.short_len >= 0].tolist())]
+    assert len(shortened) == _merged_and_same_level(ball)[1] == 78
+    oracle = _oracle_engine(p)
+    assert all(len(oracle.dehn_reduce(w)) < len(w) for w in shortened)
     _assert_same_ball(ball, cayley_ball_oracle(p, 7))
 
 
@@ -287,6 +299,20 @@ def test_ball_json_text_matches_json_dumps(odd_presentation, verified_presentati
             assert_same_text(ball.json_text(indent), oracle.replace("\n", "\n" + indent))
 
 
+def test_ball_json_text_ids_change_width_inside_a_level(odd_presentation):
+    # the ids are one decimal table, sliced for the vertex rows and gathered
+    # for the two edge columns: the (2, 13, 0) balls of radius 2, 4 and 6
+    # hold the ids 10, 100 and 1 000 inside a level, and the radius-1 ball
+    # (5 vertices) has only one-digit ids, so no padding to drop
+    for radius, crossed in [(1, set()), (2, {10}), (4, {10, 100}), (6, {10, 100, 1000})]:
+        ball = cayley_ball(odd_presentation, radius)
+        ends = np.cumsum([len(level) for level in ball.levels])
+        assert {c for c in (10, 100, 1000) if c < ends[-1]} == crossed
+        assert not crossed & set(ends.tolist())
+        oracle = json.loads(ball_json(ball))
+        assert_same_text(ball.json_text(), json.dumps(oracle, indent=2, sort_keys=True))
+
+
 # ints in [0, 2**31), every power of ten below 2**31 and its neighbours among them
 _EDGE_INTS = sorted({10**k + d for k in range(10) for d in (-1, 0, 1)} | {2**31 - 1})
 _INTS = st.one_of(st.integers(0, 2**31 - 1), st.sampled_from(_EDGE_INTS))
@@ -298,6 +324,11 @@ def test_text_rows_write_ints_as_str(pairs):
     # the row writer's digits are str(int)'s, padded or not, in any column
     first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     rows = cayley_mod._text_rows([b"[", first, b",", second, b"]\n"], len(pairs))
+    assert rows.tobytes().decode() == "".join(f"[{a},{b}]\n" for a, b in pairs)
+    # and so are those of a decimal table's rows, gathered as one matrix
+    table = cayley_mod._decimal_digits(np.concatenate([first, second]))
+    rows = cayley_mod._text_rows([b"[", table[: len(pairs)], b",", table[len(pairs) :], b"]\n"],
+                                 len(pairs))
     assert rows.tobytes().decode() == "".join(f"[{a},{b}]\n" for a, b in pairs)
 
 
@@ -340,6 +371,8 @@ def _ball_outcome(build, p, radius, budget):
         return build(p, radius, budget)
     except PartialBallError as e:
         return (type(e), str(e), e.completed_radius, e.budget)
+    except BudgetExceededError as e:
+        return (type(e), str(e), e.budget)
 
 
 def test_ball_oracle_budget_parity(verified_presentation, oracle_r6):
@@ -391,29 +424,96 @@ def test_closure_and_dehn_match_ball_oracle_engine(case):
     w = _reduce_ints(pre + t[q : q + min(k, p.l)] + post)
     eng, oracle = p.engine, _oracle_engine(p)
     assert eng.dehn_reduce(w) == oracle.dehn_reduce(w)
-    assert eng.geodesic_closure(w) == oracle.geodesic_closure(w)
+    same, shorter = oracle.geodesic_closure(w)
+    assert _closure_of(eng, w) == (same if shorter is None else None, shorter)
+
+
+@st.composite
+def _arc_products(draw):
+    """(host, word): the reduced product of one to three arcs of relator
+    rotations, each of t_move to l/2 + 1 letters, and a few more letters:
+    words whose closure may find a shorter word only after some rounds."""
+    p = _verified_host(*draw(st.sampled_from([(3, 12), (2, 13)])))
+    texts, t = _relator_texts(p.relators).tolist(), p.engine.t_move
+    word = draw(st.lists(st.integers(0, 2 * p.m - 1), max_size=2))
+    for _ in range(draw(st.integers(1, 3))):
+        q, k = draw(st.integers(0, p.l - 1)), draw(st.integers(t, p.l // 2 + 1))
+        word += draw(st.sampled_from(texts))[q : q + k]
+    return p, _reduce_ints(word + draw(st.lists(st.integers(0, 2 * p.m - 1), max_size=2)))
+
+
+# words of the (3, 12, 0) host that Dehn reduction does not shorten and
+# whose closure finds a shorter word once it has seen 6 and 4 words
+_LATE_SHORTER = [(1, 3, 4, 4, 1, 3, 3, 1, 5, 0, 5, 0, 2, 2, 4, 3, 5),
+                 (4, 3, 5, 1, 3, 4, 2, 0, 4, 2, 5, 3, 4, 2, 5, 3)]
+
+
+@given(_arc_products(), st.integers(1, 6))
+@example((_verified_host(3, 12), _LATE_SHORTER[0]), 5)
+@example((_verified_host(3, 12), _LATE_SHORTER[0]), 6)
+@example((_verified_host(3, 12), _LATE_SHORTER[1]), 3)
+@example((_verified_host(3, 12), _LATE_SHORTER[1]), 4)
+@settings(max_examples=200, deadline=None)
+def test_swap_closure_budget_matches_one_word_search(case, budget):
+    # with a small budget, one word's batched closure passes it exactly when
+    # the oracle engine's search of that word alone raises, counting the
+    # words seen before any shorter one, after a Dehn reduction that
+    # shortens nothing; else it returns what that search returns
+    p, w = case
+    eng, oracle = p.engine, _oracle_engine(p)
+    want = oracle.geodesic_closure(w)  # within the default budget
+    with mock.patch.object(cayley_mod, "DEFAULT_CLOSURE_BUDGET", budget), \
+            mock.patch.object(ball_oracle, "DEFAULT_CLOSURE_BUDGET", budget):
+        if len(oracle.dehn_reduce(w)) == len(w):
+            try:
+                want = oracle.geodesic_closure(w)
+            except BudgetExceededError:
+                want = None
+        found = cayley_mod._swap_closures(eng, np.array([w], dtype=np.int8).reshape(1, len(w)))
+    if want is None:
+        assert found.overrun == 0
+    else:
+        same, shorter = want
+        assert _closure_of(eng, w, found) == (same if shorter is None else None, shorter)
+
+
+@given(st.integers(1, 3), st.integers(0, 70), st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_keys_order_rows_lexicographically(b, width, data):
+    # the closure's dedup keys: one uint64 column per 64 // b letters, so
+    # rows wider than that take several, and they sort as the rows do
+    codes = st.integers(0, (1 << b) - 1)
+    rows = data.draw(st.lists(st.lists(codes, min_size=width, max_size=width), max_size=12))
+    keys = cayley_mod._row_keys(np.array(rows, dtype=np.int8).reshape(len(rows), width), b)
+    assert len(keys) == -(-width // (64 // b))
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(rows))
+    assert [rows[i] for i in order] == sorted(rows)
+
+
+def _closure_of(eng, w, found=None):
+    """The batched swap closure of the one word w: (the length-|w| words it
+    reached, None), or (None, the first strictly shorter word); `found` is
+    that closure when already run."""
+    if found is None:
+        found = cayley_mod._swap_closures(eng, np.array([w], dtype=np.int8).reshape(1, len(w)))
+    assert found.overrun == 1
+    if found.short_len[0] >= 0:
+        return None, tuple(found.short[0, : found.short_len[0]].tolist())
+    return {tuple(x) for x in found.same.tolist()}, None
 
 
 @pytest.mark.parametrize("m, l, radius", [(2, 13, 8), (3, 12, 7), (4, 12, 6)])
 def test_class_representatives_are_suspicious(monkeypatch, m, l, radius):
-    # every class the closure finds has a least word that holds a detect
-    # window of the oracle engine's own set, though the build scans no
-    # class's least word
+    # every class the batched closure keeps has a least word that holds a
+    # detect window of the oracle engine's own set, though the build scans
+    # no class's least word
     p = _verified_host(m, l)
-    closure = cayley_mod.DehnEngine.geodesic_closure
-    classes = []
-
-    def recording(self, w):
-        same, shorter = closure(self, w)
-        if shorter is None:
-            classes.append(same)
-        return same, shorter
-
-    monkeypatch.setattr(cayley_mod.DehnEngine, "geodesic_closure", recording)
+    calls = _recording_closures(monkeypatch)
     ball = cayley_ball(p, radius)
     monkeypatch.undo()
     oracle = _oracle_engine(p)
-    least = [min(same) for same in classes]
+    least = [tuple(found.least[i].tolist()) for _, _, found in calls
+             for i in np.flatnonzero(found.label == np.arange(len(found.label)))]
     assert least and all(map(oracle.is_suspicious, least))
     # some classes are new vertices inside the ball
     assert {p.alphabet.decode(w) for w in least} & set(ball.words)
@@ -423,21 +523,97 @@ def test_class_representatives_are_suspicious(monkeypatch, m, l, radius):
 def test_closure_sees_only_tails_that_start_a_rotation(monkeypatch, m, l, radius, calls):
     # a candidate goes to the closure only when its own last t_detect
     # letters start a rotation of the oracle engine's own set, not because
-    # its parent did; the first host is the queries-type (3, 12, 0) host
+    # its parent did; the first host is the queries-type (3, 12, 0) host.
+    # The count is of the searches that one candidate at a time would run:
+    # none for a candidate that Dehn reduction shortens, or that lies in the
+    # class of an earlier one
     p = _verified_host(m, l)
-    closure = cayley_mod.DehnEngine.geodesic_closure
-    seen = []
-
-    def recording(self, w):
-        seen.append(w)
-        return closure(self, w)
-
-    monkeypatch.setattr(cayley_mod.DehnEngine, "geodesic_closure", recording)
+    recorded = _recording_closures(monkeypatch)
     cayley_ball(p, radius)
     monkeypatch.undo()
+    oracle = _oracle_engine(p)
     k = p.engine.t_detect
-    assert len(seen) == calls
-    assert all(w[-k:] in _oracle_engine(p).detect for w in seen)
+    seen = [w for words, _, _ in recorded for w in map(tuple, words.tolist())]
+    assert all(w[-k:] in oracle.detect for w in seen)
+    known, ran = set(), 0
+    for w in seen:
+        if w in known or len(oracle.dehn_reduce(w)) < len(w):
+            continue
+        ran += 1
+        same, shorter = oracle.geodesic_closure(w)
+        if shorter is None:
+            known |= same
+    assert ran == calls
+
+
+@pytest.mark.parametrize("m, l, radius", [(3, 12, 7), (2, 13, 8), (4, 12, 6)])
+def test_swap_closures_match_the_oracle_on_every_level(monkeypatch, m, l, radius):
+    # each level's batch against the oracle engine's closure of each of its
+    # candidates alone: whether a shorter word exists, and then the very
+    # word found first and the vertex the candidate's edge reaches, which
+    # the oracle's Dehn reductions of that word and of the candidate reach
+    # too (any shorter word names the same vertex); else the class, its
+    # least word and the vertex it names.  Rim candidates keep no class
+    p = _verified_host(m, l)
+    recorded = _recording_closures(monkeypatch)
+    ball = cayley_ball(p, radius)
+    monkeypatch.undo()
+    oracle, ab = _oracle_engine(p), p.alphabet
+    vertex = {w: v for v, w in enumerate(ball.words)}
+    shorter_words = larger_classes = 0
+    for words, classes, found in recorded:
+        assert classes == (words.shape[1] <= radius)
+        for i, w in enumerate(map(tuple, words.tolist())):
+            same, shorter = oracle.geodesic_closure(w)
+            target = ball.adjacency[ball.vertex_of_word(ab.decode(w[:-1])), w[-1]]
+            if shorter is not None:
+                shorter_words += 1
+                assert tuple(found.short[i, : found.short_len[i]].tolist()) == shorter
+                walked = {cayley_mod._walk(ball.adjacency, v)
+                          for v in (shorter, oracle.dehn_reduce(shorter), oracle.dehn_reduce(w))}
+                assert walked == {target} and found.label[i] == -1
+                continue
+            assert found.short_len[i] == -1
+            if not classes:
+                assert found.label[i] == -1 and target == -1
+                continue
+            assert {tuple(x) for x in found.same[found.owner == i].tolist()} == same
+            assert tuple(found.least[found.label[i]].tolist()) == min(same)
+            assert target == vertex[ab.decode(min(same))]
+            larger_classes += len(same) > 1
+    assert (shorter_words > 0) == (l % 2 == 1)
+    assert (larger_classes > 0) == (l % 2 == 0)
+
+
+@pytest.mark.parametrize("closure_budget", [1, 6])
+def test_closure_budget_matches_the_oracle(monkeypatch, odd_presentation, closure_budget):
+    # a closure budget that the radius-8 ball passes, alone and beside
+    # vertex budgets at the last level boundaries, either of which can come
+    # first: the batch raises the oracle's error, at the candidate whose
+    # closure raised in the oracle when it is an overrun
+    p = odd_presentation
+    monkeypatch.setattr(cayley_mod, "DEFAULT_CLOSURE_BUDGET", closure_budget)
+    monkeypatch.setattr(ball_oracle, "DEFAULT_CLOSURE_BUDGET", closure_budget)
+    closure = ball_oracle._OracleEngine.geodesic_closure
+    searched = []
+
+    def recording(self, w):
+        searched.append(w)
+        return closure(self, w)
+
+    monkeypatch.setattr(ball_oracle._OracleEngine, "geodesic_closure", recording)
+    recorded = _recording_closures(monkeypatch)
+    sizes = [1, 5, 17, 53, 161, 485, 1457, 4347, 12965]  # the radius-8 ball's levels
+    overruns = 0
+    for budget in [DEFAULT_VERTEX_BUDGET] + [s + d for s in sizes[-4:] for d in (-1, 0, 1)]:
+        got = _ball_outcome(cayley_ball, p, 8, budget)
+        want = _ball_outcome(cayley_ball_oracle, p, 8, budget)
+        assert got == want, budget
+        if got[0] is BudgetExceededError:
+            words, _, found = recorded[-1]
+            assert tuple(words[found.overrun].tolist()) == searched[-1]
+            overruns += 1
+    assert 0 < overruns < 13
 
 
 # verified hosts whose balls the dict-BFS oracle builds in a fraction of a

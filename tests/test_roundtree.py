@@ -691,6 +691,32 @@ def test_prefix_ranges_find_nothing_for_a_letter_outside_the_index():
     # like "Ab", which the index holds
     index = _relator_windows(["Abab"])
     _check_prefix_ranges(index, index.rows(index.keys), [(0, 6), (1, 2)], 2)
+    firsts = index.prefix_firsts(np.array([(0, 6), (1, 2)], dtype=np.int8))
+    assert firsts.tolist() == [-1, index.prefix_range((1, 2)).start]
+
+
+@given(st.one_of(relator_sets(), long_relator_sets()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_prefix_firsts_match_prefix_ranges(case, data):
+    # the membership test among the distinct k-letter prefixes of the keys
+    # gives the start of each nonempty prefix range and -1 for an empty one:
+    # on packed and byte-row indexes (l·b on both sides of 64), for tails of
+    # 0 to l letters, some read by a window, some with a letter past the
+    # index's bits
+    m, rels = case
+    index = _relator_windows(rels)
+    W = index.rows(index.keys)
+    l = W.shape[1]
+    k = data.draw(st.sampled_from([0, l]) | st.integers(0, l))
+    top = max(2 * m - 1, 1 << index.bits)  # 1 << bits is past the bits
+    read = data.draw(st.lists(st.integers(0, len(W) - 1), max_size=4))
+    rows = [W[r, :k].tolist() for r in read]
+    rows += data.draw(st.lists(st.lists(st.integers(0, top), min_size=k, max_size=k), max_size=6))
+    words = np.array(rows, dtype=np.int8).reshape(len(rows), k)
+    starts, stops = index.prefix_ranges(words)
+    firsts = index.prefix_firsts(words)
+    assert firsts.tolist() == np.where(stops > starts, starts, -1).tolist()
+    assert (firsts[: len(read)] >= 0).all()
 
 
 @given(relator_sets())
