@@ -40,6 +40,7 @@ from .words import (
     _decode_rows,
     _join,
     _reduce_ints,
+    _row_keys,
     check_lambda,
 )
 from .bounds import wilson_interval
@@ -192,7 +193,7 @@ def _text_rows(parts: list, count: int, out: np.ndarray | None = None) -> np.nda
     widest value right-aligned, with zero bytes to its left, as a matrix of
     such numbers does; no other part holds a zero byte, so when a row starts
     one of these parts with one, a mask of the nonzero bytes drops that
-    padding, into a new array."""
+    padding, into a new array.  Rows written into `out` must hold none."""
     if not count:
         return np.zeros(0, dtype=np.uint8)
     parts = [part if isinstance(part, bytes) or part.ndim == 2 else _decimal_digits(part)
@@ -212,6 +213,7 @@ def _text_rows(parts: list, count: int, out: np.ndarray | None = None) -> np.nda
         rows[:, at : at + span] = part
         padded |= span > 1 and not part[:, 0].all()
         at += span
+    assert not (padded and out is not None), "padding in rows written in place"
     return rows[rows > 0] if padded else rows
 
 
@@ -341,21 +343,6 @@ def _walk_rows(adjacency: np.ndarray, rows: np.ndarray, lengths: np.ndarray) -> 
     return at
 
 
-def _row_keys(rows: np.ndarray, b: int) -> list[np.ndarray]:
-    """uint64 columns that compare as the rows of a letter-code matrix do
-    lexicographically: b bits a letter, 64 // b letters a column."""
-    per = 64 // b
-    codes = rows.view(np.uint8)
-    cols = []
-    for a in range(0, rows.shape[1], per):
-        key = np.zeros(len(rows), dtype=np.uint64)
-        for j in range(a, min(a + per, rows.shape[1])):
-            key <<= np.uint64(b)
-            key |= codes[:, j]
-        cols.append(key)
-    return cols
-
-
 def _swaps(eng: DehnEngine, frontier: np.ndarray, length: np.ndarray):
     """Every relator-arc swap in the words of a frontier, an (R, cap) int8
     matrix whose row r holds a reduced word of length[r] letters, that
@@ -464,7 +451,7 @@ def _swap_closures(eng: DehnEngine, words: np.ndarray, classes: bool = True) -> 
     labelled by its first owner and named by its least word."""
     N, n = words.shape
     cap = n + eng.slack
-    b = (eng.ab.size - 1).bit_length()
+    m = eng.ab.m
     short = np.zeros((N, n), dtype=np.int8)
     short_len = np.full(N, -1)
     owners, sames = [np.arange(N)], [words]
@@ -474,7 +461,7 @@ def _swap_closures(eng: DehnEngine, words: np.ndarray, classes: bool = True) -> 
         frontier = np.zeros((B, cap), dtype=np.int8)
         frontier[:, :n] = words[lo : lo + B]
         length, owner = np.full(B, n), np.arange(B)
-        seen_at, seen_keys = owner * (cap + 1) + n, _row_keys(frontier, b)
+        seen_at, seen_keys = owner * (cap + 1) + n, _row_keys(frontier, m)
         seen = np.ones(B, dtype=np.int64)
         running = np.ones(B, dtype=bool)
         first = True
@@ -489,7 +476,7 @@ def _swap_closures(eng: DehnEngine, words: np.ndarray, classes: bool = True) -> 
             # drop the swaps seen before, by their owner or earlier in the round
             rest = np.flatnonzero(~shorter)
             where = np.concatenate([seen_at, by[rest] * (cap + 1) + size[rest]])
-            keys = [np.concatenate(pair) for pair in zip(seen_keys, _row_keys(swapped[rest], b))]
+            keys = [np.concatenate(pair) for pair in zip(seen_keys, _row_keys(swapped[rest], m))]
             order = np.lexsort([*keys[::-1], where])
             where, keys = where[order], [k[order] for k in keys]
             head = np.ones(len(order), dtype=bool)
@@ -529,7 +516,7 @@ def _swap_closures(eng: DehnEngine, words: np.ndarray, classes: bool = True) -> 
     owner, same = np.concatenate(owners), np.concatenate(sames)
     keep = (short_len[owner] < 0) & (owner < overrun) & classes
     owner, same = owner[keep], same[keep]
-    keys = _row_keys(same, b)
+    keys = _row_keys(same, m)
     order = np.lexsort(keys[::-1]) if keys else np.arange(len(owner))
     owner, same, keys = owner[order], same[order], [k[order] for k in keys]
     twice = np.ones(max(len(owner) - 1, 0), dtype=bool)
@@ -594,7 +581,10 @@ def cayley_ball(
     BudgetExceededError, unless the vertices made by the candidates before
     it already passed the vertex budget: the errors come as a search of one
     candidate at a time, asking the vertex budget before each, would raise
-    them.
+    them.  Such a search skips a candidate in the class of an earlier one,
+    which the batch searches too; but that candidate's swaps reach only words
+    that the earlier search reached, so it passes the budget only where the
+    earlier one did.
     """
     if radius < 0:
         raise DomainError(f"need a ball radius >= 0, got {radius}")

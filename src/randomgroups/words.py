@@ -25,8 +25,10 @@ index of their keys (`_relator_windows`), which each presentation builds
 once, on first use (`model.Presentation.windows`): the C'(1/6) gate reads
 its longest piece, the naive closure's seams and the round trees' window
 search read its ranges, and the Cayley ball's tails and swap arcs read which
-key, if any, starts with a word (`prefix_firsts`).  So the slot layout and
-the key format are decided here alone.
+key, if any, starts with a word (`prefix_firsts`).  The ball's swap closure
+sorts its words by keys of the same format, a column per 64 bits
+(`_row_keys`).  So the slot layout and the key format are decided here
+alone.
 
 Pieces are found by sorting windows: a repeated length-L window is a piece
 of length L.  The longest piece is computed in one place, the window index
@@ -43,10 +45,10 @@ row as one opaque byte string.  When a whole rotation packs (l·b <= 64) the
 slot keys come from the rotations: each text's first l letters pack into
 one key, and every rotation and every shorter window of it is two shifts
 and an or of that key (`_slot_keys`).  Packing letter by letter, by Horner
-steps (`_window_keys`), remains for wider texts and for the query words of
-`prefix_ranges` and `prefix_firsts`.  The witness of `max_piece_length` is
-read off the occurrences of the longest pieces in the few texts that hold
-one.
+steps (`_window_keys`), remains for wider texts, for the query words of
+`prefix_ranges` and `prefix_firsts`, and for `_row_keys`.  The witness of
+`max_piece_length` is read off the occurrences of the longest pieces in the
+few texts that hold one.
 """
 
 from __future__ import annotations
@@ -421,6 +423,16 @@ def _window_keys(windows: np.ndarray, b: int) -> np.ndarray:
     return keys
 
 
+def _row_keys(rows: np.ndarray, m: int) -> list[np.ndarray]:
+    """uint64 columns that compare as the rows of an (N, n) matrix of
+    letter codes on m generators do lexicographically: the `_window_keys`
+    of each block of 64 // b columns, b = (2m-1).bit_length() bits a letter,
+    so that every letter of the alphabet fits whatever the rows hold."""
+    b = _key_bits(np.array(2 * m - 1))
+    per = 64 // b
+    return [_window_keys(rows[:, a : a + per], b) for a in range(0, rows.shape[1], per)]
+
+
 # keys whose wrapped letters `_slot_keys` or's in at once: 512 KiB of
 # temporaries.  Shifting all 1.8 M keys of the 38 050-relator demo host at
 # once made a second 14 MiB array, and the `tree_build` benchmark's peak RSS
@@ -480,13 +492,6 @@ def _neighbour_lcp(ranked: np.ndarray, L: int, b: int) -> np.ndarray:
     return np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
 
 
-# prefixes of at most this many bits are looked up in a table of every
-# prefix key (`_WindowIndex._prefixes`), 512 KiB at most: at 100 000 ball
-# tails of 5 letters (15 bits) the table took 0.4 ms where a binary search
-# of the distinct prefixes took 4.2 ms (2-core Xeon VM)
-_PREFIX_TABLE_BITS = 16
-
-
 class _WindowIndex:
     """The distinct length-l windows of a `_relator_texts` matrix, one
     `_slot_keys` key each, sorted: every rotation of every relator and its
@@ -511,7 +516,7 @@ class _WindowIndex:
         # a window at two slots: a periodic relator, or a coincidence
         self.repeats = len(self.keys) < len(keys)
         self._packed = keys.dtype == np.uint64
-        self._prefix_tables: dict[int, tuple] = {}
+        self._prefix_heads: dict[int, tuple] = {}
 
     @cached_property
     def longest_piece(self) -> int:
@@ -563,41 +568,29 @@ class _WindowIndex:
         if not self._packed:
             starts, stops = self.prefix_ranges(words)
             return np.where(stops > starts, starts, -1)
-        firsts, heads, table = self._prefixes(words.shape[1])
+        firsts, heads = self._prefixes(words.shape[1])
+        if not len(heads):
+            return np.full(len(words), -1)
         query = _window_keys(words, self.bits)
-        # a letter past the index's bits would spill into its neighbour's
-        spill = (words >> self.bits).any(axis=1) if words.size and words.max() >> self.bits else None
-        if spill is not None:
-            query[spill] = 0
-        if table is not None:
-            found = table[query]
-        elif len(heads):
-            at = np.minimum(np.searchsorted(heads, query), len(heads) - 1)
-            found = np.where(heads[at] == query, firsts[at], -1)
-        else:
-            found = np.full(len(words), -1)
-        if spill is not None:
-            found[spill] = -1
+        at = np.minimum(np.searchsorted(heads, query), len(heads) - 1)
+        found = np.where(heads[at] == query, firsts[at], -1)
+        if words.size and words.max() >> self.bits:
+            # a letter past the index's bits spills into its neighbour's
+            found[(words >> self.bits).any(axis=1)] = -1
         return found
 
-    def _prefixes(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def _prefixes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The positions of the first keys of each distinct k-letter prefix
-        of the packed keys, those prefixes as keys of k letters (the keys are
-        sorted, so the prefixes are too), and, for prefixes of at most
-        _PREFIX_TABLE_BITS bits, a table from every k-letter key to the
-        position of its first key, or -1.  Made once per length."""
-        found = self._prefix_tables.get(k)
+        of the packed keys, and those prefixes as keys of k letters (the
+        keys are sorted, so the prefixes are too).  Made once per length."""
+        found = self._prefix_heads.get(k)
         if found is None:
             shift = self.bits * (self.width - k)
             # a shift of 64 bits is undefined for a uint64: every key has
             # the empty prefix
             heads = self.keys >> np.uint64(shift) if shift < 64 else np.zeros_like(self.keys)
             firsts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1]))[: len(heads)])
-            table = None
-            if self.bits * k <= _PREFIX_TABLE_BITS:
-                table = np.full(1 << self.bits * k, -1)
-                table[heads[firsts]] = firsts
-            found = self._prefix_tables[k] = firsts, heads[firsts], table
+            found = self._prefix_heads[k] = firsts, heads[firsts]
         return found
 
     def reading(self, word: Sequence[int], at: int) -> np.ndarray:

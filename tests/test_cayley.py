@@ -332,6 +332,16 @@ def test_text_rows_write_ints_as_str(pairs):
     assert rows.tobytes().decode() == "".join(f"[{a},{b}]\n" for a, b in pairs)
 
 
+def test_text_rows_written_in_place_hold_no_padding():
+    # a number part whose row starts with a zero byte would leave that byte
+    # in the text of a row written in place, where no mask can drop it
+    out = np.empty(4, dtype=np.uint8)
+    cayley_mod._text_rows([np.array([12, 34])], 2, out=out)
+    assert out.tobytes() == b"1234"
+    with pytest.raises(AssertionError):
+        cayley_mod._text_rows([np.array([1, 34])], 2, out=out)
+
+
 def test_distance_reads_no_word_strings(monkeypatch, verified_presentation):
     # distance and is_geodesic walk the ball's adjacency: no vertex's word is
     # decoded into a string, on a presentation whose engine has no ball yet
@@ -477,14 +487,16 @@ def test_swap_closure_budget_matches_one_word_search(case, budget):
         assert _closure_of(eng, w, found) == (same if shorter is None else None, shorter)
 
 
-@given(st.integers(1, 3), st.integers(0, 70), st.data())
+@given(st.integers(1, 4), st.integers(0, 70), st.data())
 @settings(max_examples=100, deadline=None)
-def test_row_keys_order_rows_lexicographically(b, width, data):
-    # the closure's dedup keys: one uint64 column per 64 // b letters, so
-    # rows wider than that take several, and they sort as the rows do
-    codes = st.integers(0, (1 << b) - 1)
+def test_row_keys_order_rows_lexicographically(m, width, data):
+    # the closure's dedup keys: one uint64 column per 64 // b letters, b the
+    # bits of the largest letter code 2m - 1, so rows wider than that take
+    # several, and they sort as the rows do
+    b = (2 * m - 1).bit_length()
+    codes = st.integers(0, 2 * m - 1)
     rows = data.draw(st.lists(st.lists(codes, min_size=width, max_size=width), max_size=12))
-    keys = cayley_mod._row_keys(np.array(rows, dtype=np.int8).reshape(len(rows), width), b)
+    keys = words_mod._row_keys(np.array(rows, dtype=np.int8).reshape(len(rows), width), m)
     assert len(keys) == -(-width // (64 // b))
     order = np.lexsort(keys[::-1]) if keys else np.arange(len(rows))
     assert [rows[i] for i in order] == sorted(rows)
@@ -614,6 +626,63 @@ def test_closure_budget_matches_the_oracle(monkeypatch, odd_presentation, closur
             assert tuple(words[found.overrun].tolist()) == searched[-1]
             overruns += 1
     assert 0 < overruns < 13
+
+
+def _first_overrun(levels, oracle):
+    """Where a build that searches one candidate at a time first passes the
+    closure budget, as (level, candidate) among `levels`, each level's
+    suspicious candidates in order, or None; and how many candidates it
+    skipped before that as members of a class an earlier search found.  It
+    searches, with the oracle engine, each candidate that Dehn reduction
+    does not shorten and that lies in no such class."""
+    known, skipped = set(), 0
+    for n, words in enumerate(levels):
+        for i, w in enumerate(map(tuple, words.tolist())):
+            skipped += w in known
+            if w in known or len(oracle.dehn_reduce(w)) < len(w):
+                continue
+            try:
+                same, shorter = oracle.geodesic_closure(w)
+            except BudgetExceededError:
+                return (n, i), skipped
+            if shorter is None:
+                known |= same
+    return None, skipped
+
+
+@pytest.mark.parametrize("m, l, radius, late", [(3, 12, 7, 0), (2, 14, 9, 2)])
+def test_closure_budget_matches_a_one_candidate_search(monkeypatch, m, l, radius, late):
+    # even-l hosts whose classes hold two candidates, the second of which a
+    # search of one candidate at a time skips and the batch searches too:
+    # with closure budgets of 1 to 6 the batch raises at the candidate where
+    # that search first raises, and builds the same ball where it raises
+    # nowhere.  On the (2, 14, 0) host two budgets pass after 14 and 42
+    # skipped members.  A later member's search cannot pass the budget where
+    # the first member's did not: it reaches only words that the first
+    # reached
+    p = _verified_host(m, l)
+    recorded = _recording_closures(monkeypatch)
+    ball = cayley_ball(p, radius)
+    levels = [words for words, _, _ in recorded]
+    oracle = _oracle_engine(p)
+    assert _first_overrun(levels, oracle)[1] > 0
+    outcomes, after_skips = set(), 0
+    for budget in range(1, 7):
+        monkeypatch.setattr(cayley_mod, "DEFAULT_CLOSURE_BUDGET", budget)
+        monkeypatch.setattr(ball_oracle, "DEFAULT_CLOSURE_BUDGET", budget)
+        want, skipped = _first_overrun(levels, oracle)
+        del recorded[:]
+        got = _ball_outcome(cayley_ball, p, radius, DEFAULT_VERTEX_BUDGET)
+        if want is None:
+            assert got.words == ball.words and np.array_equal(got.adjacency, ball.adjacency)
+        else:
+            n, i = want
+            assert got == (BudgetExceededError, f"geodesic closure exceeded {budget} words",
+                           budget)
+            assert len(recorded) == n + 1 and recorded[-1][2].overrun == i
+            after_skips += skipped > 0
+        outcomes.add(want is None)
+    assert outcomes == {True, False} and after_skips == late
 
 
 # verified hosts whose balls the dict-BFS oracle builds in a fraction of a
